@@ -9,8 +9,9 @@ chain, and desk-scale benchmark sweeps with least-squares fits.
 
 from .evolution import (EvolutionConfig, ErrorTrace, error_gradient,
                         error_trace, evolve, gate_error)
-from .gates import (Gate, cnot, controlled_phase, hadamard, pauli_x, place,
-                    qft_matrix, rotation, swap2, swap_to_end_circuit)
+from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
+                    pauli_x, place, qft_matrix, rotation, swap2,
+                    swap_to_end_circuit)
 from .model import (FieldSnapshot, SpinChainModel, coupling_hamiltonian,
                     full_hamiltonian, nearest_neighbor_chain)
 from .optimizer import (OptimizationReport, OptimizerConfig, adam_step,
@@ -22,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvolutionConfig", "ErrorTrace", "error_gradient", "error_trace",
-    "evolve", "gate_error", "Gate", "cnot", "controlled_phase", "hadamard",
-    "pauli_x", "place", "qft_matrix", "rotation", "swap2",
+    "evolve", "gate_error", "Gate", "apply_gate", "cnot", "controlled_phase",
+    "hadamard", "pauli_x", "place", "qft_matrix", "rotation", "swap2",
     "swap_to_end_circuit", "FieldSnapshot", "SpinChainModel",
     "coupling_hamiltonian", "full_hamiltonian", "nearest_neighbor_chain",
     "OptimizationReport", "OptimizerConfig", "adam_step", "fgto_synthesize",

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate
+from .errors import Degenerate, MissingRealization
 from .evolution import DEFAULT_CONFIG, error_trace, evolve
-from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
+from .gates import Gate, controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
                            compile_qft_quvis, compile_qft_quvis2,
-                           compile_qft_qumis, load_bundled_realizations,
+                           compile_qft_qumis, compose_qumis,
+                           load_bundled_realizations,
                            qumis_decompose_controlled_phase, qumis_time_cost,
                            quvis2_set, quvis3_set)
 from .model import HEISENBERG, ISING, nearest_neighbor_chain
@@ -93,7 +94,8 @@ def _compiled_for(set_name: str, n: int):
 
 
 def _qumis_realized_parts(evo):
-    """Circuit-frame imperfect CNOT and swap from bundled pulses, if present."""
+    """Circuit-frame imperfect CNOT and swap gates from bundled pulses, if
+    present."""
     from .gates import cnot as cnot_gate, swap2 as swap_gate
     from .instructions import (bundled_pulse_ids, load_bundled_schedule,
                                snap_frame)
@@ -105,27 +107,17 @@ def _qumis_realized_parts(evo):
             return None
         sched = load_bundled_schedule(gate_id)
         u = evolve(nearest_neighbor_chain(2), sched, evo)
-        parts[gate_id] = snap_frame(u, gate)
+        parts[gate_id] = Gate(gate_id, 2, snap_frame(u, gate))
     return parts
 
 
-def _qumis_composed_error(placements, n, target, parts, evo):
+def _qumis_composed_error(placements, n, target, parts):
     """Compose the sequence with imperfect entangling gates.
 
     Rotations and phase factors are taken exact (fast one-qubit controls);
     CNOT and swap use their realized pulse unitaries.
     """
-    from .gates import Gate, place
-    from .instructions import qumis_placement_matrix
-
-    u = np.eye(2 ** n, dtype=complex)
-    for kind, param, pos in placements:
-        if kind in parts:
-            m = place(Gate(kind, 2, parts[kind]), pos, n)
-        else:
-            m = qumis_placement_matrix(kind, param, pos, n)
-        u = m @ u
-    return float(np.linalg.norm(target - u))
+    return float(np.linalg.norm(target - compose_qumis(placements, n, parts)))
 
 
 def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
@@ -157,7 +149,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
                 placements, total = compile_qft_qumis(n)
                 err = (None if qumis_parts is None else
                        _qumis_composed_error(placements, n, target,
-                                             qumis_parts, evo))
+                                             qumis_parts))
                 rows.append({"n": n, "set": QUMIS, "time": total,
                              "error": err})
                 continue
@@ -166,7 +158,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
             try:
                 err = circuit_error_estimate(circuit, iset, target=target,
                                              evo=evo)
-            except Exception:
+            except MissingRealization:
                 err = None
             rows.append({"n": n, "set": set_name, "time": circuit.total_time,
                          "error": err})

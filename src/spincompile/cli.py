@@ -283,15 +283,22 @@ def cmd_verify_golden(args) -> int:
     worst = 0.0
     for gid in evo_ids:
         eg = iset[gid]
+        sched = eg.realized_schedule
         err = eg.realized_error
-        ok = err is not None and err <= args.threshold
-        worst = max(worst, err if err is not None else np.inf)
-        rows.append({"gate": gid, "time": eg.time_cost,
-                     "slices": eg.realized_schedule.n_slices,
-                     "error": err, "pass": bool(ok)})
-        print(f"{gid}: T={eg.time_cost:<4} K={eg.realized_schedule.n_slices:<4}"
-              f" error={err:.4f} {'PASS' if ok else 'FAIL'}"
-              f" (threshold {args.threshold})")
+        worst = max(worst, err)
+        reason = None
+        if sched.total_time != eg.time_cost:
+            reason = (f"table duration {sched.total_time!r} differs from "
+                      f"time_cost {eg.time_cost!r}")
+        elif not err <= args.threshold:
+            reason = f"error above threshold {args.threshold!r}"
+        rows.append({"gate": gid, "time": sched.total_time,
+                     "slices": sched.n_slices, "error": err,
+                     "pass": reason is None, "reason": reason})
+        print(f"{gid}: T={sched.total_time:<4} K={sched.n_slices:<4}"
+              f" error={err:.4f} {'PASS' if reason is None else 'FAIL'}"
+              f" (threshold {args.threshold})"
+              + ("" if reason is None else f": {reason}"))
     all_ok = all(r["pass"] for r in rows)
     summary = {"experiment": "verify_golden", "threshold": args.threshold,
                "rows": rows, "all_pass": all_ok, "worst_error": worst}

@@ -127,12 +127,6 @@ def gate_error(target, model: SpinChainModel, schedule: PulseSchedule,
     return frobenius_distance(target, evolve(model, schedule, cfg))
 
 
-def normalized_gate_error(target, model, schedule,
-                          cfg: EvolutionConfig = DEFAULT_CONFIG) -> float:
-    """Diagnostic variant: gate_error divided by sqrt(dim)."""
-    return gate_error(target, model, schedule, cfg) / np.sqrt(model.dim)
-
-
 def error_trace(target, model: SpinChainModel, schedule: PulseSchedule,
                 cfg: EvolutionConfig = DEFAULT_CONFIG) -> ErrorTrace:
     """Distance from the target to every prefix product, at times k*tau."""

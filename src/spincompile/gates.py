@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPlacement, OutOfRange
-from .linalg import kron
+from .errors import BadPlacement, DimensionMismatch, OutOfRange
 
 _UNITARITY_TOL = 1e-12
 
@@ -87,22 +86,8 @@ def swap2() -> Gate:
     return Gate(label="swap", n_qubits=2, matrix=m)
 
 
-def _qubit_permutation(order, n_total: int) -> np.ndarray:
-    """Permutation matrix sending qubit order[i] to position i."""
-    dim = 2 ** n_total
-    src = np.arange(dim)
-    dst = np.zeros(dim, dtype=np.int64)
-    for i, q in enumerate(order):
-        bit = (src >> (n_total - 1 - q)) & 1
-        dst |= bit << (n_total - 1 - i)
-    p = np.zeros((dim, dim), dtype=complex)
-    p[dst, src] = 1.0
-    return p
-
-
-def place(gate: Gate, positions, n_total: int) -> np.ndarray:
-    """Embed a gate into an n_total-qubit register on the given 1-based
-    qubit positions (identity elsewhere). Positions need not be contiguous."""
+def _check_placement(gate: Gate, positions, n_total: int) -> tuple:
+    """Validated 1-based positions of a gate in an n_total-qubit register."""
     positions = tuple(int(p) for p in positions)
     if len(positions) != gate.n_qubits:
         raise BadPlacement(f"{gate.label}: {len(positions)} positions for a "
@@ -111,11 +96,35 @@ def place(gate: Gate, positions, n_total: int) -> np.ndarray:
         raise BadPlacement("positions must be distinct")
     if any(p < 1 or p > n_total for p in positions):
         raise BadPlacement(f"positions {positions} outside 1..{n_total}")
-    order = [p - 1 for p in positions]
-    order += [q for q in range(n_total) if q not in order]
-    perm = _qubit_permutation(order, n_total)
-    rest = np.eye(2 ** (n_total - gate.n_qubits), dtype=complex)
-    return perm.conj().T @ kron(gate.matrix, rest) @ perm
+    return positions
+
+
+def apply_gate(u: np.ndarray, gate: Gate, positions, n_total: int) -> np.ndarray:
+    """place(gate, positions, n_total) @ u without forming the embedding.
+
+    The rows of u are viewed as an n_total-qubit tensor; the gate's input
+    axes are contracted with the qubit axes at the given positions and its
+    output axes moved back into their place, at O(2^n_total * cols * 2^k)
+    for a k-qubit gate.
+    """
+    positions = _check_placement(gate, positions, n_total)
+    u = np.asarray(u)
+    if u.shape[0] != 2 ** n_total:
+        raise DimensionMismatch(f"operand has {u.shape[0]} rows, register "
+                                f"of {n_total} qubits needs {2 ** n_total}")
+    k = gate.n_qubits
+    axes = [p - 1 for p in positions]
+    g = gate.matrix.reshape((2,) * (2 * k))
+    t = u.reshape((2,) * n_total + (-1,))
+    out = np.tensordot(g, t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, range(k), axes).reshape(u.shape)
+
+
+def place(gate: Gate, positions, n_total: int) -> np.ndarray:
+    """Embed a gate into an n_total-qubit register on the given 1-based
+    qubit positions (identity elsewhere). Positions need not be contiguous."""
+    return apply_gate(np.eye(2 ** n_total, dtype=complex), gate, positions,
+                      n_total)
 
 
 def qft_matrix(n_qubits: int) -> Gate:
@@ -137,5 +146,5 @@ def swap_to_end_circuit(n_qubits: int) -> Gate:
     u = np.eye(2 ** n_qubits, dtype=complex)
     sw = swap2()
     for a in range(1, n_qubits):
-        u = place(sw, (a, a + 1), n_qubits) @ u
+        u = apply_gate(u, sw, (a, a + 1), n_qubits)
     return Gate(label=f"swap_to_end{n_qubits}", n_qubits=n_qubits, matrix=u)

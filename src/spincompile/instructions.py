@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (DimensionMismatch, MissingRealization, OutOfRange,
                      SynthesisFailed, UnknownGate)
 from .evolution import DEFAULT_CONFIG, evolve, gate_error
-from .gates import (Gate, cnot, controlled_phase, hadamard, phase_gate, place,
-                    qft_matrix, rotation, swap2)
+from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
+                    phase_gate, place, qft_matrix, rotation, swap2)
 from .model import nearest_neighbor_chain
 from .optimizer import OptimizerConfig, multi_seed_synthesize
 from .schedule import PulseSchedule, read_pulse_table, write_pulse_table
@@ -205,18 +205,32 @@ class ElementaryGate:
     physical_target: np.ndarray
     realized_schedule: PulseSchedule | None = None
     realized_error: float | None = None
+    # (schedule, evo, unitary) of the last realized_unitary call
+    _realized_cache: tuple | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def width(self) -> int:
         return self.gate.n_qubits
 
     def realized_unitary(self, evo=DEFAULT_CONFIG) -> np.ndarray:
-        """Circuit-frame unitary actually produced by the realized pulses."""
-        if self.realized_schedule is None:
+        """Circuit-frame unitary actually produced by the realized pulses.
+
+        Evolved once per (schedule, evo) pair: a schedule is immutable, so
+        the same object gives the same unitary, and assigning a new
+        realized_schedule evolves again. The result is read-only.
+        """
+        sched = self.realized_schedule
+        if sched is None:
             raise MissingRealization(f"{self.gate_id} has no realized schedule")
-        model = nearest_neighbor_chain(self.realized_schedule.n_qubits)
-        u = evolve(model, self.realized_schedule, evo)
-        return circuit_frame(u, self.gate, self.physical_target)
+        cache = self._realized_cache
+        if cache is not None and cache[0] is sched and cache[1] == evo:
+            return cache[2]
+        u = evolve(nearest_neighbor_chain(sched.n_qubits), sched, evo)
+        u = circuit_frame(u, self.gate, self.physical_target)
+        u.setflags(write=False)
+        self._realized_cache = (sched, evo, u)
+        return u
 
 
 @dataclass
@@ -283,10 +297,15 @@ class CompiledCircuit:
 
     def compose(self, iset: InstructionSet) -> np.ndarray:
         """Exact-matrix composition of the placements, in placement order."""
-        u = np.eye(2 ** self.n_qubits, dtype=complex)
-        for gate_id, pos in self.placements:
-            u = place(iset[gate_id].gate, pos, self.n_qubits) @ u
-        return u
+        return _compose(self, {g: iset[g].gate for g, _pos in self.placements})
+
+
+def _compose(circuit: CompiledCircuit, gates: dict) -> np.ndarray:
+    """Product of the circuit's placements, gate ids looked up in gates."""
+    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
+    for gate_id, pos in circuit.placements:
+        u = apply_gate(u, gates[gate_id], pos, circuit.n_qubits)
+    return u
 
 
 def _qft_stage_quvis3(j: int):
@@ -362,30 +381,44 @@ def qumis_decompose_controlled_phase(theta: float):
     return (alpha, th1, th2, th3), placements
 
 
+_QUMIS_GATES = {
+    "rz": lambda theta: rotation("z", theta),
+    "rx": lambda theta: rotation("x", theta),
+    "ry": lambda theta: rotation("y", theta),
+    "phase": phase_gate,
+    "cnot": lambda _param: cnot(),
+    SWAP_GATE_ID: lambda _param: swap2(),
+}
+
+
+def apply_qumis(u: np.ndarray, kind: str, param, positions,
+                n_total: int) -> np.ndarray:
+    """qumis_placement_matrix(kind, param, positions, n_total) @ u; the
+    global phase is a scalar factor."""
+    if kind == "gphase":
+        return np.exp(1j * param) * u
+    try:
+        make = _QUMIS_GATES[kind]
+    except KeyError:
+        raise UnknownGate(f"unknown placement kind {kind!r}") from None
+    return apply_gate(u, make(param), positions, n_total)
+
+
 def qumis_placement_matrix(kind: str, param, positions, n_total: int) -> np.ndarray:
-    if kind == "rz":
-        g = rotation("z", param)
-    elif kind == "rx":
-        g = rotation("x", param)
-    elif kind == "ry":
-        g = rotation("y", param)
-    elif kind == "phase":
-        g = phase_gate(param)
-    elif kind == "gphase":
-        return np.exp(1j * param) * np.eye(2 ** n_total, dtype=complex)
-    elif kind == "cnot":
-        g = cnot()
-    elif kind == SWAP_GATE_ID:
-        g = swap2()
-    else:
-        raise UnknownGate(f"unknown placement kind {kind!r}")
-    return place(g, positions, n_total)
+    return apply_qumis(np.eye(2 ** n_total, dtype=complex), kind, param,
+                       positions, n_total)
 
 
-def compose_qumis(placements, n_total: int) -> np.ndarray:
+def compose_qumis(placements, n_total: int, realized=None) -> np.ndarray:
+    """Product of the placements, first acting first; realized maps a
+    placement kind to the Gate used in place of its exact matrix."""
+    realized = realized or {}
     u = np.eye(2 ** n_total, dtype=complex)
     for kind, param, pos in placements:
-        u = qumis_placement_matrix(kind, param, pos, n_total) @ u
+        if kind in realized:
+            u = apply_gate(u, realized[kind], pos, n_total)
+        else:
+            u = apply_qumis(u, kind, param, pos, n_total)
     return u
 
 
@@ -488,9 +521,7 @@ def circuit_error_estimate(circuit: CompiledCircuit, iset: InstructionSet,
         if gate_id not in realized:
             realized[gate_id] = Gate(gate_id, iset[gate_id].width,
                                      iset[gate_id].realized_unitary(evo))
-    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
-    for gate_id, pos in circuit.placements:
-        u = place(realized[gate_id], pos, circuit.n_qubits) @ u
+    u = _compose(circuit, realized)
     if target is None:
         target = circuit.compose(iset)
     return float(np.linalg.norm(target - u))

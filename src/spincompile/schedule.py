@@ -18,6 +18,7 @@ is bit exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,13 @@ class PulseSchedule:
         expected = (len(AXES), self.n_qubits, self.n_slices)
         if v.shape != expected:
             raise ShapeError(f"values shape {v.shape}, expected {expected}")
-        if self.n_slices < 1 or self.n_qubits < 1 or self.total_time <= 0:
-            raise ValueError("n_qubits, n_slices, total_time must be positive")
+        if self.n_slices < 1 or self.n_qubits < 1:
+            raise ShapeError("n_qubits and n_slices must be positive")
+        if not 0 < self.total_time < math.inf:
+            raise ShapeError(f"total_time {self.total_time!r} must be finite "
+                             "and positive")
+        if not np.isfinite(v).all():
+            raise ShapeError("values must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -91,29 +97,38 @@ def write_pulse_table(s: PulseSchedule) -> str:
 
 def _parse_float(tok: str, line_no: int, col: int) -> float:
     try:
-        return float(tok)
+        x = float(tok)
     except ValueError:
         raise ParseError(f"line {line_no}, column {col}: bad number {tok!r}") from None
+    if not math.isfinite(x):
+        raise ParseError(f"line {line_no}, column {col}: non-finite number {tok!r}")
+    return x
 
 
 def read_pulse_table(text: str) -> PulseSchedule:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ShapeError("table needs a metadata line, a header, and data rows")
-    meta = {}
+    meta, meta_col = {}, {}
     for col, tok in enumerate(lines[0].split(","), start=1):
         if "=" not in tok:
             raise ParseError(f"line 1, column {col}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         meta[key.strip()] = val.strip()
+        meta_col[key.strip()] = col
     for key in ("T", "K", "N"):
         if key not in meta:
             raise ParseError(f"line 1: missing {key}= in metadata")
-    total_time = _parse_float(meta["T"], 1, 1)
+    total_time = _parse_float(meta["T"], 1, meta_col["T"])
+    if total_time <= 0:
+        raise ParseError(f"line 1, column {meta_col['T']}: T must be positive, "
+                         f"got {meta['T']!r}")
     try:
         n_slices, n_qubits = int(meta["K"]), int(meta["N"])
     except ValueError:
         raise ParseError("line 1: K and N must be integers") from None
+    if n_slices < 1 or n_qubits < 1:
+        raise ParseError("line 1: K and N must be positive")
 
     body = lines[2:]
     if not body:

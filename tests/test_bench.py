@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from spincompile import bench
 from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
-from spincompile.errors import Degenerate
+from spincompile.errors import Degenerate, DimensionMismatch
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2)
@@ -92,6 +93,32 @@ class TestBenchQft:
     def test_error_growth_fit_band(self, result):
         fit = result.fits["error_quvis3"]
         assert 0 < fit.gamma < 0.5
+
+
+class TestBenchQftMissingRealization:
+    def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):
+        load = bench.load_bundled_realizations
+
+        def without_u4(iset, evo=None):
+            iset = load(iset)
+            if iset.kind == QUVIS3:
+                iset["u4"].realized_schedule = None
+            return iset
+
+        monkeypatch.setattr(bench, "load_bundled_realizations", without_u4)
+        rows = bench_qft(5, sets=(QUVIS3,)).rows
+        errors = {r["n"]: r["error"] for r in rows}
+        # u4 first appears in the N = 5 lowering
+        assert errors[3] is not None and errors[4] is not None
+        assert errors[5] is None
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise DimensionMismatch("broken estimate")
+
+        monkeypatch.setattr(bench, "circuit_error_estimate", broken)
+        with pytest.raises(DimensionMismatch):
+            bench_qft(3, sets=(QUVIS3,))
 
 
 class TestBenchPhaseTrace:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spincompile import instructions
 from spincompile.cli import main, parse_angle, parse_config, parse_target
 from spincompile.errors import ConfigError
 from spincompile.schedule import write_pulse_table, zeros
@@ -64,6 +65,24 @@ class TestVerifyGolden:
         assert failed == above and len(above) >= 1
 
 
+    def test_duration_mismatch_fails_that_gate(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a gate whose cost disagrees with its table's own duration fails,
+        # and the table's duration is what gets reported
+        monkeypatch.setitem(instructions.QUVIS3_TIME, "u4", 2.5)
+        rc = main(["verify-golden", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        failed = [line for line in out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and failed[0].startswith("u4: T=2.4 ")
+        data = json.loads((tmp_path / "verify_golden.json").read_text())
+        rows = {r["gate"]: r for r in data["rows"]}
+        assert rows["u4"]["time"] == 2.4 and not rows["u4"]["pass"]
+        assert "2.5" in rows["u4"]["reason"]
+        assert all(r["pass"] and r["reason"] is None
+                   for g, r in rows.items() if g != "u4")
+
+
 class TestEvolve:
     def test_zero_schedule_identity_target(self, tmp_path, capsys):
         table = tmp_path / "pulses.csv"
@@ -83,6 +102,17 @@ class TestEvolve:
         assert rc == 0
         data = json.loads((tmp_path / "evolve.json").read_text())
         assert data["error"] <= 0.05
+
+    def test_non_finite_table_is_machine_readable(self, tmp_path, capsys):
+        table = tmp_path / "pulses.csv"
+        table.write_text("T=1.0,K=2,N=1\nx1,y1\n0.1,0.2\nnan,0.3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pulse_table = {table}\ntarget = identity:1\n")
+        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2
+        assert record["error"] == "ParseError"
+        assert "line 4, column 1" in record["message"]
 
     def test_missing_input_is_machine_readable(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from spincompile.errors import BadPlacement, OutOfRange
-from spincompile.gates import (cnot, controlled_phase, hadamard, pauli_x,
-                               phase_gate, place, qft_matrix, rotation, swap2,
+from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
+                               hadamard, pauli_x, phase_gate, place,
+                               qft_matrix, rotation, swap2,
                                swap_to_end_circuit)
+from spincompile.instructions import compose_qumis
 
 
 def basis_state(bits):
@@ -110,6 +112,83 @@ class TestPlace:
             place(cnot(), (0, 1), 3)
         with pytest.raises(BadPlacement):
             place(cnot(), (1,), 3)
+
+
+def dense_embedding(m, positions, n_total):
+    """Reference embedding: kron(m, identity) in the order (positions, rest),
+    conjugated by the explicit permutation of basis indices."""
+    k = len(positions)
+    order = [p - 1 for p in positions]
+    order += [q for q in range(n_total) if q not in order]
+    dim = 2 ** n_total
+    perm = np.zeros((dim, dim))
+    for j in range(dim):
+        bits = [(j >> (n_total - 1 - q)) & 1 for q in range(n_total)]
+        jp = 0
+        for q in order:
+            jp = (jp << 1) | bits[q]
+        perm[jp, j] = 1.0
+    full = np.kron(m, np.eye(2 ** (n_total - k)))
+    return perm.T @ full @ perm
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestApplyGate:
+    @pytest.mark.parametrize("positions,n_total", [
+        ((1,), 1), ((3,), 4), ((6,), 6),
+        ((1, 2), 2), ((2, 3), 5), ((3, 1), 3), ((5, 2), 6), ((2, 6), 6),
+        ((1, 2, 3), 3), ((2, 3, 4), 6), ((4, 2, 1), 4), ((6, 1, 3), 6),
+    ])
+    def test_matches_dense_embedding(self, positions, n_total):
+        rng = np.random.default_rng(len(positions) * 10 + n_total)
+        k = len(positions)
+        g = Gate("g", k, random_unitary(rng, 2 ** k))
+        dim = 2 ** n_total
+        u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        expect = dense_embedding(g.matrix, positions, n_total) @ u
+        assert np.linalg.norm(apply_gate(u, g, positions, n_total)
+                              - expect) <= 1e-12
+        assert np.linalg.norm(place(g, positions, n_total)
+                              - dense_embedding(g.matrix, positions,
+                                                n_total)) <= 1e-12
+
+    def test_state_vector_operand(self):
+        rng = np.random.default_rng(3)
+        g = Gate("g", 2, random_unitary(rng, 4))
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        got = apply_gate(psi, g, (4, 2), 4)
+        assert got.shape == (16,)
+        assert np.linalg.norm(got - place(g, (4, 2), 4) @ psi) <= 1e-12
+
+    @pytest.mark.parametrize("positions", [(1, 1), (0, 1), (1, 4), (1,),
+                                           (1, 2, 3)])
+    def test_rejects_what_place_rejects(self, positions):
+        u = np.eye(8, dtype=complex)
+        with pytest.raises(BadPlacement):
+            place(cnot(), positions, 3)
+        with pytest.raises(BadPlacement):
+            apply_gate(u, cnot(), positions, 3)
+
+    def test_compose_qumis_global_phase(self):
+        placements = [("rz", 0.3, (2,)), ("gphase", 0.7, (1,)),
+                      ("cnot", None, (3, 1)), ("phase", -1.1, (3,)),
+                      ("gphase", -0.2, (3,)), ("swap", None, (1, 3))]
+        expect = np.eye(8, dtype=complex)
+        for kind, param, pos in placements:
+            if kind == "gphase":
+                m = np.exp(1j * param) * np.eye(8)
+            else:
+                g = {"rz": lambda: rotation("z", param),
+                     "cnot": cnot, "swap": swap2,
+                     "phase": lambda: phase_gate(param)}[kind]()
+                m = dense_embedding(g.matrix, pos, 3)
+            expect = m @ expect
+        assert np.linalg.norm(compose_qumis(placements, 3) - expect) <= 1e-12
 
 
 class TestQft:

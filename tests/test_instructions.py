@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from spincompile import instructions
 from spincompile.errors import (DimensionMismatch, MissingRealization,
                                 OutOfRange, UnknownGate)
-from spincompile.evolution import gate_error
+from spincompile.evolution import evolve, gate_error
 from spincompile.gates import Gate, controlled_phase, qft_matrix, rotation, swap2
 from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUVIS3_TIME,
                                       SWAP_GATE_ID, CompiledCircuit,
@@ -288,6 +289,29 @@ class TestRealizations:
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
         assert err == pytest.approx(brute, abs=1e-12)
         assert 0 < err < 0.5
+
+    def test_realized_unitary_evolves_each_schedule_once(self, monkeypatch):
+        calls = []
+
+        def counting_evolve(*args):
+            calls.append(args[1])
+            return evolve(*args)
+
+        monkeypatch.setattr(instructions, "evolve", counting_evolve)
+        eg = load_bundled_realizations(quvis3_set())["u0"]
+        calls.clear()
+        first = eg.realized_unitary()
+        assert eg.realized_unitary() is first and len(calls) == 1
+        assert not first.flags.writeable
+        # a reassigned schedule, even an equal one, is evolved again
+        eg.realized_schedule = eg.realized_schedule.with_values(
+            eg.realized_schedule.values)
+        again = eg.realized_unitary()
+        assert len(calls) == 2 and calls[1] is eg.realized_schedule
+        assert np.array_equal(again, first)
+        eg.realized_schedule = None
+        with pytest.raises(MissingRealization):
+            eg.realized_unitary()
 
     def test_missing_realization_in_estimate(self):
         iset = quvis3_set()

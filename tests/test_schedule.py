@@ -125,3 +125,31 @@ def test_stage_plan_defaults():
     assert (k0, r) == (6, 3)
     k0, r = stage_plan(0.3)
     assert (k0, r) == (4, 3)
+
+
+@pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
+def test_schedule_rejects_bad_total_time(total_time):
+    with pytest.raises(ShapeError, match="total_time"):
+        PulseSchedule(1, total_time, 1, np.zeros((2, 1, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schedule_rejects_non_finite_values(bad):
+    vals = np.zeros((2, 2, 3))
+    vals[1, 0, 2] = bad
+    with pytest.raises(ShapeError, match="finite"):
+        PulseSchedule(2, 1.0, 3, vals)
+    with pytest.raises(ShapeError, match="finite"):
+        zeros(2, 1.0, 3).with_values(vals)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("T=1.0,K=2,N=1\nx1,y1\n0.1,0.2\n0.3,nan\n", "line 4, column 2"),
+    ("T=1.0,K=1,N=2\nx1,x2,y1,y2\n0.1,-inf,0.2,0.3\n", "line 3, column 2"),
+    ("K=1,T=inf,N=1\nx1,y1\n0.1,0.2\n", "line 1, column 2"),
+    ("T=0,K=1,N=1\nx1,y1\n0.1,0.2\n", "line 1, column 1"),
+    ("T=1.0,K=1,N=-1\nx1,y1\n0.1,0.2\n", "line 1: K and N"),
+])
+def test_table_rejects_non_finite_and_non_positive(text, where):
+    with pytest.raises(ParseError, match=where):
+        read_pulse_table(text)
