@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, MissingRealization
-from .evolution import DEFAULT_CONFIG, error_trace, evolve
+from .errors import BudgetUnreachable, Degenerate, MissingRealization
+from .evolution import error_trace, evolve
 from .gates import Gate, controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
                            compile_qft_quvis, compile_qft_quvis2,
@@ -23,7 +23,8 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
                            qumis_decompose_controlled_phase, qumis_time_cost,
                            quvis2_set, quvis3_set)
 from .model import HEISENBERG, ISING, nearest_neighbor_chain
-from .optimizer import OptimizerConfig, multi_seed_synthesize
+from .optimizer import (OptimizerConfig, multi_seed_synthesize,
+                        time_cost_search)
 
 DIRECT = "direct"
 
@@ -82,6 +83,19 @@ def _parallel_map(fn, items, jobs: int):
         return list(ex.map(fn, items))
 
 
+def _search_cell(target, model, cfg, error_budget, t_grid, restarts) -> dict:
+    """Time and error of a sweep cell's time_cost_search; a cell that
+    misses the budget keeps its best attempt (the first, on ties) and is
+    marked failed."""
+    try:
+        t, report = time_cost_search(target, model, cfg, error_budget,
+                                     t_grid, restarts)
+        return {"time": t, "error": report.final_error}
+    except BudgetUnreachable as exc:
+        t, report = min(exc.reports, key=lambda tr: tr[1].final_error)
+        return {"time": t, "error": report.final_error, "failed": True}
+
+
 # ---------------------------------------------------------------------------
 # Fourier-transform compilation sweep
 
@@ -93,7 +107,7 @@ def _compiled_for(set_name: str, n: int):
     raise ValueError(set_name)
 
 
-def _qumis_realized_parts(evo):
+def _qumis_realized_parts():
     """Circuit-frame imperfect CNOT and swap gates from bundled pulses, if
     present."""
     from .gates import cnot as cnot_gate, swap2 as swap_gate
@@ -106,7 +120,7 @@ def _qumis_realized_parts(evo):
         if gate_id not in available:
             return None
         sched = load_bundled_schedule(gate_id)
-        u = evolve(nearest_neighbor_chain(2), sched, evo)
+        u = evolve(nearest_neighbor_chain(2), sched)
         parts[gate_id] = Gate(gate_id, 2, snap_frame(u, gate))
     return parts
 
@@ -122,8 +136,7 @@ def _qumis_composed_error(placements, n, target, parts):
 
 def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
               opt_cfg: OptimizerConfig | None = None,
-              error_budget: float = 5e-2, jobs: int = 1,
-              evo=DEFAULT_CONFIG) -> ExperimentResult:
+              error_budget: float = 5e-2, jobs: int = 1) -> ExperimentResult:
     """Per-N compiled time and composed error for each instruction set.
 
     Variational sets use the bundled pulse realizations for the error
@@ -138,10 +151,10 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
     rows = []
     isets = {}
     if QUVIS3 in sets:
-        isets[QUVIS3] = load_bundled_realizations(quvis3_set(), evo)
+        isets[QUVIS3] = load_bundled_realizations(quvis3_set())
     if QUVIS2 in sets:
-        isets[QUVIS2] = load_bundled_realizations(quvis2_set(), evo)
-    qumis_parts = _qumis_realized_parts(evo) if QUMIS in sets else None
+        isets[QUVIS2] = load_bundled_realizations(quvis2_set())
+    qumis_parts = _qumis_realized_parts() if QUMIS in sets else None
     for n in range(3, max_n + 1):
         target = qft_matrix(n).matrix
         for set_name in sets:
@@ -156,8 +169,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
             circuit = _compiled_for(set_name, n)
             iset = isets[set_name]
             try:
-                err = circuit_error_estimate(circuit, iset, target=target,
-                                             evo=evo)
+                err = circuit_error_estimate(circuit, iset, target=target)
             except MissingRealization:
                 err = None
             rows.append({"n": n, "set": set_name, "time": circuit.total_time,
@@ -165,26 +177,12 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
     if direct_max_n:
         cfg = opt_cfg or OptimizerConfig()
 
-        def direct_cell(n):
-            target = qft_matrix(n).matrix
-            model = nearest_neighbor_chain(n)
-            t_grid = [0.7 * n + 0.7 * i for i in range(4)]
-            entry = {"n": n, "set": DIRECT, "time": None, "error": None}
-            best = None
-            for t in t_grid:
-                report, ok = multi_seed_synthesize(
-                    target, model, t, cfg, [cfg.seed, cfg.seed + 1],
-                    error_budget, evo)
-                if best is None or report.final_error < best[1]:
-                    best = (t, report.final_error)
-                if ok:
-                    entry.update(time=t, error=report.final_error)
-                    break
-            if entry["time"] is None and best is not None:
-                entry.update(time=best[0], error=best[1], failed=True)
-            return entry
+        def direct(n):
+            return {"n": n, "set": DIRECT, **_search_cell(
+                qft_matrix(n).matrix, nearest_neighbor_chain(n), cfg,
+                error_budget, [0.7 * n + 0.7 * i for i in range(4)], 2)}
 
-        rows.extend(_parallel_map(direct_cell,
+        rows.extend(_parallel_map(direct,
                                   list(range(3, min(direct_max_n, max_n) + 1)),
                                   jobs))
 
@@ -218,8 +216,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
 
 def bench_phase_trace(thetas, total_time: float = 0.45,
                       opt_cfg: OptimizerConfig | None = None, seeds=5,
-                      error_budget: float = 5e-2,
-                      evo=DEFAULT_CONFIG) -> ExperimentResult:
+                      error_budget: float = 5e-2) -> ExperimentResult:
     """Error-versus-time traces for controlled phase gates.
 
     For each theta: a direct-control synthesis at ``total_time`` plus the
@@ -236,9 +233,9 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
         model = nearest_neighbor_chain(2)
         report, ok = multi_seed_synthesize(
             target, model, total_time, cfg,
-            [cfg.seed + i for i in range(seeds)], error_budget, evo)
+            [cfg.seed + i for i in range(seeds)], error_budget)
         phased = report.target_phase * target
-        tr = error_trace(phased, model, report.final_schedule, evo)
+        tr = error_trace(phased, model, report.final_schedule)
         traces[f"direct_theta={theta:g}"] = {
             "times": tr.times.tolist(), "errors": tr.errors.tolist()}
         _params, placements = qumis_decompose_controlled_phase(theta)
@@ -269,8 +266,7 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
 def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
                opt_cfg: OptimizerConfig | None = None,
                error_budget: float = 1e-1, seeds: int = 2,
-               t_grids: dict | None = None, jobs: int = 1,
-               evo=DEFAULT_CONFIG) -> ExperimentResult:
+               t_grids: dict | None = None, jobs: int = 1) -> ExperimentResult:
     """Direct-control synthesis of the first-to-last swap circuit per N
     and interaction type; linear time fits attached."""
     if max_n < 2:
@@ -283,21 +279,8 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
         model = nearest_neighbor_chain(n, interaction=interaction)
         grid = (t_grids or {}).get((interaction, n)) or \
             [round(0.8 * (n - 1) + 0.4 * i, 3) for i in range(5)]
-        entry = {"interaction": interaction, "n": n,
-                 "time": None, "error": None}
-        best = None
-        for t in grid:
-            report, ok = multi_seed_synthesize(
-                target, model, t, cfg,
-                [cfg.seed + i for i in range(seeds)], error_budget, evo)
-            if best is None or report.final_error < best[1]:
-                best = (t, report.final_error)
-            if ok:
-                entry.update(time=t, error=report.final_error)
-                break
-        if entry["time"] is None and best is not None:
-            entry.update(time=best[0], error=best[1], failed=True)
-        return entry
+        return {"interaction": interaction, "n": n, **_search_cell(
+            target, model, cfg, error_budget, grid, seeds)}
 
     keys = [(i, n) for i in interactions for n in range(2, max_n + 1)]
     rows = _parallel_map(cell, keys, jobs)

@@ -156,7 +156,9 @@ class _Encoder(json.JSONEncoder):
 
 
 def write_results(out_dir: Path, name: str, summary: dict,
-                  csv_columns=None, csv_rows=None) -> None:
+                  csv_columns=None, csv_rows=None, meta=None) -> None:
+    """Write <name>.json, the optional <name>.csv and the <name>.meta.json
+    side file, which holds the timestamp, the version and the meta fields."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{name}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True, cls=_Encoder) + "\n")
@@ -167,7 +169,7 @@ def write_results(out_dir: Path, name: str, summary: dict,
                                   isinstance(v, float) else str(v)
                                   for v in row))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
-    meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    meta = {**(meta or {}), "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__}
     (out_dir / f"{name}.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -208,13 +210,10 @@ def cmd_synthesize(args) -> int:
     write_results(out, name, summary,
                   csv_columns=("iteration", "loss"),
                   csv_rows=[(i, float(v)) for i, v in
-                            enumerate(report.loss_history)])
+                            enumerate(report.loss_history)],
+                  meta={"wall_time_s": report.wall_time})
     (out / f"{name}.pulses.csv").write_text(
         write_pulse_table(report.final_schedule))
-    meta = json.loads((out / f"{name}.meta.json").read_text())
-    meta["wall_time_s"] = report.wall_time
-    (out / f"{name}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"{name}: final error {report.final_error:.3e} "
           f"({len(report.loss_history)} iterations)")
     return 0

@@ -1,8 +1,10 @@
 """Schedule -> evolution operator, gate error, error trace, exact gradients.
 
-Within a slice the Hamiltonian is constant, so each slice contributes one
-exact exponential exp(-i tau H_k) computed in the eigenbasis; the full
-operator is the time-ordered product with slice 1 acting first. The
+Within a slice the Hamiltonian is constant (``model.slice_hamiltonians``
+builds it from the slice's x and y field amplitudes), so each slice
+contributes one exact exponential exp(-i tau H_k) computed in the
+eigenbasis; the full operator is the time-ordered product with slice 1
+acting first. The
 gradient of the gate error with respect to every pulse amplitude comes
 from one forward pass (stashing per-slice eigendecompositions) and one
 reverse pass through the divided-difference kernel, so it is exact to
@@ -17,36 +19,12 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import frobenius_distance, loewner_kernel
-from .model import (FIELDS_ADD, SpinChainModel, coupling_hamiltonian,
-                    site_operator)
+from .model import SpinChainModel, control_operators, slice_hamiltonians
 from .schedule import AXES, PulseSchedule
-
-EXACT_PER_SLICE = "exact_per_slice"
-TROTTER_COMPAT = "trotter_compat"
 
 # Below this error the direction of steepest descent of the (square-rooted)
 # distance is ill-defined; the gradient is zero by convention.
 GRADIENT_EPS_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    """mode selects per-slice exponentiation; trotter_substeps splits each
-    slice into that many identical factors (numerically equal for a
-    constant in-slice Hamiltonian, kept for parity with sub-slice
-    formulations)."""
-
-    trotter_substeps: int = 1
-    mode: str = EXACT_PER_SLICE
-
-    def __post_init__(self):
-        if self.trotter_substeps < 1:
-            raise ValueError("trotter_substeps must be >= 1")
-        if self.mode not in (EXACT_PER_SLICE, TROTTER_COMPAT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-DEFAULT_CONFIG = EvolutionConfig()
 
 
 @dataclass(frozen=True)
@@ -58,51 +36,17 @@ class ErrorTrace:
     errors: np.ndarray
 
 
-def _field_sign(model: SpinChainModel) -> float:
-    return 1.0 if model.field_sign == FIELDS_ADD else -1.0
-
-
-def _control_operators(model: SpinChainModel) -> np.ndarray:
-    """Stack of d H / d h[axis, n], shape (2, N, dim, dim)."""
-    sign = _field_sign(model)
-    n = model.n_qubits
-    ops = np.empty((len(AXES), n, model.dim, model.dim), dtype=complex)
-    for a, ax in enumerate(AXES):
-        for q in range(n):
-            ops[a, q] = sign * 2 * np.pi * site_operator(ax, q, n)
-    return ops
-
-
-def _slice_hamiltonians(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
-    """Shape (K, dim, dim); H_k for every slice."""
-    if model.n_qubits != schedule.n_qubits:
-        raise DimensionMismatch(
-            f"model has {model.n_qubits} qubits, schedule {schedule.n_qubits}")
-    ops = _control_operators(model)
-    hc = coupling_hamiltonian(model)
-    # values: (2, N, K) contracted with ops (2, N, d, d) -> (K, d, d)
-    hk = np.tensordot(schedule.values, ops, axes=([0, 1], [0, 1]))
-    return hk + hc
-
-
-def _slice_propagators(model, schedule, cfg):
+def _slice_propagators(model, schedule):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)."""
-    hk = _slice_hamiltonians(model, schedule)
-    w, v = np.linalg.eigh(hk)
-    tau = schedule.tau
-    if cfg.mode == TROTTER_COMPAT and cfg.trotter_substeps > 1:
-        sub = np.exp(-1j * (tau / cfg.trotter_substeps) * w)
-        phases = sub ** cfg.trotter_substeps
-    else:
-        phases = np.exp(-1j * tau * w)
+    w, v = np.linalg.eigh(slice_hamiltonians(model, schedule.values))
+    phases = np.exp(-1j * schedule.tau * w)
     ek = np.einsum("kij,kj,klj->kil", v, phases, v.conj())
     return w, v, ek
 
 
-def evolve(model: SpinChainModel, schedule: PulseSchedule,
-           cfg: EvolutionConfig = DEFAULT_CONFIG) -> np.ndarray:
+def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     """Time-ordered product of slice propagators (slice 1 first)."""
-    _, _, ek = _slice_propagators(model, schedule, cfg)
+    _, _, ek = _slice_propagators(model, schedule)
     u = np.eye(model.dim, dtype=complex)
     for k in range(schedule.n_slices):
         u = ek[k] @ u
@@ -117,21 +61,20 @@ def _check_target(target, model):
     return target
 
 
-def gate_error(target, model: SpinChainModel, schedule: PulseSchedule,
-               cfg: EvolutionConfig = DEFAULT_CONFIG) -> float:
+def gate_error(target, model: SpinChainModel, schedule: PulseSchedule) -> float:
     """Frobenius distance between the target and the realized evolution.
 
     Sensitive to the global phase of both operands.
     """
     target = _check_target(target, model)
-    return frobenius_distance(target, evolve(model, schedule, cfg))
+    return frobenius_distance(target, evolve(model, schedule))
 
 
-def error_trace(target, model: SpinChainModel, schedule: PulseSchedule,
-                cfg: EvolutionConfig = DEFAULT_CONFIG) -> ErrorTrace:
+def error_trace(target, model: SpinChainModel,
+                schedule: PulseSchedule) -> ErrorTrace:
     """Distance from the target to every prefix product, at times k*tau."""
     target = _check_target(target, model)
-    _, _, ek = _slice_propagators(model, schedule, cfg)
+    _, _, ek = _slice_propagators(model, schedule)
     u = np.eye(model.dim, dtype=complex)
     errs = [frobenius_distance(target, u)]
     for k in range(schedule.n_slices):
@@ -141,8 +84,7 @@ def error_trace(target, model: SpinChainModel, schedule: PulseSchedule,
     return ErrorTrace(times=times, errors=np.array(errs))
 
 
-def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule,
-                       cfg: EvolutionConfig = DEFAULT_CONFIG):
+def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     """(error, d error / d h) with the gradient shaped like schedule.values.
 
     Adjoint evaluation: with prefix products P_k and suffix products S_k,
@@ -152,7 +94,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule,
     """
     target = _check_target(target, model)
     k_slices = schedule.n_slices
-    w, v, ek = _slice_propagators(model, schedule, cfg)
+    w, v, ek = _slice_propagators(model, schedule)
 
     prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
     prefix[0] = np.eye(model.dim)
@@ -163,7 +105,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule,
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    ops = _control_operators(model)          # (2, N, d, d)
+    ops = control_operators(model)           # (2, N, d, d)
     tau = schedule.tau
     grad_sq = np.empty((len(AXES), model.n_qubits, k_slices))
     suffix = np.eye(model.dim, dtype=complex)
@@ -182,6 +124,6 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule,
     return eps, grad_sq / (2.0 * eps)
 
 
-def error_gradient(target, model: SpinChainModel, schedule: PulseSchedule,
-                   cfg: EvolutionConfig = DEFAULT_CONFIG) -> np.ndarray:
-    return error_and_gradient(target, model, schedule, cfg)[1]
+def error_gradient(target, model: SpinChainModel,
+                   schedule: PulseSchedule) -> np.ndarray:
+    return error_and_gradient(target, model, schedule)[1]

@@ -15,8 +15,11 @@ this frame. The *physical frame* is what a pulse schedule can actually
 reach: the register convention of the bundled tables indexes basis states
 with the bit values inverted, and every reachable evolution operator has
 unit determinant, so swaps carry e^{i pi/4} and a controlled phase theta
-carries e^{-i theta/4}. ``physical_frame``/``circuit_frame`` convert
-between the two.
+carries e^{-i theta/4}. Each gate has one matrix, built in the circuit
+frame; its physical target is that matrix bit-reversed and multiplied by
+e^{i phi}, phi = (number of swaps) pi/4 - (sum of its controlled-phase
+angles)/4. ``physical_frame`` gives the principal-branch target of any
+other gate, and ``circuit_frame`` maps a realized unitary back.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MissingRealization, OutOfRange,
                      SynthesisFailed, UnknownGate)
-from .evolution import DEFAULT_CONFIG, evolve, gate_error
+from .evolution import evolve
+from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     phase_gate, place, qft_matrix, rotation, swap2)
 from .model import nearest_neighbor_chain
@@ -77,12 +81,12 @@ def det1_rephase(matrix: np.ndarray) -> np.ndarray:
     return matrix * np.exp(-1j * np.angle(np.linalg.det(matrix)) / d)
 
 
-def physical_swap() -> np.ndarray:
-    return np.exp(1j * np.pi / 4) * swap2().matrix
-
-
-def physical_cphase(theta: float) -> np.ndarray:
-    return np.exp(-1j * theta / 4) * controlled_phase(theta).matrix
+def _physical(gate: Gate, swaps: int, thetas=()) -> np.ndarray:
+    """Physical-frame target of a gate built from swaps and controlled
+    phases: e^{i phi} times its bit-reversed matrix, where each swap adds
+    pi/4 and each controlled phase theta adds -theta/4 to phi."""
+    phi = swaps * np.pi / 4 - sum(thetas) / 4
+    return np.exp(1j * phi) * bit_reverse(gate.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +97,11 @@ def _phase_swap(p: int) -> np.ndarray:
     return swap2().matrix @ controlled_phase(np.pi / 2 ** p).matrix
 
 
-def _physical_phase_swap(p: int) -> np.ndarray:
-    return physical_swap() @ physical_cphase(np.pi / 2 ** p)
-
-
-def _h_on(q: int, n: int) -> np.ndarray:
-    return place(hadamard(), (q,), n)
-
-
-def _cascade_head(n: int, phase_swap, h_first) -> np.ndarray:
+def _cascade_head(n: int) -> np.ndarray:
     """H on wire 1, then phase-swap blocks walking it down to wire n."""
-    u = h_first
+    u = place(hadamard(), (1,), n)
     for p in range(1, n):
-        u = place(Gate(f"v{p}", 2, phase_swap(p)), (p, p + 1), n) @ u
+        u = place(Gate(f"v{p}", 2, _phase_swap(p)), (p, p + 1), n) @ u
     return u
 
 
@@ -129,7 +125,7 @@ def quvis_gate(m: int) -> Gate:
         u = place(swap2(), (1, 2), 3) @ qft_matrix(3).matrix
         return Gate("u1", 3, u)
     if m == 2:
-        return Gate("u2", 3, _cascade_head(3, _phase_swap, _h_on(1, 3)))
+        return Gate("u2", 3, _cascade_head(3))
     if m % 2 == 1:
         return Gate(f"u{m}", 2, _phase_swap(m))
     u = (place(Gate("b", 2, _phase_swap(m)), (2, 3), 3)
@@ -137,27 +133,22 @@ def quvis_gate(m: int) -> Gate:
     return Gate(f"u{m}", 3, u)
 
 
+def _quvis_primitives(m: int):
+    """(swap count, controlled-phase angles) of the m-th variational gate."""
+    if m == 0:
+        return 0, (np.pi / 2,)
+    if m == 1:  # the cascade head plus the 2-qubit block of u0
+        return 2, (np.pi / 2, np.pi / 4, np.pi / 2)
+    if m == 2:
+        return 2, (np.pi / 2, np.pi / 4)
+    if m % 2 == 1:
+        return 1, (np.pi / 2 ** m,)
+    return 2, (np.pi / 2 ** (m - 1), np.pi / 2 ** m)
+
+
 def quvis_gate_physical(m: int) -> np.ndarray:
     """Physical-frame target for the m-th gate (what a pulse realizes)."""
-    if not 0 <= m <= 8:
-        raise OutOfRange(f"gate index {m} outside 0..8")
-    if m == 0:
-        u = (place(hadamard(), (2,), 2)
-             @ physical_cphase(np.pi / 2)
-             @ place(hadamard(), (1,), 2))
-    elif m == 1:
-        q2 = (place(hadamard(), (2,), 2) @ physical_cphase(np.pi / 2)
-              @ place(hadamard(), (1,), 2))
-        u = (place(Gate("q2", 2, q2), (1, 2), 3)
-             @ _cascade_head(3, _physical_phase_swap, _h_on(1, 3)))
-    elif m == 2:
-        u = _cascade_head(3, _physical_phase_swap, _h_on(1, 3))
-    elif m % 2 == 1:
-        u = _physical_phase_swap(m)
-    else:
-        u = (place(Gate("b", 2, _physical_phase_swap(m)), (2, 3), 3)
-             @ place(Gate("a", 2, _physical_phase_swap(m - 1)), (1, 2), 3))
-    return bit_reverse(u)
+    return _physical(quvis_gate(m), *_quvis_primitives(m))
 
 
 def physical_frame(gate: Gate) -> np.ndarray:
@@ -205,7 +196,7 @@ class ElementaryGate:
     physical_target: np.ndarray
     realized_schedule: PulseSchedule | None = None
     realized_error: float | None = None
-    # (schedule, evo, unitary) of the last realized_unitary call
+    # (schedule, circuit-frame unitary) of the last evolved schedule
     _realized_cache: tuple | None = field(default=None, init=False,
                                           repr=False, compare=False)
 
@@ -213,24 +204,26 @@ class ElementaryGate:
     def width(self) -> int:
         return self.gate.n_qubits
 
-    def realized_unitary(self, evo=DEFAULT_CONFIG) -> np.ndarray:
+    def realized_unitary(self) -> np.ndarray:
         """Circuit-frame unitary actually produced by the realized pulses.
 
-        Evolved once per (schedule, evo) pair: a schedule is immutable, so
-        the same object gives the same unitary, and assigning a new
+        Evolved once per schedule: a schedule is immutable, so the same
+        object gives the same unitary, and assigning a new
         realized_schedule evolves again. The result is read-only.
         """
         sched = self.realized_schedule
         if sched is None:
             raise MissingRealization(f"{self.gate_id} has no realized schedule")
         cache = self._realized_cache
-        if cache is not None and cache[0] is sched and cache[1] == evo:
-            return cache[2]
-        u = evolve(nearest_neighbor_chain(sched.n_qubits), sched, evo)
-        u = circuit_frame(u, self.gate, self.physical_target)
+        if cache is None or cache[0] is not sched:
+            self._remember(sched, evolve(_chain_for(sched.n_qubits), sched))
+        return self._realized_cache[1]
+
+    def _remember(self, schedule: PulseSchedule, realized: np.ndarray) -> None:
+        """Cache the circuit-frame view of schedule's evolution, realized."""
+        u = circuit_frame(realized, self.gate, self.physical_target)
         u.setflags(write=False)
-        self._realized_cache = (sched, evo, u)
-        return u
+        self._realized_cache = (schedule, u)
 
 
 @dataclass
@@ -255,11 +248,12 @@ def quvis3_set() -> InstructionSet:
         g = quvis_gate(m)
         iset.add(ElementaryGate(gate_id=g.label, gate=g,
                                 time_cost=QUVIS3_TIME[g.label],
-                                physical_target=quvis_gate_physical(m)))
+                                physical_target=_physical(
+                                    g, *_quvis_primitives(m))))
     sw = swap2()
     iset.add(ElementaryGate(gate_id=SWAP_GATE_ID, gate=sw,
                             time_cost=QUVIS3_TIME[SWAP_GATE_ID],
-                            physical_target=bit_reverse(physical_swap())))
+                            physical_target=_physical(sw, 1)))
     return iset
 
 
@@ -267,20 +261,19 @@ def quvis2_set() -> InstructionSet:
     iset = InstructionSet(kind=QUVIS2, max_width=2)
     w1 = Gate("w1", 2, _phase_swap(1) @ place(hadamard(), (1,), 2))
     iset.add(ElementaryGate("w1", w1, QUVIS2_TIME["w1"],
-                            physical_target=bit_reverse(
-                                _physical_phase_swap(1)
-                                @ place(hadamard(), (1,), 2))))
+                            physical_target=_physical(w1, 1, (np.pi / 2,))))
     for p in range(2, 9):
         g = Gate(f"v{p}", 2, _phase_swap(p))
         iset.add(ElementaryGate(f"v{p}", g, QUVIS2_TIME[f"v{p}"],
-                                physical_target=bit_reverse(
-                                    _physical_phase_swap(p))))
+                                physical_target=_physical(
+                                    g, 1, (np.pi / 2 ** p,))))
     g0 = quvis_gate(0)
     iset.add(ElementaryGate("u0", g0, QUVIS2_TIME["u0"],
-                            physical_target=quvis_gate_physical(0)))
+                            physical_target=_physical(
+                                g0, *_quvis_primitives(0))))
     sw = swap2()
     iset.add(ElementaryGate(SWAP_GATE_ID, sw, QUVIS2_TIME[SWAP_GATE_ID],
-                            physical_target=bit_reverse(physical_swap())))
+                            physical_target=_physical(sw, 1)))
     return iset
 
 
@@ -476,20 +469,21 @@ def _chain_for(width: int):
     return nearest_neighbor_chain(width)
 
 
-def attach_realization(eg: ElementaryGate, schedule: PulseSchedule,
-                       evo=DEFAULT_CONFIG) -> None:
-    """Record a schedule and its measured error against the physical target."""
-    err = gate_error(eg.physical_target, _chain_for(schedule.n_qubits),
-                     schedule, evo)
+def attach_realization(eg: ElementaryGate, schedule: PulseSchedule) -> None:
+    """Record a schedule and its measured error against the physical target.
+
+    The one evolution serves both the error and realized_unitary."""
+    u = evolve(_chain_for(schedule.n_qubits), schedule)
+    err = frobenius_distance(eg.physical_target, u)
     eg.realized_schedule = schedule
     eg.realized_error = err
+    eg._remember(schedule, u)
 
 
 def realize_instruction_set(iset: InstructionSet, opt_cfg: OptimizerConfig,
                             budgets: dict | None = None,
                             error_budget: float = 5e-2,
-                            restarts: int = 3,
-                            evo=DEFAULT_CONFIG) -> InstructionSet:
+                            restarts: int = 3) -> InstructionSet:
     """Synthesize pulses for every gate at its time budget.
 
     budgets overrides per-gate synthesis durations (gate_id -> T).
@@ -501,7 +495,7 @@ def realize_instruction_set(iset: InstructionSet, opt_cfg: OptimizerConfig,
         model = _chain_for(eg.width)
         seeds = [opt_cfg.seed + i for i in range(restarts)]
         report, ok = multi_seed_synthesize(eg.physical_target, model, t,
-                                           opt_cfg, seeds, error_budget, evo)
+                                           opt_cfg, seeds, error_budget)
         if not ok:
             raise SynthesisFailed(
                 f"{gate_id}: best error {report.final_error:.3e} "
@@ -512,15 +506,14 @@ def realize_instruction_set(iset: InstructionSet, opt_cfg: OptimizerConfig,
 
 
 def circuit_error_estimate(circuit: CompiledCircuit, iset: InstructionSet,
-                           target: np.ndarray | None = None,
-                           evo=DEFAULT_CONFIG) -> float:
+                           target: np.ndarray | None = None) -> float:
     """Frobenius distance from the target to the composition of the
     realized (imperfect) unitaries of every placement."""
     realized = {}
     for gate_id, _pos in circuit.placements:
         if gate_id not in realized:
             realized[gate_id] = Gate(gate_id, iset[gate_id].width,
-                                     iset[gate_id].realized_unitary(evo))
+                                     iset[gate_id].realized_unitary())
     u = _compose(circuit, realized)
     if target is None:
         target = circuit.compose(iset)
@@ -549,14 +542,13 @@ def load_bundled_schedule(gate_id: str) -> PulseSchedule:
 BUNDLE_ALIASES = {"v3": "u3", "v5": "u5", "v7": "u7"}
 
 
-def load_bundled_realizations(iset: InstructionSet,
-                              evo=DEFAULT_CONFIG) -> InstructionSet:
+def load_bundled_realizations(iset: InstructionSet) -> InstructionSet:
     """Attach every bundled schedule whose id matches a gate in the set."""
     available = set(bundled_pulse_ids())
     for gate_id, eg in iset.gates.items():
         source = BUNDLE_ALIASES.get(gate_id, gate_id)
         if source in available:
-            attach_realization(eg, load_bundled_schedule(source), evo)
+            attach_realization(eg, load_bundled_schedule(source))
     return iset
 
 

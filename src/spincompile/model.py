@@ -4,18 +4,22 @@ Spin operators are spin-1/2 (S = sigma/2). The default chain couples
 nearest neighbours at J = 2*pi through Ising z-z terms; a Heisenberg
 variant couples all three components at the same strength. Transverse
 magnetic fields enter scaled by 2*pi, with a configurable overall sign
-(see ``field_sign`` below).
+(see ``field_sign`` below). The controls are the x and y fields on every
+site, the two columns of a pulse table; the z fields are not driven.
+``slice_hamiltonians`` is the one Hamiltonian builder: evolution calls it
+on every slice of a schedule, ``full_hamiltonian`` on a single snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import AxisViolation, DimensionMismatch
 from .linalg import kron
+from .schedule import AXES
 
 ISING = "ising_zz"
 HEISENBERG = "heisenberg_xyz"
@@ -63,14 +67,11 @@ class SpinChainModel:
 
     couplings[n, n'] is the two-body strength between sites n and n'
     (angular frequency); it must be symmetric with zero diagonal.
-    control_axes lists the field directions the optimizer may drive;
-    by default the z fields are pinned to zero.
     """
 
     n_qubits: int
     couplings: np.ndarray
     interaction: str = ISING
-    control_axes: frozenset = frozenset({"x", "y"})
     field_sign: str = FIELDS_ADD
 
     def __post_init__(self):
@@ -86,8 +87,6 @@ class SpinChainModel:
             raise ValueError(f"unknown interaction {self.interaction!r}")
         if self.field_sign not in (FIELDS_ADD, FIELDS_SUBTRACT):
             raise ValueError(f"unknown field_sign {self.field_sign!r}")
-        if not set(self.control_axes) <= {"x", "y", "z"}:
-            raise ValueError("control_axes must be a subset of {x, y, z}")
         c.setflags(write=False)
         object.__setattr__(self, "couplings", c)
 
@@ -143,20 +142,36 @@ def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
     return h
 
 
+def control_operators(model: SpinChainModel) -> np.ndarray:
+    """Stack of d H / d h[axis, n], shape (2, N, dim, dim)."""
+    sign = 1.0 if model.field_sign == FIELDS_ADD else -1.0
+    n = model.n_qubits
+    ops = np.empty((len(AXES), n, model.dim, model.dim), dtype=complex)
+    for a, ax in enumerate(AXES):
+        for q in range(n):
+            ops[a, q] = sign * 2 * np.pi * site_operator(ax, q, n)
+    return ops
+
+
+def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
+    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K)."""
+    if values.shape[1] != model.n_qubits:
+        raise DimensionMismatch(
+            f"model has {model.n_qubits} qubits, fields {values.shape[1]}")
+    # values: (2, N, K) contracted with ops (2, N, d, d) -> (K, d, d)
+    hk = np.tensordot(values, control_operators(model), axes=([0, 1], [0, 1]))
+    return hk + coupling_hamiltonian(model)
+
+
 def full_hamiltonian(model: SpinChainModel, fields: FieldSnapshot) -> np.ndarray:
-    """Coupling plus 2*pi-scaled field terms, signed per model.field_sign."""
+    """Coupling plus 2*pi-scaled x and y field terms, signed per
+    model.field_sign; a nonzero z field is not controllable."""
     comps = {"x": fields.hx, "y": fields.hy, "z": fields.hz}
     for ax, v in comps.items():
         v = np.asarray(v, dtype=float)
         if v.shape != (model.n_qubits,):
             raise DimensionMismatch(f"{ax} fields shape {v.shape}")
-        if ax not in model.control_axes and np.any(v != 0.0):
+        if ax not in AXES and np.any(v != 0.0):
             raise AxisViolation(f"nonzero {ax} field but axis not controllable")
-    sign = 1.0 if model.field_sign == FIELDS_ADD else -1.0
-    h = coupling_hamiltonian(model)
-    for ax in model.control_axes:
-        v = comps[ax]
-        for n in range(model.n_qubits):
-            if v[n] != 0.0:
-                h = h + sign * 2 * np.pi * v[n] * site_operator(ax, n, model.n_qubits)
-    return h
+    values = np.array([comps[ax] for ax in AXES], dtype=float)[:, :, None]
+    return slice_hamiltonians(model, values)[0]

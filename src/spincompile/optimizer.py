@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BudgetUnreachable, DimensionMismatch, NonUnitaryTarget
-from .evolution import DEFAULT_CONFIG, EvolutionConfig, error_and_gradient, gate_error
+from .evolution import error_and_gradient, gate_error
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan, zeros
 
@@ -122,8 +122,8 @@ def _converged(losses, cfg: OptimizerConfig) -> bool:
 
 
 def fgto_synthesize(target, model: SpinChainModel, total_time: float,
-                    initial_slices: int, cfg: OptimizerConfig,
-                    evo: EvolutionConfig = DEFAULT_CONFIG) -> OptimizationReport:
+                    initial_slices: int,
+                    cfg: OptimizerConfig) -> OptimizationReport:
     """Synthesize a schedule whose evolution matches the target unitary.
 
     Runs n_refinements + 1 stages, halving the slice width between stages,
@@ -153,7 +153,7 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
         state = AdamState.like(schedule)
         stage_losses: list[float] = []
         for it in range(cfg.max_iters_per_stage):
-            err, grad = error_and_gradient(work_target, model, schedule, evo)
+            err, grad = error_and_gradient(work_target, model, schedule)
             stage_losses.append(err)
             if err < best_err:
                 best_err = err
@@ -167,7 +167,7 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
         if best_err == 0.0:
             break
 
-    final_error = gate_error(work_target, model, best_schedule, evo)
+    final_error = gate_error(work_target, model, best_schedule)
     return OptimizationReport(
         loss_history=np.array(losses),
         stage_boundaries=tuple(boundaries),
@@ -178,24 +178,22 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
     )
 
 
-def synthesize_auto(target, model, total_time, cfg,
-                    evo: EvolutionConfig = DEFAULT_CONFIG) -> OptimizationReport:
+def synthesize_auto(target, model, total_time, cfg) -> OptimizationReport:
     """fgto_synthesize with the default coarse-to-fine stage plan."""
     k0, refinements = stage_plan(total_time)
     if refinements != cfg.n_refinements:
         cfg = replace(cfg, n_refinements=refinements)
-    return fgto_synthesize(target, model, total_time, k0, cfg, evo)
+    return fgto_synthesize(target, model, total_time, k0, cfg)
 
 
 def multi_seed_synthesize(target, model, total_time, cfg, seeds,
-                          error_budget: float,
-                          evo: EvolutionConfig = DEFAULT_CONFIG):
+                          error_budget: float):
     """Try seeds in order; return the first report meeting the budget, else
     the best report. Second return element says whether the budget was met."""
     best = None
     for seed in seeds:
         report = synthesize_auto(target, model, total_time,
-                                 replace(cfg, seed=int(seed)), evo)
+                                 replace(cfg, seed=int(seed)))
         if best is None or report.final_error < best.final_error:
             best = report
         if report.final_error <= error_budget:
@@ -204,8 +202,7 @@ def multi_seed_synthesize(target, model, total_time, cfg, seeds,
 
 
 def time_cost_search(target, model: SpinChainModel, cfg: OptimizerConfig,
-                     error_budget: float, t_grid, restarts: int = 1,
-                     evo: EvolutionConfig = DEFAULT_CONFIG):
+                     error_budget: float, t_grid, restarts: int = 1):
     """Smallest grid time whose synthesis meets the budget.
 
     Returns (time, report). Raises BudgetUnreachable (carrying all
@@ -218,7 +215,7 @@ def time_cost_search(target, model: SpinChainModel, cfg: OptimizerConfig,
     for t in t_grid:
         seeds = [cfg.seed + i for i in range(restarts)]
         report, ok = multi_seed_synthesize(target, model, t, cfg, seeds,
-                                           error_budget, evo)
+                                           error_budget)
         attempts.append((t, report))
         if ok:
             return t, report

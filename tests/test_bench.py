@@ -8,8 +8,9 @@ from spincompile.errors import Degenerate, DimensionMismatch
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2)
-from spincompile.model import ISING
-from spincompile.optimizer import OptimizerConfig
+from spincompile.gates import swap_to_end_circuit
+from spincompile.model import ISING, nearest_neighbor_chain
+from spincompile.optimizer import OptimizerConfig, multi_seed_synthesize
 
 
 class TestFits:
@@ -99,7 +100,7 @@ class TestBenchQftMissingRealization:
     def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):
         load = bench.load_bundled_realizations
 
-        def without_u4(iset, evo=None):
+        def without_u4(iset):
             iset = load(iset)
             if iset.kind == QUVIS3:
                 iset["u4"].realized_schedule = None
@@ -145,3 +146,25 @@ class TestBenchSwap:
         row = res.rows[0]
         assert row["time"] <= 2.0
         assert row["error"] <= 1e-1
+
+    def test_unreachable_budget_records_best_attempt(self):
+        cfg = OptimizerConfig(seed=3, max_iters_per_stage=10,
+                              convergence_window=5)
+        grid = [0.2, 0.4]
+        res = bench_swap(2, interactions=(ISING,), opt_cfg=cfg,
+                         error_budget=1e-9, seeds=2,
+                         t_grids={(ISING, 2): grid})
+        target = swap_to_end_circuit(2).matrix
+        model = nearest_neighbor_chain(2)
+        errors = [multi_seed_synthesize(target, model, t, cfg, [3, 4],
+                                        1e-9)[0].final_error for t in grid]
+        best = int(np.argmin(errors))
+        assert min(errors) > 1e-9
+        assert res.rows == [{"interaction": ISING, "n": 2, "time": grid[best],
+                             "error": errors[best], "failed": True}]
+
+    def test_non_ascending_grid_rejected_like_time_cost_search(self):
+        cfg = OptimizerConfig(max_iters_per_stage=1)
+        with pytest.raises(ValueError, match="t_grid must be strictly ascending"):
+            bench_swap(2, interactions=(ISING,), opt_cfg=cfg,
+                       t_grids={(ISING, 2): [0.4, 0.2]})

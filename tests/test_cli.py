@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spincompile import instructions
+from spincompile import __version__, instructions
 from spincompile.cli import main, parse_angle, parse_config, parse_target
 from spincompile.errors import ConfigError
 from spincompile.schedule import write_pulse_table, zeros
@@ -137,6 +137,18 @@ class TestSynthesize:
         assert data["final_error"] <= 1e-12
         assert (tmp_path / "quick.pulses.csv").exists()
         assert (tmp_path / "quick.csv").exists()
+
+    def test_meta_side_file_carries_version_and_wall_time(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "target = identity:1\ntime = 0.5\nname = quick\n"
+            "optimizer.init_amplitude = 0\noptimizer.max_iters_per_stage = 5\n"
+            "optimizer.n_refinements = 0\n")
+        assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "quick.meta.json").read_text())
+        assert meta["version"] == __version__
+        assert isinstance(meta["wall_time_s"], float) and meta["wall_time_s"] >= 0
+        assert "written_at" in meta
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from spincompile.errors import DimensionMismatch
-from spincompile.evolution import (EvolutionConfig, TROTTER_COMPAT,
-                                   error_and_gradient, error_gradient,
+from spincompile.evolution import (error_and_gradient, error_gradient,
                                    error_trace, evolve, gate_error)
 from spincompile.gates import pauli_x
 from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
@@ -143,13 +142,3 @@ def test_concatenation():
     assert np.linalg.norm(evolve(model, both)
                           - evolve(model, b) @ evolve(model, a)) <= 1e-10
 
-
-def test_trotter_compat_matches_exact():
-    model = nearest_neighbor_chain(2)
-    sched = random_init(2, 0.5, 5, amplitude=1.0, seed=12)
-    exact = evolve(model, sched)
-    for kappa in (2, 5):
-        compat = evolve(model, sched,
-                        EvolutionConfig(trotter_substeps=kappa,
-                                        mode=TROTTER_COMPAT))
-        assert np.linalg.norm(exact - compat) <= 1e-10

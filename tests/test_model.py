@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from spincompile.errors import AxisViolation
+from spincompile.errors import AxisViolation, DimensionMismatch
+from spincompile.evolution import evolve
 from spincompile.linalg import frobenius_distance, kron
 from spincompile.model import (HEISENBERG, FIELDS_SUBTRACT, FieldSnapshot,
                                SpinChainModel, coupling_hamiltonian,
                                full_hamiltonian, nearest_neighbor_chain,
-                               site_operator, spin_operator)
+                               site_operator, slice_hamiltonians,
+                               spin_operator)
+from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
 
@@ -65,6 +68,29 @@ def test_axis_violation():
     model = nearest_neighbor_chain(2)
     with pytest.raises(AxisViolation):
         full_hamiltonian(model, FieldSnapshot.of(hz=[0.0, 0.5], n_qubits=2))
+
+
+def test_field_shape_mismatch():
+    model = nearest_neighbor_chain(2)
+    with pytest.raises(DimensionMismatch):
+        full_hamiltonian(model, FieldSnapshot.of(hx=[0.1, 0.2, 0.3]))
+    with pytest.raises(DimensionMismatch):
+        slice_hamiltonians(model, np.zeros((2, 3, 4)))
+
+
+def test_evolution_steps_through_full_hamiltonians():
+    # evolve and full_hamiltonian share one builder: stepping slice by
+    # slice through full_hamiltonian reproduces evolve
+    model = nearest_neighbor_chain(3, interaction=HEISENBERG,
+                                   field_sign=FIELDS_SUBTRACT)
+    sched = random_init(3, 0.3, 3, amplitude=1.0, seed=4)
+    u = np.eye(8, dtype=complex)
+    for k in range(3):
+        h = full_hamiltonian(model, FieldSnapshot.of(
+            hx=sched.values[0, :, k], hy=sched.values[1, :, k]))
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(-1j * sched.tau * w)) @ v.conj().T @ u
+    assert frobenius_distance(evolve(model, sched), u) <= 1e-12
 
 
 def test_output_hermitian():
