@@ -5,10 +5,6 @@ class SpinCompileError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(SpinCompileError):
-    """Matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class DimensionMismatch(SpinCompileError):
     """Operands have incompatible shapes."""
 

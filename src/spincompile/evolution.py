@@ -4,11 +4,15 @@ Within a slice the Hamiltonian is constant (``model.slice_hamiltonians``
 builds it from the slice's x and y field amplitudes), so each slice
 contributes one exact exponential exp(-i tau H_k) computed in the
 eigenbasis; the full operator is the time-ordered product with slice 1
-acting first. The
-gradient of the gate error with respect to every pulse amplitude comes
-from one forward pass (stashing per-slice eigendecompositions) and one
-reverse pass through the divided-difference kernel, so it is exact to
-machine precision rather than a finite-difference estimate.
+acting first. The gradient of the gate error with respect to every pulse
+amplitude comes from one forward pass (the batched eigendecomposition and
+the prefix products) and one backward pass through the divided-difference
+kernel, so it is exact to machine precision rather than a
+finite-difference estimate. The backward pass is batched over the slice
+axis: one matmul loop builds the suffix products, each slice's adjoint is
+carried through its eigenbasis by batched matmuls, and a single matmul
+against the flattened control operators reads off every amplitude's
+derivative.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import frobenius_distance, loewner_kernel
 from .model import SpinChainModel, control_operators, slice_hamiltonians
-from .schedule import AXES, PulseSchedule
+from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
 # distance is ill-defined; the gradient is zero by convention.
@@ -105,23 +109,22 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    ops = control_operators(model)           # (2, N, d, d)
-    tau = schedule.tau
-    grad_sq = np.empty((len(AXES), model.n_qubits, k_slices))
-    suffix = np.eye(model.dim, dtype=complex)
-    tdag = target.conj().T
-    for k in range(k_slices - 1, -1, -1):
-        m = prefix[k] @ tdag @ suffix        # M_k
-        vk = v[k]
-        wmat = vk.conj().T @ m @ vk
-        phi = loewner_kernel(w[k], tau)
-        y = wmat.T * phi
-        # Z for every control direction at once: V^dag D V
-        z = np.einsum("ji,anjl,lm->anim", vk.conj(), ops, vk, optimize=True)
-        grad_sq[:, :, k] = -2.0 * np.real(np.einsum("im,anim->an", y, z,
-                                                    optimize=True))
-        suffix = suffix @ ek[k]
-    return eps, grad_sq / (2.0 * eps)
+    # Suffixes S_k = E_{K-1} ... E_{k+1}, with S_{K-1} = 1.
+    dim = model.dim
+    suffix = np.empty((k_slices, dim, dim), dtype=complex)
+    suffix[-1] = np.eye(dim)
+    for k in range(k_slices - 1, 0, -1):
+        suffix[k - 1] = suffix[k] @ ek[k]
+    m = prefix[:k_slices] @ target.conj().T @ suffix        # M_k
+    wmat = v.conj().transpose(0, 2, 1) @ m @ v
+    phi = np.stack([loewner_kernel(w[k], schedule.tau)
+                    for k in range(k_slices)])
+    y = wmat.transpose(0, 2, 1) * phi
+    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l] with G_k = conj(V) Y_k V^T
+    g = v.conj() @ y @ v.transpose(0, 2, 1)
+    ops = control_operators(model).reshape(-1, dim * dim)   # (2N, d^2)
+    grad_sq = -2.0 * np.real(g.reshape(k_slices, dim * dim) @ ops.T)
+    return eps, grad_sq.T.reshape(schedule.values.shape) / (2.0 * eps)
 
 
 def error_gradient(target, model: SpinChainModel,

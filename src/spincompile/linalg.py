@@ -1,24 +1,22 @@
-"""Dense complex-matrix kernel.
+"""Dense complex-matrix helpers.
 
-Everything here operates on plain ``numpy`` complex arrays. Matrix
-exponentials of Hermitian generators go through the eigendecomposition,
-which keeps results exactly unitary at these dimensions (<= 512) and gives
-a closed-form directional derivative via the divided-difference kernel.
+Everything here operates on plain ``numpy`` complex arrays: the Kronecker
+product, the Frobenius distance, and the divided-difference kernel of
+exp(-i t H). ``evolution`` exponentiates every slice Hamiltonian through
+one batched eigendecomposition, which keeps the propagators unitary to
+rounding at these dimensions (<= 512); the kernel turns that same
+eigenbasis into the closed-form derivative of each slice propagator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch
 
 # Gap below which eigenvalue pairs are treated as degenerate in the
 # divided-difference kernel (analytic limit instead of a 0/0 quotient).
 DEGENERATE_GAP = 1e-12
-
-_HERMITICITY_RTOL = 1e-8
 
 
 def as_complex(a) -> np.ndarray:
@@ -39,43 +37,6 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _check_hermitian(h: np.ndarray) -> None:
-    hn = np.linalg.norm(h)
-    dev = np.linalg.norm(h - h.conj().T)
-    if dev > _HERMITICITY_RTOL * max(hn, 1.0):
-        raise NotHermitian(f"deviation {dev:.3e} exceeds {_HERMITICITY_RTOL:.0e} * norm")
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(h) -> HermitianEigen:
-    """Eigendecomposition with a Hermiticity guard.
-
-    Raises NotHermitian if ||h - h^dag||_F / ||h||_F > 1e-8.
-    """
-    h = as_complex(h)
-    _check_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
-
-
-def expm_i(h, t: float) -> np.ndarray:
-    """exp(-i t h) for Hermitian h, via the eigendecomposition."""
-    eig = eig_hermitian(h)
-    v = eig.eigenvectors
-    return (v * np.exp(-1j * t * eig.eigenvalues)) @ v.conj().T
-
-
 def loewner_kernel(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     """Divided differences Phi_jk = (e^{-it l_j} - e^{-it l_k})/(l_j - l_k).
 
@@ -90,16 +51,3 @@ def loewner_kernel(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     phi = np.where(close, -1j * t * ph[:, None], num / np.where(close, 1.0, dl))
     return phi
 
-
-def frechet_expm_i(h, t: float, dh) -> np.ndarray:
-    """Directional derivative of exp(-i t h) along the Hermitian direction dh."""
-    h = as_complex(h)
-    dh = as_complex(dh)
-    if h.shape != dh.shape:
-        raise DimensionMismatch(f"shape {h.shape} vs {dh.shape}")
-    _check_hermitian(dh)
-    eig = eig_hermitian(h)
-    v = eig.eigenvectors
-    phi = loewner_kernel(eig.eigenvalues, t)
-    z = v.conj().T @ dh @ v
-    return v @ (phi * z) @ v.conj().T

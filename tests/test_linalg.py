@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from spincompile.errors import DimensionMismatch, NotHermitian
-from spincompile.linalg import (eig_hermitian, expm_i, frechet_expm_i,
-                                frobenius_distance, kron)
+from spincompile.errors import DimensionMismatch
+from spincompile.evolution import evolve
+from spincompile.linalg import frobenius_distance, kron, loewner_kernel
+from spincompile.model import (HEISENBERG, FieldSnapshot, full_hamiltonian,
+                               nearest_neighbor_chain)
+from spincompile.schedule import PulseSchedule
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 I2 = np.eye(2)
@@ -20,6 +22,34 @@ def random_hermitian(n, seed):
 def random_unitary(n, seed):
     q, r = np.linalg.qr(random_hermitian(n, seed) + 1j * random_hermitian(n, seed + 1))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def one_slice(model, fields, total_time):
+    """A one-slice schedule holding the x and y fields of a snapshot."""
+    values = np.array([fields.hx, fields.hy], dtype=float)[:, :, None]
+    return PulseSchedule(model.n_qubits, total_time, 1, values)
+
+
+def random_fields(n, seed):
+    rng = np.random.default_rng(seed)
+    return FieldSnapshot.of(hx=rng.normal(size=n), hy=rng.normal(size=n))
+
+
+def expm_taylor(h, t, terms=64):
+    """exp(-i t h) by its Taylor series, independent of any eigensolver."""
+    term = np.eye(len(h), dtype=complex)
+    total = np.eye(len(h), dtype=complex)
+    for k in range(1, terms):
+        term = term @ (-1j * t * h) / k
+        total = total + term
+    return total
+
+
+def frechet(h, t, dh):
+    """Derivative of exp(-i t h) along dh, as the gradient forms it: the
+    kernel applied entrywise in the eigenbasis of h."""
+    w, v = np.linalg.eigh(h)
+    return v @ (loewner_kernel(w, t) * (v.conj().T @ dh @ v)) @ v.conj().T
 
 
 class TestKron:
@@ -42,70 +72,61 @@ class TestKron:
             assert np.allclose(got[:, b], expect)
 
 
-class TestEigHermitian:
-    def test_diag(self):
-        eig = eig_hermitian(np.diag([3.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [1.0, 3.0])
-        assert np.allclose(np.abs(eig.eigenvectors), [[0, 1], [1, 0]])
-
-    def test_pauli_x_spectrum(self):
-        eig = eig_hermitian(SX)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-
-    def test_reconstruction(self):
-        h = random_hermitian(8, seed=0)
-        eig = eig_hermitian(h)
-        assert frobenius_distance(eig.reconstruct(), h) <= 1e-10 * np.linalg.norm(h)
-        v = eig.eigenvectors
-        assert frobenius_distance(v.conj().T @ v, np.eye(8)) <= 1e-10
-
-    def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestExpmI:
+    """exp(-i t H) as the program forms it: one slice of ``evolve``."""
+
     def test_zero_matrix(self):
-        assert np.allclose(expm_i(np.zeros((4, 4)), 0.7), np.eye(4))
+        # a lone qubit under zero fields has H = 0
+        model = nearest_neighbor_chain(1)
+        zero = FieldSnapshot.of(hx=[0.0], hy=[0.0])
+        assert np.allclose(evolve(model, one_slice(model, zero, 0.7)),
+                           np.eye(2))
 
     def test_spin_half_period(self):
-        got = expm_i(SZ / 2, 2 * np.pi)
+        # H = 2*pi * S^x = pi * sigma^x, so exp(-i H) = -1
+        model = nearest_neighbor_chain(1)
+        fields = FieldSnapshot.of(hx=[1.0])
+        got = evolve(model, one_slice(model, fields, 1.0))
         assert np.allclose(got, -np.eye(2), atol=1e-12)
 
     def test_against_taylor_series(self):
-        h = random_hermitian(4, seed=1)
+        model = nearest_neighbor_chain(2, interaction=HEISENBERG)
+        fields = random_fields(2, seed=1)
         t = 0.3
-        term = np.eye(4, dtype=complex)
-        total = np.eye(4, dtype=complex)
-        for k in range(1, 64):
-            term = term @ (-1j * t * h) / k
-            total = total + term
-        assert frobenius_distance(expm_i(h, t), total) <= 1e-10
+        total = expm_taylor(full_hamiltonian(model, fields), t)
+        got = evolve(model, one_slice(model, fields, t))
+        assert frobenius_distance(got, total) <= 1e-10
 
     def test_unitarity(self):
+        model = nearest_neighbor_chain(3, interaction=HEISENBERG)
         for seed in range(5):
-            h = random_hermitian(8, seed=seed)
-            u = expm_i(h, 1.7)
+            u = evolve(model, one_slice(model, random_fields(3, seed), 1.7))
             assert frobenius_distance(u.conj().T @ u, np.eye(8)) <= 1e-10
 
     def test_group_property(self):
-        h = random_hermitian(4, seed=3)
-        lhs = expm_i(h, 0.9)
-        rhs = expm_i(h, 0.5) @ expm_i(h, 0.4)
+        model = nearest_neighbor_chain(2, interaction=HEISENBERG)
+        fields = random_fields(2, seed=3)
+        lhs = evolve(model, one_slice(model, fields, 0.9))
+        rhs = (evolve(model, one_slice(model, fields, 0.5))
+               @ evolve(model, one_slice(model, fields, 0.4)))
         assert frobenius_distance(lhs, rhs) <= 1e-10
 
 
 class TestFrechet:
+    """The derivative of exp(-i t H) built from ``loewner_kernel``."""
+
     def test_zero_direction(self):
         h = random_hermitian(4, seed=4)
-        got = frechet_expm_i(h, 0.5, np.zeros((4, 4)))
+        got = frechet(h, 0.5, np.zeros((4, 4)))
         assert np.allclose(got, 0.0)
 
     def test_commuting_diagonal_case(self):
+        # for diagonal H and a diagonal direction dh, the derivative of
+        # exp(-i t H) is diag(-i t e^{-i t lam} dh): the kernel's diagonal
         lam = np.array([0.3, -1.2, 2.5])
         dh = np.diag([1.0, 2.0, -0.5])
         t = 0.8
-        got = frechet_expm_i(np.diag(lam), t, dh)
+        got = frechet(np.diag(lam), t, dh)
         expect = np.diag(-1j * t * np.exp(-1j * t * lam) * np.diag(dh))
         assert frobenius_distance(got, expect) <= 1e-12
 
@@ -114,8 +135,9 @@ class TestFrechet:
         dh = random_hermitian(4, seed=6)
         t = 0.7
         eps = 1e-6
-        fd = (expm_i(h + eps * dh, t) - expm_i(h - eps * dh, t)) / (2 * eps)
-        got = frechet_expm_i(h, t, dh)
+        fd = (expm_taylor(h + eps * dh, t)
+              - expm_taylor(h - eps * dh, t)) / (2 * eps)
+        got = frechet(h, t, dh)
         assert np.max(np.abs(got - fd)) <= 1e-6
 
     def test_degenerate_spectrum(self):
@@ -124,17 +146,32 @@ class TestFrechet:
         dh = random_hermitian(3, seed=7)
         eps = 1e-6
         t = 0.4
-        fd = (expm_i(h + eps * dh, t) - expm_i(h - eps * dh, t)) / (2 * eps)
-        assert np.max(np.abs(frechet_expm_i(h, t, dh) - fd)) <= 1e-6
+        fd = (expm_taylor(h + eps * dh, t)
+              - expm_taylor(h - eps * dh, t)) / (2 * eps)
+        assert np.max(np.abs(frechet(h, t, dh) - fd)) <= 1e-6
 
     def test_linearity(self):
         h = random_hermitian(4, seed=8)
         d1 = random_hermitian(4, seed=9)
         d2 = random_hermitian(4, seed=10)
         a, b = 0.7, -1.3
-        lhs = frechet_expm_i(h, 0.6, a * d1 + b * d2)
-        rhs = a * frechet_expm_i(h, 0.6, d1) + b * frechet_expm_i(h, 0.6, d2)
+        lhs = frechet(h, 0.6, a * d1 + b * d2)
+        rhs = a * frechet(h, 0.6, d1) + b * frechet(h, 0.6, d2)
         assert frobenius_distance(lhs, rhs) <= 1e-9
+
+
+class TestLoewnerKernel:
+    def test_divided_differences_off_diagonal(self):
+        lam = np.array([0.3, -1.2, 2.5])
+        t = 0.8
+        phi = loewner_kernel(lam, t)
+        for j in range(3):
+            for k in range(3):
+                if j != k:
+                    quotient = ((np.exp(-1j * t * lam[j])
+                                 - np.exp(-1j * t * lam[k]))
+                                / (lam[j] - lam[k]))
+                    assert abs(phi[j, k] - quotient) <= 1e-14
 
 
 class TestFrobeniusDistance:
