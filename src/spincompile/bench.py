@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetUnreachable, Degenerate, MissingRealization
-from .evolution import error_trace, evolve
-from .gates import Gate, controlled_phase, qft_matrix, swap_to_end_circuit
+from .evolution import error_trace
+from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
-                           compile_qft_quvis, compile_qft_quvis2,
-                           compile_qft_qumis, compose_qumis,
+                           compile_qft, instruction_set,
                            load_bundled_realizations,
-                           qumis_decompose_controlled_phase, qumis_time_cost,
-                           quvis2_set, quvis3_set)
+                           qumis_decompose_controlled_phase, qumis_time_cost)
 from .model import HEISENBERG, ISING, nearest_neighbor_chain
 from .optimizer import (OptimizerConfig, multi_seed_synthesize,
                         time_cost_search)
@@ -99,80 +97,34 @@ def _search_cell(target, model, cfg, error_budget, t_grid, restarts) -> dict:
 # ---------------------------------------------------------------------------
 # Fourier-transform compilation sweep
 
-def _compiled_for(set_name: str, n: int):
-    if set_name == QUVIS3:
-        return compile_qft_quvis(n)
-    if set_name == QUVIS2:
-        return compile_qft_quvis2(n)
-    raise ValueError(set_name)
-
-
-def _qumis_realized_parts():
-    """Circuit-frame imperfect CNOT and swap gates from bundled pulses, if
-    present."""
-    from .gates import cnot as cnot_gate, swap2 as swap_gate
-    from .instructions import (bundled_pulse_ids, load_bundled_schedule,
-                               snap_frame)
-
-    available = set(bundled_pulse_ids())
-    parts = {}
-    for gate_id, gate in (("cnot", cnot_gate()), ("swap", swap_gate())):
-        if gate_id not in available:
-            return None
-        sched = load_bundled_schedule(gate_id)
-        u = evolve(nearest_neighbor_chain(2), sched)
-        parts[gate_id] = Gate(gate_id, 2, snap_frame(u, gate))
-    return parts
-
-
-def _qumis_composed_error(placements, n, target, parts):
-    """Compose the sequence with imperfect entangling gates.
-
-    Rotations and phase factors are taken exact (fast one-qubit controls);
-    CNOT and swap use their realized pulse unitaries.
-    """
-    return float(np.linalg.norm(target - compose_qumis(placements, n, parts)))
-
-
 def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
               opt_cfg: OptimizerConfig | None = None,
               error_budget: float = 5e-2, jobs: int = 1) -> ExperimentResult:
     """Per-N compiled time and composed error for each instruction set.
 
-    Variational sets use the bundled pulse realizations for the error
-    composition; gates without a bundled realization leave the error
-    column empty. The microinstruction column composes exact rotations
-    with pulse-realized CNOT/swap. Direct control (a synthesis per N up
-    to direct_max_n) is off by default because it is the only expensive
-    column.
+    Every set's gates use the bundled pulse realizations for the error
+    composition (the microinstruction set realizes CNOT and swap and keeps
+    its rotations exact); a set with a gate that has no bundled
+    realization leaves its error column empty. Direct control (a
+    synthesis per N up to direct_max_n) is off by default because it is
+    the only expensive column. An unknown set name raises UnknownGate
+    before any work is done.
     """
     if not 3 <= max_n <= 9:
         raise ValueError("max_n must lie in 3..9")
+    isets = {name: instruction_set(name) for name in sets}
+    load_bundled_realizations(*isets.values())
     rows = []
-    isets = {}
-    if QUVIS3 in sets:
-        isets[QUVIS3] = load_bundled_realizations(quvis3_set())
-    if QUVIS2 in sets:
-        isets[QUVIS2] = load_bundled_realizations(quvis2_set())
-    qumis_parts = _qumis_realized_parts() if QUMIS in sets else None
     for n in range(3, max_n + 1):
         target = qft_matrix(n).matrix
         for set_name in sets:
-            if set_name == QUMIS:
-                placements, total = compile_qft_qumis(n)
-                err = (None if qumis_parts is None else
-                       _qumis_composed_error(placements, n, target,
-                                             qumis_parts))
-                rows.append({"n": n, "set": QUMIS, "time": total,
-                             "error": err})
-                continue
-            circuit = _compiled_for(set_name, n)
             iset = isets[set_name]
+            total, steps = compile_qft(iset, n)
             try:
-                err = circuit_error_estimate(circuit, iset, target=target)
+                err = circuit_error_estimate(n, steps, iset, target)
             except MissingRealization:
                 err = None
-            rows.append({"n": n, "set": set_name, "time": circuit.total_time,
+            rows.append({"n": n, "set": set_name, "time": total,
                          "error": err})
     if direct_max_n:
         cfg = opt_cfg or OptimizerConfig()

@@ -23,10 +23,10 @@ from .errors import ConfigError, SpinCompileError
 from .evolution import error_trace, evolve, gate_error
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
-from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft_qumis,
-                           compile_qft_quvis, compile_qft_quvis2,
-                           load_bundled_realizations, load_bundled_schedule,
-                           quvis3_set, quvis_gate, quvis_gate_physical)
+from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
+                           instruction_set, load_bundled_realizations,
+                           load_bundled_schedule, quvis3_set, quvis_gate,
+                           quvis_gate_physical)
 from .model import HEISENBERG, ISING, FIELDS_SUBTRACT, FIELDS_ADD, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import read_pulse_table, write_pulse_table
@@ -220,23 +220,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    iset = instruction_set(args.set)
     rows = []
     for n in range(3, args.max_n + 1):
-        if args.set == QUVIS3:
-            circ = compile_qft_quvis(n)
-        elif args.set == QUVIS2:
-            circ = compile_qft_quvis2(n)
-        elif args.set == QUMIS:
-            placements, total = compile_qft_qumis(n)
-            rows.append({"n": n, "total_time": total,
-                         "n_gates": len(placements),
-                         "placements": [[k, list(p)] for k, _v, p in placements]})
-            continue
-        else:
-            raise ConfigError(f"cannot compile for set {args.set!r}")
-        rows.append({"n": n, "total_time": circ.total_time,
-                     "n_gates": len(circ.placements),
-                     "placements": [[g, list(p)] for g, p in circ.placements]})
+        total, steps = compile_qft(iset, n)
+        rows.append({"n": n, "total_time": total, "n_gates": len(steps),
+                     "placements": [[g, list(p)] for g, _gate, p in steps]})
     summary = {"experiment": "compile", "set": args.set, "rows": rows}
     write_results(Path(args.out), f"compile_{args.set}", summary,
                   csv_columns=("n", "total_time", "n_gates"),

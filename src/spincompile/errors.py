@@ -30,7 +30,7 @@ class OutOfRange(SpinCompileError):
 
 
 class UnknownGate(SpinCompileError):
-    """Placement references a gate kind the cost model does not know."""
+    """A placement kind or instruction-set name the compiler does not know."""
 
 
 class MissingRealization(SpinCompileError):
@@ -50,14 +50,6 @@ class BudgetUnreachable(SpinCompileError):
     def __init__(self, message, reports=None):
         super().__init__(message)
         self.reports = reports or []
-
-
-class SynthesisFailed(SpinCompileError):
-    """Gate synthesis missed its error budget; carries the best report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class Degenerate(SpinCompileError):

@@ -87,42 +87,39 @@ def swap2() -> Gate:
 
 
 def _check_placement(gate: Gate, positions, n_total: int) -> tuple:
-    """Validated 1-based positions of a gate in an n_total-qubit register."""
+    """Validated 1-based positions of a gate in an n_total-qubit register:
+    adjacent and ascending, since the chain couples only neighbours."""
     positions = tuple(int(p) for p in positions)
     if len(positions) != gate.n_qubits:
         raise BadPlacement(f"{gate.label}: {len(positions)} positions for a "
                            f"{gate.n_qubits}-qubit gate")
-    if len(set(positions)) != len(positions):
-        raise BadPlacement("positions must be distinct")
     if any(p < 1 or p > n_total for p in positions):
         raise BadPlacement(f"positions {positions} outside 1..{n_total}")
+    if positions != tuple(range(positions[0], positions[0] + len(positions))):
+        raise BadPlacement(f"positions {positions} are not adjacent and "
+                           f"ascending")
     return positions
 
 
 def apply_gate(u: np.ndarray, gate: Gate, positions, n_total: int) -> np.ndarray:
     """place(gate, positions, n_total) @ u without forming the embedding.
 
-    The rows of u are viewed as an n_total-qubit tensor; the gate's input
-    axes are contracted with the qubit axes at the given positions and its
-    output axes moved back into their place, at O(2^n_total * cols * 2^k)
-    for a k-qubit gate.
+    The rows of u are viewed as (2^(p-1), 2^k, rest) for a k-qubit gate
+    whose first position is p, and the gate multiplies the middle axis:
+    one batched matmul at O(2^n_total * cols * 2^k).
     """
     positions = _check_placement(gate, positions, n_total)
     u = np.asarray(u)
     if u.shape[0] != 2 ** n_total:
         raise DimensionMismatch(f"operand has {u.shape[0]} rows, register "
                                 f"of {n_total} qubits needs {2 ** n_total}")
-    k = gate.n_qubits
-    axes = [p - 1 for p in positions]
-    g = gate.matrix.reshape((2,) * (2 * k))
-    t = u.reshape((2,) * n_total + (-1,))
-    out = np.tensordot(g, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, range(k), axes).reshape(u.shape)
+    view = u.reshape(2 ** (positions[0] - 1), 2 ** gate.n_qubits, -1)
+    return (gate.matrix @ view).reshape(u.shape)
 
 
 def place(gate: Gate, positions, n_total: int) -> np.ndarray:
-    """Embed a gate into an n_total-qubit register on the given 1-based
-    qubit positions (identity elsewhere). Positions need not be contiguous."""
+    """Embed a gate into an n_total-qubit register on the given adjacent,
+    ascending 1-based qubit positions (identity elsewhere)."""
     return apply_gate(np.eye(2 ** n_total, dtype=complex), gate, positions,
                       n_total)
 

@@ -6,7 +6,9 @@ Two flavours of instruction set are built here:
   to 2), whose elementary gates are whole sub-circuits realized directly
   by optimized pulse schedules, and
 * the microinstruction baseline ("qumis"): one-qubit rotations plus CNOT,
-  with the standard cost model (rotation theta/10 time units, CNOT 0.5).
+  with the standard cost model (rotation theta/10 time units, CNOT 0.5);
+  its set holds the two entangling gates its pulses realize, CNOT and
+  swap, while rotations and phase factors are taken exact.
 
 Elementary-gate matrices come in two frames. The *circuit frame* is the
 textbook convention (Hadamard, controlled phase with the phase on |11>,
@@ -18,26 +20,30 @@ unit determinant, so swaps carry e^{i pi/4} and a controlled phase theta
 carries e^{-i theta/4}. Each gate has one matrix, built in the circuit
 frame; its physical target is that matrix bit-reversed and multiplied by
 e^{i phi}, phi = (number of swaps) pi/4 - (sum of its controlled-phase
-angles)/4. ``physical_frame`` gives the principal-branch target of any
-other gate, and ``circuit_frame`` maps a realized unitary back.
+angles)/4; the baseline's CNOT carries e^{-3i pi/4}, the branch its
+bundled table realizes. ``circuit_frame`` maps a realized unitary back.
+
+``compile_qft`` lowers the Fourier transform onto any of the three sets
+as one list of steps (name, Gate, positions), the first acting first.
+``compose`` multiplies (Gate, positions) pairs out, and
+``circuit_error_estimate`` composes the steps with each gate the set
+holds replaced by its realized unitary.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DimensionMismatch, MissingRealization, OutOfRange,
-                     SynthesisFailed, UnknownGate)
+                     UnknownGate)
 from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     phase_gate, place, qft_matrix, rotation, swap2)
 from .model import nearest_neighbor_chain
-from .optimizer import OptimizerConfig, multi_seed_synthesize
-from .schedule import PulseSchedule, read_pulse_table, write_pulse_table
+from .schedule import PulseSchedule, read_pulse_table
 
 QUVIS3 = "quvis3"
 QUVIS2 = "quvis2"
@@ -73,12 +79,6 @@ QUVIS2_TIME = {"w1": 1.3, "v2": 1.45, "v3": 1.45, "v4": 1.5,
 def bit_reverse(matrix: np.ndarray) -> np.ndarray:
     """Conjugate by X on every qubit (basis index j -> 2^N - 1 - j)."""
     return matrix[::-1, ::-1].copy()
-
-
-def det1_rephase(matrix: np.ndarray) -> np.ndarray:
-    """Scale by the principal phase making the determinant 1."""
-    d = matrix.shape[0]
-    return matrix * np.exp(-1j * np.angle(np.linalg.det(matrix)) / d)
 
 
 def _physical(gate: Gate, swaps: int, thetas=()) -> np.ndarray:
@@ -151,16 +151,6 @@ def quvis_gate_physical(m: int) -> np.ndarray:
     return _physical(quvis_gate(m), *_quvis_primitives(m))
 
 
-def physical_frame(gate: Gate) -> np.ndarray:
-    """Default physical-frame synthesis target for a circuit-frame gate:
-    the bit-reversed, determinant-normalized matrix (principal branch).
-
-    Gates built from swap/controlled-phase primitives carry specific
-    phase branches instead; see quvis_gate_physical.
-    """
-    return det1_rephase(bit_reverse(gate.matrix))
-
-
 def frame_phase(gate: Gate, phys: np.ndarray) -> complex:
     """Phase s with phys = s * bit_reverse(gate.matrix)."""
     tr = np.trace(bit_reverse(gate.matrix).conj().T @ phys)
@@ -170,19 +160,6 @@ def frame_phase(gate: Gate, phys: np.ndarray) -> complex:
 def circuit_frame(realized: np.ndarray, gate: Gate, phys: np.ndarray) -> np.ndarray:
     """Map a realized (physical-frame) unitary back to the circuit frame."""
     return bit_reverse(realized) / frame_phase(gate, phys)
-
-
-def snap_frame(realized: np.ndarray, gate: Gate) -> np.ndarray:
-    """Circuit-frame version of a realized unitary when the physical
-    branch is unknown: the frame phase is estimated from the overlap and
-    snapped to the unit-determinant grid."""
-    flipc = bit_reverse(gate.matrix)
-    d = flipc.shape[0]
-    base = -np.angle(np.linalg.det(flipc)) / d
-    raw = np.angle(np.trace(flipc.conj().T @ realized))
-    k = round((raw - base) / (2 * np.pi / d))
-    phi = base + 2 * np.pi * k / d
-    return bit_reverse(realized) * np.exp(-1j * phi)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +193,8 @@ class ElementaryGate:
             raise MissingRealization(f"{self.gate_id} has no realized schedule")
         cache = self._realized_cache
         if cache is None or cache[0] is not sched:
-            self._remember(sched, evolve(_chain_for(sched.n_qubits), sched))
+            self._remember(sched, evolve(nearest_neighbor_chain(sched.n_qubits),
+                                         sched))
         return self._realized_cache[1]
 
     def _remember(self, schedule: PulseSchedule, realized: np.ndarray) -> None:
@@ -277,6 +255,32 @@ def quvis2_set() -> InstructionSet:
     return iset
 
 
+def qumis_set() -> InstructionSet:
+    """The baseline's entangling gates, the ones its pulses realize;
+    rotations and phase factors are taken exact (fast one-qubit controls).
+    """
+    iset = InstructionSet(kind=QUMIS, max_width=2)
+    cx, sw = cnot(), swap2()
+    iset.add(ElementaryGate("cnot", cx, CNOT_TIME,
+                            physical_target=np.exp(-3j * np.pi / 4)
+                            * bit_reverse(cx.matrix)))
+    iset.add(ElementaryGate(SWAP_GATE_ID, sw, SWAP_TIME,
+                            physical_target=_physical(sw, 1)))
+    return iset
+
+
+_SETS = {QUVIS3: quvis3_set, QUVIS2: quvis2_set, QUMIS: qumis_set}
+
+
+def instruction_set(name: str) -> InstructionSet:
+    """A new instruction set by name; UnknownGate for any other name."""
+    try:
+        return _SETS[name]()
+    except KeyError:
+        raise UnknownGate(f"unknown instruction set {name!r}; expected one "
+                          f"of {', '.join(_SETS)}") from None
+
+
 # ---------------------------------------------------------------------------
 # compiled circuits
 
@@ -286,18 +290,23 @@ class CompiledCircuit:
     n_qubits: int
     placements: tuple  # ordered (gate_id, positions); first entry acts first
     total_time: float
-    predicted_error: float | None = None
+
+    def steps(self, iset: InstructionSet) -> list:
+        """(gate id, Gate, positions) of each placement, gates from iset."""
+        return [(g, iset[g].gate, pos) for g, pos in self.placements]
 
     def compose(self, iset: InstructionSet) -> np.ndarray:
         """Exact-matrix composition of the placements, in placement order."""
-        return _compose(self, {g: iset[g].gate for g, _pos in self.placements})
+        return compose(self.n_qubits,
+                       ((iset[g].gate, pos) for g, pos in self.placements))
 
 
-def _compose(circuit: CompiledCircuit, gates: dict) -> np.ndarray:
-    """Product of the circuit's placements, gate ids looked up in gates."""
-    u = np.eye(2 ** circuit.n_qubits, dtype=complex)
-    for gate_id, pos in circuit.placements:
-        u = apply_gate(u, gates[gate_id], pos, circuit.n_qubits)
+def compose(n_qubits: int, steps) -> np.ndarray:
+    """Product of (Gate, positions) steps on an n-qubit register, the
+    first acting first."""
+    u = np.eye(2 ** n_qubits, dtype=complex)
+    for gate, pos in steps:
+        u = apply_gate(u, gate, pos, n_qubits)
     return u
 
 
@@ -325,8 +334,7 @@ def compile_qft_quvis(n_qubits: int) -> CompiledCircuit:
         placements.extend(_qft_stage_quvis3(j))
     placements.append(("u1", (1, 2, 3)))
     placements.append((SWAP_GATE_ID, (1, 2)))
-    iset = quvis3_set()
-    total = sum(iset[g].time_cost for g, _ in placements)
+    total = sum(QUVIS3_TIME[g] for g, _ in placements)
     return CompiledCircuit(target_label=f"qft{n_qubits}", n_qubits=n_qubits,
                            placements=tuple(placements), total_time=total)
 
@@ -343,8 +351,7 @@ def compile_qft_quvis2(n_qubits: int) -> CompiledCircuit:
             placements.append((f"v{p}", (p, p + 1)))
     placements.append(("u0", (1, 2)))
     placements.append((SWAP_GATE_ID, (1, 2)))
-    iset = quvis2_set()
-    total = sum(iset[g].time_cost for g, _ in placements)
+    total = sum(QUVIS2_TIME[g] for g, _ in placements)
     return CompiledCircuit(target_label=f"qft{n_qubits}", n_qubits=n_qubits,
                            placements=tuple(placements), total_time=total)
 
@@ -379,40 +386,28 @@ _QUMIS_GATES = {
     "rx": lambda theta: rotation("x", theta),
     "ry": lambda theta: rotation("y", theta),
     "phase": phase_gate,
+    "gphase": lambda alpha: Gate(f"gphase({alpha:g})", 1,
+                                 np.exp(1j * alpha) * np.eye(2), (alpha,)),
     "cnot": lambda _param: cnot(),
     SWAP_GATE_ID: lambda _param: swap2(),
 }
 
 
-def apply_qumis(u: np.ndarray, kind: str, param, positions,
-                n_total: int) -> np.ndarray:
-    """qumis_placement_matrix(kind, param, positions, n_total) @ u; the
-    global phase is a scalar factor."""
-    if kind == "gphase":
-        return np.exp(1j * param) * u
+def qumis_gate(kind: str, param) -> Gate:
+    """Exact gate of a baseline placement; a global phase is e^{i param}
+    times the identity on its one qubit."""
     try:
         make = _QUMIS_GATES[kind]
     except KeyError:
         raise UnknownGate(f"unknown placement kind {kind!r}") from None
-    return apply_gate(u, make(param), positions, n_total)
+    return make(param)
 
 
-def qumis_placement_matrix(kind: str, param, positions, n_total: int) -> np.ndarray:
-    return apply_qumis(np.eye(2 ** n_total, dtype=complex), kind, param,
-                       positions, n_total)
-
-
-def compose_qumis(placements, n_total: int, realized=None) -> np.ndarray:
-    """Product of the placements, first acting first; realized maps a
-    placement kind to the Gate used in place of its exact matrix."""
-    realized = realized or {}
-    u = np.eye(2 ** n_total, dtype=complex)
-    for kind, param, pos in placements:
-        if kind in realized:
-            u = apply_gate(u, realized[kind], pos, n_total)
-        else:
-            u = apply_qumis(u, kind, param, pos, n_total)
-    return u
+def compose_qumis(placements, n_total: int) -> np.ndarray:
+    """Exact product of (kind, param, positions) placements, first acting
+    first."""
+    return compose(n_total, ((qumis_gate(kind, param), pos)
+                             for kind, param, pos in placements))
 
 
 def qumis_time_cost(placements) -> float:
@@ -462,61 +457,36 @@ def compile_qft_qumis(n_qubits: int):
     return placements, qumis_time_cost(placements)
 
 
+def compile_qft(iset: InstructionSet, n_qubits: int):
+    """(total time, steps) of the n-qubit Fourier transform lowered onto
+    the instruction set of iset's kind; each step is (name, Gate,
+    positions), the first acting first."""
+    if iset.kind == QUMIS:
+        placements, total = compile_qft_qumis(n_qubits)
+        return total, [(kind, qumis_gate(kind, param), pos)
+                       for kind, param, pos in placements]
+    lower = {QUVIS3: compile_qft_quvis, QUVIS2: compile_qft_quvis2}[iset.kind]
+    circuit = lower(n_qubits)
+    return circuit.total_time, circuit.steps(iset)
+
+
 # ---------------------------------------------------------------------------
 # realization
 
-def _chain_for(width: int):
-    return nearest_neighbor_chain(width)
-
-
-def attach_realization(eg: ElementaryGate, schedule: PulseSchedule) -> None:
-    """Record a schedule and its measured error against the physical target.
-
-    The one evolution serves both the error and realized_unitary."""
-    u = evolve(_chain_for(schedule.n_qubits), schedule)
-    err = frobenius_distance(eg.physical_target, u)
-    eg.realized_schedule = schedule
-    eg.realized_error = err
-    eg._remember(schedule, u)
-
-
-def realize_instruction_set(iset: InstructionSet, opt_cfg: OptimizerConfig,
-                            budgets: dict | None = None,
-                            error_budget: float = 5e-2,
-                            restarts: int = 3) -> InstructionSet:
-    """Synthesize pulses for every gate at its time budget.
-
-    budgets overrides per-gate synthesis durations (gate_id -> T).
-    Raises SynthesisFailed (carrying the best report) on the first gate
-    that misses error_budget after all restarts.
-    """
-    for gate_id, eg in iset.gates.items():
-        t = (budgets or {}).get(gate_id, eg.time_cost)
-        model = _chain_for(eg.width)
-        seeds = [opt_cfg.seed + i for i in range(restarts)]
-        report, ok = multi_seed_synthesize(eg.physical_target, model, t,
-                                           opt_cfg, seeds, error_budget)
-        if not ok:
-            raise SynthesisFailed(
-                f"{gate_id}: best error {report.final_error:.3e} "
-                f"above budget {error_budget:g} at T={t}", report=report)
-        eg.realized_schedule = report.final_schedule
-        eg.realized_error = report.final_error
-    return iset
-
-
-def circuit_error_estimate(circuit: CompiledCircuit, iset: InstructionSet,
-                           target: np.ndarray | None = None) -> float:
-    """Frobenius distance from the target to the composition of the
-    realized (imperfect) unitaries of every placement."""
+def circuit_error_estimate(n_qubits: int, steps, iset: InstructionSet,
+                           target: np.ndarray) -> float:
+    """Frobenius distance from the target to the (name, Gate, positions)
+    steps composed with every gate the set holds replaced by its realized
+    (imperfect) unitary; other steps, the baseline's rotations and phase
+    factors, stay exact. Raises MissingRealization when a gate of the set
+    has no realized schedule."""
     realized = {}
-    for gate_id, _pos in circuit.placements:
-        if gate_id not in realized:
-            realized[gate_id] = Gate(gate_id, iset[gate_id].width,
-                                     iset[gate_id].realized_unitary())
-    u = _compose(circuit, realized)
-    if target is None:
-        target = circuit.compose(iset)
+    for name, gate, _pos in steps:
+        if name in iset.gates and name not in realized:
+            realized[name] = Gate(name, gate.n_qubits,
+                                  iset[name].realized_unitary())
+    u = compose(n_qubits, ((realized.get(name, gate), pos)
+                           for name, gate, pos in steps))
     return float(np.linalg.norm(target - u))
 
 
@@ -542,53 +512,24 @@ def load_bundled_schedule(gate_id: str) -> PulseSchedule:
 BUNDLE_ALIASES = {"v3": "u3", "v5": "u5", "v7": "u7"}
 
 
-def load_bundled_realizations(iset: InstructionSet) -> InstructionSet:
-    """Attach every bundled schedule whose id matches a gate in the set."""
+def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
+    """Attach every bundled schedule whose id (after BUNDLE_ALIASES) names
+    a gate of the given sets, with its error against that gate's physical
+    target. Each table is read and evolved once per call, however many
+    gates share it. Returns the first set."""
     available = set(bundled_pulse_ids())
-    for gate_id, eg in iset.gates.items():
-        source = BUNDLE_ALIASES.get(gate_id, gate_id)
-        if source in available:
-            attach_realization(eg, load_bundled_schedule(source))
-    return iset
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def instruction_set_to_json(iset: InstructionSet) -> str:
-    gates = []
-    for gate_id, eg in sorted(iset.gates.items()):
-        entry = {
-            "id": gate_id,
-            "n_qubits": eg.width,
-            "time_cost": eg.time_cost,
-            "realized_error": eg.realized_error,
-            "pulse_table": (write_pulse_table(eg.realized_schedule)
-                            if eg.realized_schedule is not None else None),
-        }
-        gates.append(entry)
-    return json.dumps({"kind": iset.kind, "max_width": iset.max_width,
-                       "gates": gates}, indent=2, sort_keys=True)
-
-
-def instruction_set_from_json(text: str) -> InstructionSet:
-    """Rebuild a set serialized by instruction_set_to_json.
-
-    Gate matrices are reconstructed from the set kind; only realizations
-    and costs travel through the file.
-    """
-    data = json.loads(text)
-    kind = data["kind"]
-    if kind == QUVIS3:
-        iset = quvis3_set()
-    elif kind == QUVIS2:
-        iset = quvis2_set()
-    else:
-        raise UnknownGate(f"cannot rebuild instruction set of kind {kind!r}")
-    for entry in data["gates"]:
-        eg = iset[entry["id"]]
-        eg.time_cost = entry["time_cost"]
-        if entry.get("pulse_table"):
-            eg.realized_schedule = read_pulse_table(entry["pulse_table"])
-            eg.realized_error = entry.get("realized_error")
-    return iset
+    evolved = {}
+    for iset in isets:
+        for gate_id, eg in iset.gates.items():
+            source = BUNDLE_ALIASES.get(gate_id, gate_id)
+            if source not in available:
+                continue
+            if source not in evolved:
+                sched = load_bundled_schedule(source)
+                evolved[source] = (sched, evolve(
+                    nearest_neighbor_chain(sched.n_qubits), sched))
+            sched, u = evolved[source]
+            eg.realized_schedule = sched
+            eg.realized_error = frobenius_distance(eg.physical_target, u)
+            eg._remember(sched, u)
+    return isets[0] if isets else None

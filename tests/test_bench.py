@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from spincompile import bench
+from spincompile import bench, instructions
 from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
 from spincompile.errors import Degenerate, DimensionMismatch
+from spincompile.evolution import evolve
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2)
@@ -95,6 +96,20 @@ class TestBenchQft:
         fit = result.fits["error_quvis3"]
         assert 0 < fit.gamma < 0.5
 
+    def test_each_bundled_table_evolved_once(self, monkeypatch):
+        # 16 tables; u0, swap and u3/u5/u7 (as v3/v5/v7) serve two or
+        # three of the sets
+        calls = []
+
+        def counting_evolve(model, schedule):
+            calls.append(schedule)
+            return evolve(model, schedule)
+
+        monkeypatch.setattr(instructions, "evolve", counting_evolve)
+        bench_qft(8, sets=(QUVIS3, QUVIS2, QUMIS))
+        assert len(calls) == len(instructions.bundled_pulse_ids()) == 16
+        assert len({id(s) for s in calls}) == 16
+
 
 class TestBenchQftMissingRealization:
     def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):
@@ -112,6 +127,22 @@ class TestBenchQftMissingRealization:
         # u4 first appears in the N = 5 lowering
         assert errors[3] is not None and errors[4] is not None
         assert errors[5] is None
+
+    def test_unrealized_qumis_gate_leaves_its_cells_empty(self, monkeypatch):
+        load = bench.load_bundled_realizations
+
+        def without_cnot(*isets):
+            load(*isets)
+            for iset in isets:
+                if iset.kind == QUMIS:
+                    iset["cnot"].realized_schedule = None
+            return isets[0]
+
+        monkeypatch.setattr(bench, "load_bundled_realizations", without_cnot)
+        rows = bench_qft(4, sets=(QUVIS3, QUMIS)).rows
+        errors = {(r["n"], r["set"]): r["error"] for r in rows}
+        assert errors[(4, QUVIS3)] is not None
+        assert errors[(3, QUMIS)] is None and errors[(4, QUMIS)] is None
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -200,3 +200,18 @@ class TestBenchCommand:
                 == (out2 / f"{name}.csv").read_bytes())
         rows = json.loads((out1 / f"{name}.json").read_text())["rows"]
         assert {r["set"] for r in rows} == {"quvis3", "quvis2", "qumis"}
+
+    def test_unknown_set_exits_2_before_any_work(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_evolve(*args):
+            raise AssertionError("a table was evolved")
+
+        monkeypatch.setattr(instructions, "evolve", no_evolve)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("kind = qft\nsets = quvis3,quvus2\nmax_n = 3\n")
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2
+        assert record["error"] == "UnknownGate"
+        assert "'quvus2'" in record["message"]
+        assert not list(tmp_path.glob("qft_sweep*"))
