@@ -7,8 +7,7 @@ that sit a gate library, instruction sets with circuit lowering onto the
 chain, and desk-scale benchmark sweeps with least-squares fits.
 """
 
-from .evolution import (ErrorTrace, error_gradient, error_trace, evolve,
-                        gate_error)
+from .evolution import ErrorTrace, error_trace, evolve, gate_error
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     pauli_x, place, qft_matrix, rotation, swap2,
                     swap_to_end_circuit)
@@ -22,7 +21,7 @@ from .schedule import (PulseSchedule, random_init, read_pulse_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ErrorTrace", "error_gradient", "error_trace", "evolve", "gate_error",
+    "ErrorTrace", "error_trace", "evolve", "gate_error",
     "Gate", "apply_gate", "cnot", "controlled_phase", "hadamard", "pauli_x",
     "place", "qft_matrix", "rotation", "swap2", "swap_to_end_circuit",
     "FieldSnapshot", "SpinChainModel", "coupling_hamiltonian",

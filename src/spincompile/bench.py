@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetUnreachable, Degenerate, MissingRealization
+from .errors import BudgetUnreachable, Degenerate, MissingRealization, OutOfRange
 from .evolution import error_trace
 from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
                            compile_qft, instruction_set,
                            load_bundled_realizations,
                            qumis_decompose_controlled_phase, qumis_time_cost)
-from .model import HEISENBERG, ISING, nearest_neighbor_chain
+from .model import HEISENBERG, ISING, MAX_QUBITS, nearest_neighbor_chain
 from .optimizer import (OptimizerConfig, multi_seed_synthesize,
                         time_cost_search)
 
@@ -111,7 +111,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
     before any work is done.
     """
     if not 3 <= max_n <= 9:
-        raise ValueError("max_n must lie in 3..9")
+        raise OutOfRange(f"max_n {max_n} outside 3..9")
     isets = {name: instruction_set(name) for name in sets}
     load_bundled_realizations(*isets.values())
     rows = []
@@ -172,8 +172,8 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
     """Error-versus-time traces for controlled phase gates.
 
     For each theta: a direct-control synthesis at ``total_time`` plus the
-    microinstruction sequence with its per-gate time shadows. The
-    synthesis matches the unit-determinant representative of the target.
+    control time of the microinstruction sequence. The synthesis matches
+    the unit-determinant representative of the target.
     """
     if not len(list(thetas)):
         raise ValueError("need at least one theta")
@@ -191,17 +191,10 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
         traces[f"direct_theta={theta:g}"] = {
             "times": tr.times.tolist(), "errors": tr.errors.tolist()}
         _params, placements = qumis_decompose_controlled_phase(theta)
-        shadows = []
-        t_accum = 0.0
-        for kind, param, pos in placements:
-            dt = qumis_time_cost([(kind, param, pos)])
-            shadows.append({"kind": kind, "start": t_accum,
-                            "end": t_accum + dt})
-            t_accum += dt
         rows.append({"theta": theta, "direct_time": total_time,
                      "direct_error": report.final_error,
                      "direct_met_budget": ok,
-                     "qumis_time": t_accum})
+                     "qumis_time": qumis_time_cost(placements)})
     return ExperimentResult(
         experiment_id="phase_trace",
         columns=("theta", "direct_time", "direct_error",
@@ -221,8 +214,8 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
                t_grids: dict | None = None, jobs: int = 1) -> ExperimentResult:
     """Direct-control synthesis of the first-to-last swap circuit per N
     and interaction type; linear time fits attached."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
+    if not 2 <= max_n <= MAX_QUBITS:
+        raise OutOfRange(f"max_n {max_n} outside 2..{MAX_QUBITS}")
     cfg = opt_cfg or OptimizerConfig()
 
     def cell(key):

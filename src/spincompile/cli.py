@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,128 +22,157 @@ import numpy as np
 from . import __version__
 from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
 from .errors import ConfigError, SpinCompileError
-from .evolution import error_trace, evolve, gate_error
+from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
 from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                            instruction_set, load_bundled_realizations,
                            load_bundled_schedule, quvis3_set, quvis_gate,
                            quvis_gate_physical)
-from .model import HEISENBERG, ISING, FIELDS_SUBTRACT, FIELDS_ADD, nearest_neighbor_chain
+from .model import (FIELDS_ADD, FIELDS_SUBTRACT, HEISENBERG, ISING, check_width,
+                    nearest_neighbor_chain)
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import read_pulse_table, write_pulse_table
 
+INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}
+# [-][N*]pi[/D | *N], the pi multiples parse_angle accepts.
+_PI_ANGLE = re.compile(r"(-?)(?:([^*/]+)\*)?pi(?:/(.+)|\*(.+))?")
+# Target kinds that take a register width, and those that take nothing.
+_SIZED_TARGETS = {"identity": lambda n: np.eye(2 ** n, dtype=complex),
+                  "qft": lambda n: qft_matrix(n).matrix,
+                  "swap_to_end": lambda n: swap_to_end_circuit(n).matrix}
+_FIXED_TARGETS = {"hadamard": hadamard, "cnot": cnot, "swap": swap2, "x": pauli_x}
 
-def parse_config(text: str) -> dict:
+
+class Config(dict):
+    """Config values (strings) with their lines. ``get`` is the one place a
+    value is cast, and a bad one becomes a ConfigError naming its line;
+    ``check`` rejects every key no ``get`` asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines, self.read = {}, set()
+
+    def _error(self, key, reason) -> ConfigError:
+        return ConfigError(f"line {self.lines[key]}: {key} = {self[key]}: {reason}")
+
+    def get(self, key, default=None, cast=str):
+        self.read.add(key)
+        if key not in self:
+            return default
+        try:
+            return cast(self[key])
+        except (ConfigError, ValueError, TypeError, KeyError, OSError,
+                ArithmeticError) as exc:
+            raise self._error(key, exc) from None
+
+    def given(self, **keys) -> dict:
+        """{name: cast value} for each name=(key, cast) whose key is set."""
+        return {name: self.get(key, cast=cast)
+                for name, (key, cast) in keys.items() if key in self}
+
+    def check(self) -> None:
+        unread = [key for key in self if key not in self.read]   # in line order
+        if unread:
+            raise self._error(unread[0], "unknown key")
+
+
+def parse_config(text: str) -> Config:
     """Flat key = value lines; '#' starts a comment."""
-    cfg = {}
+    cfg = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        cfg[key] = val.strip()
+        if key in cfg:
+            raise ConfigError(f"line {lineno}: {key} repeats line {cfg.lines[key]}")
+        cfg[key], cfg.lines[key] = val, lineno
     return cfg
+
+
+def _one_of(choices):
+    """A cast that accepts the names in choices, mapped to their values if
+    choices is a dict."""
+    def parse(name: str):
+        if name not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return choices[name] if isinstance(choices, dict) else name
+    return parse
+
+
+def _listed(cast):
+    """Comma-separated values, each cast."""
+    return lambda text: tuple(cast(t.strip()) for t in text.split(","))
 
 
 def parse_angle(text: str) -> float:
     """Angles as plain floats or simple pi expressions (pi/8, 0.5*pi)."""
     t = text.strip().lower().replace(" ", "")
     try:
-        if "pi" not in t:
+        m = _PI_ANGLE.fullmatch(t)
+        if m is None:
             return float(t)
-        sign = 1.0
-        if t.startswith("-"):
-            sign, t = -1.0, t[1:]
-        num, den = 1.0, 1.0
-        if t.startswith("pi"):
-            rest = t[2:]
-            if rest.startswith("/"):
-                den = float(rest[1:])
-            elif rest.startswith("*"):
-                num = float(rest[1:])
-            elif rest:
-                raise ValueError(rest)
-        elif t.endswith("pi") and t[:-2].endswith("*"):
-            num = float(t[:-3])
-        else:
+        sign, left, den, right = m.groups()
+        if left and (den or right):
             raise ValueError(t)
+        num = float(left or right or 1.0)
+        return (-1.0 if sign else 1.0) * num * np.pi / float(den or 1.0)
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
-    return sign * num * np.pi / den
 
 
 def parse_target(spec: str):
     """Target gates as kind[:args] strings.
 
     Supported: identity:N, cphase:THETA, qft:N, swap_to_end:N, quvis:M,
-    hadamard, cnot, swap, x, rx:THETA, ry:THETA, rz:THETA.
+    hadamard, cnot, swap, x, rx:THETA, ry:THETA, rz:THETA. A width N
+    above model.MAX_QUBITS is rejected before any matrix is built.
     """
     kind, _, arg = spec.strip().partition(":")
     kind = kind.strip().lower()
     try:
-        if kind == "identity":
-            return np.eye(2 ** int(arg), dtype=complex), int(arg)
+        if kind in _SIZED_TARGETS:
+            n = check_width(int(arg))
+            return _SIZED_TARGETS[kind](n), n
+        if kind in _FIXED_TARGETS:
+            g = _FIXED_TARGETS[kind]()
+            return g.matrix, g.n_qubits
         if kind == "cphase":
             return controlled_phase(parse_angle(arg)).matrix, 2
-        if kind == "qft":
-            return qft_matrix(int(arg)).matrix, int(arg)
-        if kind == "swap_to_end":
-            return swap_to_end_circuit(int(arg)).matrix, int(arg)
         if kind == "quvis":
             g = quvis_gate(int(arg))
             return g.matrix, g.n_qubits
         if kind == "quvis_physical":
             m = quvis_gate_physical(int(arg))
             return m, int(np.log2(m.shape[0]))
-        if kind == "hadamard":
-            return hadamard().matrix, 1
-        if kind == "cnot":
-            return cnot().matrix, 2
-        if kind == "swap":
-            return swap2().matrix, 2
-        if kind == "x":
-            return pauli_x().matrix, 1
         if kind in ("rx", "ry", "rz"):
             return rotation(kind[1], parse_angle(arg)).matrix, 1
-    except (ValueError, ConfigError) as exc:
+    except (ValueError, SpinCompileError) as exc:
         raise ConfigError(f"bad target spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
-def build_model(cfg: dict, n_qubits: int):
-    interaction = cfg.get("model.interaction", "ising")
-    interaction = {"ising": ISING, "heisenberg": HEISENBERG}.get(
-        interaction, interaction)
-    field_sign = cfg.get("model.field_sign", "fields_add")
-    field_sign = {"fields_add": FIELDS_ADD, "fields_subtract": FIELDS_SUBTRACT}.get(
-        field_sign, field_sign)
-    j = parse_angle(cfg.get("model.coupling", "2*pi"))
-    return nearest_neighbor_chain(n_qubits, j=j, interaction=interaction,
-                                  field_sign=field_sign)
+def build_model(cfg: Config, n_qubits: int):
+    """nearest_neighbor_chain with the model.* keys the config sets."""
+    return nearest_neighbor_chain(n_qubits, **cfg.given(
+        j=("model.coupling", parse_angle),
+        interaction=("model.interaction", _one_of(INTERACTIONS)),
+        field_sign=("model.field_sign", _one_of((FIELDS_ADD, FIELDS_SUBTRACT)))))
 
 
-def build_optimizer_config(cfg: dict, seed_override=None) -> OptimizerConfig:
-    def get(key, default, cast):
-        return cast(cfg[key]) if key in cfg else default
-    seed = seed_override if seed_override is not None else get("optimizer.seed", 0, int)
-    clamp = cfg.get("optimizer.field_clamp")
-    return OptimizerConfig(
-        learning_rate=get("optimizer.learning_rate", 0.01, float),
-        max_iters_per_stage=get("optimizer.max_iters_per_stage", 2000, int),
-        convergence_window=get("optimizer.convergence_window", 50, int),
-        convergence_rel_tol=get("optimizer.convergence_rel_tol", 1e-4, float),
-        n_refinements=get("optimizer.n_refinements", 3, int),
-        init_amplitude=get("optimizer.init_amplitude", 1.0, float),
-        seed=int(seed),
-        field_clamp=float(clamp) if clamp is not None else None,
-        phase_mode=cfg.get("optimizer.phase_mode", "det1"),
-    )
+def build_optimizer_config(cfg: Config, seed_override=None) -> OptimizerConfig:
+    """OptimizerConfig with each optimizer.<field> key set applied in turn."""
+    ocfg = OptimizerConfig()
+    for f in fields(OptimizerConfig):
+        cast = int if isinstance(f.default, int) else float
+        ocfg = cfg.get(f"optimizer.{f.name}", ocfg,
+                       lambda text: replace(ocfg, **{f.name: cast(text)}))
+    return ocfg if seed_override is None else replace(ocfg, seed=seed_override)
 
 
 class _Encoder(json.JSONEncoder):
@@ -150,8 +181,6 @@ class _Encoder(json.JSONEncoder):
             return o.tolist()
         if isinstance(o, (np.floating, np.integer)):
             return o.item()
-        if hasattr(o, "__dict__"):
-            return o.__dict__
         return super().default(o)
 
 
@@ -175,10 +204,11 @@ def write_results(out_dir: Path, name: str, summary: dict,
         json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    return parse_config(Path(path).read_text())
+def _load_config(path) -> Config:
+    try:
+        return parse_config(Path(path).read_text()) if path else Config()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +218,13 @@ def cmd_synthesize(args) -> int:
     cfg = _load_config(args.config)
     if "target" not in cfg:
         raise ConfigError("config needs target = <spec>")
-    target, n_qubits = parse_target(cfg["target"])
+    target, n_qubits = cfg.get("target", cast=parse_target)
     model = build_model(cfg, n_qubits)
     ocfg = build_optimizer_config(cfg, seed_override=args.seed)
-    total_time = float(cfg.get("time", "1.0"))
-    report = synthesize_auto(target, model, total_time, ocfg)
+    total_time = cfg.get("time", 1.0, float)
     name = cfg.get("name", "synthesize")
+    cfg.check()
+    report = synthesize_auto(target, model, total_time, ocfg)
     summary = {
         "experiment": name,
         "target": cfg["target"],
@@ -239,27 +270,28 @@ def cmd_compile(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
-    if "pulse_table" in cfg:
-        schedule = read_pulse_table(Path(cfg["pulse_table"]).read_text())
-    elif "bundled" in cfg:
-        schedule = load_bundled_schedule(cfg["bundled"])
-    else:
-        raise ConfigError("config needs pulse_table = <path> or bundled = <id>")
+    tables = cfg.given(
+        table=("pulse_table", lambda path: read_pulse_table(Path(path).read_text())),
+        bundled=("bundled", load_bundled_schedule))
+    if len(tables) != 1:
+        raise ConfigError("config needs one of pulse_table = <path> or bundled = <id>")
+    (schedule,) = tables.values()
     model = build_model(cfg, schedule.n_qubits)
+    target = cfg.get("target", None, lambda spec: parse_target(spec)[0])
+    name = cfg.get("name", "evolve")
+    cfg.check()
     summary = {"experiment": "evolve", "n_qubits": schedule.n_qubits,
                "total_time": schedule.total_time,
                "n_slices": schedule.n_slices}
     csv_cols, csv_rows = None, None
-    if "target" in cfg:
-        target, _n = parse_target(cfg["target"])
-        err = gate_error(target, model, schedule)
+    if target is not None:
+        tr = error_trace(target, model, schedule)
+        err = float(tr.errors[-1])
         summary["target"] = cfg["target"]
         summary["error"] = err
-        tr = error_trace(target, model, schedule)
         csv_cols = ("time", "error")
         csv_rows = list(zip(tr.times.tolist(), tr.errors.tolist()))
         print(f"error vs {cfg['target']}: {err:.6f}")
-    name = cfg.get("name", "evolve")
     write_results(Path(args.out), name, summary, csv_cols, csv_rows)
     return 0
 
@@ -299,46 +331,30 @@ def cmd_verify_golden(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    kind = cfg.get("kind", "qft")
-    ocfg = build_optimizer_config(cfg, seed_override=args.seed)
+    kind = cfg.get("kind", "qft", _one_of(("qft", "phase-trace", "swap")))
+    kw = {"opt_cfg": build_optimizer_config(cfg, seed_override=args.seed)}
     if kind == "qft":
-        sets = ([args.set] if args.set else
-                cfg.get("sets", "quvis3,quvis2,qumis").split(","))
-        if args.set == "direct":
-            sets = [QUVIS3]
-        max_n = args.max_n or int(cfg.get("max_n", "6"))
-        direct = int(cfg.get("direct_max_n", "0"))
-        if args.set == "direct":
-            direct = max_n
-        result = bench_qft(max_n, sets=tuple(s.strip() for s in sets),
-                           direct_max_n=direct, opt_cfg=ocfg, jobs=args.jobs)
-        cols = ("n", "set", "time", "error")
+        kw.update(max_n=cfg.get("max_n", 6, int), jobs=args.jobs, **cfg.given(
+            sets=("sets", _listed(str)), direct_max_n=("direct_max_n", int)))
     elif kind == "phase-trace":
-        thetas = [parse_angle(t) for t in
-                  cfg.get("thetas", "pi/8,pi/4,pi/2").split(",")]
-        result = bench_phase_trace(
-            thetas, total_time=float(cfg.get("time", "0.45")), opt_cfg=ocfg,
-            seeds=int(cfg.get("seeds", "5")))
-        cols = result.columns
-    elif kind == "swap":
-        max_n = args.max_n or int(cfg.get("max_n", "3"))
-        interactions = [
-            {"ising": ISING, "heisenberg": HEISENBERG}.get(s.strip(), s.strip())
-            for s in cfg.get("interactions", "ising,heisenberg").split(",")]
-        result = bench_swap(max_n, interactions=tuple(interactions),
-                            opt_cfg=ocfg,
-                            error_budget=float(cfg.get("error_budget", "0.1")),
-                            seeds=int(cfg.get("seeds", "2")), jobs=args.jobs)
-        cols = result.columns
+        kw.update(thetas=cfg.get("thetas", (np.pi / 8, np.pi / 4, np.pi / 2),
+                                 _listed(parse_angle)), **cfg.given(
+            total_time=("time", float), seeds=("seeds", int)))
     else:
-        raise ConfigError(f"unknown bench kind {kind!r}")
+        kw.update(max_n=cfg.get("max_n", 3, int), jobs=args.jobs, **cfg.given(
+            interactions=("interactions", _listed(_one_of(INTERACTIONS))),
+            error_budget=("error_budget", float),
+            seeds=("seeds", int)))
+    cfg.check()
+    bench = {"qft": bench_qft, "phase-trace": bench_phase_trace, "swap": bench_swap}
+    result = bench[kind](**kw)
     summary = {"experiment": result.experiment_id, "rows": result.rows,
                "fits": {k: {"gamma": f.gamma, "beta": f.beta,
                             "residual": f.residual}
                         for k, f in result.fits.items()},
                "provenance": result.provenance}
-    csv_rows = [tuple(r.get(c) for c in cols) for r in result.rows]
-    write_results(Path(args.out), result.experiment_id, summary, cols, csv_rows)
+    write_results(Path(args.out), result.experiment_id, summary, result.columns,
+                  [tuple(r.get(c) for c in result.columns) for r in result.rows])
     for key, f in result.fits.items():
         print(f"fit {key}: gamma={f.gamma:.4f} beta={f.beta:.4f} "
               f"rms={f.residual:.2e}")
@@ -350,8 +366,13 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     if "input" not in cfg:
         raise ConfigError("config needs input = <csv path>")
-    lines = Path(cfg["input"]).read_text().strip().splitlines()
+    text = cfg.get("input", cast=lambda path: Path(path).read_text())
+    lines = text.strip().splitlines()
     xcol, ycol = cfg.get("x", "x"), cfg.get("y", "y")
+    n_min = cfg.get("n_min", None, float)
+    kind = cfg.get("kind", "linear", _one_of(("linear", "exponential")))
+    name = cfg.get("name", "fit")
+    cfg.check()
     header = [h.strip() for h in lines[0].split(",")]
     try:
         xi, yi = header.index(xcol), header.index(ycol)
@@ -362,13 +383,11 @@ def cmd_fit(args) -> int:
         toks = ln.split(",")
         if toks[xi].strip() and toks[yi].strip():
             pts.append((float(toks[xi]), float(toks[yi])))
-    n_min = float(cfg["n_min"]) if "n_min" in cfg else None
-    kind = cfg.get("kind", "linear")
     fit = (fit_linear if kind == "linear" else fit_exponential)(pts, n_min=n_min)
     summary = {"experiment": "fit", "kind": kind, "input": cfg["input"],
                "gamma": fit.gamma, "beta": fit.beta, "residual": fit.residual,
                "n_points": len(pts)}
-    write_results(Path(args.out), cfg.get("name", "fit"), summary)
+    write_results(Path(args.out), name, summary)
     print(f"{kind} fit: gamma={fit.gamma:.6g} beta={fit.beta:.6g} "
           f"rms={fit.residual:.3g}")
     return 0
@@ -381,44 +400,36 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def command(name, run, help, config=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if config:
             p.add_argument("--config", help="key = value run configuration")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        return p
 
-    common(sub.add_parser("synthesize", help="optimize pulses for a target"))
-    p = sub.add_parser("compile", help="lower Fourier circuits onto a set")
-    common(p, config=False)
+    p = command("synthesize", cmd_synthesize, "optimize pulses for a target")
+    p.add_argument("--seed", type=int, help="overrides optimizer.seed")
+    p = command("compile", cmd_compile, "lower Fourier circuits onto a set",
+                config=False)
     p.add_argument("--set", default=QUVIS3, choices=[QUVIS3, QUVIS2, QUMIS])
     p.add_argument("--max-n", type=int, default=6)
-    common(sub.add_parser("evolve", help="evolve a pulse table"))
-    p = sub.add_parser("verify-golden",
-                       help="replay bundled reference pulses against their gates")
-    common(p, config=False)
+    command("evolve", cmd_evolve, "evolve a pulse table")
+    p = command("verify-golden", cmd_verify_golden,
+                "replay bundled reference pulses against their gates",
+                config=False)
     p.add_argument("--threshold", type=float, default=5e-2)
-    p = sub.add_parser("bench", help="run an experiment sweep")
-    common(p)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--set", default=None,
-                   choices=[QUVIS3, QUVIS2, QUMIS, "direct"])
-    common(sub.add_parser("fit", help="least-squares fit of a results column"))
+    p = command("bench", cmd_bench, "run an experiment sweep")
+    p.add_argument("--seed", type=int, help="overrides optimizer.seed")
+    p.add_argument("--jobs", type=int, default=1, help="sweep threads")
+    command("fit", cmd_fit, "least-squares fit of a results column")
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    handlers = {
-        "synthesize": cmd_synthesize,
-        "compile": cmd_compile,
-        "evolve": cmd_evolve,
-        "verify-golden": cmd_verify_golden,
-        "bench": cmd_bench,
-        "fit": cmd_fit,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except SpinCompileError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -125,8 +125,3 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     ops = control_operators(model).reshape(-1, dim * dim)   # (2N, d^2)
     grad_sq = -2.0 * np.real(g.reshape(k_slices, dim * dim) @ ops.T)
     return eps, grad_sq.T.reshape(schedule.values.shape) / (2.0 * eps)
-
-
-def error_gradient(target, model: SpinChainModel,
-                   schedule: PulseSchedule) -> np.ndarray:
-    return error_and_gradient(target, model, schedule)[1]

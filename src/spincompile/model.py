@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AxisViolation, DimensionMismatch
+from .errors import AxisViolation, DimensionMismatch, OutOfRange
 from .linalg import kron
 from .schedule import AXES
 
@@ -30,6 +30,9 @@ HEISENBERG = "heisenberg_xyz"
 # tables assume the additive convention.
 FIELDS_ADD = "fields_add"
 FIELDS_SUBTRACT = "fields_subtract"
+
+# Widest register: at N = 9 the control-operator stack alone is 75 MB.
+MAX_QUBITS = 9
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -53,12 +56,11 @@ def site_operator(axis: str, site: int, n_qubits: int) -> np.ndarray:
     return op
 
 
-def _chain_couplings(n_qubits: int, j: float) -> np.ndarray:
-    c = np.zeros((n_qubits, n_qubits))
-    for n in range(n_qubits - 1):
-        c[n, n + 1] = j
-        c[n + 1, n] = j
-    return c
+def check_width(n_qubits: int) -> int:
+    """n_qubits, if a register that wide is supported; else OutOfRange."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise OutOfRange(f"register width {n_qubits} outside 1..{MAX_QUBITS}")
+    return n_qubits
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class SpinChainModel:
     field_sign: str = FIELDS_ADD
 
     def __post_init__(self):
+        check_width(self.n_qubits)
         c = np.asarray(self.couplings, dtype=float)
         if c.shape != (self.n_qubits, self.n_qubits):
             raise DimensionMismatch(
@@ -100,7 +103,7 @@ def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
                            field_sign: str = FIELDS_ADD) -> SpinChainModel:
     """The default chain: J_{n,n+1} = j, everything else zero."""
     return SpinChainModel(n_qubits=n_qubits,
-                          couplings=_chain_couplings(n_qubits, j),
+                          couplings=j * (np.eye(n_qubits, k=1) + np.eye(n_qubits, k=-1)),
                           interaction=interaction, field_sign=field_sign)
 
 

@@ -8,10 +8,12 @@ realized evolution exactly, and the next stage continues from there.
 
 Targets are matched phase-sensitively. Because the control Hamiltonian is
 traceless, every reachable evolution operator has unit determinant, so a
-target whose determinant is not 1 can never be reached exactly; by default
-the synthesis rephases the target to its closest unit-determinant
-representative (``phase_mode="det1"``). Pass ``phase_mode="exact"`` to
-optimize against the target verbatim.
+target whose determinant is not 1 can never be reached exactly; the
+synthesis therefore rephases every target to its closest unit-determinant
+representative and reports the phase it applied (1 for a target that
+already has unit determinant). ``OptimizerConfig`` owns every setting of
+a run and its default and rejects a value outside its domain;
+``n_refinements`` caps the refinements of ``synthesize_auto``'s plan.
 """
 
 from __future__ import annotations
@@ -24,18 +26,17 @@ import numpy as np
 from .errors import BudgetUnreachable, DimensionMismatch, NonUnitaryTarget
 from .evolution import error_and_gradient, gate_error
 from .model import SpinChainModel
-from .schedule import PulseSchedule, random_init, refine_double, stage_plan, zeros
+from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
-DET1 = "det1"
-EXACT = "exact"
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_iters_per_stage: int = 2000
     convergence_window: int = 50
     convergence_rel_tol: float = 1e-4
@@ -43,17 +44,18 @@ class OptimizerConfig:
     init_amplitude: float = 1.0
     seed: int = 0
     field_clamp: float | None = None
-    phase_mode: str = DET1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.max_iters_per_stage < 1 or self.convergence_window < 1:
+            raise ValueError("max_iters_per_stage and convergence_window must be >= 1")
         if self.n_refinements < 0:
             raise ValueError("n_refinements must be >= 0")
-        if self.phase_mode not in (DET1, EXACT):
-            raise ValueError(f"unknown phase_mode {self.phase_mode!r}")
+        if not 0 <= self.init_amplitude < np.inf:
+            raise ValueError("init_amplitude must be >= 0 and finite")
+        if self.field_clamp is not None and not self.field_clamp >= 0:
+            raise ValueError("field_clamp must be >= 0")
 
 
 @dataclass
@@ -75,11 +77,11 @@ def adam_step(schedule: PulseSchedule, grad: np.ndarray, state: AdamState,
         raise DimensionMismatch(
             f"gradient shape {grad.shape} vs values {schedule.values.shape}")
     t = state.t + 1
-    m = cfg.adam_beta1 * state.m + (1 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * state.v + (1 - cfg.adam_beta2) * grad ** 2
-    m_hat = m / (1 - cfg.adam_beta1 ** t)
-    v_hat = v / (1 - cfg.adam_beta2 ** t)
-    vals = schedule.values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad ** 2
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    vals = schedule.values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if cfg.field_clamp is not None:
         vals = np.clip(vals, -cfg.field_clamp, cfg.field_clamp)
     return schedule.with_values(vals), AdamState(m=m, v=v, t=t)
@@ -134,14 +136,10 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
     if target.shape[0] != model.dim:
         raise DimensionMismatch(
             f"target dim {target.shape[0]}, model dim {model.dim}")
-    phase = det1_phase(target) if cfg.phase_mode == DET1 else 1.0 + 0.0j
+    phase = det1_phase(target)
     work_target = phase * target
-
-    if cfg.init_amplitude == 0:
-        schedule = zeros(model.n_qubits, total_time, initial_slices)
-    else:
-        schedule = random_init(model.n_qubits, total_time, initial_slices,
-                               cfg.init_amplitude, cfg.seed)
+    schedule = random_init(model.n_qubits, total_time, initial_slices,
+                           cfg.init_amplitude, cfg.seed)
     losses: list[float] = []
     boundaries: list[int] = []
     best_err = np.inf
@@ -179,11 +177,11 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
 
 
 def synthesize_auto(target, model, total_time, cfg) -> OptimizationReport:
-    """fgto_synthesize with the default coarse-to-fine stage plan."""
-    k0, refinements = stage_plan(total_time)
-    if refinements != cfg.n_refinements:
-        cfg = replace(cfg, n_refinements=refinements)
-    return fgto_synthesize(target, model, total_time, k0, cfg)
+    """fgto_synthesize on the coarse-to-fine stage plan for total_time,
+    with at most cfg.n_refinements refinements."""
+    k0, refinements = stage_plan(total_time, cfg.n_refinements)
+    return fgto_synthesize(target, model, total_time, k0,
+                           replace(cfg, n_refinements=refinements))
 
 
 def multi_seed_synthesize(target, model, total_time, cfg, seeds,

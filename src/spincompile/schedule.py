@@ -147,15 +147,15 @@ def read_pulse_table(text: str) -> PulseSchedule:
     return PulseSchedule(n_qubits, total_time, n_slices, vals)
 
 
-def stage_plan(total_time: float, target_tau: float = 0.01,
-               coarse_tau: float = 0.08, max_refinements: int = 3):
-    """Pick (initial slice count, refinement count) for a synthesis run.
+COARSE_TAU, TARGET_TAU = 0.08, 0.01     # first and finest slice widths
 
-    Starts near ``coarse_tau`` and halves down to roughly ``target_tau``:
-    K0 = round(T / coarse_tau), refinements capped at ``max_refinements``.
-    """
-    k0 = max(1, round(total_time / coarse_tau))
+
+def stage_plan(total_time: float, max_refinements: int = 3):
+    """Pick (initial slice count, refinement count) for a synthesis run:
+    K0 = round(T / COARSE_TAU), then at most ``max_refinements`` halvings
+    that keep the slice width above TARGET_TAU / 2."""
+    k0 = max(1, round(total_time / COARSE_TAU))
     refinements = max_refinements
-    while refinements > 0 and total_time / (k0 * 2 ** refinements) < target_tau / 2:
+    while refinements > 0 and total_time / (k0 * 2 ** refinements) < TARGET_TAU / 2:
         refinements -= 1
     return k0, refinements

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from spincompile.errors import AxisViolation, DimensionMismatch
+from spincompile.errors import AxisViolation, DimensionMismatch, OutOfRange
 from spincompile.evolution import evolve
 from spincompile.linalg import frobenius_distance, kron
-from spincompile.model import (HEISENBERG, FIELDS_SUBTRACT, FieldSnapshot,
-                               SpinChainModel, coupling_hamiltonian,
-                               full_hamiltonian, nearest_neighbor_chain,
-                               site_operator, slice_hamiltonians,
-                               spin_operator)
+from spincompile.model import (HEISENBERG, FIELDS_SUBTRACT, MAX_QUBITS,
+                               FieldSnapshot, SpinChainModel,
+                               coupling_hamiltonian, full_hamiltonian,
+                               nearest_neighbor_chain, site_operator,
+                               slice_hamiltonians, spin_operator)
 from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
@@ -124,3 +124,12 @@ def test_default_chain_couplings():
     for n in range(3):
         expect[n, n + 1] = expect[n + 1, n] = PI2
     assert np.array_equal(model.couplings, expect)
+
+
+def test_width_limit_is_checked_before_any_operator():
+    assert MAX_QUBITS == 9 and nearest_neighbor_chain(MAX_QUBITS).dim == 512
+    for n in (0, MAX_QUBITS + 1, 12):
+        with pytest.raises(OutOfRange, match=f"width {n} outside"):
+            nearest_neighbor_chain(n)
+    with pytest.raises(OutOfRange):
+        SpinChainModel(n_qubits=10, couplings=np.zeros((10, 10)))

@@ -6,7 +6,8 @@ from spincompile.evolution import gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
 from spincompile.model import nearest_neighbor_chain
-from spincompile.optimizer import (AdamState, OptimizerConfig, adam_step,
+from spincompile.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                                   AdamState, OptimizerConfig, adam_step,
                                    det1_phase, fgto_synthesize,
                                    synthesize_auto, time_cost_search)
 from spincompile.schedule import random_init, zeros
@@ -28,8 +29,8 @@ class TestAdamStep:
         state = AdamState(m=np.full((2, 1, 1), 0.5), v=np.full((2, 1, 1), 0.25),
                           t=3)
         _s2, state2 = adam_step(s, np.zeros_like(s.values), state, CFG)
-        assert np.allclose(state2.m, CFG.adam_beta1 * 0.5)
-        assert np.allclose(state2.v, CFG.adam_beta2 * 0.25)
+        assert np.allclose(state2.m, ADAM_BETA1 * 0.5)
+        assert np.allclose(state2.v, ADAM_BETA2 * 0.25)
 
     def test_first_step_matches_hand_computation(self):
         s = zeros(1, 1.0, 1)
@@ -37,7 +38,7 @@ class TestAdamStep:
         g[0, 0, 0] = 0.3
         s2, _ = adam_step(s, g, AdamState.like(s), CFG)
         # bias correction makes m_hat = g and v_hat = g^2 on the first step
-        expect = -CFG.learning_rate * 0.3 / (0.3 + CFG.adam_eps)
+        expect = -CFG.learning_rate * 0.3 / (0.3 + ADAM_EPS)
         assert s2.values[0, 0, 0] == pytest.approx(expect, rel=1e-12)
         assert s2.values[1, 0, 0] == 0.0
 
@@ -56,7 +57,29 @@ class TestAdamStep:
         assert np.all(np.abs(s2.values) <= 0.4)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("learning_rate", float("nan")), ("max_iters_per_stage", 0),
+        ("convergence_window", 0), ("n_refinements", -1),
+        ("init_amplitude", -0.5), ("init_amplitude", float("inf")),
+        ("field_clamp", -1.0)])
+    def test_rejects_out_of_domain(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
+
 class TestSynthesize:
+    def test_n_refinements_caps_the_plan(self):
+        model = nearest_neighbor_chain(2)
+        target = controlled_phase(np.pi / 2).matrix
+        for cap, stages in ((0, 1), (2, 3)):
+            cfg = OptimizerConfig(seed=1, max_iters_per_stage=2,
+                                  n_refinements=cap)
+            report = synthesize_auto(target, model, 0.45, cfg)
+            assert len(report.stage_boundaries) + 1 == stages
+            assert report.final_schedule.n_slices == 6 * 2 ** cap
+
     def test_identity_target_zero_init(self):
         model = nearest_neighbor_chain(1)
         cfg = OptimizerConfig(init_amplitude=0.0, n_refinements=1)

@@ -31,6 +31,7 @@ def test_zero_schedule_evolves_to_identity():
 def test_random_amplitude_zero_is_zeros():
     s = random_init(2, 1.0, 5, amplitude=0.0, seed=1)
     assert np.array_equal(s.values, zeros(2, 1.0, 5).values)
+    assert not np.signbit(s.values).any()   # +0.0, bitwise as zeros()
 
 
 def test_random_determinism():
@@ -125,6 +126,14 @@ def test_stage_plan_defaults():
     assert (k0, r) == (6, 3)
     k0, r = stage_plan(0.3)
     assert (k0, r) == (4, 3)
+
+
+@pytest.mark.parametrize("total_time, cap, plan", [
+    (0.45, 0, (6, 0)), (0.45, 1, (6, 1)), (0.45, 3, (6, 3)),
+    (2.4, 5, (30, 4)), (0.04, 3, (1, 3)), (0.01, 3, (1, 1))])
+def test_stage_plan_caps_refinements(total_time, cap, plan):
+    # halvings stop at the cap or before the slice width drops below 0.005
+    assert stage_plan(total_time, cap) == plan
 
 
 @pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
