@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
-from .errors import ConfigError, SpinCompileError
+from .errors import ConfigError, ParseError, SpinCompileError
 from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
@@ -32,7 +32,7 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
 from .model import (FIELDS_ADD, FIELDS_SUBTRACT, HEISENBERG, ISING, check_width,
                     nearest_neighbor_chain)
 from .optimizer import OptimizerConfig, synthesize_auto
-from .schedule import read_pulse_table, write_pulse_table
+from .schedule import parse_float, read_pulse_table, write_pulse_table
 
 INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}
 # [-][N*]pi[/D | *N], the pi multiples parse_angle accepts.
@@ -111,19 +111,24 @@ def _listed(cast):
 
 
 def parse_angle(text: str) -> float:
-    """Angles as plain floats or simple pi expressions (pi/8, 0.5*pi)."""
+    """Angles as plain floats or simple pi expressions (pi/8, 0.5*pi);
+    the value must be finite."""
     t = text.strip().lower().replace(" ", "")
     try:
         m = _PI_ANGLE.fullmatch(t)
         if m is None:
-            return float(t)
-        sign, left, den, right = m.groups()
-        if left and (den or right):
-            raise ValueError(t)
-        num = float(left or right or 1.0)
-        return (-1.0 if sign else 1.0) * num * np.pi / float(den or 1.0)
+            angle = float(t)
+        else:
+            sign, left, den, right = m.groups()
+            if left and (den or right):
+                raise ValueError(t)
+            num = float(left or right or 1.0)
+            angle = (-1.0 if sign else 1.0) * num * np.pi / float(den or 1.0)
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    if not np.isfinite(angle):
+        raise ConfigError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_target(spec: str):
@@ -367,22 +372,29 @@ def cmd_fit(args) -> int:
     if "input" not in cfg:
         raise ConfigError("config needs input = <csv path>")
     text = cfg.get("input", cast=lambda path: Path(path).read_text())
-    lines = text.strip().splitlines()
     xcol, ycol = cfg.get("x", "x"), cfg.get("y", "y")
     n_min = cfg.get("n_min", None, float)
     kind = cfg.get("kind", "linear", _one_of(("linear", "exponential")))
     name = cfg.get("name", "fit")
     cfg.check()
-    header = [h.strip() for h in lines[0].split(",")]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines:
+        raise ParseError("input has no header line")
+    header = [h.strip() for h in lines[0][1].split(",")]
     try:
         xi, yi = header.index(xcol), header.index(ycol)
     except ValueError:
         raise ConfigError(f"columns {xcol!r}/{ycol!r} not in {header}") from None
     pts = []
-    for ln in lines[1:]:
-        toks = ln.split(",")
-        if toks[xi].strip() and toks[yi].strip():
-            pts.append((float(toks[xi]), float(toks[yi])))
+    for no, ln in lines[1:]:
+        toks = [t.strip() for t in ln.split(",")]
+        if len(toks) <= max(xi, yi):
+            raise ParseError(f"line {no}, column {max(xi, yi) + 1}: missing "
+                             f"value, row has {len(toks)} columns")
+        if toks[xi] and toks[yi]:
+            pts.append((parse_float(toks[xi], no, xi + 1),
+                        parse_float(toks[yi], no, yi + 1)))
     fit = (fit_linear if kind == "linear" else fit_exponential)(pts, n_min=n_min)
     summary = {"experiment": "fit", "kind": kind, "input": cfg["input"],
                "gamma": fit.gamma, "beta": fit.beta, "residual": fit.residual,

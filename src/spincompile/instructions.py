@@ -17,11 +17,15 @@ this frame. The *physical frame* is what a pulse schedule can actually
 reach: the register convention of the bundled tables indexes basis states
 with the bit values inverted, and every reachable evolution operator has
 unit determinant, so swaps carry e^{i pi/4} and a controlled phase theta
-carries e^{-i theta/4}. Each gate has one matrix, built in the circuit
-frame; its physical target is that matrix bit-reversed and multiplied by
-e^{i phi}, phi = (number of swaps) pi/4 - (sum of its controlled-phase
-angles)/4; the baseline's CNOT carries e^{-3i pi/4}, the branch its
-bundled table realizes. ``circuit_frame`` maps a realized unitary back.
+carries e^{-i theta/4}. ``GATE_STEPS`` is the one definition of every
+elementary gate of the three sets: one row of (kind, param, positions)
+steps (h, cphase, swap, cnot). Its circuit-frame matrix is the product
+of the steps; its physical target is that matrix bit-reversed and
+multiplied by e^{i phi}, phi = (swaps) pi/4 - (sum of the controlled-phase
+angles)/4 - (CNOTs) 3 pi/4, the CNOT term being the branch the
+baseline's bundled table realizes. ``instruction_set`` builds each set
+from its time table and these rows. ``circuit_frame`` maps a realized
+unitary back.
 
 ``compile_qft`` lowers the Fourier transform onto any of the three sets
 as one list of steps (name, Gate, positions), the first acting first.
@@ -41,7 +45,7 @@ from .errors import (DimensionMismatch, MissingRealization, OutOfRange,
 from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
-                    phase_gate, place, qft_matrix, rotation, swap2)
+                    phase_gate, rotation, swap2)
 from .model import nearest_neighbor_chain
 from .schedule import PulseSchedule, read_pulse_table
 
@@ -70,6 +74,9 @@ QUVIS3_TIME = {"u0": 0.3, "u1": 2.1, "u2": 2.1, "u3": 1.45, "u4": 2.4,
 QUVIS2_TIME = {"w1": 1.3, "v2": 1.45, "v3": 1.45, "v4": 1.5,
                "v5": 1.5, "v6": 1.5, "v7": 1.5, "v8": 1.5, "u0": 0.3,
                SWAP_GATE_ID: SWAP_TIME}
+# set name -> {gate id: time cost}; the ids are the set's gates, in order
+_SET_TIMES = {QUVIS3: QUVIS3_TIME, QUVIS2: QUVIS2_TIME,
+              QUMIS: {"cnot": CNOT_TIME, SWAP_GATE_ID: SWAP_TIME}}
 
 
 # ---------------------------------------------------------------------------
@@ -81,74 +88,62 @@ def bit_reverse(matrix: np.ndarray) -> np.ndarray:
     return matrix[::-1, ::-1].copy()
 
 
-def _physical(gate: Gate, swaps: int, thetas=()) -> np.ndarray:
-    """Physical-frame target of a gate built from swaps and controlled
-    phases: e^{i phi} times its bit-reversed matrix, where each swap adds
-    pi/4 and each controlled phase theta adds -theta/4 to phi."""
-    phi = swaps * np.pi / 4 - sum(thetas) / 4
-    return np.exp(1j * phi) * bit_reverse(gate.matrix)
-
-
 # ---------------------------------------------------------------------------
-# the variational gates
+# the elementary gates
 
-def _phase_swap(p: int) -> np.ndarray:
-    """Adjacent-pair block: controlled phase pi/2^p followed by a swap."""
-    return swap2().matrix @ controlled_phase(np.pi / 2 ** p).matrix
+def _ps(p: int, q: int = 1):
+    """Phase-swap block on wires (q, q+1): controlled phase pi/2^p, then
+    a swap."""
+    return (("cphase", np.pi / 2 ** p, (q, q + 1)),
+            (SWAP_GATE_ID, None, (q, q + 1)))
 
 
-def _cascade_head(n: int) -> np.ndarray:
-    """H on wire 1, then phase-swap blocks walking it down to wire n."""
-    u = place(hadamard(), (1,), n)
-    for p in range(1, n):
-        u = place(Gate(f"v{p}", 2, _phase_swap(p)), (p, p + 1), n) @ u
-    return u
+_H1 = (("h", None, (1,)),)
+_HEAD = _H1 + _ps(1) + _ps(2, 2)        # the head of the Fourier cascade
+_U0 = _H1 + (("cphase", np.pi / 2, (1, 2)), ("h", None, (2,)))
+
+# gate id -> (width, steps): the one definition of every elementary gate,
+# in (kind, param, positions) steps, the first acting first. u0 is the
+# 2-qubit Fourier block without its trailing swap, u1 the 3-qubit Fourier
+# transform up to one trailing adjacent swap, u2 the cascade head; odd
+# u >= 3 and every v are one phase-swap block, even u >= 4 stack two.
+GATE_STEPS = {
+    "u0": (2, _U0), "u1": (3, _HEAD + _U0), "u2": (3, _HEAD),
+    **{f"u{m}": (2, _ps(m)) for m in (3, 5, 7)},
+    **{f"u{m}": (3, _ps(m - 1) + _ps(m, 2)) for m in (4, 6, 8)},
+    **{f"v{p}": (2, _ps(p)) for p in range(2, 9)},
+    "w1": (2, _H1 + _ps(1)),
+    SWAP_GATE_ID: (2, ((SWAP_GATE_ID, None, (1, 2)),)),
+    "cnot": (2, (("cnot", None, (1, 2)),)),
+}
+
+
+def _gate_forms(gate_id: str):
+    """(circuit-frame Gate, physical target) of a row of GATE_STEPS, the
+    target by the phase rule of the module docstring."""
+    width, steps = GATE_STEPS[gate_id]
+    gate = Gate(gate_id, width, compose_qumis(steps, width))
+    kinds = [kind for kind, _param, _pos in steps]
+    phi = (kinds.count(SWAP_GATE_ID) * np.pi / 4
+           - sum(param for kind, param, _pos in steps if kind == "cphase") / 4
+           - kinds.count("cnot") * 3 * np.pi / 4)
+    return gate, np.exp(1j * phi) * bit_reverse(gate.matrix)
+
+
+def _quvis_forms(m: int):
+    if not 0 <= m <= 8:
+        raise OutOfRange(f"gate index {m} outside 0..8")
+    return _gate_forms(f"u{m}")
 
 
 def quvis_gate(m: int) -> Gate:
-    """Circuit-frame matrix of the m-th variational gate, m in 0..8.
-
-    u0 is the 2-qubit Fourier block without its trailing swap; u1 is the
-    3-qubit Fourier transform up to one trailing adjacent swap; u2 is the
-    head of the Fourier cascade (H plus the first two phase-swap blocks).
-    Odd m >= 3 is a single phase-swap block; even m >= 4 stacks two
-    consecutive blocks on three wires.
-    """
-    if not 0 <= m <= 8:
-        raise OutOfRange(f"gate index {m} outside 0..8")
-    if m == 0:
-        u = (place(hadamard(), (2,), 2)
-             @ controlled_phase(np.pi / 2).matrix
-             @ place(hadamard(), (1,), 2))
-        return Gate("u0", 2, u)
-    if m == 1:
-        u = place(swap2(), (1, 2), 3) @ qft_matrix(3).matrix
-        return Gate("u1", 3, u)
-    if m == 2:
-        return Gate("u2", 3, _cascade_head(3))
-    if m % 2 == 1:
-        return Gate(f"u{m}", 2, _phase_swap(m))
-    u = (place(Gate("b", 2, _phase_swap(m)), (2, 3), 3)
-         @ place(Gate("a", 2, _phase_swap(m - 1)), (1, 2), 3))
-    return Gate(f"u{m}", 3, u)
-
-
-def _quvis_primitives(m: int):
-    """(swap count, controlled-phase angles) of the m-th variational gate."""
-    if m == 0:
-        return 0, (np.pi / 2,)
-    if m == 1:  # the cascade head plus the 2-qubit block of u0
-        return 2, (np.pi / 2, np.pi / 4, np.pi / 2)
-    if m == 2:
-        return 2, (np.pi / 2, np.pi / 4)
-    if m % 2 == 1:
-        return 1, (np.pi / 2 ** m,)
-    return 2, (np.pi / 2 ** (m - 1), np.pi / 2 ** m)
+    """Circuit-frame matrix of the m-th variational gate, m in 0..8."""
+    return _quvis_forms(m)[0]
 
 
 def quvis_gate_physical(m: int) -> np.ndarray:
     """Physical-frame target for the m-th gate (what a pulse realizes)."""
-    return _physical(quvis_gate(m), *_quvis_primitives(m))
+    return _quvis_forms(m)[1]
 
 
 def frame_phase(gate: Gate, phys: np.ndarray) -> complex:
@@ -220,65 +215,30 @@ class InstructionSet:
         return self.gates[gate_id]
 
 
-def quvis3_set() -> InstructionSet:
-    iset = InstructionSet(kind=QUVIS3, max_width=3)
-    for m in range(9):
-        g = quvis_gate(m)
-        iset.add(ElementaryGate(gate_id=g.label, gate=g,
-                                time_cost=QUVIS3_TIME[g.label],
-                                physical_target=_physical(
-                                    g, *_quvis_primitives(m))))
-    sw = swap2()
-    iset.add(ElementaryGate(gate_id=SWAP_GATE_ID, gate=sw,
-                            time_cost=QUVIS3_TIME[SWAP_GATE_ID],
-                            physical_target=_physical(sw, 1)))
+def instruction_set(name: str) -> InstructionSet:
+    """A new instruction set by name; UnknownGate for any other name.
+
+    The baseline ("qumis") holds the two entangling gates its pulses
+    realize; its rotations and phase factors are taken exact.
+    """
+    try:
+        times = _SET_TIMES[name]
+    except KeyError:
+        raise UnknownGate(f"unknown instruction set {name!r}; expected one "
+                          f"of {', '.join(_SET_TIMES)}") from None
+    iset = InstructionSet(name, max(GATE_STEPS[gid][0] for gid in times))
+    for gid, cost in times.items():
+        gate, phys = _gate_forms(gid)
+        iset.add(ElementaryGate(gid, gate, cost, phys))
     return iset
+
+
+def quvis3_set() -> InstructionSet:
+    return instruction_set(QUVIS3)
 
 
 def quvis2_set() -> InstructionSet:
-    iset = InstructionSet(kind=QUVIS2, max_width=2)
-    w1 = Gate("w1", 2, _phase_swap(1) @ place(hadamard(), (1,), 2))
-    iset.add(ElementaryGate("w1", w1, QUVIS2_TIME["w1"],
-                            physical_target=_physical(w1, 1, (np.pi / 2,))))
-    for p in range(2, 9):
-        g = Gate(f"v{p}", 2, _phase_swap(p))
-        iset.add(ElementaryGate(f"v{p}", g, QUVIS2_TIME[f"v{p}"],
-                                physical_target=_physical(
-                                    g, 1, (np.pi / 2 ** p,))))
-    g0 = quvis_gate(0)
-    iset.add(ElementaryGate("u0", g0, QUVIS2_TIME["u0"],
-                            physical_target=_physical(
-                                g0, *_quvis_primitives(0))))
-    sw = swap2()
-    iset.add(ElementaryGate(SWAP_GATE_ID, sw, QUVIS2_TIME[SWAP_GATE_ID],
-                            physical_target=_physical(sw, 1)))
-    return iset
-
-
-def qumis_set() -> InstructionSet:
-    """The baseline's entangling gates, the ones its pulses realize;
-    rotations and phase factors are taken exact (fast one-qubit controls).
-    """
-    iset = InstructionSet(kind=QUMIS, max_width=2)
-    cx, sw = cnot(), swap2()
-    iset.add(ElementaryGate("cnot", cx, CNOT_TIME,
-                            physical_target=np.exp(-3j * np.pi / 4)
-                            * bit_reverse(cx.matrix)))
-    iset.add(ElementaryGate(SWAP_GATE_ID, sw, SWAP_TIME,
-                            physical_target=_physical(sw, 1)))
-    return iset
-
-
-_SETS = {QUVIS3: quvis3_set, QUVIS2: quvis2_set, QUMIS: qumis_set}
-
-
-def instruction_set(name: str) -> InstructionSet:
-    """A new instruction set by name; UnknownGate for any other name."""
-    try:
-        return _SETS[name]()
-    except KeyError:
-        raise UnknownGate(f"unknown instruction set {name!r}; expected one "
-                          f"of {', '.join(_SETS)}") from None
+    return instruction_set(QUVIS2)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +348,8 @@ _QUMIS_GATES = {
     "phase": phase_gate,
     "gphase": lambda alpha: Gate(f"gphase({alpha:g})", 1,
                                  np.exp(1j * alpha) * np.eye(2), (alpha,)),
+    "h": lambda _param: hadamard(),
+    "cphase": controlled_phase,
     "cnot": lambda _param: cnot(),
     SWAP_GATE_ID: lambda _param: swap2(),
 }
@@ -412,7 +374,8 @@ def compose_qumis(placements, n_total: int) -> np.ndarray:
 
 def qumis_time_cost(placements) -> float:
     """Rotation |theta|/10, CNOT 0.5, swap as three CNOTs, phase factors
-    are free. Hadamard placements are not accepted; lower them first."""
+    are free. Hadamard and controlled-phase placements are not accepted;
+    lower them first."""
     total = 0.0
     for kind, param, _pos in placements:
         if kind in ("rz", "rx", "ry"):

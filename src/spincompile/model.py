@@ -68,7 +68,8 @@ class SpinChainModel:
     """A register of coupled spins with transverse-field control.
 
     couplings[n, n'] is the two-body strength between sites n and n'
-    (angular frequency); it must be symmetric with zero diagonal.
+    (angular frequency); it must be finite and symmetric with zero
+    diagonal.
     """
 
     n_qubits: int
@@ -82,6 +83,8 @@ class SpinChainModel:
         if c.shape != (self.n_qubits, self.n_qubits):
             raise DimensionMismatch(
                 f"couplings shape {c.shape} for {self.n_qubits} qubits")
+        if not np.isfinite(c).all():
+            raise ValueError("couplings must be finite")
         if not np.allclose(c, c.T):
             raise ValueError("couplings must be symmetric")
         if np.any(np.diag(c) != 0):

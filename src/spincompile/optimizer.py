@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BudgetUnreachable, DimensionMismatch, NonUnitaryTarget
-from .evolution import error_and_gradient, gate_error
+from .errors import (BudgetUnreachable, DimensionMismatch, NonUnitaryTarget,
+                     OutOfRange)
+from .evolution import error_and_gradient
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
@@ -165,11 +166,10 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
         if best_err == 0.0:
             break
 
-    final_error = gate_error(work_target, model, best_schedule)
     return OptimizationReport(
         loss_history=np.array(losses),
         stage_boundaries=tuple(boundaries),
-        final_error=final_error,
+        final_error=best_err,
         final_schedule=best_schedule,
         wall_time=time.perf_counter() - t0,
         target_phase=phase,
@@ -187,7 +187,11 @@ def synthesize_auto(target, model, total_time, cfg) -> OptimizationReport:
 def multi_seed_synthesize(target, model, total_time, cfg, seeds,
                           error_budget: float):
     """Try seeds in order; return the first report meeting the budget, else
-    the best report. Second return element says whether the budget was met."""
+    the best report. Second return element says whether the budget was met.
+    An empty seed list raises OutOfRange."""
+    seeds = list(seeds)
+    if not seeds:
+        raise OutOfRange("need at least one seed")
     best = None
     for seed in seeds:
         report = synthesize_auto(target, model, total_time,

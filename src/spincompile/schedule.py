@@ -95,7 +95,7 @@ def write_pulse_table(s: PulseSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_float(tok: str, line_no: int, col: int) -> float:
+def parse_float(tok: str, line_no: int, col: int) -> float:
     try:
         x = float(tok)
     except ValueError:
@@ -119,7 +119,7 @@ def read_pulse_table(text: str) -> PulseSchedule:
     for key in ("T", "K", "N"):
         if key not in meta:
             raise ParseError(f"line 1: missing {key}= in metadata")
-    total_time = _parse_float(meta["T"], 1, meta_col["T"])
+    total_time = parse_float(meta["T"], 1, meta_col["T"])
     if total_time <= 0:
         raise ParseError(f"line 1, column {meta_col['T']}: T must be positive, "
                          f"got {meta['T']!r}")
@@ -142,7 +142,7 @@ def read_pulse_table(text: str) -> PulseSchedule:
         if len(toks) != width:
             raise ShapeError(f"line {k + 3}: {len(toks)} columns, expected {width}")
         for c, tok in enumerate(toks):
-            x = _parse_float(tok.strip(), k + 3, c + 1)
+            x = parse_float(tok.strip(), k + 3, c + 1)
             vals[c // n_qubits, c % n_qubits, k] = x
     return PulseSchedule(n_qubits, total_time, n_slices, vals)
 

@@ -276,6 +276,8 @@ class TestBadConfigExits2:
         ("name = wide\ntarget = qft:12\n", 2),
         ("target = cphase:two*pi\n", 1),
         ("target = identity:1\nmodel.coupling = pi/0\n", 2),
+        ("target = cnot\ntime = 0.5\nmodel.coupling = inf\n", 3),
+        ("target = cnot\ntime = 0.5\nmodel.coupling = nan\n", 3),
     ])
     def test_synthesize(self, tmp_path, capsys, body, line):
         cfg = tmp_path / "run.cfg"
@@ -353,6 +355,23 @@ class TestCompileAndFit:
         assert data["gamma"] == pytest.approx(2.5, abs=1e-9)
         assert data["beta"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("text, where", [
+        ("n,t\n2,abc\n", "line 2, column 2: "),
+        ("n,t\n2,3\n\n3\n", "line 4, column 2: "),
+        ("n,t\n2,3\n4,inf\n", "line 3, column 2: "),
+        ("\n\n", "input has no header line"),
+    ])
+    def test_fit_bad_row_is_located(self, tmp_path, capsys, text, where):
+        csv = tmp_path / "data.csv"
+        csv.write_text(text)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {csv}\nx = n\ny = t\n")
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "ParseError"
+        assert record["message"].startswith(where)
+        assert not list(tmp_path.glob("*.json"))
+
 
 class TestBenchCommand:
     def test_qft_bench_deterministic(self, tmp_path):
@@ -396,3 +415,13 @@ class TestBenchCommand:
         assert rc == 2 and record["error"] == "OutOfRange"
         assert "max_n" in record["message"]
         assert not list(tmp_path.glob("*sweep*"))
+
+    @pytest.mark.parametrize("kind", ["phase-trace", "swap"])
+    def test_no_seeds_exits_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"kind = {kind}\nseeds = 0\n")
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert "seed" in record["message"]
+        assert not list(tmp_path.glob("*.json"))

@@ -7,17 +7,19 @@ from spincompile.errors import (DimensionMismatch, MissingRealization,
 from spincompile.evolution import evolve, gate_error
 from spincompile.gates import (Gate, apply_gate, controlled_phase, hadamard,
                                place, qft_matrix, rotation, swap2)
-from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUVIS3_TIME,
-                                      SWAP_GATE_ID, CompiledCircuit,
+from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUMIS,
+                                      QUVIS2, QUVIS3, SWAP_GATE_ID,
+                                      CompiledCircuit,
                                       ElementaryGate, InstructionSet,
                                       bit_reverse, bundled_pulse_ids,
                                       circuit_error_estimate, compile_qft,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2, compose_qumis,
-                                      frame_phase, load_bundled_realizations,
+                                      frame_phase, instruction_set,
+                                      load_bundled_realizations,
                                       load_bundled_schedule,
                                       qumis_decompose_controlled_phase,
-                                      qumis_gate, qumis_set, qumis_time_cost,
+                                      qumis_gate, qumis_time_cost,
                                       quvis2_set, quvis3_set, quvis_gate,
                                       quvis_gate_physical)
 from spincompile.model import nearest_neighbor_chain
@@ -51,6 +53,14 @@ class TestQuvisGates:
         for m in range(9):
             u = quvis_gate_physical(m)
             assert abs(np.linalg.det(u) - 1) <= 1e-10, m
+        for name in (QUVIS3, QUVIS2, QUMIS):
+            for gid, eg in instruction_set(name).gates.items():
+                u = eg.physical_target
+                assert abs(np.linalg.det(u) - 1) <= 1e-10, (name, gid)
+
+    def test_u1_is_fourier_up_to_a_swap(self):
+        expect = place(swap2(), (1, 2), 3) @ qft_matrix(3).matrix
+        assert np.abs(quvis_gate(1).matrix - expect).max() <= 1e-15
 
     def test_physical_targets_match_primitive_products(self):
         # reference: the targets built primitive by primitive, each swap
@@ -204,6 +214,15 @@ class TestQumisCost:
         with pytest.raises(UnknownGate):
             qumis_time_cost([("toffoli", None, (1, 2, 3))])
 
+    def test_gate_table_steps_are_not_costed(self):
+        # h and cphase compose exactly but have no rotation+CNOT cost
+        assert np.array_equal(qumis_gate("h", None).matrix, hadamard().matrix)
+        assert np.array_equal(qumis_gate("cphase", np.pi / 4).matrix,
+                              controlled_phase(np.pi / 4).matrix)
+        for step in (("h", None, (1,)), ("cphase", np.pi / 4, (1, 2))):
+            with pytest.raises(UnknownGate):
+                qumis_time_cost([step])
+
     def test_gate_equivalents_near_reported_budgets(self):
         # reported single-gate budgets for the microinstruction baseline
         reported = {0: 2.3, 1: 8.4, 2: 6.0, 3: 2.6, 4: 5.1, 5: 2.5,
@@ -245,13 +264,13 @@ def snap_frame(realized, gate):
 
 class TestQumisSet:
     def test_cnot_target_branch(self):
-        eg = qumis_set()["cnot"]
+        eg = instruction_set(QUMIS)["cnot"]
         assert abs(np.linalg.det(eg.physical_target) - 1) <= 1e-12
         assert abs(frame_phase(eg.gate, eg.physical_target)
                    - np.exp(-3j * np.pi / 4)) <= 1e-15
 
     def test_composed_errors_match_snapped_frame_reference(self):
-        iset = load_bundled_realizations(qumis_set())
+        iset = load_bundled_realizations(instruction_set(QUMIS))
         parts = {}
         for gid in ("cnot", SWAP_GATE_ID):
             u = evolve(nearest_neighbor_chain(2), load_bundled_schedule(gid))

@@ -133,3 +133,10 @@ def test_width_limit_is_checked_before_any_operator():
             nearest_neighbor_chain(n)
     with pytest.raises(OutOfRange):
         SpinChainModel(n_qubits=10, couplings=np.zeros((10, 10)))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_couplings_named_before_symmetry(value):
+    couplings = np.array([[0.0, value], [value, 0.0]])
+    with pytest.raises(ValueError, match="couplings must be finite"):
+        SpinChainModel(n_qubits=2, couplings=couplings)

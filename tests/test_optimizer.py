@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spincompile.errors import BudgetUnreachable, NonUnitaryTarget
+from spincompile.errors import BudgetUnreachable, NonUnitaryTarget, OutOfRange
 from spincompile.evolution import gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
@@ -9,7 +9,8 @@ from spincompile.model import nearest_neighbor_chain
 from spincompile.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                                    AdamState, OptimizerConfig, adam_step,
                                    det1_phase, fgto_synthesize,
-                                   synthesize_auto, time_cost_search)
+                                   multi_seed_synthesize, synthesize_auto,
+                                   time_cost_search)
 from spincompile.schedule import random_init, zeros
 
 
@@ -119,6 +120,7 @@ class TestSynthesize:
         assert report.final_error == pytest.approx(
             gate_error(report.target_phase * target, model,
                        report.final_schedule), abs=1e-12)
+        assert report.final_error == report.loss_history.min()
         assert report.final_error <= report.loss_history[0]
 
     def test_clamped_run_respects_bound(self):
@@ -161,3 +163,8 @@ class TestTimeCostSearch:
         model = nearest_neighbor_chain(1)
         with pytest.raises(ValueError):
             time_cost_search(np.eye(2), model, CFG, 0.1, [0.2, 0.1])
+
+    def test_empty_seed_list_rejected(self):
+        model = nearest_neighbor_chain(1)
+        with pytest.raises(OutOfRange, match="seed"):
+            multi_seed_synthesize(np.eye(2), model, 0.1, CFG, [], 0.1)
