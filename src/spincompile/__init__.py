@@ -11,8 +11,7 @@ from .evolution import ErrorTrace, error_trace, evolve, gate_error
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     pauli_x, place, qft_matrix, rotation, swap2,
                     swap_to_end_circuit)
-from .model import (FieldSnapshot, SpinChainModel, coupling_hamiltonian,
-                    full_hamiltonian, nearest_neighbor_chain)
+from .model import SpinChainModel, coupling_hamiltonian, nearest_neighbor_chain
 from .optimizer import (OptimizationReport, OptimizerConfig, adam_step,
                         fgto_synthesize, synthesize_auto, time_cost_search)
 from .schedule import (PulseSchedule, random_init, read_pulse_table,
@@ -24,8 +23,8 @@ __all__ = [
     "ErrorTrace", "error_trace", "evolve", "gate_error",
     "Gate", "apply_gate", "cnot", "controlled_phase", "hadamard", "pauli_x",
     "place", "qft_matrix", "rotation", "swap2", "swap_to_end_circuit",
-    "FieldSnapshot", "SpinChainModel", "coupling_hamiltonian",
-    "full_hamiltonian", "nearest_neighbor_chain", "OptimizationReport",
+    "SpinChainModel", "coupling_hamiltonian", "nearest_neighbor_chain",
+    "OptimizationReport",
     "OptimizerConfig", "adam_step", "fgto_synthesize", "synthesize_auto",
     "time_cost_search", "PulseSchedule", "random_init", "read_pulse_table",
     "refine_double", "write_pulse_table", "zeros",

@@ -173,10 +173,12 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
 
     For each theta: a direct-control synthesis at ``total_time`` plus the
     control time of the microinstruction sequence. The synthesis matches
-    the unit-determinant representative of the target.
+    the unit-determinant representative of the target. An empty theta list
+    raises OutOfRange.
     """
-    if not len(list(thetas)):
-        raise ValueError("need at least one theta")
+    thetas = list(thetas)
+    if not thetas:
+        raise OutOfRange("need at least one theta")
     cfg = opt_cfg or OptimizerConfig()
     rows = []
     traces = {}

@@ -29,8 +29,7 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                            instruction_set, load_bundled_realizations,
                            load_bundled_schedule, quvis3_set, quvis_gate,
                            quvis_gate_physical)
-from .model import (FIELDS_ADD, FIELDS_SUBTRACT, HEISENBERG, ISING, check_width,
-                    nearest_neighbor_chain)
+from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import parse_float, read_pulse_table, write_pulse_table
 
@@ -166,8 +165,7 @@ def build_model(cfg: Config, n_qubits: int):
     """nearest_neighbor_chain with the model.* keys the config sets."""
     return nearest_neighbor_chain(n_qubits, **cfg.given(
         j=("model.coupling", parse_angle),
-        interaction=("model.interaction", _one_of(INTERACTIONS)),
-        field_sign=("model.field_sign", _one_of((FIELDS_ADD, FIELDS_SUBTRACT)))))
+        interaction=("model.interaction", _one_of(INTERACTIONS))))
 
 
 def build_optimizer_config(cfg: Config, seed_override=None) -> OptimizerConfig:

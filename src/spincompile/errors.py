@@ -9,10 +9,6 @@ class DimensionMismatch(SpinCompileError):
     """Operands have incompatible shapes."""
 
 
-class AxisViolation(SpinCompileError):
-    """A field component is nonzero on an axis the model does not control."""
-
-
 class ParseError(SpinCompileError):
     """Malformed text input; carries a row/column location in the message."""
 

@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MissingRealization, OutOfRange,
-                     UnknownGate)
+from .errors import MissingRealization, OutOfRange, UnknownGate
 from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
@@ -202,14 +201,7 @@ class ElementaryGate:
 @dataclass
 class InstructionSet:
     kind: str
-    max_width: int
     gates: dict = field(default_factory=dict)
-
-    def add(self, eg: ElementaryGate) -> None:
-        if eg.width > self.max_width:
-            raise DimensionMismatch(
-                f"{eg.gate_id} is {eg.width}-qubit, set width {self.max_width}")
-        self.gates[eg.gate_id] = eg
 
     def __getitem__(self, gate_id: str) -> ElementaryGate:
         return self.gates[gate_id]
@@ -226,10 +218,10 @@ def instruction_set(name: str) -> InstructionSet:
     except KeyError:
         raise UnknownGate(f"unknown instruction set {name!r}; expected one "
                           f"of {', '.join(_SET_TIMES)}") from None
-    iset = InstructionSet(name, max(GATE_STEPS[gid][0] for gid in times))
+    iset = InstructionSet(name)
     for gid, cost in times.items():
         gate, phys = _gate_forms(gid)
-        iset.add(ElementaryGate(gid, gate, cost, phys))
+        iset.gates[gid] = ElementaryGate(gid, gate, cost, phys)
     return iset
 
 
@@ -246,7 +238,6 @@ def quvis2_set() -> InstructionSet:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    target_label: str
     n_qubits: int
     placements: tuple  # ordered (gate_id, positions); first entry acts first
     total_time: float
@@ -295,7 +286,7 @@ def compile_qft_quvis(n_qubits: int) -> CompiledCircuit:
     placements.append(("u1", (1, 2, 3)))
     placements.append((SWAP_GATE_ID, (1, 2)))
     total = sum(QUVIS3_TIME[g] for g, _ in placements)
-    return CompiledCircuit(target_label=f"qft{n_qubits}", n_qubits=n_qubits,
+    return CompiledCircuit(n_qubits=n_qubits,
                            placements=tuple(placements), total_time=total)
 
 
@@ -312,7 +303,7 @@ def compile_qft_quvis2(n_qubits: int) -> CompiledCircuit:
     placements.append(("u0", (1, 2)))
     placements.append((SWAP_GATE_ID, (1, 2)))
     total = sum(QUVIS2_TIME[g] for g, _ in placements)
-    return CompiledCircuit(target_label=f"qft{n_qubits}", n_qubits=n_qubits,
+    return CompiledCircuit(n_qubits=n_qubits,
                            placements=tuple(placements), total_time=total)
 
 

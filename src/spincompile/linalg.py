@@ -1,11 +1,11 @@
 """Dense complex-matrix helpers.
 
-Everything here operates on plain ``numpy`` complex arrays: the Kronecker
-product, the Frobenius distance, and the divided-difference kernel of
-exp(-i t H). ``evolution`` exponentiates every slice Hamiltonian through
-one batched eigendecomposition, which keeps the propagators unitary to
-rounding at these dimensions (<= 512); the kernel turns that same
-eigenbasis into the closed-form derivative of each slice propagator.
+Everything here operates on plain ``numpy`` complex arrays: the Frobenius
+distance and the divided-difference kernel of exp(-i t H). ``evolution``
+exponentiates every slice Hamiltonian through one batched
+eigendecomposition, which keeps the propagators unitary to rounding at
+these dimensions (<= 512); the kernel turns that same eigenbasis into the
+closed-form derivative of each slice propagator.
 """
 
 from __future__ import annotations
@@ -19,19 +19,10 @@ from .errors import DimensionMismatch
 DEGENERATE_GAP = 1e-12
 
 
-def as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_complex(a), as_complex(b))
-
-
 def frobenius_distance(a, b) -> float:
     """sqrt(sum |a_jk - b_jk|^2), unnormalized."""
-    a = as_complex(a)
-    b = as_complex(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))

@@ -4,7 +4,7 @@ import pytest
 from spincompile import bench, instructions
 from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
-from spincompile.errors import Degenerate, DimensionMismatch
+from spincompile.errors import Degenerate, DimensionMismatch, OutOfRange
 from spincompile.evolution import evolve
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3,
                                       compile_qft_qumis, compile_qft_quvis,
@@ -165,6 +165,16 @@ class TestBenchPhaseTrace:
         trace = res.provenance["traces"]["direct_theta=1.5708"]
         assert len(trace["times"]) == len(trace["errors"])
         assert trace["errors"][-1] == pytest.approx(row["direct_error"])
+
+    def test_thetas_from_an_iterator(self):
+        cfg = OptimizerConfig(max_iters_per_stage=5, n_refinements=0)
+        res = bench_phase_trace(iter([np.pi / 2, np.pi / 4]), opt_cfg=cfg,
+                                seeds=1, error_budget=1.0)
+        assert [row["theta"] for row in res.rows] == [np.pi / 2, np.pi / 4]
+
+    def test_no_thetas(self):
+        with pytest.raises(OutOfRange, match="at least one theta"):
+            bench_phase_trace([])
 
 
 class TestBenchSwap:

@@ -278,6 +278,7 @@ class TestBadConfigExits2:
         ("target = identity:1\nmodel.coupling = pi/0\n", 2),
         ("target = cnot\ntime = 0.5\nmodel.coupling = inf\n", 3),
         ("target = cnot\ntime = 0.5\nmodel.coupling = nan\n", 3),
+        ("target = identity:1\nmodel.field_sign = fields_subtract\n", 2),
     ])
     def test_synthesize(self, tmp_path, capsys, body, line):
         cfg = tmp_path / "run.cfg"

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from spincompile import instructions
-from spincompile.errors import (DimensionMismatch, MissingRealization,
-                                OutOfRange, UnknownGate)
+from spincompile.errors import MissingRealization, OutOfRange, UnknownGate
 from spincompile.evolution import evolve, gate_error
 from spincompile.gates import (Gate, apply_gate, controlled_phase, hadamard,
                                place, qft_matrix, rotation, swap2)
 from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUMIS,
                                       QUVIS2, QUVIS3, SWAP_GATE_ID,
-                                      CompiledCircuit,
-                                      ElementaryGate, InstructionSet,
-                                      bit_reverse, bundled_pulse_ids,
+                                      CompiledCircuit, bit_reverse, bundled_pulse_ids,
                                       circuit_error_estimate, compile_qft,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2, compose_qumis,
@@ -360,8 +357,7 @@ class TestRealizations:
 
     def test_circuit_error_estimate_single_gate(self):
         iset = load_bundled_realizations(quvis3_set())
-        circ = CompiledCircuit(target_label="u0", n_qubits=2,
-                               placements=(("u0", (1, 2)),),
+        circ = CompiledCircuit(n_qubits=2, placements=(("u0", (1, 2)),),
                                total_time=iset["u0"].time_cost)
         err = circuit_error_estimate(2, circ.steps(iset), iset,
                                      iset["u0"].gate.matrix)
@@ -412,11 +408,3 @@ class TestRealizations:
         with pytest.raises(MissingRealization):
             circuit_error_estimate(3, circ.steps(iset), iset,
                                    qft_matrix(3).matrix)
-
-
-class TestSerialization:
-    def test_width_bound_enforced(self):
-        iset = InstructionSet(kind="quvis2", max_width=2)
-        with pytest.raises(DimensionMismatch):
-            iset.add(ElementaryGate("u1", quvis_gate(1), 2.1,
-                                    physical_target=quvis_gate_physical(1)))

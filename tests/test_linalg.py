@@ -3,14 +3,10 @@ import pytest
 
 from spincompile.errors import DimensionMismatch
 from spincompile.evolution import evolve
-from spincompile.linalg import frobenius_distance, kron, loewner_kernel
-from spincompile.model import (HEISENBERG, FieldSnapshot, full_hamiltonian,
-                               nearest_neighbor_chain)
+from spincompile.linalg import frobenius_distance, loewner_kernel
+from spincompile.model import (HEISENBERG, nearest_neighbor_chain,
+                               slice_hamiltonians)
 from spincompile.schedule import PulseSchedule
-
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-I2 = np.eye(2)
 
 
 def random_hermitian(n, seed):
@@ -25,14 +21,13 @@ def random_unitary(n, seed):
 
 
 def one_slice(model, fields, total_time):
-    """A one-slice schedule holding the x and y fields of a snapshot."""
-    values = np.array([fields.hx, fields.hy], dtype=float)[:, :, None]
+    """A one-slice schedule holding fields (2, N): the x and y amplitudes."""
+    values = np.asarray(fields, dtype=float)[:, :, None]
     return PulseSchedule(model.n_qubits, total_time, 1, values)
 
 
 def random_fields(n, seed):
-    rng = np.random.default_rng(seed)
-    return FieldSnapshot.of(hx=rng.normal(size=n), hy=rng.normal(size=n))
+    return np.random.default_rng(seed).normal(size=(2, n))
 
 
 def expm_taylor(h, t, terms=64):
@@ -52,40 +47,20 @@ def frechet(h, t, dh):
     return v @ (loewner_kernel(w, t) * (v.conj().T @ dh @ v)) @ v.conj().T
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_diagonal_product(self):
-        got = kron(SZ / 2, SZ / 2)
-        assert np.allclose(got, np.diag([0.25, -0.25, -0.25, 0.25]))
-
-    def test_hadamard_on_first_matches_basis_action(self):
-        # brute force over all 4 two-qubit basis states
-        got = kron(H, I2)
-        for b in range(4):
-            q1, q2 = b >> 1, b & 1
-            expect = np.zeros(4, dtype=complex)
-            # H|q1> = (|0> + (-1)^q1 |1>)/sqrt(2)
-            expect[0 * 2 + q2] += 1 / np.sqrt(2)
-            expect[1 * 2 + q2] += (-1) ** q1 / np.sqrt(2)
-            assert np.allclose(got[:, b], expect)
-
-
 class TestExpmI:
     """exp(-i t H) as the program forms it: one slice of ``evolve``."""
 
     def test_zero_matrix(self):
         # a lone qubit under zero fields has H = 0
         model = nearest_neighbor_chain(1)
-        zero = FieldSnapshot.of(hx=[0.0], hy=[0.0])
+        zero = [[0.0], [0.0]]
         assert np.allclose(evolve(model, one_slice(model, zero, 0.7)),
                            np.eye(2))
 
     def test_spin_half_period(self):
         # H = 2*pi * S^x = pi * sigma^x, so exp(-i H) = -1
         model = nearest_neighbor_chain(1)
-        fields = FieldSnapshot.of(hx=[1.0])
+        fields = [[1.0], [0.0]]
         got = evolve(model, one_slice(model, fields, 1.0))
         assert np.allclose(got, -np.eye(2), atol=1e-12)
 
@@ -93,7 +68,8 @@ class TestExpmI:
         model = nearest_neighbor_chain(2, interaction=HEISENBERG)
         fields = random_fields(2, seed=1)
         t = 0.3
-        total = expm_taylor(full_hamiltonian(model, fields), t)
+        h = slice_hamiltonians(model, fields[:, :, None])[0]
+        total = expm_taylor(h, t)
         got = evolve(model, one_slice(model, fields, t))
         assert frobenius_distance(got, total) <= 1e-10
 
