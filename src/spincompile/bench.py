@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetUnreachable, Degenerate, MissingRealization, OutOfRange
+from .errors import Degenerate, MissingRealization, OutOfRange
 from .evolution import error_trace
 from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
@@ -83,15 +83,11 @@ def _parallel_map(fn, items, jobs: int):
 
 def _search_cell(target, model, cfg, error_budget, t_grid, restarts) -> dict:
     """Time and error of a sweep cell's time_cost_search; a cell that
-    misses the budget keeps its best attempt (the first, on ties) and is
-    marked failed."""
-    try:
-        t, report = time_cost_search(target, model, cfg, error_budget,
-                                     t_grid, restarts)
-        return {"time": t, "error": report.final_error}
-    except BudgetUnreachable as exc:
-        t, report = min(exc.reports, key=lambda tr: tr[1].final_error)
-        return {"time": t, "error": report.final_error, "failed": True}
+    misses the budget keeps its best attempt and is marked failed."""
+    t, report, met = time_cost_search(target, model, cfg, error_budget,
+                                      t_grid, restarts)
+    return {"time": t, "error": report.final_error,
+            **({} if met else {"failed": True})}
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,8 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
         interaction, n = key
         target = swap_to_end_circuit(n).matrix
         model = nearest_neighbor_chain(n, interaction=interaction)
-        grid = (t_grids or {}).get((interaction, n)) or \
-            [round(0.8 * (n - 1) + 0.4 * i, 3) for i in range(5)]
+        grid = (t_grids or {}).get(
+            (interaction, n), [round(0.8 * (n - 1) + 0.4 * i, 3) for i in range(5)])
         return {"interaction": interaction, "n": n, **_search_cell(
             target, model, cfg, error_budget, grid, seeds)}
 

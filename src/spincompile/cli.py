@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
-from .errors import ConfigError, ParseError, SpinCompileError
+from .errors import ConfigError, OutOfRange, ParseError, SpinCompileError
 from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
@@ -29,7 +29,8 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                            instruction_set, load_bundled_realizations,
                            load_bundled_schedule, quvis3_set, quvis_gate,
                            quvis_gate_physical)
-from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
+from .model import (HEISENBERG, ISING, MAX_QUBITS, check_width,
+                    nearest_neighbor_chain)
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import parse_float, read_pulse_table, write_pulse_table
 
@@ -254,6 +255,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    if not 3 <= args.max_n <= MAX_QUBITS:
+        raise OutOfRange(f"--max-n {args.max_n} outside 3..{MAX_QUBITS}")
     iset = instruction_set(args.set)
     rows = []
     for n in range(3, args.max_n + 1):
@@ -300,6 +303,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
+    if not 0 <= args.threshold < np.inf:
+        raise OutOfRange(f"--threshold {args.threshold} must be finite and "
+                         ">= 0")
     evo_ids = [f"u{m}" for m in range(9)]
     iset = load_bundled_realizations(quvis3_set())
     rows = []

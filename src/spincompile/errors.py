@@ -37,17 +37,6 @@ class NonUnitaryTarget(SpinCompileError):
     """Synthesis target fails the unitarity check."""
 
 
-class BudgetUnreachable(SpinCompileError):
-    """No grid point reached the requested error budget.
-
-    Carries the per-point reports in ``reports`` for inspection.
-    """
-
-    def __init__(self, message, reports=None):
-        super().__init__(message)
-        self.reports = reports or []
-
-
 class Degenerate(SpinCompileError):
     """Too few usable points for a fit."""
 

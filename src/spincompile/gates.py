@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadPlacement, DimensionMismatch, OutOfRange
 
-_UNITARITY_TOL = 1e-12
+_UNITARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Gate:
         if m.shape != (d, d):
             raise ValueError(f"{self.label}: matrix shape {m.shape} for "
                              f"{self.n_qubits} qubits")
-        if np.linalg.norm(m.conj().T @ m - np.eye(d)) > 1e-10:
+        if np.linalg.norm(m.conj().T @ m - np.eye(d)) > _UNITARITY_TOL:
             raise ValueError(f"{self.label}: matrix is not unitary")
         m = m.copy()
         m.setflags(write=False)

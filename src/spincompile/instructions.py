@@ -31,7 +31,8 @@ unitary back.
 as one list of steps (name, Gate, positions), the first acting first.
 ``compose`` multiplies (Gate, positions) pairs out, and
 ``circuit_error_estimate`` composes the steps with each gate the set
-holds replaced by its realized unitary.
+holds replaced by its realized gate, which ``load_bundled_realizations``
+computes once per gate from the gate's pulse table.
 """
 
 from __future__ import annotations
@@ -167,35 +168,12 @@ class ElementaryGate:
     physical_target: np.ndarray
     realized_schedule: PulseSchedule | None = None
     realized_error: float | None = None
-    # (schedule, circuit-frame unitary) of the last evolved schedule
-    _realized_cache: tuple | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    # circuit-frame gate of realized_schedule's evolution
+    realized: Gate | None = None
 
     @property
     def width(self) -> int:
         return self.gate.n_qubits
-
-    def realized_unitary(self) -> np.ndarray:
-        """Circuit-frame unitary actually produced by the realized pulses.
-
-        Evolved once per schedule: a schedule is immutable, so the same
-        object gives the same unitary, and assigning a new
-        realized_schedule evolves again. The result is read-only.
-        """
-        sched = self.realized_schedule
-        if sched is None:
-            raise MissingRealization(f"{self.gate_id} has no realized schedule")
-        cache = self._realized_cache
-        if cache is None or cache[0] is not sched:
-            self._remember(sched, evolve(nearest_neighbor_chain(sched.n_qubits),
-                                         sched))
-        return self._realized_cache[1]
-
-    def _remember(self, schedule: PulseSchedule, realized: np.ndarray) -> None:
-        """Cache the circuit-frame view of schedule's evolution, realized."""
-        u = circuit_frame(realized, self.gate, self.physical_target)
-        u.setflags(write=False)
-        self._realized_cache = (schedule, u)
 
 
 @dataclass
@@ -431,16 +409,17 @@ def circuit_error_estimate(n_qubits: int, steps, iset: InstructionSet,
                            target: np.ndarray) -> float:
     """Frobenius distance from the target to the (name, Gate, positions)
     steps composed with every gate the set holds replaced by its realized
-    (imperfect) unitary; other steps, the baseline's rotations and phase
+    (imperfect) gate; other steps, the baseline's rotations and phase
     factors, stay exact. Raises MissingRealization when a gate of the set
-    has no realized schedule."""
-    realized = {}
-    for name, gate, _pos in steps:
-        if name in iset.gates and name not in realized:
-            realized[name] = Gate(name, gate.n_qubits,
-                                  iset[name].realized_unitary())
-    u = compose(n_qubits, ((realized.get(name, gate), pos)
-                           for name, gate, pos in steps))
+    has no realization."""
+    realized = []
+    for name, gate, pos in steps:
+        if name in iset.gates:
+            gate = iset[name].realized
+            if gate is None:
+                raise MissingRealization(f"{name} has no realization")
+        realized.append((gate, pos))
+    u = compose(n_qubits, realized)
     return float(np.linalg.norm(target - u))
 
 
@@ -469,8 +448,9 @@ BUNDLE_ALIASES = {"v3": "u3", "v5": "u5", "v7": "u7"}
 def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
     """Attach every bundled schedule whose id (after BUNDLE_ALIASES) names
     a gate of the given sets, with its error against that gate's physical
-    target. Each table is read and evolved once per call, however many
-    gates share it. Returns the first set."""
+    target and its circuit-frame realized gate. Each table is read and
+    evolved once per call, however many gates share it. Returns the first
+    set."""
     available = set(bundled_pulse_ids())
     evolved = {}
     for iset in isets:
@@ -485,5 +465,6 @@ def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
             sched, u = evolved[source]
             eg.realized_schedule = sched
             eg.realized_error = frobenius_distance(eg.physical_target, u)
-            eg._remember(sched, u)
+            eg.realized = Gate(gate_id, eg.width,
+                               circuit_frame(u, eg.gate, eg.physical_target))
     return isets[0] if isets else None

@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BudgetUnreachable, DimensionMismatch, NonUnitaryTarget,
-                     OutOfRange)
+from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from .evolution import error_and_gradient
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
@@ -184,6 +183,19 @@ def synthesize_auto(target, model, total_time, cfg) -> OptimizationReport:
                            replace(cfg, n_refinements=refinements))
 
 
+def _first_within(attempts, error_budget: float):
+    """(key, report, met) of the first of the lazy (key, report) attempts
+    whose error is within the budget, running none after it; when none is,
+    the attempt with the smallest error (the first on ties) and met False."""
+    best = None
+    for key, report in attempts:
+        if report.final_error <= error_budget:
+            return key, report, True
+        if best is None or report.final_error < best[1].final_error:
+            best = key, report
+    return (*best, False)
+
+
 def multi_seed_synthesize(target, model, total_time, cfg, seeds,
                           error_budget: float):
     """Try seeds in order; return the first report meeting the budget, else
@@ -192,34 +204,28 @@ def multi_seed_synthesize(target, model, total_time, cfg, seeds,
     seeds = list(seeds)
     if not seeds:
         raise OutOfRange("need at least one seed")
-    best = None
-    for seed in seeds:
-        report = synthesize_auto(target, model, total_time,
-                                 replace(cfg, seed=int(seed)))
-        if best is None or report.final_error < best.final_error:
-            best = report
-        if report.final_error <= error_budget:
-            return report, True
-    return best, False
+    _seed, report, met = _first_within(
+        ((seed, synthesize_auto(target, model, total_time,
+                                replace(cfg, seed=int(seed))))
+         for seed in seeds), error_budget)
+    return report, met
 
 
 def time_cost_search(target, model: SpinChainModel, cfg: OptimizerConfig,
                      error_budget: float, t_grid, restarts: int = 1):
     """Smallest grid time whose synthesis meets the budget.
 
-    Returns (time, report). Raises BudgetUnreachable (carrying all
-    per-point reports) if no grid point succeeds.
+    Returns (time, report, met): the first grid point whose multi-seed
+    synthesis meets the budget, else the point with the smallest error
+    (the first on ties) and met False. An empty or non-ascending grid
+    raises OutOfRange.
     """
     t_grid = list(t_grid)
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be strictly ascending")
-    attempts = []
-    for t in t_grid:
-        seeds = [cfg.seed + i for i in range(restarts)]
-        report, ok = multi_seed_synthesize(target, model, t, cfg, seeds,
-                                           error_budget)
-        attempts.append((t, report))
-        if ok:
-            return t, report
-    raise BudgetUnreachable(
-        f"no grid point reached error {error_budget:g}", reports=attempts)
+    if not t_grid or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise OutOfRange(f"t_grid {t_grid} must be non-empty and strictly "
+                         "ascending")
+    seeds = [cfg.seed + i for i in range(restarts)]
+    return _first_within(
+        ((t, multi_seed_synthesize(target, model, t, cfg, seeds,
+                                   error_budget)[0])
+         for t in t_grid), error_budget)

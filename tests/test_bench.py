@@ -118,7 +118,7 @@ class TestBenchQftMissingRealization:
         def without_u4(iset):
             iset = load(iset)
             if iset.kind == QUVIS3:
-                iset["u4"].realized_schedule = None
+                iset["u4"].realized = None
             return iset
 
         monkeypatch.setattr(bench, "load_bundled_realizations", without_u4)
@@ -135,7 +135,7 @@ class TestBenchQftMissingRealization:
             load(*isets)
             for iset in isets:
                 if iset.kind == QUMIS:
-                    iset["cnot"].realized_schedule = None
+                    iset["cnot"].realized = None
             return isets[0]
 
         monkeypatch.setattr(bench, "load_bundled_realizations", without_cnot)
@@ -206,6 +206,7 @@ class TestBenchSwap:
 
     def test_non_ascending_grid_rejected_like_time_cost_search(self):
         cfg = OptimizerConfig(max_iters_per_stage=1)
-        with pytest.raises(ValueError, match="t_grid must be strictly ascending"):
-            bench_swap(2, interactions=(ISING,), opt_cfg=cfg,
-                       t_grids={(ISING, 2): [0.4, 0.2]})
+        for grid in ([0.4, 0.2], []):
+            with pytest.raises(OutOfRange, match="strictly ascending"):
+                bench_swap(2, interactions=(ISING,), opt_cfg=cfg,
+                           t_grids={(ISING, 2): grid})

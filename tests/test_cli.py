@@ -98,6 +98,21 @@ class TestVerifyGolden:
         assert failed == above and len(above) >= 1
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_bad_threshold_exits_2_before_any_table(self, tmp_path, capsys,
+                                                    monkeypatch, threshold):
+        def no_tables(*args):
+            raise AssertionError("a table was evolved")
+
+        monkeypatch.setattr(cli, "load_bundled_realizations", no_tables)
+        rc = main(["verify-golden", "--out", str(tmp_path),
+                   "--threshold", threshold])
+        captured = capsys.readouterr()
+        record = json.loads(captured.err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert "threshold" in record["message"] and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_duration_mismatch_fails_that_gate(self, tmp_path, capsys,
                                                monkeypatch):
         # a gate whose cost disagrees with its table's own duration fails,
@@ -343,6 +358,21 @@ class TestCompileAndFit:
         assert [r["n"] for r in data["rows"]] == [3, 4, 5]
         out = capsys.readouterr().out
         assert "qft5" in out
+
+    @pytest.mark.parametrize("max_n", ["2", "10", "40"])
+    @pytest.mark.parametrize("name", ["quvis3", "quvis2", "qumis"])
+    def test_max_n_out_of_range_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, name, max_n):
+        def no_work(*args):
+            raise AssertionError("a circuit was compiled")
+
+        monkeypatch.setattr(cli, "compile_qft", no_work)
+        rc = main(["compile", "--set", name, "--max-n", max_n,
+                   "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert f"--max-n {max_n} outside 3..9" in record["message"]
+        assert not list(tmp_path.iterdir())
 
     def test_fit_linear_roundtrip(self, tmp_path, capsys):
         csv = tmp_path / "data.csv"

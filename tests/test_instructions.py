@@ -9,7 +9,8 @@ from spincompile.gates import (Gate, apply_gate, controlled_phase, hadamard,
 from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUMIS,
                                       QUVIS2, QUVIS3, SWAP_GATE_ID,
                                       CompiledCircuit, bit_reverse, bundled_pulse_ids,
-                                      circuit_error_estimate, compile_qft,
+                                      circuit_error_estimate, circuit_frame,
+                                      compile_qft,
                                       compile_qft_qumis, compile_qft_quvis,
                                       compile_qft_quvis2, compose_qumis,
                                       frame_phase, instruction_set,
@@ -335,21 +336,38 @@ class TestRealizations:
                                 eg.realized_schedule)
         assert abs(recomputed - eg.realized_error) <= 1e-10
 
-    def test_realized_unitary_close_to_circuit_gate(self):
+    def test_realized_close_to_circuit_gate(self):
         iset = load_bundled_realizations(quvis3_set())
         eg = iset["u0"]
-        u = eg.realized_unitary()
-        assert np.linalg.norm(u - eg.gate.matrix) <= 0.05
+        assert np.linalg.norm(eg.realized.matrix - eg.gate.matrix) <= 0.05
+
+    def test_realized_is_the_circuit_frame_of_its_evolution(self):
+        isets = [instruction_set(name) for name in (QUVIS3, QUVIS2, QUMIS)]
+        load_bundled_realizations(*isets)
+        for iset in isets:
+            for gid, eg in iset.gates.items():
+                sched = eg.realized_schedule
+                u = evolve(nearest_neighbor_chain(sched.n_qubits), sched)
+                expected = circuit_frame(u, eg.gate, eg.physical_target)
+                assert np.array_equal(eg.realized.matrix, expected), gid
+                assert eg.realized.n_qubits == eg.width
+                assert not eg.realized.matrix.flags.writeable
 
     def test_missing_realization_raises(self):
-        iset = quvis3_set()
+        iset = load_bundled_realizations(quvis3_set())
+        steps = [("u0", iset["u0"].gate, (1, 2))]
+        iset["u0"].realized = None
+        with pytest.raises(MissingRealization, match="u0"):
+            circuit_error_estimate(2, steps, iset, iset["u0"].gate.matrix)
+        # a set that was never loaded has no realization either
         with pytest.raises(MissingRealization):
-            iset["u0"].realized_unitary()
+            circuit_error_estimate(2, steps, quvis3_set(),
+                                   iset["u0"].gate.matrix)
 
     def test_perfect_realizations_compose_to_zero_error(self):
         perfect = quvis3_set()
         for eg in perfect.gates.values():
-            eg.realized_unitary = (lambda g: lambda: g)(eg.gate.matrix)
+            eg.realized = eg.gate
         circ = compile_qft_quvis(3)
         err = circuit_error_estimate(3, circ.steps(perfect), perfect,
                                      qft_matrix(3).matrix)
@@ -372,39 +390,16 @@ class TestRealizations:
         # brute-force recomposition
         u = np.eye(8, dtype=complex)
         for gid, pos in circ.placements:
-            g = Gate(gid, iset[gid].width, iset[gid].realized_unitary())
+            g = Gate(gid, iset[gid].width, iset[gid].realized.matrix)
             u = place(g, pos, 3) @ u
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
         assert err == pytest.approx(brute, abs=1e-12)
         assert 0 < err < 0.5
 
-    def test_realized_unitary_evolves_each_schedule_once(self, monkeypatch):
-        calls = []
-
-        def counting_evolve(*args):
-            calls.append(args[1])
-            return evolve(*args)
-
-        monkeypatch.setattr(instructions, "evolve", counting_evolve)
-        eg = load_bundled_realizations(quvis3_set())["u0"]
-        # loading evolved the table once; its unitary is already cached
-        calls.clear()
-        first = eg.realized_unitary()
-        assert eg.realized_unitary() is first and len(calls) == 0
-        assert not first.flags.writeable
-        # a reassigned schedule, even an equal one, is evolved again
-        eg.realized_schedule = eg.realized_schedule.with_values(
-            eg.realized_schedule.values)
-        again = eg.realized_unitary()
-        assert len(calls) == 1 and calls[0] is eg.realized_schedule
-        assert np.array_equal(again, first)
-        eg.realized_schedule = None
-        with pytest.raises(MissingRealization):
-            eg.realized_unitary()
-
     def test_missing_realization_in_estimate(self):
-        iset = quvis3_set()
+        iset = load_bundled_realizations(quvis3_set())
+        iset[SWAP_GATE_ID].realized = None
         circ = compile_qft_quvis(3)
-        with pytest.raises(MissingRealization):
+        with pytest.raises(MissingRealization, match=SWAP_GATE_ID):
             circuit_error_estimate(3, circ.steps(iset), iset,
                                    qft_matrix(3).matrix)

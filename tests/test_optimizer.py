@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from spincompile.errors import BudgetUnreachable, NonUnitaryTarget, OutOfRange
+from spincompile import optimizer
+from spincompile.errors import NonUnitaryTarget, OutOfRange
 from spincompile.evolution import gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
@@ -147,24 +150,93 @@ class TestTimeCostSearch:
         model = nearest_neighbor_chain(1)
         cfg = OptimizerConfig(init_amplitude=0.0, n_refinements=0,
                               max_iters_per_stage=5)
-        t, report = time_cost_search(np.eye(2), model, cfg, 1e-9,
-                                     [0.1, 0.2, 0.3])
-        assert t == 0.1 and report.final_error <= 1e-9
+        t, report, met = time_cost_search(np.eye(2), model, cfg, 1e-9,
+                                          [0.1, 0.2, 0.3])
+        assert t == 0.1 and report.final_error <= 1e-9 and met is True
 
-    def test_zero_budget_unreachable(self):
+    def test_missed_budget_returns_best_point(self):
         model = nearest_neighbor_chain(2)
         cfg = OptimizerConfig(seed=0, max_iters_per_stage=5, n_refinements=0)
-        with pytest.raises(BudgetUnreachable) as exc:
-            time_cost_search(controlled_phase(np.pi / 2).matrix, model, cfg,
-                             0.0, [0.05, 0.1])
-        assert len(exc.value.reports) == 2
+        target = controlled_phase(np.pi / 2).matrix
+        grid = [0.05, 0.1]
+        t, report, met = time_cost_search(target, model, cfg, 0.0, grid,
+                                          restarts=2)
+        per_point = [multi_seed_synthesize(target, model, g, cfg, [0, 1], 0.0)
+                     for g in grid]
+        assert not any(ok for _report, ok in per_point)
+        errors = [r.final_error for r, _ok in per_point]
+        best = int(np.argmin(errors))
+        assert met is False and t == grid[best]
+        assert report.final_error == errors[best]
+        assert np.array_equal(report.final_schedule.values,
+                              per_point[best][0].final_schedule.values)
 
     def test_grid_must_ascend(self):
         model = nearest_neighbor_chain(1)
-        with pytest.raises(ValueError):
-            time_cost_search(np.eye(2), model, CFG, 0.1, [0.2, 0.1])
+        for grid in ([0.2, 0.1], [0.1, 0.1], []):
+            with pytest.raises(OutOfRange, match="t_grid"):
+                time_cost_search(np.eye(2), model, CFG, 0.1, grid)
 
     def test_empty_seed_list_rejected(self):
         model = nearest_neighbor_chain(1)
         with pytest.raises(OutOfRange, match="seed"):
             multi_seed_synthesize(np.eye(2), model, 0.1, CFG, [], 0.1)
+
+
+# (errors of the attempts in order, budget, index returned, budget met)
+SCRIPTS = [
+    ([0.5, 0.05, 0.01, 0.2], 0.1, 1, True),    # nothing runs after a hit
+    ([0.1, 0.0], 0.1, 0, True),                # the budget is inclusive
+    ([0.5, 0.3, 0.3, 0.4], 0.1, 1, False),     # ties go to the first
+    ([0.2, 0.6, 0.2], 0.1, 0, False),
+]
+
+
+class TestFirstWithin:
+    """multi_seed_synthesize tries seeds and time_cost_search grid points
+    by one rule: the first attempt within budget, else the smallest error,
+    the first on ties."""
+
+    @staticmethod
+    def script(monkeypatch, errors):
+        """synthesize_auto returns errors[(total_time, seed)]; the keys it
+        was asked for are recorded in order."""
+        calls = []
+
+        def scripted(target, model, total_time, cfg):
+            calls.append((total_time, cfg.seed))
+            return SimpleNamespace(final_error=errors[calls[-1]],
+                                   key=calls[-1])
+
+        monkeypatch.setattr(optimizer, "synthesize_auto", scripted)
+        return calls
+
+    @pytest.mark.parametrize("errors, budget, pick, met", SCRIPTS)
+    def test_multi_seed(self, monkeypatch, errors, budget, pick, met):
+        seeds = list(range(len(errors)))
+        calls = self.script(monkeypatch, {(1.0, s): e
+                                          for s, e in zip(seeds, errors)})
+        report, ok = multi_seed_synthesize(np.eye(2), None, 1.0, CFG, seeds,
+                                           budget)
+        assert ok is met and report.key == (1.0, pick)
+        assert calls == [(1.0, s) for s in seeds[:pick + 1 if met else None]]
+
+    @pytest.mark.parametrize("errors, budget, pick, met", SCRIPTS)
+    def test_time_cost_search(self, monkeypatch, errors, budget, pick, met):
+        grid = [1.0 + i for i in range(len(errors))]
+        calls = self.script(monkeypatch, {(t, CFG.seed): e
+                                          for t, e in zip(grid, errors)})
+        t, report, ok = time_cost_search(np.eye(2), None, CFG, budget, grid)
+        assert ok is met and t == grid[pick]
+        assert report.key == (grid[pick], CFG.seed)
+        assert calls == [(t, CFG.seed) for t in grid[:pick + 1 if met else None]]
+
+    def test_time_cost_search_keeps_each_points_best_seed(self, monkeypatch):
+        # each point's best seed competes; the points tie at 0.3, so the
+        # first point wins with its second seed
+        calls = self.script(monkeypatch, {(1.0, 0): 0.4, (1.0, 1): 0.3,
+                                          (2.0, 0): 0.3, (2.0, 1): 0.5})
+        t, report, ok = time_cost_search(np.eye(2), None, CFG, 0.1,
+                                         [1.0, 2.0], restarts=2)
+        assert (t, report.key, ok) == (1.0, (1.0, 1), False)
+        assert len(calls) == 4
