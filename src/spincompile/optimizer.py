@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
-from .evolution import error_and_gradient
+from .evolution import check_finite_target, error_and_gradient
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
@@ -102,6 +102,7 @@ def check_unitary_target(target: np.ndarray) -> np.ndarray:
     d = target.shape[0]
     if target.shape != (d, d):
         raise NonUnitaryTarget("target must be square")
+    check_finite_target(target)
     dev = np.linalg.norm(target.conj().T @ target - np.eye(d))
     if dev > 1e-8:
         raise NonUnitaryTarget(f"target deviates from unitarity by {dev:.3e}")

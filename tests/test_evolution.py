@@ -1,10 +1,12 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_linalg import expm_taylor
 
 import spincompile.evolution as evolution
-from spincompile.errors import DimensionMismatch
+from spincompile.errors import DimensionMismatch, NonUnitaryTarget
 from spincompile.evolution import (GRADIENT_EPS_FLOOR, _slice_propagators,
                                    error_and_gradient, error_trace, evolve,
                                    gate_error)
@@ -13,7 +15,8 @@ from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
                                 loewner_kernel)
 from spincompile.model import (HEISENBERG, ISING, control_operators,
-                               coupling_hamiltonian, nearest_neighbor_chain)
+                               coupling_hamiltonian, nearest_neighbor_chain,
+                               slice_hamiltonians)
 from spincompile.schedule import AXES, random_init, refine_double, zeros
 
 
@@ -94,6 +97,43 @@ def test_dimension_mismatch():
     model = nearest_neighbor_chain(2)
     with pytest.raises(DimensionMismatch):
         gate_error(np.eye(2), model, zeros(2, 0.3, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [error_and_gradient, gate_error, error_trace])
+def test_non_finite_target_rejected(entry, bad):
+    # a nan never compares above a tolerance, so only an explicit check
+    # keeps it from coming back as a nan error or gradient
+    model = nearest_neighbor_chain(2)
+    target = np.eye(4, dtype=complex)
+    target[2, 3] = bad
+    with pytest.raises(NonUnitaryTarget, match="not finite.*row 2, column 3"):
+        entry(target, model, random_init(2, 0.4, 3, amplitude=1.0, seed=1))
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_slice_propagators_match_taylor_exponential(n, interaction):
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.3, 3, amplitude=1.5, seed=n)
+    _, _, ek = _slice_propagators(model, sched)
+    for k, h in enumerate(slice_hamiltonians(model, sched.values)):
+        assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
+
+
+def test_evolve_peak_memory_is_three_slice_stacks():
+    # the Hamiltonians, the eigenvectors and the propagators: the plain
+    # (V * phases) @ V^dag form held a fourth K x d x d stack (4.0 units)
+    model = nearest_neighbor_chain(6)
+    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
+    evolve(model, sched)                     # warm the operator caches
+    tracemalloc.start()
+    try:
+        evolve(model, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * sched.n_slices * model.dim ** 2 * 16
 
 
 def test_trace_endpoints():

@@ -96,6 +96,15 @@ class TestSynthesize:
         with pytest.raises(NonUnitaryTarget):
             fgto_synthesize(np.array([[1, 0], [0, 2.0]]), model, 0.5, 2, CFG)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_target_rejected(self, bad):
+        model = nearest_neighbor_chain(1)
+        target = np.eye(2, dtype=complex)
+        target[1, 0] = bad
+        with pytest.raises(NonUnitaryTarget,
+                           match="not finite.*row 1, column 0"):
+            fgto_synthesize(target, model, 0.5, 2, CFG)
+
     def test_deterministic_rerun(self):
         model = nearest_neighbor_chain(2)
         target = quvis_gate_physical(0)
