@@ -1,7 +1,8 @@
 """Lower Fourier-transform circuits onto the three instruction sets.
 
-The 3-qubit variational set compiles an N-qubit Fourier transform into
-one three-wire block per peeled qubit plus a fixed base; the 2-qubit set
+The N-qubit Fourier transform is written once, as primitive steps
+(qft_steps). The 3-qubit variational set covers those steps with one
+three-wire block per peeled qubit plus a fixed base; the 2-qubit set
 does the same with two-wire blocks; the microinstruction baseline spells
 everything out as one-qubit rotations and CNOTs. Composing each compiled
 circuit reproduces the exact Fourier matrix, so the interesting columns
@@ -13,25 +14,25 @@ import numpy as np
 
 from spincompile.bench import bench_qft, fit_linear
 from spincompile.gates import qft_matrix
-from spincompile.instructions import (compile_qft_quvis, compile_qft_quvis2,
-                                      compile_qft_qumis, quvis3_set)
+from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
+                                      compose, instruction_set)
+
+isets = {name: instruction_set(name) for name in (QUVIS3, QUVIS2, QUMIS)}
 
 # exactness of the lowering itself
-iset = quvis3_set()
 for n in (3, 6, 9):
-    circ = compile_qft_quvis(n)
-    dist = np.linalg.norm(circ.compose(iset) - qft_matrix(n).matrix)
-    print(f"N={n}: {len(circ.placements)} placements, "
-          f"composition distance {dist:.2e}")
+    _total, steps = compile_qft(isets[QUVIS3], n)
+    u = compose(n, ((gate, pos) for _name, gate, pos in steps))
+    dist = np.linalg.norm(u - qft_matrix(n).matrix)
+    print(f"N={n}: {len(steps)} placements, composition distance {dist:.2e}")
 
 # time scaling of the three lowerings
 print("\ncompiled control time per register size")
 print(f"{'N':>3}{'3q-blocks':>12}{'2q-blocks':>12}{'rot+CNOT':>12}")
 rows3, rows2, rowsm = [], [], []
 for n in range(3, 10):
-    t3 = compile_qft_quvis(n).total_time
-    t2 = compile_qft_quvis2(n).total_time
-    tm = compile_qft_qumis(n)[1]
+    t3, t2, tm = (compile_qft(isets[name], n)[0]
+                  for name in (QUVIS3, QUVIS2, QUMIS))
     rows3.append((n, t3))
     rows2.append((n, t2))
     rowsm.append((n, tm))

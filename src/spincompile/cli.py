@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
-from .errors import ConfigError, OutOfRange, ParseError, SpinCompileError
+from .errors import (ConfigError, OutOfRange, ParseError, SpinCompileError,
+                     UnknownGate)
 from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
@@ -62,8 +63,8 @@ class Config(dict):
             return default
         try:
             return cast(self[key])
-        except (ConfigError, ValueError, TypeError, KeyError, OSError,
-                ArithmeticError) as exc:
+        except (ConfigError, UnknownGate, ValueError, TypeError, KeyError,
+                OSError, ArithmeticError) as exc:
             raise self._error(key, exc) from None
 
     def given(self, **keys) -> dict:

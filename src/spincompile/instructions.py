@@ -27,9 +27,11 @@ baseline's bundled table realizes. ``instruction_set`` builds each set
 from its time table and these rows. ``circuit_frame`` maps a realized
 unitary back.
 
-``compile_qft`` lowers the Fourier transform onto any of the three sets
-as one list of steps (name, Gate, positions), the first acting first.
-``compose`` multiplies (Gate, positions) pairs out, and
+``qft_steps`` is the Fourier transform in the same steps; ``compile_qft``
+lowers it onto a set by matching the set's rows (``lower``) or expanding
+each step (``qumis_lower``, the baseline) into steps (name, Gate,
+positions), the first acting first. ``compose`` multiplies (Gate,
+positions) pairs out, and
 ``circuit_error_estimate`` composes the steps with each gate the set
 holds replaced by its realized gate, which ``load_bundled_realizations``
 computes once per gate from the gate's pulse table.
@@ -38,6 +40,7 @@ computes once per gate from the gate's pulse table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     phase_gate, rotation, swap2)
-from .model import nearest_neighbor_chain
+from .model import MAX_QUBITS, nearest_neighbor_chain
 from .schedule import PulseSchedule, read_pulse_table
 
 QUVIS3 = "quvis3"
@@ -116,6 +119,20 @@ GATE_STEPS = {
     SWAP_GATE_ID: (2, ((SWAP_GATE_ID, None, (1, 2)),)),
     "cnot": (2, (("cnot", None, (1, 2)),)),
 }
+
+
+def qft_steps(n_qubits: int) -> tuple:
+    """The n-qubit Fourier transform in (kind, param, positions) steps,
+    the first acting first: per width j = n..3 a Hadamard on wire 1 and
+    the phase-swap blocks pi/2^p on wires (p, p+1), p = 1..j-1; then u0
+    and one swap. OutOfRange outside 2..MAX_QUBITS."""
+    if not 2 <= n_qubits <= MAX_QUBITS:
+        raise OutOfRange(f"Fourier transform on {n_qubits} qubits outside "
+                         f"2..{MAX_QUBITS}")
+    steps = ()
+    for j in range(n_qubits, 2, -1):
+        steps += _H1 + sum((_ps(p, p) for p in range(1, j)), ())
+    return steps + _U0 + GATE_STEPS[SWAP_GATE_ID][1]
 
 
 def _gate_forms(gate_id: str):
@@ -214,22 +231,6 @@ def quvis2_set() -> InstructionSet:
 # ---------------------------------------------------------------------------
 # compiled circuits
 
-@dataclass(frozen=True)
-class CompiledCircuit:
-    n_qubits: int
-    placements: tuple  # ordered (gate_id, positions); first entry acts first
-    total_time: float
-
-    def steps(self, iset: InstructionSet) -> list:
-        """(gate id, Gate, positions) of each placement, gates from iset."""
-        return [(g, iset[g].gate, pos) for g, pos in self.placements]
-
-    def compose(self, iset: InstructionSet) -> np.ndarray:
-        """Exact-matrix composition of the placements, in placement order."""
-        return compose(self.n_qubits,
-                       ((iset[g].gate, pos) for g, pos in self.placements))
-
-
 def compose(n_qubits: int, steps) -> np.ndarray:
     """Product of (Gate, positions) steps on an n-qubit register, the
     first acting first."""
@@ -239,50 +240,27 @@ def compose(n_qubits: int, steps) -> np.ndarray:
     return u
 
 
-def _qft_stage_quvis3(j: int):
-    """Placements of the width-j cascade stage in the 3-qubit set."""
-    out = [("u2", (1, 2, 3))]
-    last_even = j - 1 if j % 2 == 1 else j - 2
-    for m in range(4, last_even + 1, 2):
-        out.append((f"u{m}", (m - 1, m, m + 1)))
-    if j % 2 == 0:
-        out.append((f"u{j-1}", (j - 1, j)))
-    return out
-
-
-def compile_qft_quvis(n_qubits: int) -> CompiledCircuit:
-    """Lower the n-qubit Fourier transform onto the 3-qubit variational set.
-
-    Stages peel one qubit at a time (widest first); the base is the
-    3-qubit block u1 plus the one adjacent swap it leaves over.
-    """
-    if not 3 <= n_qubits <= 9:
-        raise OutOfRange(f"n_qubits {n_qubits} outside 3..9")
-    placements = []
-    for j in range(n_qubits, 3, -1):
-        placements.extend(_qft_stage_quvis3(j))
-    placements.append(("u1", (1, 2, 3)))
-    placements.append((SWAP_GATE_ID, (1, 2)))
-    total = sum(QUVIS3_TIME[g] for g, _ in placements)
-    return CompiledCircuit(n_qubits=n_qubits,
-                           placements=tuple(placements), total_time=total)
-
-
-def compile_qft_quvis2(n_qubits: int) -> CompiledCircuit:
-    """Same lowering restricted to 2-qubit blocks: each stage opens with
-    the merged Hadamard/phase-swap block w1."""
-    if not 3 <= n_qubits <= 9:
-        raise OutOfRange(f"n_qubits {n_qubits} outside 3..9")
-    placements = []
-    for j in range(n_qubits, 2, -1):
-        placements.append(("w1", (1, 2)))
-        for p in range(2, j):
-            placements.append((f"v{p}", (p, p + 1)))
-    placements.append(("u0", (1, 2)))
-    placements.append((SWAP_GATE_ID, (1, 2)))
-    total = sum(QUVIS2_TIME[g] for g, _ in placements)
-    return CompiledCircuit(n_qubits=n_qubits,
-                           placements=tuple(placements), total_time=total)
+def lower(iset: InstructionSet, steps) -> list:
+    """(gate id, positions) placements of iset's gates covering the
+    (kind, param, positions) steps in order, each the longest GATE_STEPS
+    row among the set's gates (the first on a tie) that the next steps
+    repeat on some wire offset. UnknownGate names a step none covers."""
+    steps, placements, i = tuple(steps), [], 0
+    longest_first = sorted(iset.gates, key=lambda g: -len(GATE_STEPS[g][1]))
+    while i < len(steps):
+        kind, param, pos = steps[i]
+        for gid in longest_first:
+            width, row = GATE_STEPS[gid]
+            shift = pos[0] - row[0][2][0]
+            if row[0][:2] == (kind, param) and steps[i:i + len(row)] == tuple(
+                    (k, p, tuple(q + shift for q in ps)) for k, p, ps in row):
+                break
+        else:
+            raise UnknownGate(f"no gate of {iset.kind} covers step {kind} "
+                              f"on wires {pos}")
+        placements.append((gid, tuple(range(shift + 1, shift + width + 1))))
+        i += len(row)
+    return placements
 
 
 # ---------------------------------------------------------------------------
@@ -342,64 +320,75 @@ def compose_qumis(placements, n_total: int) -> np.ndarray:
 
 
 def qumis_time_cost(placements) -> float:
-    """Rotation |theta|/10, CNOT 0.5, swap as three CNOTs, phase factors
-    are free. Hadamard and controlled-phase placements are not accepted;
-    lower them first."""
+    """Rotation |theta|/10, CNOT and swap at the set's time costs, phase
+    factors free. Hadamard and controlled-phase placements are not
+    accepted; lower them first."""
+    times = _SET_TIMES[QUMIS]
     total = 0.0
     for kind, param, _pos in placements:
         if kind in ("rz", "rx", "ry"):
             total += abs(param) / ROTATION_RATE
-        elif kind == "cnot":
-            total += CNOT_TIME
-        elif kind == SWAP_GATE_ID:
-            total += SWAP_TIME
-        elif kind in ("phase", "gphase"):
-            total += 0.0
-        else:
+        elif kind in times:
+            total += times[kind]
+        elif kind not in ("phase", "gphase"):
             raise UnknownGate(f"unknown placement kind {kind!r}")
     return total
 
 
-def _qumis_h(q: int):
-    """Exact Hadamard: H = e^{i pi/2} Rz(pi/2) Rx(pi/2) Rz(pi/2)."""
-    return [("rz", np.pi / 2, (q,)), ("rx", np.pi / 2, (q,)),
-            ("rz", np.pi / 2, (q,)), ("gphase", np.pi / 2, (q,))]
-
-
-def compile_qft_qumis(n_qubits: int):
-    """Lower the Fourier cascade fully to rotations + CNOT.
-
-    Returns (placements, total_time). The placement list composes exactly
-    to the Fourier matrix: each cascade stage is a Hadamard followed by
-    phase-swap blocks, with the controlled phase decomposed per
-    qumis_decompose_controlled_phase and each swap charged as three CNOTs.
-    """
-    if n_qubits < 2:
-        raise OutOfRange("n_qubits must be >= 2")
+def qumis_lower(steps) -> list:
+    """The baseline's placements of (kind, param, positions) steps: h as
+    the exact H = e^{i pi/2} Rz(pi/2) Rx(pi/2) Rz(pi/2), cphase by
+    qumis_decompose_controlled_phase, any other step as itself."""
     placements = []
-    for j in range(n_qubits, 1, -1):
-        placements.extend(_qumis_h(1))
-        for p in range(1, j):
-            _, cp = qumis_decompose_controlled_phase(np.pi / 2 ** p)
-            for kind, param, pos in cp:
-                placements.append((kind, param,
-                                   tuple(q + p - 1 for q in pos)))
-            placements.append((SWAP_GATE_ID, None, (p, p + 1)))
-    placements.extend(_qumis_h(1))
-    return placements, qumis_time_cost(placements)
+    for kind, param, pos in steps:
+        if kind == "h":
+            placements.extend((k, np.pi / 2, pos)
+                              for k in ("rz", "rx", "rz", "gphase"))
+        elif kind == "cphase":
+            _params, cp = qumis_decompose_controlled_phase(param)
+            placements.extend((k, a, tuple(pos[q - 1] for q in p))
+                              for k, a, p in cp)
+        else:
+            placements.append((kind, param, pos))
+    return placements
 
 
 def compile_qft(iset: InstructionSet, n_qubits: int):
-    """(total time, steps) of the n-qubit Fourier transform lowered onto
-    the instruction set of iset's kind; each step is (name, Gate,
+    """(total time, steps) of qft_steps(n_qubits) lowered onto iset, by
+    lower or, for the baseline, qumis_lower; each step is (name, Gate,
     positions), the first acting first."""
+    steps = qft_steps(n_qubits)
     if iset.kind == QUMIS:
-        placements, total = compile_qft_qumis(n_qubits)
-        return total, [(kind, qumis_gate(kind, param), pos)
-                       for kind, param, pos in placements]
-    lower = {QUVIS3: compile_qft_quvis, QUVIS2: compile_qft_quvis2}[iset.kind]
-    circuit = lower(n_qubits)
-    return circuit.total_time, circuit.steps(iset)
+        placements = qumis_lower(steps)
+        return qumis_time_cost(placements), [
+            (k, qumis_gate(k, p), pos) for k, p, pos in placements]
+    placements = lower(iset, steps)
+    return (sum(iset[g].time_cost for g, _pos in placements),
+            [(g, iset[g].gate, pos) for g, pos in placements])
+
+
+# views of compile_qft in the forms perfbench's qft_compile oracle reads
+
+@dataclass(frozen=True)
+class CompiledCircuit:
+    n_qubits: int
+    placements: tuple  # ordered (gate_id, positions); first entry acts first
+    total_time: float
+
+
+def _compiled(name: str, n_qubits: int) -> CompiledCircuit:
+    total, steps = compile_qft(instruction_set(name), n_qubits)
+    return CompiledCircuit(n_qubits, tuple((g, p) for g, _gate, p in steps),
+                           total)
+
+
+compile_qft_quvis = partial(_compiled, QUVIS3)
+compile_qft_quvis2 = partial(_compiled, QUVIS2)
+
+
+def compile_qft_qumis(n_qubits: int):
+    placements = qumis_lower(qft_steps(n_qubits))
+    return placements, qumis_time_cost(placements)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +426,12 @@ def load_bundled_schedule(gate_id: str) -> PulseSchedule:
     from importlib import resources
 
     path = resources.files("spincompile").joinpath(f"data/pulses/{gate_id}.csv")
-    return read_pulse_table(path.read_text())
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise UnknownGate(f"no bundled pulse table {gate_id!r}; expected one "
+                          f"of {', '.join(bundled_pulse_ids())}") from None
+    return read_pulse_table(text)
 
 
 # Gates that are the same block under a different id (the 2-qubit set's

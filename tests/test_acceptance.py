@@ -17,7 +17,7 @@ from spincompile.bench import bench_qft, fit_exponential, fit_linear
 from spincompile.evolution import error_and_gradient, evolve, gate_error
 from spincompile.gates import controlled_phase, qft_matrix, rotation
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, QUVIS3_TIME,
-                                      compile_qft_quvis, compose_qumis,
+                                      compile_qft, compose, compose_qumis,
                                       load_bundled_realizations,
                                       qumis_decompose_controlled_phase,
                                       quvis3_set, quvis_gate_physical)
@@ -50,8 +50,9 @@ def test_criterion_2_qft_composition():
     iset = quvis3_set()
     ok = True
     for n in range(3, 10):
-        dist = np.linalg.norm(compile_qft_quvis(n).compose(iset)
-                              - qft_matrix(n).matrix)
+        _total, steps = compile_qft(iset, n)
+        composed = compose(n, ((gate, pos) for _name, gate, pos in steps))
+        dist = np.linalg.norm(composed - qft_matrix(n).matrix)
         ok &= report(2, f"N={n} composition distance {dist:.2e}", dist <= 1e-9)
     elapsed = time.perf_counter() - t0
     ok &= report(2, f"runtime {elapsed:.1f}s", elapsed < 5.0)

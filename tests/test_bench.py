@@ -6,9 +6,8 @@ from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
 from spincompile.errors import Degenerate, DimensionMismatch, OutOfRange
 from spincompile.evolution import evolve
-from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3,
-                                      compile_qft_qumis, compile_qft_quvis,
-                                      compile_qft_quvis2)
+from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
+                                      instruction_set)
 from spincompile.gates import swap_to_end_circuit
 from spincompile.model import ISING, nearest_neighbor_chain
 from spincompile.optimizer import OptimizerConfig, multi_seed_synthesize
@@ -51,17 +50,20 @@ class TestFits:
 
 class TestCompiledTimeScaling:
     def test_quvis3_slope_matches_reported(self):
-        pts = [(n, compile_qft_quvis(n).total_time) for n in range(5, 10)]
+        pts = [(n, compile_qft(instruction_set(QUVIS3), n)[0])
+               for n in range(5, 10)]
         fit = fit_linear(pts)
         assert fit.gamma == pytest.approx(7.65, abs=1e-9)
 
     def test_quvis2_slope_near_reported(self):
-        pts = [(n, compile_qft_quvis2(n).total_time) for n in range(5, 10)]
+        pts = [(n, compile_qft(instruction_set(QUVIS2), n)[0])
+               for n in range(5, 10)]
         fit = fit_linear(pts)
         assert fit.gamma == pytest.approx(9.25, rel=0.05)
 
     def test_qumis_slope_near_reported(self):
-        pts = [(n, compile_qft_qumis(n)[1]) for n in range(5, 10)]
+        pts = [(n, compile_qft(instruction_set(QUMIS), n)[0])
+               for n in range(5, 10)]
         fit = fit_linear(pts)
         assert fit.gamma == pytest.approx(17.41, rel=0.05)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,21 +8,21 @@ from spincompile.errors import MissingRealization, OutOfRange, UnknownGate
 from spincompile.evolution import evolve, gate_error
 from spincompile.gates import (Gate, apply_gate, controlled_phase, hadamard,
                                place, qft_matrix, rotation, swap2)
-from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, QUMIS,
-                                      QUVIS2, QUVIS3, SWAP_GATE_ID,
-                                      CompiledCircuit, bit_reverse, bundled_pulse_ids,
+from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, GATE_STEPS,
+                                      QUMIS, QUVIS2, QUVIS3, SWAP_GATE_ID,
+                                      bit_reverse, bundled_pulse_ids,
                                       circuit_error_estimate, circuit_frame,
-                                      compile_qft,
-                                      compile_qft_qumis, compile_qft_quvis,
-                                      compile_qft_quvis2, compose_qumis,
-                                      frame_phase, instruction_set,
-                                      load_bundled_realizations,
-                                      load_bundled_schedule,
+                                      compile_qft, compile_qft_qumis,
+                                      compile_qft_quvis, compile_qft_quvis2,
+                                      compose, compose_qumis, frame_phase,
+                                      instruction_set, load_bundled_realizations,
+                                      load_bundled_schedule, lower,
+                                      qft_steps, qumis_lower,
                                       qumis_decompose_controlled_phase,
                                       qumis_gate, qumis_time_cost,
                                       quvis2_set, quvis3_set, quvis_gate,
                                       quvis_gate_physical)
-from spincompile.model import nearest_neighbor_chain
+from spincompile.model import MAX_QUBITS, nearest_neighbor_chain
 
 
 class TestQuvisGates:
@@ -108,19 +110,52 @@ class TestQuvisGates:
             assert np.linalg.norm(p - overlap * c) <= 1e-10, m
 
 
+def compiled_matrix(iset, n):
+    _total, steps = compile_qft(iset, n)
+    return compose(n, ((gate, pos) for _name, gate, pos in steps))
+
+
+def placed(iset, n):
+    return [(g, pos) for g, _gate, pos in compile_qft(iset, n)[1]]
+
+
+def quvis3_reference(n):
+    """The 3-qubit set's Fourier lowering as placement rules: per stage of
+    width j = n..4, u2, then u_m on (m-1, m, m+1) for even m up to j-1,
+    then u_{j-1} on (j-1, j) when j is even; the base u1 and one swap."""
+    out = []
+    for j in range(n, 3, -1):
+        out.append(("u2", (1, 2, 3)))
+        last_even = j - 1 if j % 2 == 1 else j - 2
+        for m in range(4, last_even + 1, 2):
+            out.append((f"u{m}", (m - 1, m, m + 1)))
+        if j % 2 == 0:
+            out.append((f"u{j - 1}", (j - 1, j)))
+    return out + [("u1", (1, 2, 3)), (SWAP_GATE_ID, (1, 2))]
+
+
+def quvis2_reference(n):
+    """The 2-qubit set's Fourier lowering as placement rules: per stage of
+    width j = n..3, w1, then v_p on (p, p+1) for p = 2..j-1; the base u0
+    and one swap."""
+    out = []
+    for j in range(n, 2, -1):
+        out.append(("w1", (1, 2)))
+        out.extend((f"v{p}", (p, p + 1)) for p in range(2, j))
+    return out + [("u0", (1, 2)), (SWAP_GATE_ID, (1, 2))]
+
+
 class TestQftComposition:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_quvis3_composition(self, n):
-        iset = quvis3_set()
-        circ = compile_qft_quvis(n)
-        dist = np.linalg.norm(circ.compose(iset) - qft_matrix(n).matrix)
+        dist = np.linalg.norm(compiled_matrix(quvis3_set(), n)
+                              - qft_matrix(n).matrix)
         assert dist <= 1e-9
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_quvis2_composition(self, n):
-        iset = quvis2_set()
-        circ = compile_qft_quvis2(n)
-        dist = np.linalg.norm(circ.compose(iset) - qft_matrix(n).matrix)
+        dist = np.linalg.norm(compiled_matrix(quvis2_set(), n)
+                              - qft_matrix(n).matrix)
         assert dist <= 1e-9
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -129,16 +164,67 @@ class TestQftComposition:
         dist = np.linalg.norm(compose_qumis(placements, n)
                               - qft_matrix(n).matrix)
         assert dist <= 1e-9
+        dist = np.linalg.norm(compiled_matrix(instruction_set(QUMIS), n)
+                              - qft_matrix(n).matrix)
+        assert dist <= 1e-9
+
+    def test_two_qubits_on_the_variational_sets(self):
+        for iset in (quvis3_set(), quvis2_set()):
+            assert placed(iset, 2) == [("u0", (1, 2)),
+                                           (SWAP_GATE_ID, (1, 2))]
+            dist = np.linalg.norm(compiled_matrix(iset, 2)
+                                  - qft_matrix(2).matrix)
+            assert dist <= 1e-9
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            compile_qft_quvis(2)
-        with pytest.raises(OutOfRange):
-            compile_qft_quvis(10)
+        for name in (QUVIS3, QUVIS2, QUMIS):
+            iset = instruction_set(name)
+            for n in (1, MAX_QUBITS + 1):
+                with pytest.raises(OutOfRange, match=f"on {n} qubits"):
+                    compile_qft(iset, n)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_lowering_matches_placement_rules(self, n):
+        assert lower(quvis3_set(), qft_steps(n)) == quvis3_reference(n)
+        assert lower(quvis2_set(), qft_steps(n)) == quvis2_reference(n)
+
+    def test_views_are_compile_qft(self):
+        for n in (2, 5, 9):
+            for name, view in ((QUVIS3, compile_qft_quvis),
+                               (QUVIS2, compile_qft_quvis2)):
+                circ = view(n)
+                total, _steps = compile_qft(instruction_set(name), n)
+                assert circ.n_qubits == n and circ.total_time == total
+                assert list(circ.placements) == placed(
+                    instruction_set(name), n)
+            ops, total = compile_qft_qumis(n)
+            got_total, steps = compile_qft(instruction_set(QUMIS), n)
+            assert total == got_total
+            assert [(k, pos) for k, _p, pos in ops] == [
+                (k, pos) for k, _g, pos in steps]
+
+    def test_each_row_lowers_to_its_gate(self):
+        # every set covers its own rows with one gate each, and the
+        # baseline's expansion of every row composes to that row's gate
+        for name in (QUVIS3, QUVIS2, QUMIS):
+            for gid, eg in instruction_set(name).gates.items():
+                width, row = GATE_STEPS[gid]
+                assert lower(instruction_set(name), row) == [
+                    (gid, tuple(range(1, width + 1)))], (name, gid)
+                exact = compose_qumis(qumis_lower(row), width)
+                assert np.abs(exact - eg.gate.matrix).max() <= 1e-12, gid
+
+    def test_uncovered_step_is_named(self):
+        cases = ((quvis3_set(), ("cnot", None, (1, 2)), "cnot on wires (1, 2)"),
+                 (quvis2_set(), ("h", None, (2,)), "h on wires (2,)"))
+        for iset, step, where in cases:
+            match = f"{iset.kind} .*{re.escape(where)}"
+            with pytest.raises(UnknownGate, match=match):
+                lower(iset, [step])
 
     def test_recursion_gate_ids(self):
-        ids5 = [g for g, _ in compile_qft_quvis(5).placements]
-        ids4 = [g for g, _ in compile_qft_quvis(4).placements]
+        ids5 = [g for g, _ in placed(quvis3_set(), 5)]
+        ids4 = [g for g, _ in placed(quvis3_set(), 4)]
         # the width-5 circuit is the width-5 stage plus the width-4 circuit
         assert ids5[:2] == ["u2", "u4"]
         assert ids5[2:] == ids4
@@ -146,23 +232,24 @@ class TestQftComposition:
     def test_width_bound(self):
         for n in range(3, 10):
             iset3 = quvis3_set()
-            for gate_id, pos in compile_qft_quvis(n).placements:
+            for gate_id, pos in placed(iset3, n):
                 assert iset3[gate_id].width <= 3
                 assert len(pos) == iset3[gate_id].width
             iset2 = quvis2_set()
-            for gate_id, pos in compile_qft_quvis2(n).placements:
+            for gate_id, pos in placed(iset2, n):
                 assert iset2[gate_id].width <= 2
 
     def test_cost_additivity(self):
         iset = quvis3_set()
-        c4 = compile_qft_quvis(4)
-        total = sum(iset[g].time_cost for g, _ in c4.placements)
-        assert c4.total_time == pytest.approx(total)
+        t4, _steps = compile_qft(iset, 4)
+        c4 = placed(iset, 4)
+        total = sum(iset[g].time_cost for g, _ in c4)
+        assert t4 == pytest.approx(total)
         # width-4 circuit = width-4 stage + width-3 circuit
-        c3 = compile_qft_quvis(3)
-        stage = [g for g, _ in c4.placements][:2]
-        assert c4.total_time == pytest.approx(
-            sum(iset[g].time_cost for g in stage) + c3.total_time)
+        t3, _steps = compile_qft(iset, 3)
+        stage = [g for g, _ in c4][:2]
+        assert t4 == pytest.approx(
+            sum(iset[g].time_cost for g in stage) + t3)
 
 
 class TestQumisDecomposition:
@@ -321,6 +408,13 @@ class TestReferenceDurations:
 
 
 class TestRealizations:
+    def test_unknown_bundled_id_lists_the_tables(self):
+        with pytest.raises(UnknownGate) as info:
+            load_bundled_schedule("nope")
+        message = str(info.value)
+        assert "'nope'" in message
+        assert message.endswith(", ".join(bundled_pulse_ids()))
+
     def test_bundled_golden_errors(self):
         iset = load_bundled_realizations(quvis3_set())
         for m in range(9):
@@ -368,28 +462,24 @@ class TestRealizations:
         perfect = quvis3_set()
         for eg in perfect.gates.values():
             eg.realized = eg.gate
-        circ = compile_qft_quvis(3)
-        err = circuit_error_estimate(3, circ.steps(perfect), perfect,
+        err = circuit_error_estimate(3, compile_qft(perfect, 3)[1], perfect,
                                      qft_matrix(3).matrix)
         assert err <= 1e-12
 
     def test_circuit_error_estimate_single_gate(self):
         iset = load_bundled_realizations(quvis3_set())
-        circ = CompiledCircuit(n_qubits=2, placements=(("u0", (1, 2)),),
-                               total_time=iset["u0"].time_cost)
-        err = circuit_error_estimate(2, circ.steps(iset), iset,
-                                     iset["u0"].gate.matrix)
+        steps = [("u0", iset["u0"].gate, (1, 2))]
+        err = circuit_error_estimate(2, steps, iset, iset["u0"].gate.matrix)
         # distance in the circuit frame equals the physical-frame error
         assert err == pytest.approx(iset["u0"].realized_error, abs=1e-9)
 
     def test_circuit_error_estimate_composition_oracle(self):
         iset = load_bundled_realizations(quvis3_set())
-        circ = compile_qft_quvis(3)
-        err = circuit_error_estimate(3, circ.steps(iset), iset,
-                                     qft_matrix(3).matrix)
+        steps = compile_qft(iset, 3)[1]
+        err = circuit_error_estimate(3, steps, iset, qft_matrix(3).matrix)
         # brute-force recomposition
         u = np.eye(8, dtype=complex)
-        for gid, pos in circ.placements:
+        for gid, _gate, pos in steps:
             g = Gate(gid, iset[gid].width, iset[gid].realized.matrix)
             u = place(g, pos, 3) @ u
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
@@ -399,7 +489,6 @@ class TestRealizations:
     def test_missing_realization_in_estimate(self):
         iset = load_bundled_realizations(quvis3_set())
         iset[SWAP_GATE_ID].realized = None
-        circ = compile_qft_quvis(3)
         with pytest.raises(MissingRealization, match=SWAP_GATE_ID):
-            circuit_error_estimate(3, circ.steps(iset), iset,
+            circuit_error_estimate(3, compile_qft(iset, 3)[1], iset,
                                    qft_matrix(3).matrix)
