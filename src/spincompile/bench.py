@@ -20,7 +20,7 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
                            compile_qft, instruction_set,
                            load_bundled_realizations,
                            qumis_decompose_controlled_phase, qumis_time_cost)
-from .model import HEISENBERG, ISING, MAX_QUBITS, nearest_neighbor_chain
+from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
 from .optimizer import (OptimizerConfig, multi_seed_synthesize,
                         time_cost_search)
 
@@ -64,6 +64,21 @@ def fit_exponential(points, n_min=None) -> FitResult:
     return FitResult(gamma=lin.gamma, beta=beta, residual=rms)
 
 
+def _fits(rows, key, groups, column, fit, n_min=None) -> dict:
+    """{f"{column}_{group}": fit of the (n, column) points of the rows
+    whose key is group}, for each group with enough points; a value that
+    is None or zero is no point."""
+    fits = {}
+    for group in groups:
+        pts = [(r["n"], r[column]) for r in rows
+               if r[key] == group and r.get(column)]
+        try:
+            fits[f"{column}_{group}"] = fit(pts, n_min=n_min)
+        except Degenerate:
+            pass
+    return fits
+
+
 @dataclass
 class ExperimentResult:
     experiment_id: str
@@ -103,11 +118,12 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
     its rotations exact); a set with a gate that has no bundled
     realization leaves its error column empty. Direct control (a
     synthesis per N up to direct_max_n) is off by default because it is
-    the only expensive column. An unknown set name raises UnknownGate
-    before any work is done.
+    the only expensive column; direct_max_n is 0 or in 3..MAX_QUBITS. An
+    unknown set name raises UnknownGate before any work is done.
     """
-    if not 3 <= max_n <= 9:
-        raise OutOfRange(f"max_n {max_n} outside 3..9")
+    check_width(max_n, 3, "max_n {n}")
+    if direct_max_n:
+        check_width(direct_max_n, 3, "direct_max_n {n}")
     isets = {name: instruction_set(name) for name in sets}
     load_bundled_realizations(*isets.values())
     rows = []
@@ -134,23 +150,12 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
                                   list(range(3, min(direct_max_n, max_n) + 1)),
                                   jobs))
 
-    fits = {}
-    for set_name in list(sets) + ([DIRECT] if direct_max_n else []):
-        tpts = [(r["n"], r["time"]) for r in rows
-                if r["set"] == set_name and r.get("time") is not None]
-        epts = [(r["n"], r["error"]) for r in rows
-                if r["set"] == set_name and r.get("error")]
-        # fits follow the reported convention: use the n >= 5 points
-        # whenever at least two of them exist
-        n_min = 5 if max_n >= 6 else None
-        try:
-            fits[f"time_{set_name}"] = fit_linear(tpts, n_min=n_min)
-        except Degenerate:
-            pass
-        try:
-            fits[f"error_{set_name}"] = fit_exponential(epts, n_min=n_min)
-        except Degenerate:
-            pass
+    groups = list(sets) + ([DIRECT] if direct_max_n else [])
+    # fits follow the reported convention: use the n >= 5 points whenever
+    # at least two of them exist
+    n_min = 5 if max_n >= 6 else None
+    fits = {**_fits(rows, "set", groups, "time", fit_linear, n_min),
+            **_fits(rows, "set", groups, "error", fit_exponential, n_min)}
     return ExperimentResult(
         experiment_id=f"qft_sweep_max{max_n}",
         columns=("n", "set", "time", "error"),
@@ -212,8 +217,7 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
                t_grids: dict | None = None, jobs: int = 1) -> ExperimentResult:
     """Direct-control synthesis of the first-to-last swap circuit per N
     and interaction type; linear time fits attached."""
-    if not 2 <= max_n <= MAX_QUBITS:
-        raise OutOfRange(f"max_n {max_n} outside 2..{MAX_QUBITS}")
+    check_width(max_n, 2, "max_n {n}")
     cfg = opt_cfg or OptimizerConfig()
 
     def cell(key):
@@ -227,17 +231,10 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
 
     keys = [(i, n) for i in interactions for n in range(2, max_n + 1)]
     rows = _parallel_map(cell, keys, jobs)
-    fits = {}
-    for interaction in interactions:
-        pts = [(r["n"], r["time"]) for r in rows
-               if r["interaction"] == interaction and r["time"] is not None]
-        try:
-            fits[f"time_{interaction}"] = fit_linear(pts)
-        except Degenerate:
-            pass
     return ExperimentResult(
         experiment_id=f"swap_sweep_max{max_n}",
         columns=("interaction", "n", "time", "error"),
-        rows=rows, fits=fits,
+        rows=rows,
+        fits=_fits(rows, "interaction", interactions, "time", fit_linear),
         provenance={"interactions": list(interactions),
                     "error_budget": error_budget, "seeds": seeds})

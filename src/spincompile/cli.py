@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
-from .errors import (ConfigError, OutOfRange, ParseError, SpinCompileError,
-                     UnknownGate)
+from .errors import (ConfigError, OutOfRange, ParseError, ShapeError,
+                     SpinCompileError, UnknownGate)
 from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
@@ -30,10 +30,10 @@ from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                            instruction_set, load_bundled_realizations,
                            load_bundled_schedule, quvis3_set, quvis_gate,
                            quvis_gate_physical)
-from .model import (HEISENBERG, ISING, MAX_QUBITS, check_width,
-                    nearest_neighbor_chain)
+from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
-from .schedule import parse_float, read_pulse_table, write_pulse_table
+from .schedule import (check_total_time, parse_float, read_pulse_table,
+                       write_pulse_table)
 
 INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}
 # [-][N*]pi[/D | *N], the pi multiples parse_angle accepts.
@@ -111,6 +111,22 @@ def _listed(cast):
     return lambda text: tuple(cast(t.strip()) for t in text.split(","))
 
 
+def _duration(text: str) -> float:
+    """A control time: a finite, positive float."""
+    try:
+        return check_total_time(float(text))
+    except ShapeError as exc:
+        raise ValueError(exc) from None
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} must be >= 0")
+    return seed
+
+
 def parse_angle(text: str) -> float:
     """Angles as plain floats or simple pi expressions (pi/8, 0.5*pi);
     the value must be finite."""
@@ -180,22 +196,13 @@ def build_optimizer_config(cfg: Config, seed_override=None) -> OptimizerConfig:
     return ocfg if seed_override is None else replace(ocfg, seed=seed_override)
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
-
-
 def write_results(out_dir: Path, name: str, summary: dict,
                   csv_columns=None, csv_rows=None, meta=None) -> None:
     """Write <name>.json, the optional <name>.csv and the <name>.meta.json
     side file, which holds the timestamp, the version and the meta fields."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{name}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, cls=_Encoder) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if csv_columns is not None:
         lines = [",".join(csv_columns)]
         for row in csv_rows:
@@ -226,7 +233,7 @@ def cmd_synthesize(args) -> int:
     target, n_qubits = cfg.get("target", cast=parse_target)
     model = build_model(cfg, n_qubits)
     ocfg = build_optimizer_config(cfg, seed_override=args.seed)
-    total_time = cfg.get("time", 1.0, float)
+    total_time = cfg.get("time", 1.0, _duration)
     name = cfg.get("name", "synthesize")
     cfg.check()
     report = synthesize_auto(target, model, total_time, ocfg)
@@ -256,8 +263,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    if not 3 <= args.max_n <= MAX_QUBITS:
-        raise OutOfRange(f"--max-n {args.max_n} outside 3..{MAX_QUBITS}")
+    check_width(args.max_n, 3, "--max-n {n}")
     iset = instruction_set(args.set)
     rows = []
     for n in range(3, args.max_n + 1):
@@ -349,7 +355,7 @@ def cmd_bench(args) -> int:
     elif kind == "phase-trace":
         kw.update(thetas=cfg.get("thetas", (np.pi / 8, np.pi / 4, np.pi / 2),
                                  _listed(parse_angle)), **cfg.given(
-            total_time=("time", float), seeds=("seeds", int)))
+            total_time=("time", _duration), seeds=("seeds", int)))
     else:
         kw.update(max_n=cfg.get("max_n", 3, int), jobs=args.jobs, **cfg.given(
             interactions=("interactions", _listed(_one_of(INTERACTIONS))),
@@ -426,7 +432,7 @@ def make_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("synthesize", cmd_synthesize, "optimize pulses for a target")
-    p.add_argument("--seed", type=int, help="overrides optimizer.seed")
+    p.add_argument("--seed", type=_seed, help="overrides optimizer.seed")
     p = command("compile", cmd_compile, "lower Fourier circuits onto a set",
                 config=False)
     p.add_argument("--set", default=QUVIS3, choices=[QUVIS3, QUVIS2, QUMIS])
@@ -437,7 +443,7 @@ def make_parser() -> argparse.ArgumentParser:
                 config=False)
     p.add_argument("--threshold", type=float, default=5e-2)
     p = command("bench", cmd_bench, "run an experiment sweep")
-    p.add_argument("--seed", type=int, help="overrides optimizer.seed")
+    p.add_argument("--seed", type=_seed, help="overrides optimizer.seed")
     p.add_argument("--jobs", type=int, default=1, help="sweep threads")
     command("fit", cmd_fit, "least-squares fit of a results column")
     return parser

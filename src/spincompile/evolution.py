@@ -68,9 +68,14 @@ def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     return u
 
 
-def check_finite_target(target: np.ndarray) -> np.ndarray:
-    """The target, unchanged; NonUnitaryTarget naming the first entry that
-    is nan or infinite, which no evolution can match."""
+def check_target(target, model: SpinChainModel) -> np.ndarray:
+    """The target as a complex array: DimensionMismatch unless it is
+    model.dim square, NonUnitaryTarget naming the first entry that is nan
+    or infinite, which no evolution can match."""
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (model.dim, model.dim):
+        raise DimensionMismatch(
+            f"target shape {target.shape}, model dim {model.dim}")
     bad = np.argwhere(~np.isfinite(target))
     if len(bad):
         row, col = bad[0]
@@ -80,27 +85,19 @@ def check_finite_target(target: np.ndarray) -> np.ndarray:
     return target
 
 
-def _check_target(target, model):
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (model.dim, model.dim):
-        raise DimensionMismatch(
-            f"target shape {target.shape}, model dim {model.dim}")
-    return check_finite_target(target)
-
-
 def gate_error(target, model: SpinChainModel, schedule: PulseSchedule) -> float:
     """Frobenius distance between the target and the realized evolution.
 
     Sensitive to the global phase of both operands.
     """
-    target = _check_target(target, model)
+    target = check_target(target, model)
     return frobenius_distance(target, evolve(model, schedule))
 
 
 def error_trace(target, model: SpinChainModel,
                 schedule: PulseSchedule) -> ErrorTrace:
     """Distance from the target to every prefix product, at times k*tau."""
-    target = _check_target(target, model)
+    target = check_target(target, model)
     _, _, ek = _slice_propagators(model, schedule)
     u = np.eye(model.dim, dtype=complex)
     errs = [frobenius_distance(target, u)]
@@ -119,7 +116,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     and dE_k follows from the divided-difference kernel in the slice
     eigenbasis. At eps below the floor the gradient is zero by convention.
     """
-    target = _check_target(target, model)
+    target = check_target(target, model)
     k_slices = schedule.n_slices
     w, v, ek = _slice_propagators(model, schedule)
 

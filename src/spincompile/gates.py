@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPlacement, DimensionMismatch, OutOfRange
+from .model import check_width
 
 _UNITARITY_TOL = 1e-10
 
@@ -22,7 +23,6 @@ class Gate:
     label: str
     n_qubits: int
     matrix: np.ndarray
-    params: tuple = ()
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -48,22 +48,19 @@ def rotation(axis: str, theta: float) -> Gate:
         m = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
     else:
         raise OutOfRange(f"unknown axis {axis!r}")
-    return Gate(label=f"r{axis}({theta:g})", n_qubits=1, matrix=m,
-                params=(theta,))
+    return Gate(label=f"r{axis}({theta:g})", n_qubits=1, matrix=m)
 
 
 def controlled_phase(theta: float) -> Gate:
     """diag(1, 1, 1, e^{i theta}); phase on the |11> state."""
     m = np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
-    return Gate(label=f"cphase({theta:g})", n_qubits=2, matrix=m,
-                params=(theta,))
+    return Gate(label=f"cphase({theta:g})", n_qubits=2, matrix=m)
 
 
 def phase_gate(alpha: float) -> Gate:
     """diag(1, e^{i alpha}) on one qubit."""
     return Gate(label=f"phase({alpha:g})", n_qubits=1,
-                matrix=np.diag([1, np.exp(1j * alpha)]).astype(complex),
-                params=(alpha,))
+                matrix=np.diag([1, np.exp(1j * alpha)]).astype(complex))
 
 
 def hadamard() -> Gate:
@@ -125,10 +122,9 @@ def place(gate: Gate, positions, n_total: int) -> np.ndarray:
 
 
 def qft_matrix(n_qubits: int) -> Gate:
-    """F_jk = exp(2 pi i j k / 2^N) / sqrt(2^N)."""
-    if n_qubits < 1:
-        raise OutOfRange("n_qubits must be >= 1")
-    d = 2 ** n_qubits
+    """F_jk = exp(2 pi i j k / 2^N) / sqrt(2^N); OutOfRange outside
+    1..MAX_QUBITS."""
+    d = 2 ** check_width(n_qubits)
     j = np.arange(d)
     # reduce j*k mod d in exact integers so phases never wrap imprecisely
     m = np.exp(2j * np.pi * (np.outer(j, j) % d) / d) / np.sqrt(d)
@@ -137,10 +133,9 @@ def qft_matrix(n_qubits: int) -> Gate:
 
 def swap_to_end_circuit(n_qubits: int) -> Gate:
     """Product of adjacent swaps (1,2)(2,3)...(N-1,N): moves the first
-    qubit's state to the last wire, shifting the rest up by one."""
-    if n_qubits < 2:
-        raise OutOfRange("need at least 2 qubits")
-    u = np.eye(2 ** n_qubits, dtype=complex)
+    qubit's state to the last wire, shifting the rest up by one.
+    OutOfRange outside 2..MAX_QUBITS."""
+    u = np.eye(2 ** check_width(n_qubits, 2), dtype=complex)
     sw = swap2()
     for a in range(1, n_qubits):
         u = apply_gate(u, sw, (a, a + 1), n_qubits)

@@ -49,7 +49,7 @@ from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
                     phase_gate, rotation, swap2)
-from .model import MAX_QUBITS, nearest_neighbor_chain
+from .model import check_width, nearest_neighbor_chain
 from .schedule import PulseSchedule, read_pulse_table
 
 QUVIS3 = "quvis3"
@@ -126,9 +126,7 @@ def qft_steps(n_qubits: int) -> tuple:
     the first acting first: per width j = n..3 a Hadamard on wire 1 and
     the phase-swap blocks pi/2^p on wires (p, p+1), p = 1..j-1; then u0
     and one swap. OutOfRange outside 2..MAX_QUBITS."""
-    if not 2 <= n_qubits <= MAX_QUBITS:
-        raise OutOfRange(f"Fourier transform on {n_qubits} qubits outside "
-                         f"2..{MAX_QUBITS}")
+    check_width(n_qubits, 2, "Fourier transform on {n} qubits")
     steps = ()
     for j in range(n_qubits, 2, -1):
         steps += _H1 + sum((_ps(p, p) for p in range(1, j)), ())
@@ -294,7 +292,7 @@ _QUMIS_GATES = {
     "ry": lambda theta: rotation("y", theta),
     "phase": phase_gate,
     "gphase": lambda alpha: Gate(f"gphase({alpha:g})", 1,
-                                 np.exp(1j * alpha) * np.eye(2), (alpha,)),
+                                 np.exp(1j * alpha) * np.eye(2)),
     "h": lambda _param: hadamard(),
     "cphase": controlled_phase,
     "cnot": lambda _param: cnot(),

@@ -46,11 +46,13 @@ def site_operator(axis: str, site: int, n_qubits: int) -> np.ndarray:
     return op
 
 
-def check_width(n_qubits: int) -> int:
-    """n_qubits, if a register that wide is supported; else OutOfRange."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise OutOfRange(f"register width {n_qubits} outside 1..{MAX_QUBITS}")
-    return n_qubits
+def check_width(n: int, smallest: int = 1,
+                what: str = "register width {n}") -> int:
+    """n, if smallest <= n <= MAX_QUBITS; else OutOfRange reading
+    "<what> outside <smallest>..MAX_QUBITS", what formatted with n."""
+    if not smallest <= n <= MAX_QUBITS:
+        raise OutOfRange(f"{what.format(n=n)} outside {smallest}..{MAX_QUBITS}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
-from .evolution import check_finite_target, error_and_gradient
+from .evolution import check_target, error_and_gradient
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
@@ -32,6 +32,9 @@ from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# A stage has converged when its windowed mean loss fell by less than this
+# fraction of the window before.
+CONVERGENCE_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,7 +42,6 @@ class OptimizerConfig:
     learning_rate: float = 0.01
     max_iters_per_stage: int = 2000
     convergence_window: int = 50
-    convergence_rel_tol: float = 1e-4
     n_refinements: int = 3
     init_amplitude: float = 1.0
     seed: int = 0
@@ -56,6 +58,8 @@ class OptimizerConfig:
             raise ValueError("init_amplitude must be >= 0 and finite")
         if self.field_clamp is not None and not self.field_clamp >= 0:
             raise ValueError("field_clamp must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -97,18 +101,6 @@ class OptimizationReport:
     target_phase: complex = 1.0 + 0.0j
 
 
-def check_unitary_target(target: np.ndarray) -> np.ndarray:
-    target = np.asarray(target, dtype=complex)
-    d = target.shape[0]
-    if target.shape != (d, d):
-        raise NonUnitaryTarget("target must be square")
-    check_finite_target(target)
-    dev = np.linalg.norm(target.conj().T @ target - np.eye(d))
-    if dev > 1e-8:
-        raise NonUnitaryTarget(f"target deviates from unitarity by {dev:.3e}")
-    return target
-
-
 def det1_phase(target: np.ndarray) -> complex:
     """Phase factor s with det(s * target) = 1, principal branch."""
     d = target.shape[0]
@@ -121,7 +113,7 @@ def _converged(losses, cfg: OptimizerConfig) -> bool:
         return False
     prev = np.mean(losses[-2 * w:-w])
     cur = np.mean(losses[-w:])
-    return (prev - cur) < cfg.convergence_rel_tol * max(prev, 1e-300)
+    return (prev - cur) < CONVERGENCE_REL_TOL * max(prev, 1e-300)
 
 
 def fgto_synthesize(target, model: SpinChainModel, total_time: float,
@@ -133,10 +125,10 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
     and returns the best schedule encountered anywhere in the run.
     """
     t0 = time.perf_counter()
-    target = check_unitary_target(target)
-    if target.shape[0] != model.dim:
-        raise DimensionMismatch(
-            f"target dim {target.shape[0]}, model dim {model.dim}")
+    target = check_target(target, model)
+    dev = np.linalg.norm(target.conj().T @ target - np.eye(model.dim))
+    if dev > 1e-8:
+        raise NonUnitaryTarget(f"target deviates from unitarity by {dev:.3e}")
     phase = det1_phase(target)
     work_target = phase * target
     schedule = random_init(model.n_qubits, total_time, initial_slices,
@@ -187,7 +179,10 @@ def synthesize_auto(target, model, total_time, cfg) -> OptimizationReport:
 def _first_within(attempts, error_budget: float):
     """(key, report, met) of the first of the lazy (key, report) attempts
     whose error is within the budget, running none after it; when none is,
-    the attempt with the smallest error (the first on ties) and met False."""
+    the attempt with the smallest error (the first on ties) and met False.
+    A nan or negative budget raises OutOfRange before the first attempt."""
+    if not error_budget >= 0:
+        raise OutOfRange(f"error_budget {error_budget!r} must be >= 0")
     best = None
     for key, report in attempts:
         if report.final_error <= error_budget:

@@ -28,6 +28,14 @@ from .errors import ParseError, ShapeError
 AXES = ("x", "y")
 
 
+def check_total_time(total_time: float) -> float:
+    """total_time, if it is finite and positive; else ShapeError."""
+    if not 0 < total_time < math.inf:
+        raise ShapeError(f"total_time {total_time!r} must be finite and "
+                         "positive")
+    return total_time
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Immutable control schedule; values has shape (2, n_qubits, n_slices)
@@ -45,9 +53,7 @@ class PulseSchedule:
             raise ShapeError(f"values shape {v.shape}, expected {expected}")
         if self.n_slices < 1 or self.n_qubits < 1:
             raise ShapeError("n_qubits and n_slices must be positive")
-        if not 0 < self.total_time < math.inf:
-            raise ShapeError(f"total_time {self.total_time!r} must be finite "
-                             "and positive")
+        check_total_time(self.total_time)
         if not np.isfinite(v).all():
             raise ShapeError("values must be finite")
         v = v.copy()
@@ -153,8 +159,9 @@ COARSE_TAU, TARGET_TAU = 0.08, 0.01     # first and finest slice widths
 def stage_plan(total_time: float, max_refinements: int = 3):
     """Pick (initial slice count, refinement count) for a synthesis run:
     K0 = round(T / COARSE_TAU), then at most ``max_refinements`` halvings
-    that keep the slice width above TARGET_TAU / 2."""
-    k0 = max(1, round(total_time / COARSE_TAU))
+    that keep the slice width above TARGET_TAU / 2. ShapeError unless
+    total_time is finite and positive."""
+    k0 = max(1, round(check_total_time(total_time) / COARSE_TAU))
     refinements = max_refinements
     while refinements > 0 and total_time / (k0 * 2 ** refinements) < TARGET_TAU / 2:
         refinements -= 1

@@ -113,6 +113,34 @@ class TestBenchQft:
         assert len({id(s) for s in calls}) == 16
 
 
+class TestBenchQftDirect:
+    @pytest.mark.parametrize("direct_max_n", [-1, 1, 2, 10])
+    def test_direct_max_n_outside_range_rejected(self, monkeypatch,
+                                                 direct_max_n):
+        def refuse(*args):
+            raise AssertionError("a table was evolved")
+
+        monkeypatch.setattr(instructions, "evolve", refuse)
+        with pytest.raises(OutOfRange,
+                           match=f"direct_max_n {direct_max_n} outside 3..9"):
+            bench_qft(3, direct_max_n=direct_max_n)
+
+    def test_capped_direct_rows(self):
+        # two iterations per attempt meet no budget, so each row is the
+        # best grid point, marked failed; jobs=2 maps N = 3, 4 on threads
+        cfg = OptimizerConfig(max_iters_per_stage=2, n_refinements=0)
+        one, two = (bench_qft(4, sets=(QUVIS3,), direct_max_n=4, opt_cfg=cfg,
+                              jobs=jobs) for jobs in (1, 2))
+        direct = [r for r in one.rows if r["set"] == bench.DIRECT]
+        assert [r["n"] for r in direct] == [3, 4]
+        for r in direct:
+            assert set(r) == {"n", "set", "time", "error", "failed"}
+            grid = [0.7 * r["n"] + 0.7 * i for i in range(4)]
+            assert r["time"] in grid and r["error"] > 5e-2
+        assert two.rows == one.rows
+        assert {"time_direct", "error_direct"} <= set(one.fits)
+
+
 class TestBenchQftMissingRealization:
     def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):
         load = bench.load_bundled_realizations

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spincompile import __version__, cli, evolution, instructions
+from spincompile import __version__, cli, evolution, instructions, optimizer
 from spincompile.cli import main, parse_angle, parse_config, parse_target
 from spincompile.errors import ConfigError
 from spincompile.schedule import write_pulse_table, zeros
@@ -294,6 +294,11 @@ class TestBadConfigExits2:
         ("target = cnot\ntime = 0.5\nmodel.coupling = inf\n", 3),
         ("target = cnot\ntime = 0.5\nmodel.coupling = nan\n", 3),
         ("target = identity:1\nmodel.field_sign = fields_subtract\n", 2),
+        ("target = identity:1\ntime = nan\n", 2),
+        ("target = identity:1\ntime = inf\n", 2),
+        ("target = identity:1\ntime = -1\n", 2),
+        ("target = identity:1\ntime = 0\n", 2),
+        ("target = identity:1\noptimizer.seed = -1\n", 2),
     ])
     def test_synthesize(self, tmp_path, capsys, body, line):
         cfg = tmp_path / "run.cfg"
@@ -311,6 +316,10 @@ class TestBadConfigExits2:
         ("bench", "max_n = 3\nkind = qft3\n"),
         ("bench", "kind = qft\nmodel.interaction = ising\n"),
         ("bench", "kind = swap\ninteractions = ising,xy\n"),
+        ("bench", "kind = phase-trace\ntime = nan\n"),
+        ("bench", "kind = phase-trace\ntime = inf\n"),
+        ("bench", "kind = phase-trace\ntime = -1\n"),
+        ("bench", "kind = swap\noptimizer.seed = -1\n"),
     ])
     def test_other_commands(self, tmp_path, capsys, command, body):
         csv = tmp_path / "data.csv"
@@ -347,6 +356,14 @@ def test_removed_flags_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "bench"])
+def test_negative_seed_exits_2_at_parsing(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed -1 must be >= 0" in capsys.readouterr().err
 
 
 class TestCompileAndFit:
@@ -446,6 +463,21 @@ class TestBenchCommand:
         assert rc == 2 and record["error"] == "OutOfRange"
         assert "max_n" in record["message"]
         assert not list(tmp_path.glob("*sweep*"))
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_bad_error_budget_exits_2_before_any_synthesis(
+            self, tmp_path, capsys, monkeypatch, budget):
+        def refuse(*args):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(optimizer, "synthesize_auto", refuse)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"kind = swap\nerror_budget = {budget}\n")
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert "error_budget" in record["message"]
+        assert not list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("kind", ["phase-trace", "swap"])
     def test_no_seeds_exits_2(self, tmp_path, capsys, kind):

@@ -7,6 +7,7 @@ from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
                                qft_matrix, rotation, swap2,
                                swap_to_end_circuit)
 from spincompile.instructions import compose_qumis
+from spincompile.model import MAX_QUBITS
 
 
 def basis_state(bits):
@@ -211,6 +212,15 @@ class TestQft:
     def test_unitarity(self, n):
         f = qft_matrix(n).matrix
         assert np.linalg.norm(f.conj().T @ f - np.eye(2 ** n)) <= 1e-12
+
+
+@pytest.mark.parametrize("build, smallest", [(qft_matrix, 1),
+                                             (swap_to_end_circuit, 2)])
+def test_width_outside_the_register_is_rejected(build, smallest):
+    for n in (smallest - 1, MAX_QUBITS + 1):
+        where = rf"width {n} outside {smallest}\.\.{MAX_QUBITS}"
+        with pytest.raises(OutOfRange, match=where):
+            build(n)
 
 
 class TestSwapToEnd:

@@ -5,8 +5,9 @@ from spincompile.errors import DimensionMismatch, OutOfRange
 from spincompile.evolution import evolve
 from spincompile.linalg import frobenius_distance
 from spincompile.model import (HEISENBERG, MAX_QUBITS, SpinChainModel,
-                               coupling_hamiltonian, nearest_neighbor_chain,
-                               site_operator, slice_hamiltonians)
+                               check_width, coupling_hamiltonian,
+                               nearest_neighbor_chain, site_operator,
+                               slice_hamiltonians)
 from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
@@ -119,6 +120,13 @@ def test_width_limit_is_checked_before_any_operator():
             nearest_neighbor_chain(n)
     with pytest.raises(OutOfRange):
         SpinChainModel(n_qubits=10, couplings=np.zeros((10, 10)))
+
+
+def test_check_width_names_what_it_checks():
+    assert check_width(3, 3, "max_n {n}") == 3
+    for n in (2, MAX_QUBITS + 1):
+        with pytest.raises(OutOfRange, match=rf"^max_n {n} outside 3\.\.9$"):
+            check_width(n, 3, "max_n {n}")
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spincompile import optimizer
-from spincompile.errors import NonUnitaryTarget, OutOfRange
+from spincompile.errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from spincompile.evolution import gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
@@ -67,7 +67,7 @@ class TestConfig:
         ("learning_rate", float("nan")), ("max_iters_per_stage", 0),
         ("convergence_window", 0), ("n_refinements", -1),
         ("init_amplitude", -0.5), ("init_amplitude", float("inf")),
-        ("field_clamp", -1.0)])
+        ("field_clamp", -1.0), ("seed", -1)])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
@@ -95,6 +95,13 @@ class TestSynthesize:
         model = nearest_neighbor_chain(1)
         with pytest.raises(NonUnitaryTarget):
             fgto_synthesize(np.array([[1, 0], [0, 2.0]]), model, 0.5, 2, CFG)
+
+    @pytest.mark.parametrize("target", [np.eye(4), np.ones((2, 3)),
+                                        np.ones(2)])
+    def test_target_of_the_wrong_shape_rejected(self, target):
+        model = nearest_neighbor_chain(1)
+        with pytest.raises(DimensionMismatch, match="model dim 2"):
+            fgto_synthesize(target, model, 0.5, 2, CFG)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_target_rejected(self, bad):
@@ -239,6 +246,15 @@ class TestFirstWithin:
         assert ok is met and t == grid[pick]
         assert report.key == (grid[pick], CFG.seed)
         assert calls == [(t, CFG.seed) for t in grid[:pick + 1 if met else None]]
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -np.inf])
+    def test_bad_budget_rejected_before_any_attempt(self, monkeypatch, budget):
+        calls = self.script(monkeypatch, {})
+        with pytest.raises(OutOfRange, match="error_budget"):
+            multi_seed_synthesize(np.eye(2), None, 1.0, CFG, [0, 1], budget)
+        with pytest.raises(OutOfRange, match="error_budget"):
+            time_cost_search(np.eye(2), None, CFG, budget, [1.0, 2.0])
+        assert calls == []
 
     def test_time_cost_search_keeps_each_points_best_seed(self, monkeypatch):
         # each point's best seed competes; the points tie at 0.3, so the

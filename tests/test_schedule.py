@@ -137,6 +137,12 @@ def test_stage_plan_caps_refinements(total_time, cap, plan):
 
 
 @pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
+def test_stage_plan_rejects_bad_total_time(total_time):
+    with pytest.raises(ShapeError, match="total_time"):
+        stage_plan(total_time)
+
+
+@pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
 def test_schedule_rejects_bad_total_time(total_time):
     with pytest.raises(ShapeError, match="total_time"):
         PulseSchedule(1, total_time, 1, np.zeros((2, 1, 1)))
