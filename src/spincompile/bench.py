@@ -138,6 +138,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
                 err = None
             rows.append({"n": n, "set": set_name, "time": total,
                          "error": err})
+    direct_max_n = min(direct_max_n, max_n)
     if direct_max_n:
         cfg = opt_cfg or OptimizerConfig()
 
@@ -146,8 +147,7 @@ def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
                 qft_matrix(n).matrix, nearest_neighbor_chain(n), cfg,
                 error_budget, [0.7 * n + 0.7 * i for i in range(4)], 2)}
 
-        rows.extend(_parallel_map(direct,
-                                  list(range(3, min(direct_max_n, max_n) + 1)),
+        rows.extend(_parallel_map(direct, list(range(3, direct_max_n + 1)),
                                   jobs))
 
     groups = list(sets) + ([DIRECT] if direct_max_n else [])

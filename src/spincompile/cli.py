@@ -119,12 +119,26 @@ def _duration(text: str) -> float:
         raise ValueError(exc) from None
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer >= 0."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed {seed} must be >= 0")
-    return seed
+def _at_least(smallest: int, what: str):
+    """An argparse type: an integer >= smallest, else exit 2 at parsing."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < smallest:
+            raise argparse.ArgumentTypeError(
+                f"{what} {value} must be >= {smallest}")
+        return value
+    return parse
+
+
+_seed = _at_least(0, "seed")
+
+
+def _finite(text: str) -> float:
+    """A float that is neither nan nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
 
 
 def parse_angle(text: str) -> float:
@@ -384,7 +398,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("config needs input = <csv path>")
     text = cfg.get("input", cast=lambda path: Path(path).read_text())
     xcol, ycol = cfg.get("x", "x"), cfg.get("y", "y")
-    n_min = cfg.get("n_min", None, float)
+    n_min = cfg.get("n_min", None, _finite)
     kind = cfg.get("kind", "linear", _one_of(("linear", "exponential")))
     name = cfg.get("name", "fit")
     cfg.check()
@@ -444,7 +458,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=5e-2)
     p = command("bench", cmd_bench, "run an experiment sweep")
     p.add_argument("--seed", type=_seed, help="overrides optimizer.seed")
-    p.add_argument("--jobs", type=int, default=1, help="sweep threads")
+    p.add_argument("--jobs", type=_at_least(1, "jobs"), default=1,
+                   help="sweep threads")
     command("fit", cmd_fit, "least-squares fit of a results column")
     return parser
 

@@ -1,29 +1,33 @@
 """Schedule -> evolution operator, gate error, error trace, exact gradients.
 
-Within a slice the Hamiltonian is constant (``model.slice_hamiltonians``
-builds it from the slice's x and y field amplitudes), so each slice
-contributes one exact exponential exp(-i tau H_k) computed in the
-eigenbasis; the full operator is the time-ordered product with slice 1
-acting first. The gradient of the gate error with respect to every pulse
-amplitude comes from one forward pass (the batched eigendecomposition and
-the prefix products) and one backward pass through the divided-difference
-kernel, so it is exact to machine precision rather than a
-finite-difference estimate. The backward pass is batched over the slice
-axis: one matmul loop builds the suffix products, each slice's adjoint is
-carried through its eigenbasis by batched matmuls, and a single matmul
-against the flattened control operators reads off every amplitude's
-derivative.
+Within a slice the Hamiltonian is constant, so each slice contributes one
+exact exponential exp(-i tau H_k) computed in the eigenbasis; the full
+operator is the time-ordered product with slice 1 acting first. On the
+Ising chain every slice is solved as two real symmetric parity blocks of
+half the width (``model.ising_parity_blocks``), one batched real
+eigendecomposition for the schedule; other couplings are solved as the
+complex slice Hamiltonians of ``model.slice_hamiltonians``. The gradient
+of the gate error with respect to every pulse amplitude comes from one
+forward pass (the batched eigendecomposition and the prefix products) and
+one backward pass through the divided-difference kernel, so it is exact
+to machine precision rather than a finite-difference estimate. The
+backward pass is batched over the slice axis: one matmul loop builds the
+suffix products, each slice's adjoint is carried through its eigenbasis
+by batched matmuls, and a single matmul against the flattened control
+operators reads off every amplitude's derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
-from .model import SpinChainModel, control_operators, slice_hamiltonians
+from .model import (ISING, MAX_QUBITS, SpinChainModel, control_operators,
+                    ising_parity_blocks, slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -43,13 +47,20 @@ class ErrorTrace:
 def _slice_propagators(model, schedule):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k).
 
-    E_k = V_k diag(phases_k) V_k^dag is formed as one batched matmul on its
-    conjugate, conj(E_k) = (conj(V_k) conj(phases_k)) V_k^T, scaled and
-    conjugated in place. Conjugation is exact, so this equals
-    (V * phases) @ V^dag bit for bit, but it never holds a conjugated copy
-    of V beside the scaled one: the plain form keeps a fourth K x d x d
+    Returns (w, v, ek): eigenvalues (K, d), eigenvectors (K, d, d) and
+    propagators (K, d, d). The Ising chain is solved as two real parity
+    blocks per slice (``_parity_propagators``); other couplings by one
+    batched complex eigendecomposition.
+
+    On the complex path E_k = V_k diag(phases_k) V_k^dag is formed as one
+    batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
+    V_k^T, scaled and conjugated in place. Conjugation is exact, so this
+    equals (V * phases) @ V^dag bit for bit, but it never holds a conjugated
+    copy of V beside the scaled one: the plain form keeps a fourth K x d x d
     array alive and raised the peak memory of a replay by 16%.
     """
+    if model.interaction == ISING:
+        return _parity_propagators(model, schedule)
     w, v = np.linalg.eigh(slice_hamiltonians(model, schedule.values))
     phases = np.exp(-1j * schedule.tau * w)
     ek = v.conj()
@@ -57,6 +68,69 @@ def _slice_propagators(model, schedule):
     ek = ek @ v.transpose(0, 2, 1)
     np.conjugate(ek, out=ek)
     return w, v, ek
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _parity_layout(dim: int) -> np.ndarray:
+    """Where each entry of E_k sits in the (2, d/2, d/2) stack of its sum
+    and difference blocks (S, D), as flat indices (d, d).
+
+    Row j < d/2 reads block row j and row j >= d/2 its mirror d-1-j (J);
+    so do the columns. An entry reads S where row and column lie in the
+    same half, else D.
+    """
+    half = dim // 2
+    idx = np.arange(dim)
+    lower = idx >= half
+    fold = np.where(lower, dim - 1 - idx, idx)
+    at = ((lower[:, None] ^ lower) * half + fold[:, None]) * half + fold
+    at.setflags(write=False)
+    return at
+
+
+def _parity_propagators(model, schedule):
+    """``_slice_propagators`` of an Ising chain from its real parity blocks.
+
+    With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
+    ``model.ising_parity_blocks``; Q's columns are (|j> +- |d-1-j>)/sqrt2),
+    one real eigendecomposition A+- = V+- diag(w+-) V+-^T gives
+    w = (w+, w-), v = diag(u) Q blockdiag(V+, V-), and each block's
+    exponential V diag(phases) V^T as one real matmul against the complex
+    right operand viewed as float pairs. E_k is [[S, D J], [J D, J S J]]
+    (J reverses the order) with S = (E+ + E-)/2 and D = (E+ - E-)/2, scaled
+    by u_j conj(u_l): gathers and scalings of O(K d^2) beside the
+    O(K d^3 / 4) eigendecomposition.
+
+    One complex K x d x d stack serves first as two (K, 2, d/2, d/2)
+    halves, the phased right operands (then S and D) and the block
+    exponentials, and then as v. Temporaries of mixed sizes stay resident
+    on the heap once freed; with this reuse a replay's peak memory stays
+    below that of the complex path.
+    """
+    theta, blocks = ising_parity_blocks(model, schedule.values)
+    wb, vb = np.linalg.eigh(blocks)
+    del blocks
+    k_slices, dim, half = schedule.n_slices, model.dim, model.dim // 2
+    u = np.exp(1j * theta)
+    stack = np.empty((k_slices, dim, dim), dtype=complex)
+    sd, eb = stack.reshape(2, k_slices, 2, half, half)
+    # halved phases, so eb holds E+/2 and E-/2
+    np.multiply(0.5 * np.exp(-1j * schedule.tau * wb)[..., :, None],
+                vb.swapaxes(-1, -2), out=sd)
+    np.matmul(vb, sd.view(float), out=eb.view(float))
+    np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
+    np.subtract(eb[:, 0], eb[:, 1], out=sd[:, 1])
+    ek = np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1)
+    ek *= u[:, :, None]
+    ek *= u.conj()[:, None, :]
+
+    v = stack
+    v[:, :half, :half] = vb[:, 0]
+    v[:, :half, half:] = vb[:, 1]
+    v[:, half:, :half] = vb[:, 0, ::-1]
+    np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
+    v *= np.sqrt(0.5) * u[:, :, None]
+    return wb.reshape(k_slices, -1), v, ek
 
 
 def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:

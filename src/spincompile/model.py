@@ -10,7 +10,18 @@ terms add to the coupling:
     H_k = coupling + 2*pi sum_n (h^x_nk S^x_n + h^y_nk S^y_n),
 
 the convention of the bundled pulse tables. ``slice_hamiltonians`` is the
-one Hamiltonian builder; a single snapshot is its one-slice case.
+one builder of the complex Hamiltonians; a single snapshot is its
+one-slice case.
+
+On the Ising chain a slice is real up to diagonal phases: with
+phi_n = atan2(h^y_n, h^x_n) and r_n = hypot(h^x_n, h^y_n),
+h^x S^x + h^y S^y = r U S^x U^dag for U = diag(1, e^{i phi}), so
+H_k = diag(u_k) H'_k diag(u_k)^dag with u_k(j) = exp(i sum_n phi_nk b_n(j))
+(b_n(j) is bit n of basis index j, site 0 the most significant) and
+H'_k = coupling + 2*pi sum_n r_nk S^x_n real symmetric. H'_k commutes with
+the global spin flip j <-> d-1-j, so in the basis
+(|j> + |d-1-j>)/sqrt2, (|j> - |d-1-j>)/sqrt2 (j < d/2) it is two real
+d/2 x d/2 blocks, ``ising_parity_blocks``.
 """
 
 from __future__ import annotations
@@ -123,12 +134,61 @@ def control_operators(model: SpinChainModel) -> np.ndarray:
     return ops
 
 
-def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
-    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K)."""
+def _check_fields(model: SpinChainModel, values: np.ndarray) -> None:
     if values.shape[1] != model.n_qubits:
         raise DimensionMismatch(
             f"model has {model.n_qubits} qubits, fields {values.shape[1]}")
+
+
+def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
+    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K)."""
+    _check_fields(model, values)
     # values: (2, N, K) contracted with ops (2, N, d, d) -> (K, d, d)
     hk = np.tensordot(values, control_operators(model), axes=([0, 1], [0, 1]))
     return hk + coupling_hamiltonian(model)
 
+
+@lru_cache(maxsize=16)
+def _parity_pieces(n_qubits: int, couplings: bytes):
+    """Read-only pieces of an Ising chain's parity blocks: the bits b_n(j),
+    shape (N, dim), and the block operators, shape (N + 1, (dim/2)^2).
+
+    Operator n < N is the field term of site n per unit r_n: pi times the
+    permutation j <-> j ^ mask_n of a half. Site n > 0 flips its own bit.
+    Site 0's field joins the two halves, j <-> d-1-j, so in the blocks it
+    is +pi J and -pi J, J reversing a half (mask d/2 - 1). Operator N is
+    the coupling diagonal of the upper half.
+    """
+    chain = SpinChainModel(n_qubits, np.frombuffer(couplings).reshape(
+        n_qubits, n_qubits))
+    half = chain.dim // 2
+    sites = np.arange(n_qubits)
+    bits = (np.arange(chain.dim) >> (n_qubits - 1 - sites)[:, None]) & 1
+    masks = np.where(sites == 0, half - 1, 1 << (n_qubits - 1 - sites))
+    ops = np.empty((n_qubits + 1, half, half))
+    ops[:n_qubits] = np.pi * np.eye(half)[np.arange(half) ^ masks[:, None]]
+    ops[n_qubits] = np.diag(coupling_hamiltonian(chain).real.diagonal()[:half])
+    pieces = bits.astype(float), ops.reshape(n_qubits + 1, half * half)
+    for a in pieces:
+        a.setflags(write=False)
+    return pieces
+
+
+def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
+    """(theta, blocks) of an Ising chain's slices, values (2, N, K).
+
+    theta (K, dim) holds the frame phases, u_k = exp(i theta_k); blocks
+    (K, 2, dim/2, dim/2) holds the real symmetric blocks of H'_k on the
+    even and odd flip combinations.
+    """
+    _check_fields(model, values)
+    n, k_slices = model.n_qubits, values.shape[2]
+    bits, ops = _parity_pieces(n, model.couplings.tobytes())
+    hx, hy = values
+    theta = np.arctan2(hy, hx).T @ bits
+    coef = np.empty((k_slices, 2, n + 1))
+    coef[:, :, :n] = np.hypot(hx, hy).T[:, None, :]
+    coef[:, 1, 0] *= -1.0
+    coef[:, :, n] = 1.0
+    half = model.dim // 2
+    return theta, (coef @ ops).reshape(k_slices, 2, half, half)

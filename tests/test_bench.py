@@ -140,6 +140,12 @@ class TestBenchQftDirect:
         assert two.rows == one.rows
         assert {"time_direct", "error_direct"} <= set(one.fits)
 
+    def test_provenance_reports_the_width_run(self):
+        cfg = OptimizerConfig(max_iters_per_stage=2, n_refinements=0)
+        result = bench_qft(3, sets=(QUVIS3,), direct_max_n=5, opt_cfg=cfg)
+        assert [r["n"] for r in result.rows if r["set"] == bench.DIRECT] == [3]
+        assert result.provenance["direct_max_n"] == 3
+
 
 class TestBenchQftMissingRealization:
     def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):

@@ -313,6 +313,8 @@ class TestBadConfigExits2:
         ("evolve", "name = x\nbundled = no_such_table\n"),
         ("fit", "x = n\ninput = {missing}\n"),
         ("fit", "input = {csv}\nkind = quadratic\n"),
+        ("fit", "input = {csv}\nn_min = nan\n"),
+        ("fit", "input = {csv}\nn_min = -inf\n"),
         ("bench", "max_n = 3\nkind = qft3\n"),
         ("bench", "kind = qft\nmodel.interaction = ising\n"),
         ("bench", "kind = swap\ninteractions = ising,xy\n"),
@@ -364,6 +366,14 @@ def test_negative_seed_exits_2_at_parsing(command, capsys):
         main([command, "--seed", "-1"])
     assert exc.value.code == 2
     assert "seed -1 must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_exits_2_at_parsing(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"jobs {jobs} must be >= 1" in capsys.readouterr().err
 
 
 class TestCompileAndFit:

@@ -121,6 +121,53 @@ def test_slice_propagators_match_taylor_exponential(n, interaction):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
 
+def _ising_schedule_with_zero_fields(n, k_slices, seed):
+    """A random Ising schedule whose slice k = 1 has every field zero and
+    whose slice k = 2 has both fields of site 0 negative zero (the frame
+    phase atan2(-0., -0.) is -pi)."""
+    sched = random_init(n, 0.25 * k_slices, k_slices, amplitude=1.5, seed=seed)
+    values = sched.values.copy()
+    values[:, :, 1] = 0.0
+    values[:, 0, 2] = -0.0
+    return sched.with_values(values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_parity_propagators_match_complex_eigh(n):
+    model = nearest_neighbor_chain(n)
+    sched = _ising_schedule_with_zero_fields(n, 4, seed=20 + n)
+    w, v, ek = _slice_propagators(model, sched)
+    hk = slice_hamiltonians(model, sched.values)
+    ref_w, ref_v = np.linalg.eigh(hk)
+    ref_ek = (ref_v * np.exp(-1j * sched.tau * ref_w)[:, None, :]) \
+        @ ref_v.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(ek - ref_ek)) <= 1e-13
+    vdag = v.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(vdag @ v - np.eye(model.dim))) <= 1e-12
+    rebuilt = (v * w[:, None, :]) @ vdag
+    assert np.max(np.abs(rebuilt - hk)) <= 1e-12 * np.max(np.abs(hk))
+    assert np.allclose(np.sort(w, axis=1), ref_w, rtol=0, atol=1e-12)
+
+
+def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("complex slice Hamiltonians built")
+
+    monkeypatch.setattr(evolution, "slice_hamiltonians", refuse)
+    model = nearest_neighbor_chain(3)
+    sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
+    u = evolve(model, sched)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-12
+
+
+def test_heisenberg_keeps_the_complex_eigendecomposition():
+    model = nearest_neighbor_chain(3, interaction=HEISENBERG)
+    sched = random_init(3, 0.6, 4, amplitude=1.0, seed=4)
+    w, v, ek = _slice_propagators(model, sched)
+    ref_w, ref_v = np.linalg.eigh(slice_hamiltonians(model, sched.values))
+    assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+
+
 def test_evolve_peak_memory_is_three_slice_stacks():
     # the Hamiltonians, the eigenvectors and the propagators: the plain
     # (V * phases) @ V^dag form held a fourth K x d x d stack (4.0 units)
@@ -277,6 +324,21 @@ def test_gradient_directional_finite_differences():
     _, grad = error_and_gradient(target, model, sched)
     fd = _directional_fd(target, model, sched, direction)
     assert abs(np.sum(grad * direction) - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+
+def test_ising_gradient_matches_finite_differences_with_zero_field_slice():
+    # the parity blocks' eigenbasis, checked against the error alone: the
+    # slice-loop reference reads the same eigenbasis and cannot
+    model = nearest_neighbor_chain(3)
+    sched = _ising_schedule_with_zero_fields(3, 4, seed=15)
+    target = random_unitary(8, seed=16)
+    _, grad = error_and_gradient(target, model, sched)
+    h = 1e-6
+    for idx in np.ndindex(*grad.shape):
+        step = np.zeros_like(sched.values)
+        step[idx] = 1.0
+        fd = _directional_fd(target, model, sched, step, h)
+        assert abs(grad[idx] - fd) <= max(1e-6 * abs(fd), 1e-9)
 
 
 def test_gradient_linearity():

@@ -6,8 +6,8 @@ from spincompile.evolution import evolve
 from spincompile.linalg import frobenius_distance
 from spincompile.model import (HEISENBERG, MAX_QUBITS, SpinChainModel,
                                check_width, coupling_hamiltonian,
-                               nearest_neighbor_chain, site_operator,
-                               slice_hamiltonians)
+                               ising_parity_blocks, nearest_neighbor_chain,
+                               site_operator, slice_hamiltonians)
 from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
@@ -68,6 +68,12 @@ def test_field_shape_mismatch():
     for k_slices in (1, 4):
         with pytest.raises(DimensionMismatch):
             slice_hamiltonians(model, np.zeros((2, 3, k_slices)))
+
+
+def test_parity_blocks_check_the_field_width():
+    model = nearest_neighbor_chain(2)
+    with pytest.raises(DimensionMismatch):
+        ising_parity_blocks(model, np.zeros((2, 3, 4)))
 
 
 def test_evolution_steps_through_slice_hamiltonians():
