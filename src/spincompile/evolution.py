@@ -12,9 +12,11 @@ forward pass (the batched eigendecomposition and the prefix products) and
 one backward pass through the divided-difference kernel, so it is exact
 to machine precision rather than a finite-difference estimate. The
 backward pass is batched over the slice axis: one matmul loop builds the
-suffix products, each slice's adjoint is carried through its eigenbasis
-by batched matmuls, and a single matmul against the flattened control
-operators reads off every amplitude's derivative.
+suffix products over the propagators, each slice's adjoint is carried
+through its eigenbasis by batched matmuls into buffers the earlier steps
+freed, and every amplitude's derivative is read off the adjoint by a
+gather: a field term couples basis state j only to j with its site's bit
+flipped. At most about four K x d x d stacks are alive at once.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
-from .model import (ISING, MAX_QUBITS, SpinChainModel, control_operators,
-                    ising_parity_blocks, slice_hamiltonians)
+from .model import (ISING, MAX_QUBITS, SpinChainModel, ising_parity_blocks,
+                    slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -58,6 +60,9 @@ def _slice_propagators(model, schedule):
     equals (V * phases) @ V^dag bit for bit, but it never holds a conjugated
     copy of V beside the scaled one: the plain form keeps a fourth K x d x d
     array alive and raised the peak memory of a replay by 16%.
+
+    The arrays are the caller's own: ``error_and_gradient`` consumes ek,
+    writing the suffix products over the propagators.
     """
     if model.interaction == ISING:
         return _parity_propagators(model, schedule)
@@ -189,33 +194,58 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     d eps^2 / d theta_k = -2 Re tr(M_k dE_k), M_k = P_{k-1} target^dag S_k,
     and dE_k follows from the divided-difference kernel in the slice
     eigenbasis. At eps below the floor the gradient is zero by convention.
+
+    The peak is four K x d x d complex stacks, reached while M is formed:
+    V, the suffixes (written over the propagators), the prefixes and M.
+    The prefixes are then dropped, and the later steps run in the suffix
+    and M buffers.
     """
     target = check_target(target, model)
-    k_slices = schedule.n_slices
+    k_slices, dim = schedule.n_slices, model.dim
     w, v, ek = _slice_propagators(model, schedule)
 
-    prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
-    prefix[0] = np.eye(model.dim)
+    prefix = np.empty((k_slices + 1, dim, dim), dtype=complex)
+    prefix[0] = np.eye(dim)
     for k in range(k_slices):
         prefix[k + 1] = ek[k] @ prefix[k]
-    u_full = prefix[k_slices]
-    eps = frobenius_distance(target, u_full)
+    eps = frobenius_distance(target, prefix[k_slices])
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    # Suffixes target^dag S_k, S_k = E_{K-1} ... E_{k+1} and S_{K-1} = 1.
-    dim = model.dim
-    suffix = np.empty((k_slices, dim, dim), dtype=complex)
-    suffix[-1] = target.conj().T
+    # Suffixes target^dag S_k, S_k = E_{K-1} ... E_{k+1} and S_{K-1} = 1,
+    # each written over E_k once E_k has been read.
+    suffix, tail = ek, target.conj().T
     for k in range(k_slices - 1, 0, -1):
-        suffix[k - 1] = suffix[k] @ ek[k]
+        suffix[k], tail = tail, tail @ ek[k]
+    suffix[0] = tail
+    del tail
     m = prefix[:k_slices] @ suffix                          # M_k
-    wmat = v.conj().transpose(0, 2, 1) @ m @ v
-    phi = np.stack([loewner_kernel(w[k], schedule.tau)
-                    for k in range(k_slices)])
-    y = wmat.transpose(0, 2, 1) * phi
-    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l] with G_k = conj(V) Y_k V^T
-    g = v.conj() @ y @ v.transpose(0, 2, 1)
-    ops = control_operators(model).reshape(-1, dim * dim)   # (2N, d^2)
-    grad_sq = -2.0 * np.real(g.reshape(k_slices, dim * dim) @ ops.T)
-    return eps, grad_sq.T.reshape(schedule.values.shape) / (2.0 * eps)
+    del prefix
+    # A conjugated operand is conjugated in place around a matmul on V or
+    # V^T, never copied: V^dag M = conj(V^T conj(M)) and
+    # conj(V) Y = conj(V conj(Y)).
+    np.conjugate(m, out=m)
+    vdag_m = np.matmul(v.transpose(0, 2, 1), m, out=suffix)
+    np.conjugate(vdag_m, out=vdag_m)
+    wmat = np.matmul(vdag_m, v, out=m)                      # V^dag M V
+    y = vdag_m
+    for k in range(k_slices):
+        y[k] = loewner_kernel(w[k], schedule.tau)
+    y *= wmat.transpose(0, 2, 1)
+    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l], G_k = conj(V) Y_k V^T
+    np.conjugate(y, out=y)
+    cv_y = np.matmul(v, y, out=wmat)
+    np.conjugate(cv_y, out=cv_y)
+    g = np.matmul(cv_y, v.transpose(0, 2, 1), out=y)
+    # d H / d h[x, n] is pi at (j, j ^ mask_n), d H / d h[y, n] is -i pi s_j
+    # there (s_j = +1 if bit n of j is 0, else -1; site 0 is the top bit),
+    # so each amplitude reads d entries of G_k, and d eps = d eps^2 / 2 eps.
+    rows = np.arange(dim)
+    masks = 1 << np.arange(model.n_qubits - 1, -1, -1)[:, None]
+    pairs = g[:, rows, rows ^ masks]                         # (K, N, d)
+    signs = np.where(rows & masks, -1.0, 1.0)
+    grad = np.empty_like(schedule.values)
+    grad[0] = pairs.real.sum(axis=-1).T
+    grad[1] = (pairs.imag * signs).sum(axis=-1).T
+    grad *= -np.pi / eps
+    return eps, grad

@@ -37,7 +37,9 @@ from .schedule import AXES
 ISING = "ising_zz"
 HEISENBERG = "heisenberg_xyz"
 
-# Widest register: at N = 9 the control-operator stack alone is 75 MB.
+# Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
+# holds four per slice at its peak; the control-operator stack, built only
+# for Heisenberg slice Hamiltonians, holds 18 (75 MB).
 MAX_QUBITS = 9
 
 _PAULI = {

@@ -36,6 +36,12 @@ def check_total_time(total_time: float) -> float:
     return total_time
 
 
+def check_counts(n_qubits: int, n_slices: int) -> None:
+    """ShapeError unless both counts are at least 1."""
+    if n_slices < 1 or n_qubits < 1:
+        raise ShapeError("n_qubits and n_slices must be positive")
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """Immutable control schedule; values has shape (2, n_qubits, n_slices)
@@ -47,12 +53,11 @@ class PulseSchedule:
     values: np.ndarray
 
     def __post_init__(self):
+        check_counts(self.n_qubits, self.n_slices)
         v = np.asarray(self.values, dtype=float)
         expected = (len(AXES), self.n_qubits, self.n_slices)
         if v.shape != expected:
             raise ShapeError(f"values shape {v.shape}, expected {expected}")
-        if self.n_slices < 1 or self.n_qubits < 1:
-            raise ShapeError("n_qubits and n_slices must be positive")
         check_total_time(self.total_time)
         if not np.isfinite(v).all():
             raise ShapeError("values must be finite")
@@ -69,15 +74,19 @@ class PulseSchedule:
 
 
 def zeros(n_qubits: int, total_time: float, n_slices: int) -> PulseSchedule:
+    check_counts(n_qubits, n_slices)
     return PulseSchedule(n_qubits, total_time, n_slices,
                          np.zeros((len(AXES), n_qubits, n_slices)))
 
 
 def random_init(n_qubits: int, total_time: float, n_slices: int,
                 amplitude: float, seed) -> PulseSchedule:
-    """Entries i.i.d. uniform in [-amplitude, amplitude]; seed-deterministic."""
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
+    """Entries i.i.d. uniform in [-amplitude, amplitude]; seed-deterministic.
+    ShapeError for a count below 1, ValueError unless 0 <= amplitude < inf,
+    both before anything is drawn."""
+    check_counts(n_qubits, n_slices)
+    if not 0 <= amplitude < math.inf:
+        raise ValueError("amplitude must be >= 0 and finite")
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-amplitude, amplitude,
                        size=(len(AXES), n_qubits, n_slices))

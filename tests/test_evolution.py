@@ -6,6 +6,7 @@ import pytest
 from test_linalg import expm_taylor
 
 import spincompile.evolution as evolution
+import spincompile.model as model_module
 from spincompile.errors import DimensionMismatch, NonUnitaryTarget
 from spincompile.evolution import (GRADIENT_EPS_FLOOR, _slice_propagators,
                                    error_and_gradient, error_trace, evolve,
@@ -168,19 +169,40 @@ def test_heisenberg_keeps_the_complex_eigendecomposition():
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
 
 
-def test_evolve_peak_memory_is_three_slice_stacks():
-    # the Hamiltonians, the eigenvectors and the propagators: the plain
-    # (V * phases) @ V^dag form held a fourth K x d x d stack (4.0 units)
-    model = nearest_neighbor_chain(6)
-    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
-    evolve(model, sched)                     # warm the operator caches
+def _peak_slice_stacks(run, model, sched):
+    """tracemalloc peak of run() in complex K x d x d stacks, after a
+    warm-up call has filled the operator caches."""
+    run()
     tracemalloc.start()
     try:
-        evolve(model, sched)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.1 * sched.n_slices * model.dim ** 2 * 16
+    return peak / (sched.n_slices * model.dim ** 2 * 16)
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_evolve_peak_memory_is_three_slice_stacks(interaction):
+    # Heisenberg: the Hamiltonians, the eigenvectors and the propagators;
+    # the plain (V * phases) @ V^dag form held a fourth stack (4.0 units).
+    # Ising: the real parity blocks are half as wide, and one complex
+    # stack holds their exponentials and then the eigenvectors.
+    model = nearest_neighbor_chain(6, interaction=interaction)
+    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
+    assert _peak_slice_stacks(lambda: evolve(model, sched),
+                              model, sched) <= 3.1
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_gradient_peak_memory_is_four_slice_stacks(interaction):
+    # V, the suffixes over the propagators, the prefixes and M; the later
+    # steps run in the stacks the suffixes and M leave free
+    model = nearest_neighbor_chain(6, interaction=interaction)
+    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
+    target = random_unitary(model.dim, seed=3)
+    assert _peak_slice_stacks(
+        lambda: error_and_gradient(target, model, sched), model, sched) <= 4.5
 
 
 def test_trace_endpoints():
@@ -287,6 +309,21 @@ def test_batched_gradient_matches_slice_loop(n, k_slices, interaction, sign):
     ref_err, ref_grad = loop_error_and_gradient(target, model, sched)
     assert err == ref_err
     assert grad.shape == sched.values.shape
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_gradient_builds_no_control_operators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("control-operator stack built")
+
+    model = nearest_neighbor_chain(3)
+    sched = random_init(3, 0.6, 5, amplitude=1.0, seed=6)
+    target = random_unitary(model.dim, seed=7)
+    ref_err, ref_grad = loop_error_and_gradient(target, model, sched)
+    monkeypatch.setattr(model_module, "control_operators", refuse)
+    monkeypatch.setattr(evolution, "control_operators", refuse, raising=False)
+    err, grad = error_and_gradient(target, model, sched)
+    assert err == ref_err
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 

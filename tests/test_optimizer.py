@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spincompile import optimizer
-from spincompile.errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
+from spincompile.errors import (DimensionMismatch, NonUnitaryTarget,
+                               OutOfRange, ShapeError)
 from spincompile.evolution import gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
@@ -111,6 +112,12 @@ class TestSynthesize:
         with pytest.raises(NonUnitaryTarget,
                            match="not finite.*row 1, column 0"):
             fgto_synthesize(target, model, 0.5, 2, CFG)
+
+    @pytest.mark.parametrize("initial_slices", [0, -2])
+    def test_initial_slices_below_one_rejected(self, initial_slices):
+        model = nearest_neighbor_chain(1)
+        with pytest.raises(ShapeError, match="must be positive"):
+            fgto_synthesize(np.eye(2), model, 0.5, initial_slices, CFG)
 
     def test_deterministic_rerun(self):
         model = nearest_neighbor_chain(2)

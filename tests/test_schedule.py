@@ -34,6 +34,21 @@ def test_random_amplitude_zero_is_zeros():
     assert not np.signbit(s.values).any()   # +0.0, bitwise as zeros()
 
 
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, -0.5])
+def test_random_init_rejects_bad_amplitude(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be >= 0 and finite"):
+        random_init(2, 0.3, 3, amplitude, seed=0)
+
+
+@pytest.mark.parametrize("n_qubits, n_slices", [(2, 0), (2, -1), (0, 3),
+                                                (-1, 3)])
+def test_constructors_reject_counts_below_one(n_qubits, n_slices):
+    with pytest.raises(ShapeError, match="must be positive"):
+        random_init(n_qubits, 0.3, n_slices, 1.0, seed=0)
+    with pytest.raises(ShapeError, match="must be positive"):
+        zeros(n_qubits, 0.3, n_slices)
+
+
 def test_random_determinism():
     a = random_init(3, 1.0, 7, amplitude=2.0, seed=42)
     b = random_init(3, 1.0, 7, amplitude=2.0, seed=42)
