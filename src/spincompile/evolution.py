@@ -16,7 +16,8 @@ suffix products over the propagators, each slice's adjoint is carried
 through its eigenbasis by batched matmuls into buffers the earlier steps
 freed, and every amplitude's derivative is read off the adjoint by a
 gather: a field term couples basis state j only to j with its site's bit
-flipped. At most about four K x d x d stacks are alive at once.
+flipped (``model.flip_pairs``). At most about four K x d x d stacks are
+alive at once.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
-from .model import (ISING, MAX_QUBITS, SpinChainModel, ising_parity_blocks,
-                    slice_hamiltonians)
+from .model import (ISING, MAX_QUBITS, SpinChainModel, flip_pairs,
+                    ising_parity_blocks, slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -237,15 +238,13 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     cv_y = np.matmul(v, y, out=wmat)
     np.conjugate(cv_y, out=cv_y)
     g = np.matmul(cv_y, v.transpose(0, 2, 1), out=y)
-    # d H / d h[x, n] is pi at (j, j ^ mask_n), d H / d h[y, n] is -i pi s_j
-    # there (s_j = +1 if bit n of j is 0, else -1; site 0 is the top bit),
-    # so each amplitude reads d entries of G_k, and d eps = d eps^2 / 2 eps.
-    rows = np.arange(dim)
-    masks = 1 << np.arange(model.n_qubits - 1, -1, -1)[:, None]
-    pairs = g[:, rows, rows ^ masks]                         # (K, N, d)
-    signs = np.where(rows & masks, -1.0, 1.0)
+    # d H / d h[x, n] is pi at (j, partner[n, j]) and d H / d h[y, n] is
+    # -i pi spin[n, j] there (``model.flip_pairs``), so each amplitude reads
+    # d entries of G_k, and d eps = d eps^2 / 2 eps.
+    partner, spin = flip_pairs(model.n_qubits)
+    pairs = g[:, np.arange(dim), partner]                    # (K, N, d)
     grad = np.empty_like(schedule.values)
     grad[0] = pairs.real.sum(axis=-1).T
-    grad[1] = (pairs.imag * signs).sum(axis=-1).T
+    grad[1] = (pairs.imag * spin).sum(axis=-1).T
     grad *= -np.pi / eps
     return eps, grad

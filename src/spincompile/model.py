@@ -13,11 +13,18 @@ the convention of the bundled pulse tables. ``slice_hamiltonians`` is the
 one builder of the complex Hamiltonians; a single snapshot is its
 one-slice case.
 
+Every operator here moves a basis state j to at most one other state: a
+field on site n flips bit n, a flip-flop coupling flips two bits and the
+z terms are diagonal. ``flip_pairs`` writes that bit layout down once, as
+each site's partner state and spin sign; the Hamiltonians are scattered
+from it, and the gradient gathers from it. ``site_operator`` builds the
+same operators as dense Kronecker products, for reference only.
+
 On the Ising chain a slice is real up to diagonal phases: with
 phi_n = atan2(h^y_n, h^x_n) and r_n = hypot(h^x_n, h^y_n),
 h^x S^x + h^y S^y = r U S^x U^dag for U = diag(1, e^{i phi}), so
 H_k = diag(u_k) H'_k diag(u_k)^dag with u_k(j) = exp(i sum_n phi_nk b_n(j))
-(b_n(j) is bit n of basis index j, site 0 the most significant) and
+(b_n(j) is site n's bit of basis index j, (1 - spin[n, j]) / 2) and
 H'_k = coupling + 2*pi sum_n r_nk S^x_n real symmetric. H'_k commutes with
 the global spin flip j <-> d-1-j, so in the basis
 (|j> + |d-1-j>)/sqrt2, (|j> - |d-1-j>)/sqrt2 (j < d/2) it is two real
@@ -31,15 +38,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange
+from .errors import DimensionMismatch, OutOfRange, ShapeError
 from .schedule import AXES
 
 ISING = "ising_zz"
 HEISENBERG = "heisenberg_xyz"
 
 # Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
-# holds four per slice at its peak; the control-operator stack, built only
-# for Heisenberg slice Hamiltonians, holds 18 (75 MB).
+# holds four per slice at its peak; the Hamiltonians are scattered into
+# their one stack, so no operator of that size is built or cached per site.
 MAX_QUBITS = 9
 
 _PAULI = {
@@ -49,14 +56,31 @@ _PAULI = {
 }
 
 
-@lru_cache(maxsize=None)
 def site_operator(axis: str, site: int, n_qubits: int) -> np.ndarray:
-    """S^axis acting on one site of an n-qubit register (site 0 = leftmost)."""
+    """S^axis acting on one site of an n-qubit register (site 0 = leftmost),
+    as a dense Kronecker product: the reference the builders are checked
+    against. No builder calls it."""
     op = np.eye(1, dtype=complex)
     for i in range(n_qubits):
         op = np.kron(op, _PAULI[axis] / 2.0 if i == site else np.eye(2))
-    op.setflags(write=False)
     return op
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def flip_pairs(n_qubits: int):
+    """The register's bit layout, read-only (partner, spin), each (N, dim).
+
+    Site n is bit N-1-n of basis index j (site 0 the most significant).
+    partner[n, j] = j ^ mask_n, the state that S^x_n and S^y_n couple j
+    to; spin[n, j] = +1 if the bit is 0, else -1, so S^z_n is spin[n] / 2
+    on the diagonal and <j ^ mask_n| S^y_n |j> = i spin[n, j] / 2.
+    """
+    rows = np.arange(2 ** n_qubits)
+    masks = 1 << np.arange(n_qubits - 1, -1, -1)[:, None]
+    partner, spin = rows ^ masks, np.where(rows & masks, -1.0, 1.0)
+    for a in (partner, spin):
+        a.setflags(write=False)
+    return partner, spin
 
 
 def check_width(n: int, smallest: int = 1,
@@ -112,42 +136,59 @@ def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
 
 
 def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """The field-free part: sum over pairs n < n' of J_{nn'} two-body terms."""
-    axes = ("z",) if model.interaction == ISING else ("x", "y", "z")
-    n = model.n_qubits
+    """The field-free part: sum over pairs n < n' of J_{nn'} two-body terms.
+
+    S^z_n S^z_n' is J/4 s_n s_n' on the diagonal. On the Heisenberg chain
+    S^x_n S^x_n' + S^y_n S^y_n' moves j to j with both bits flipped, at
+    J/4 (1 - s_n s_n'): the flip-flop terms of antiparallel spins.
+    """
+    partner, spin = flip_pairs(model.n_qubits)
+    rows = np.arange(model.dim)
     h = np.zeros((model.dim, model.dim), dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            j = model.couplings[a, b]
-            if j == 0.0:
+    for a in range(model.n_qubits):
+        for b in range(a + 1, model.n_qubits):
+            quarter = model.couplings[a, b] / 4
+            if quarter == 0.0:
                 continue
-            for ax in axes:
-                h += j * (site_operator(ax, a, n) @ site_operator(ax, b, n))
+            zz = spin[a] * spin[b]
+            h[rows, rows] += quarter * zz
+            if model.interaction == HEISENBERG:
+                h[rows, partner[a, partner[b]]] += quarter * (1.0 - zz)
     return h
 
 
-def control_operators(model: SpinChainModel) -> np.ndarray:
-    """Stack of d H / d h[axis, n], shape (2, N, dim, dim)."""
-    n = model.n_qubits
-    ops = np.empty((len(AXES), n, model.dim, model.dim), dtype=complex)
-    for a, ax in enumerate(AXES):
-        for q in range(n):
-            ops[a, q] = 2 * np.pi * site_operator(ax, q, n)
-    return ops
-
-
 def _check_fields(model: SpinChainModel, values: np.ndarray) -> None:
-    if values.shape[1] != model.n_qubits:
+    """DimensionMismatch unless values is (2, N, K >= 1); ShapeError on a
+    non-finite amplitude."""
+    shape = np.shape(values)
+    if len(shape) != 3 or shape[:2] != (len(AXES), model.n_qubits) \
+            or shape[2] < 1:
         raise DimensionMismatch(
-            f"model has {model.n_qubits} qubits, fields {values.shape[1]}")
+            f"fields of shape {shape} for a {model.n_qubits}-qubit model; "
+            f"expected ({len(AXES)}, {model.n_qubits}, K >= 1)")
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))
+        axis, site, k = bad[0]
+        raise ShapeError(
+            f"field amplitudes are not finite: {len(bad)} of them, the first "
+            f"h^{AXES[axis]} of site {site} in slice {k}")
 
 
 def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
-    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K)."""
+    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K).
+
+    The field of site n is pi (h^x - i spin[n, j] h^y) at
+    (j, partner[n, j]) (``flip_pairs``), added to the coupling's zero
+    there: the coupling has entries only where no bit or two bits flip.
+    Adding, not writing over, turns a -0.0 field into +0.0, as the dense
+    sum of operators does.
+    """
     _check_fields(model, values)
-    # values: (2, N, K) contracted with ops (2, N, d, d) -> (K, d, d)
-    hk = np.tensordot(values, control_operators(model), axes=([0, 1], [0, 1]))
-    return hk + coupling_hamiltonian(model)
+    partner, spin = flip_pairs(model.n_qubits)
+    hx, hy = (np.pi * h.T[:, :, None] for h in values)     # (K, N, 1)
+    hk = np.repeat(coupling_hamiltonian(model)[None], values.shape[2], axis=0)
+    hk[:, np.arange(model.dim), partner] += hx - 1j * (hy * spin)
+    return hk
 
 
 @lru_cache(maxsize=16)
@@ -156,21 +197,21 @@ def _parity_pieces(n_qubits: int, couplings: bytes):
     shape (N, dim), and the block operators, shape (N + 1, (dim/2)^2).
 
     Operator n < N is the field term of site n per unit r_n: pi times the
-    permutation j <-> j ^ mask_n of a half. Site n > 0 flips its own bit.
-    Site 0's field joins the two halves, j <-> d-1-j, so in the blocks it
-    is +pi J and -pi J, J reversing a half (mask d/2 - 1). Operator N is
-    the coupling diagonal of the upper half.
+    permutation j <-> partner[n, j] of a half (``flip_pairs``). Site n > 0
+    flips its own bit. Site 0's field joins the two halves, j <-> d-1-j,
+    so in the blocks it is +pi J and -pi J, J reversing a half. Operator N
+    is the coupling diagonal of the upper half.
     """
     chain = SpinChainModel(n_qubits, np.frombuffer(couplings).reshape(
         n_qubits, n_qubits))
     half = chain.dim // 2
-    sites = np.arange(n_qubits)
-    bits = (np.arange(chain.dim) >> (n_qubits - 1 - sites)[:, None]) & 1
-    masks = np.where(sites == 0, half - 1, 1 << (n_qubits - 1 - sites))
+    partner, spin = flip_pairs(n_qubits)
+    flips = np.array(partner[:, :half])
+    flips[0] = np.arange(half - 1, -1, -1)
     ops = np.empty((n_qubits + 1, half, half))
-    ops[:n_qubits] = np.pi * np.eye(half)[np.arange(half) ^ masks[:, None]]
+    ops[:n_qubits] = np.pi * np.eye(half)[flips]
     ops[n_qubits] = np.diag(coupling_hamiltonian(chain).real.diagonal()[:half])
-    pieces = bits.astype(float), ops.reshape(n_qubits + 1, half * half)
+    pieces = (1.0 - spin) / 2, ops.reshape(n_qubits + 1, half * half)
     for a in pieces:
         a.setflags(write=False)
     return pieces

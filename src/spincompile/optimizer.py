@@ -45,7 +45,6 @@ class OptimizerConfig:
     n_refinements: int = 3
     init_amplitude: float = 1.0
     seed: int = 0
-    field_clamp: float | None = None
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
@@ -56,8 +55,6 @@ class OptimizerConfig:
             raise ValueError("n_refinements must be >= 0")
         if not 0 <= self.init_amplitude < np.inf:
             raise ValueError("init_amplitude must be >= 0 and finite")
-        if self.field_clamp is not None and not self.field_clamp >= 0:
-            raise ValueError("field_clamp must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -86,8 +83,6 @@ def adam_step(schedule: PulseSchedule, grad: np.ndarray, state: AdamState,
     m_hat = m / (1 - ADAM_BETA1 ** t)
     v_hat = v / (1 - ADAM_BETA2 ** t)
     vals = schedule.values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if cfg.field_clamp is not None:
-        vals = np.clip(vals, -cfg.field_clamp, cfg.field_clamp)
     return schedule.with_values(vals), AdamState(m=m, v=v, t=t)
 
 

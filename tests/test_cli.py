@@ -294,6 +294,7 @@ class TestBadConfigExits2:
         ("target = cnot\ntime = 0.5\nmodel.coupling = inf\n", 3),
         ("target = cnot\ntime = 0.5\nmodel.coupling = nan\n", 3),
         ("target = identity:1\nmodel.field_sign = fields_subtract\n", 2),
+        ("target = identity:1\noptimizer.field_clamp = 1.5\n", 2),
         ("target = identity:1\ntime = nan\n", 2),
         ("target = identity:1\ntime = inf\n", 2),
         ("target = identity:1\ntime = -1\n", 2),

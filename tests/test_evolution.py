@@ -15,8 +15,8 @@ from spincompile.gates import pauli_x
 from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
                                 loewner_kernel)
-from spincompile.model import (HEISENBERG, ISING, control_operators,
-                               coupling_hamiltonian, nearest_neighbor_chain,
+from spincompile.model import (HEISENBERG, ISING, coupling_hamiltonian,
+                               nearest_neighbor_chain, site_operator,
                                slice_hamiltonians)
 from spincompile.schedule import AXES, random_init, refine_double, zeros
 
@@ -25,6 +25,16 @@ def random_unitary(d, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q
+
+
+def control_operators(model):
+    """Stack of d H / d h[axis, n], shape (2, N, dim, dim), dense."""
+    n = model.n_qubits
+    ops = np.empty((len(AXES), n, model.dim, model.dim), dtype=complex)
+    for a, ax in enumerate(AXES):
+        for q in range(n):
+            ops[a, q] = 2 * np.pi * site_operator(ax, q, n)
+    return ops
 
 
 def loop_error_and_gradient(target, model, schedule):
@@ -182,24 +192,34 @@ def _peak_slice_stacks(run, model, sched):
     return peak / (sched.n_slices * model.dim ** 2 * 16)
 
 
-@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
-def test_evolve_peak_memory_is_three_slice_stacks(interaction):
+# (N, K) = (6, 32) on both couplings, and the wide register (8, 4), where
+# the slice stacks are few and any d x d operator built per site would show
+PEAK_CASES = [
+    pytest.param(ISING, 6, 32, id="ising_zz"),
+    pytest.param(HEISENBERG, 6, 32, id="heisenberg_xyz"),
+    pytest.param(ISING, 8, 4, id="ising_zz-8-4"),
+    pytest.param(HEISENBERG, 8, 4, id="heisenberg_xyz-8-4"),
+]
+
+
+@pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
+def test_evolve_peak_memory_is_three_slice_stacks(interaction, n, k_slices):
     # Heisenberg: the Hamiltonians, the eigenvectors and the propagators;
     # the plain (V * phases) @ V^dag form held a fourth stack (4.0 units).
     # Ising: the real parity blocks are half as wide, and one complex
     # stack holds their exponentials and then the eigenvectors.
-    model = nearest_neighbor_chain(6, interaction=interaction)
-    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     assert _peak_slice_stacks(lambda: evolve(model, sched),
                               model, sched) <= 3.1
 
 
-@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
-def test_gradient_peak_memory_is_four_slice_stacks(interaction):
+@pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
+def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     # V, the suffixes over the propagators, the prefixes and M; the later
     # steps run in the stacks the suffixes and M leave free
-    model = nearest_neighbor_chain(6, interaction=interaction)
-    sched = random_init(6, 1.6, 32, amplitude=1.0, seed=2)
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     target = random_unitary(model.dim, seed=3)
     assert _peak_slice_stacks(
         lambda: error_and_gradient(target, model, sched), model, sched) <= 4.5
@@ -312,19 +332,33 @@ def test_batched_gradient_matches_slice_loop(n, k_slices, interaction, sign):
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
-def test_gradient_builds_no_control_operators(monkeypatch):
+def test_no_production_path_builds_site_operators(monkeypatch):
+    # every Hamiltonian is scattered from model.flip_pairs; the dense site
+    # operators are the tests' reference only
     def refuse(*args):
-        raise AssertionError("control-operator stack built")
+        raise AssertionError("dense site operator built")
 
-    model = nearest_neighbor_chain(3)
-    sched = random_init(3, 0.6, 5, amplitude=1.0, seed=6)
-    target = random_unitary(model.dim, seed=7)
-    ref_err, ref_grad = loop_error_and_gradient(target, model, sched)
-    monkeypatch.setattr(model_module, "control_operators", refuse)
-    monkeypatch.setattr(evolution, "control_operators", refuse, raising=False)
-    err, grad = error_and_gradient(target, model, sched)
-    assert err == ref_err
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    runs = {
+        "evolve": lambda m, s, t: (evolve(m, s),),
+        "error_trace": lambda m, s, t: (error_trace(t, m, s).errors,),
+        "error_and_gradient": lambda m, s, t: error_and_gradient(t, m, s),
+        "slice_hamiltonians": lambda m, s, t: (slice_hamiltonians(m, s.values),),
+        "coupling_hamiltonian": lambda m, s, t: (coupling_hamiltonian(m),),
+    }
+    cases = []
+    for interaction in (ISING, HEISENBERG):
+        model = nearest_neighbor_chain(3, interaction=interaction)
+        sched = random_init(3, 0.6, 5, amplitude=1.0, seed=6)
+        target = random_unitary(model.dim, seed=7)
+        ref = {name: run(model, sched, target) for name, run in runs.items()}
+        cases.append((model, sched, target, ref))
+    # rebuild the cached Ising pieces under the patch too
+    model_module._parity_pieces.cache_clear()
+    monkeypatch.setattr(model_module, "site_operator", refuse)
+    for model, sched, target, ref in cases:
+        for name, run in runs.items():
+            for got, want in zip(run(model, sched, target), ref[name]):
+                assert np.array_equal(got, want), name
 
 
 def test_loewner_kernel_runs_once_per_slice(monkeypatch):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spincompile.errors import DimensionMismatch, OutOfRange
+from spincompile.errors import DimensionMismatch, OutOfRange, ShapeError
 from spincompile.evolution import evolve
 from spincompile.linalg import frobenius_distance
-from spincompile.model import (HEISENBERG, MAX_QUBITS, SpinChainModel,
+from spincompile.model import (HEISENBERG, ISING, MAX_QUBITS, SpinChainModel,
                                check_width, coupling_hamiltonian,
                                ising_parity_blocks, nearest_neighbor_chain,
                                site_operator, slice_hamiltonians)
@@ -74,6 +74,77 @@ def test_parity_blocks_check_the_field_width():
     model = nearest_neighbor_chain(2)
     with pytest.raises(DimensionMismatch):
         ising_parity_blocks(model, np.zeros((2, 3, 4)))
+
+
+@pytest.mark.parametrize("builder", [slice_hamiltonians, ising_parity_blocks])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 0), (3, 2, 4), (1, 2, 4),
+                                   (2, 3, 4), (2, 2, 4, 1), (2,)])
+def test_builders_take_only_fields_of_shape_2_n_k(builder, shape):
+    model = nearest_neighbor_chain(2)
+    with pytest.raises(DimensionMismatch, match=r"expected \(2, 2, K >= 1\)"):
+        builder(model, np.zeros(shape))
+
+
+@pytest.mark.parametrize("builder", [slice_hamiltonians, ising_parity_blocks])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_builders_reject_non_finite_fields(builder, bad):
+    values = np.zeros((2, 2, 3))
+    values[1, 0, 2] = bad
+    with pytest.raises(ShapeError, match="h\\^y of site 0 in slice 2"):
+        builder(nearest_neighbor_chain(2), values)
+
+
+def dense_coupling(model):
+    """The coupling as Kronecker products of site operators, pair by pair."""
+    axes = "z" if model.interaction == ISING else "xyz"
+    n = model.n_qubits
+    h = np.zeros((model.dim, model.dim), dtype=complex)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if model.couplings[a, b] != 0.0:
+                for ax in axes:
+                    h += model.couplings[a, b] * (site_operator(ax, a, n)
+                                                  @ site_operator(ax, b, n))
+    return h
+
+
+def dense_slices(model, values):
+    """coupling + 2 pi sum_n (h^x_n S^x_n + h^y_n S^y_n), slice by slice."""
+    n = model.n_qubits
+    ops = [[PI2 * site_operator(ax, q, n) for q in range(n)] for ax in "xy"]
+    hk = np.empty((values.shape[2], model.dim, model.dim), dtype=complex)
+    for k in range(values.shape[2]):
+        hk[k] = dense_coupling(model)
+        for a in range(2):
+            for q in range(n):
+                hk[k] += values[a, q, k] * ops[a][q]
+    return hk
+
+
+def random_couplings(n, seed):
+    """Symmetric, with negative and zero entries."""
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.normal(scale=5.0, size=(n, n)), 1)
+    c[rng.random((n, n)) < 0.3] = 0.0
+    return c + c.T
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_builders_equal_the_dense_reference_exactly(n, interaction):
+    chains = [nearest_neighbor_chain(n, interaction=interaction),
+              SpinChainModel(n, random_couplings(n, n), interaction)]
+    values = random_init(n, 0.5, 3, amplitude=1.5, seed=n).values.copy()
+    # -0.0 fields: the dense sum turns them into +0.0 entries, and so must
+    # the builder; np.array_equal alone would not tell the two apart
+    values[:, :, 0] = -0.0
+    values[1, 0, 1] = -values[1, 0, 1]
+    for model in chains:
+        for got, want in ((coupling_hamiltonian(model), dense_coupling(model)),
+                          (slice_hamiltonians(model, values),
+                           dense_slices(model, values))):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_evolution_steps_through_slice_hamiltonians():

@@ -47,20 +47,6 @@ class TestAdamStep:
         assert s2.values[0, 0, 0] == pytest.approx(expect, rel=1e-12)
         assert s2.values[1, 0, 0] == 0.0
 
-    def test_degenerate_clamp_forces_zero(self):
-        cfg = OptimizerConfig(field_clamp=0.0)
-        s = random_init(1, 1.0, 4, amplitude=2.0, seed=1)
-        g = np.ones_like(s.values)
-        s2, _ = adam_step(s, g, AdamState.like(s), cfg)
-        assert not s2.values.any()
-
-    def test_clamp_bounds_all_values(self):
-        cfg = OptimizerConfig(field_clamp=0.4)
-        s = random_init(2, 1.0, 4, amplitude=2.0, seed=2)
-        g = np.ones_like(s.values)
-        s2, _ = adam_step(s, g, AdamState.like(s), cfg)
-        assert np.all(np.abs(s2.values) <= 0.4)
-
 
 class TestConfig:
     @pytest.mark.parametrize("field, value", [
@@ -68,7 +54,7 @@ class TestConfig:
         ("learning_rate", float("nan")), ("max_iters_per_stage", 0),
         ("convergence_window", 0), ("n_refinements", -1),
         ("init_amplitude", -0.5), ("init_amplitude", float("inf")),
-        ("field_clamp", -1.0), ("seed", -1)])
+        ("seed", -1)])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
@@ -148,13 +134,6 @@ class TestSynthesize:
                        report.final_schedule), abs=1e-12)
         assert report.final_error == report.loss_history.min()
         assert report.final_error <= report.loss_history[0]
-
-    def test_clamped_run_respects_bound(self):
-        model = nearest_neighbor_chain(2)
-        cfg = OptimizerConfig(seed=1, max_iters_per_stage=30,
-                              field_clamp=1.5, init_amplitude=1.0)
-        report = fgto_synthesize(quvis_gate_physical(0), model, 0.3, 4, cfg)
-        assert np.all(np.abs(report.final_schedule.values) <= 1.5)
 
     def test_det1_phase_mode_on_nonunimodular_target(self):
         target = controlled_phase(np.pi / 2).matrix
