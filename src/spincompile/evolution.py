@@ -16,8 +16,12 @@ suffix products over the propagators, each slice's adjoint is carried
 through its eigenbasis by batched matmuls into buffers the earlier steps
 freed, and every amplitude's derivative is read off the adjoint by a
 gather: a field term couples basis state j only to j with its site's bit
-flipped (``model.flip_pairs``). At most about four K x d x d stacks are
-alive at once.
+flipped (``model.flip_pairs``). On the Ising chain the eigenbasis is a
+diagonal phase frame times a real matrix, so the basis changes are real
+products against complex operands viewed as float pairs, at half the
+flops of complex ones, and the frame is two O(K d^2) scalings. The peak
+is about three and a half K x d x d complex stacks on the Ising chain
+and four on the others.
 """
 
 from __future__ import annotations
@@ -50,10 +54,12 @@ class ErrorTrace:
 def _slice_propagators(model, schedule):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k).
 
-    Returns (w, v, ek): eigenvalues (K, d), eigenvectors (K, d, d) and
-    propagators (K, d, d). The Ising chain is solved as two real parity
-    blocks per slice (``_parity_propagators``); other couplings by one
-    batched complex eigendecomposition.
+    Returns (w, u, v, ek): eigenvalues (K, d), frame phases u (K, d),
+    eigenvectors (K, d, d) and propagators (K, d, d); slice k's
+    eigenvectors are diag(u_k) v_k. The Ising chain is solved as two real
+    parity blocks per slice (``_parity_propagators``) and v is real. Other
+    couplings are solved by one batched complex eigendecomposition; there
+    v is complex and u is None, no frame.
 
     On the complex path E_k = V_k diag(phases_k) V_k^dag is formed as one
     batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
@@ -73,7 +79,7 @@ def _slice_propagators(model, schedule):
     ek *= phases.conj()[:, None, :]
     ek = ek @ v.transpose(0, 2, 1)
     np.conjugate(ek, out=ek)
-    return w, v, ek
+    return w, None, v, ek
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -100,18 +106,17 @@ def _parity_propagators(model, schedule):
     With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
     ``model.ising_parity_blocks``; Q's columns are (|j> +- |d-1-j>)/sqrt2),
     one real eigendecomposition A+- = V+- diag(w+-) V+-^T gives
-    w = (w+, w-), v = diag(u) Q blockdiag(V+, V-), and each block's
-    exponential V diag(phases) V^T as one real matmul against the complex
-    right operand viewed as float pairs. E_k is [[S, D J], [J D, J S J]]
-    (J reverses the order) with S = (E+ + E-)/2 and D = (E+ - E-)/2, scaled
-    by u_j conj(u_l): gathers and scalings of O(K d^2) beside the
-    O(K d^3 / 4) eigendecomposition.
+    w = (w+, w-), the frame u, the real v = Q blockdiag(V+, V-), and each
+    block's exponential V diag(phases) V^T as one real matmul against the
+    complex right operand viewed as float pairs. E_k is
+    [[S, D J], [J D, J S J]] (J reverses the order) with S = (E+ + E-)/2
+    and D = (E+ - E-)/2, scaled by u_j conj(u_l): gathers and scalings of
+    O(K d^2) beside the O(K d^3 / 4) eigendecomposition.
 
-    One complex K x d x d stack serves first as two (K, 2, d/2, d/2)
-    halves, the phased right operands (then S and D) and the block
-    exponentials, and then as v. Temporaries of mixed sizes stay resident
-    on the heap once freed; with this reuse a replay's peak memory stays
-    below that of the complex path.
+    One complex K x d x d stack serves as two (K, 2, d/2, d/2) halves,
+    the phased right operands (then S and D) and the block exponentials,
+    and is freed once E_k is gathered from it; v is a real stack, half
+    its size.
     """
     theta, blocks = ising_parity_blocks(model, schedule.values)
     wb, vb = np.linalg.eigh(blocks)
@@ -127,21 +132,22 @@ def _parity_propagators(model, schedule):
     np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
     np.subtract(eb[:, 0], eb[:, 1], out=sd[:, 1])
     ek = np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1)
+    del stack, sd, eb
     ek *= u[:, :, None]
     ek *= u.conj()[:, None, :]
 
-    v = stack
+    v = np.empty((k_slices, dim, dim))
     v[:, :half, :half] = vb[:, 0]
     v[:, :half, half:] = vb[:, 1]
     v[:, half:, :half] = vb[:, 0, ::-1]
     np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
-    v *= np.sqrt(0.5) * u[:, :, None]
-    return wb.reshape(k_slices, -1), v, ek
+    v *= np.sqrt(0.5)
+    return wb.reshape(k_slices, -1), u, v, ek
 
 
 def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     """Time-ordered product of slice propagators (slice 1 first)."""
-    _, _, ek = _slice_propagators(model, schedule)
+    *_, ek = _slice_propagators(model, schedule)
     u = np.eye(model.dim, dtype=complex)
     for k in range(schedule.n_slices):
         u = ek[k] @ u
@@ -178,7 +184,7 @@ def error_trace(target, model: SpinChainModel,
                 schedule: PulseSchedule) -> ErrorTrace:
     """Distance from the target to every prefix product, at times k*tau."""
     target = check_target(target, model)
-    _, _, ek = _slice_propagators(model, schedule)
+    *_, ek = _slice_propagators(model, schedule)
     u = np.eye(model.dim, dtype=complex)
     errs = [frobenius_distance(target, u)]
     for k in range(schedule.n_slices):
@@ -186,6 +192,25 @@ def error_trace(target, model: SpinChainModel,
         errs.append(frobenius_distance(target, u))
     times = schedule.tau * np.arange(schedule.n_slices + 1)
     return ErrorTrace(times=times, errors=np.array(errs))
+
+
+def _matmul(a, x, out, conj=False):
+    """a @ x, or conj(a) @ x, into out; x and out are complex stacks.
+
+    A real a multiplies x viewed as float pairs, a d x 2d right-hand side:
+    dgemm at half zgemm's flops, and conj(a) = a. A complex a is
+    conjugated through x and out in place, conj(a) x = conj(a conj(x)),
+    never copied; x is left conjugated.
+    """
+    if a.dtype == float:
+        np.matmul(a, x.view(float), out=out.view(float))
+        return out
+    if conj:
+        np.conjugate(x, out=x)
+    np.matmul(a, x, out=out)
+    if conj:
+        np.conjugate(out, out=out)
+    return out
 
 
 def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
@@ -196,14 +221,15 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     and dE_k follows from the divided-difference kernel in the slice
     eigenbasis. At eps below the floor the gradient is zero by convention.
 
-    The peak is four K x d x d complex stacks, reached while M is formed:
-    V, the suffixes (written over the propagators), the prefixes and M.
-    The prefixes are then dropped, and the later steps run in the suffix
-    and M buffers.
+    The peak is reached while M is formed: the eigenvectors, the suffixes
+    (written over the propagators), the prefixes and M. That is three and
+    a half K x d x d complex stacks on the Ising chain, whose eigenvectors
+    are real, and four on the others. The prefixes are then dropped, and
+    the later steps run in the suffix and M buffers.
     """
     target = check_target(target, model)
     k_slices, dim = schedule.n_slices, model.dim
-    w, v, ek = _slice_propagators(model, schedule)
+    w, u, v, ek = _slice_propagators(model, schedule)
 
     prefix = np.empty((k_slices + 1, dim, dim), dtype=complex)
     prefix[0] = np.eye(dim)
@@ -222,27 +248,32 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     del tail
     m = prefix[:k_slices] @ suffix                          # M_k
     del prefix
-    # A conjugated operand is conjugated in place around a matmul on V or
-    # V^T, never copied: V^dag M = conj(V^T conj(M)) and
-    # conj(V) Y = conj(V conj(Y)).
-    np.conjugate(m, out=m)
-    vdag_m = np.matmul(v.transpose(0, 2, 1), m, out=suffix)
-    np.conjugate(vdag_m, out=vdag_m)
-    wmat = np.matmul(vdag_m, v, out=m)                      # V^dag M V
-    y = vdag_m
+    # With eigenvectors diag(u) V, the adjoint in the eigenbasis is
+    # V^dag M' V with M' = diag(conj u) M diag(u).
+    if u is not None:
+        m *= u.conj()[:, :, None]
+        m *= u[:, None, :]
+    # W^T = V^T (V^dag M')^T and G'^T = V (conj(V) Y)^T: each side is two
+    # products and one transposed copy, so every right operand is a plain
+    # stack, which a real V reads as float pairs.
+    vt = v.transpose(0, 2, 1)
+    vdag_m = _matmul(vt, m, out=suffix, conj=True)
+    m[...] = vdag_m.transpose(0, 2, 1)
+    y = _matmul(vt, m, out=suffix)                          # W^T
     for k in range(k_slices):
-        y[k] = loewner_kernel(w[k], schedule.tau)
-    y *= wmat.transpose(0, 2, 1)
-    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l], G_k = conj(V) Y_k V^T
-    np.conjugate(y, out=y)
-    cv_y = np.matmul(v, y, out=wmat)
-    np.conjugate(cv_y, out=cv_y)
-    g = np.matmul(cv_y, v.transpose(0, 2, 1), out=y)
+        y[k] *= loewner_kernel(w[k], schedule.tau)
+    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l], G_k = conj(V) Y_k V^T,
+    # and G_k[j, l] = conj(u_j) G'_k[j, l] u_l
+    cv_y = _matmul(v, y, out=m, conj=True)
+    suffix[...] = cv_y.transpose(0, 2, 1)
+    g_t = _matmul(v, suffix, out=m)                         # G'^T
     # d H / d h[x, n] is pi at (j, partner[n, j]) and d H / d h[y, n] is
     # -i pi spin[n, j] there (``model.flip_pairs``), so each amplitude reads
     # d entries of G_k, and d eps = d eps^2 / 2 eps.
     partner, spin = flip_pairs(model.n_qubits)
-    pairs = g[:, np.arange(dim), partner]                    # (K, N, d)
+    pairs = g_t[:, partner, np.arange(dim)]                  # (K, N, d)
+    if u is not None:
+        pairs *= u.conj()[:, None, :] * u[:, partner]
     grad = np.empty_like(schedule.values)
     grad[0] = pairs.real.sum(axis=-1).T
     grad[1] = (pairs.imag * spin).sum(axis=-1).T

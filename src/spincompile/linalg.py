@@ -32,9 +32,13 @@ def loewner_kernel(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     """Divided differences Phi_jk = (e^{-it l_j} - e^{-it l_k})/(l_j - l_k).
 
     Near-degenerate pairs (gap < DEGENERATE_GAP) take the analytic limit
-    -it e^{-it l_j} to avoid catastrophic cancellation.
+    -it e^{-it l_j} to avoid catastrophic cancellation. DimensionMismatch
+    unless the eigenvalues are one slice's, a 1-D array.
     """
     w = np.asarray(eigenvalues, dtype=float)
+    if w.ndim != 1:
+        raise DimensionMismatch(
+            f"eigenvalues of shape {w.shape}, expected one slice's (d,)")
     ph = np.exp(-1j * t * w)
     dl = w[:, None] - w[None, :]
     close = np.abs(dl) < DEGENERATE_GAP

@@ -45,8 +45,9 @@ ISING = "ising_zz"
 HEISENBERG = "heisenberg_xyz"
 
 # Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
-# holds four per slice at its peak; the Hamiltonians are scattered into
-# their one stack, so no operator of that size is built or cached per site.
+# holds four per slice at its peak (three and a half on the Ising chain);
+# the Hamiltonians are scattered into their one stack, so no operator of
+# that size is built or cached per site.
 MAX_QUBITS = 9
 
 _PAULI = {

@@ -41,7 +41,9 @@ def loop_error_and_gradient(target, model, schedule):
     """The per-slice backward loop that the batched pass replaced, kept as
     its reference: same prefix products, one slice at a time backwards."""
     k_slices = schedule.n_slices
-    w, v, ek = _slice_propagators(model, schedule)
+    w, u, v, ek = _slice_propagators(model, schedule)
+    if u is not None:
+        v = u[:, :, None] * v
     prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
     prefix[0] = np.eye(model.dim)
     for k in range(k_slices):
@@ -127,7 +129,7 @@ def test_non_finite_target_rejected(entry, bad):
 def test_slice_propagators_match_taylor_exponential(n, interaction):
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.3, 3, amplitude=1.5, seed=n)
-    _, _, ek = _slice_propagators(model, sched)
+    *_, ek = _slice_propagators(model, sched)
     for k, h in enumerate(slice_hamiltonians(model, sched.values)):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
@@ -147,7 +149,9 @@ def _ising_schedule_with_zero_fields(n, k_slices, seed):
 def test_parity_propagators_match_complex_eigh(n):
     model = nearest_neighbor_chain(n)
     sched = _ising_schedule_with_zero_fields(n, 4, seed=20 + n)
-    w, v, ek = _slice_propagators(model, sched)
+    w, u, p, ek = _slice_propagators(model, sched)
+    assert p.dtype == float
+    v = u[:, :, None] * p
     hk = slice_hamiltonians(model, sched.values)
     ref_w, ref_v = np.linalg.eigh(hk)
     ref_ek = (ref_v * np.exp(-1j * sched.tau * ref_w)[:, None, :]) \
@@ -174,8 +178,9 @@ def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
 def test_heisenberg_keeps_the_complex_eigendecomposition():
     model = nearest_neighbor_chain(3, interaction=HEISENBERG)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=4)
-    w, v, ek = _slice_propagators(model, sched)
+    w, u, v, ek = _slice_propagators(model, sched)
     ref_w, ref_v = np.linalg.eigh(slice_hamiltonians(model, sched.values))
+    assert u is None
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
 
 
@@ -217,12 +222,14 @@ def test_evolve_peak_memory_is_three_slice_stacks(interaction, n, k_slices):
 @pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
 def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     # V, the suffixes over the propagators, the prefixes and M; the later
-    # steps run in the stacks the suffixes and M leave free
+    # steps run in the stacks the suffixes and M leave free. The Ising
+    # chain's V is real, half a stack (3.56 at (6, 32), 3.76 at (8, 4)).
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     target = random_unitary(model.dim, seed=3)
-    assert _peak_slice_stacks(
-        lambda: error_and_gradient(target, model, sched), model, sched) <= 4.5
+    peak = _peak_slice_stacks(
+        lambda: error_and_gradient(target, model, sched), model, sched)
+    assert peak <= (4.0 if interaction == ISING else 4.5)
 
 
 def test_trace_endpoints():
@@ -318,7 +325,7 @@ def test_concatenation():
                          ids=["fields_add", "fields_subtract"])
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
 @pytest.mark.parametrize("k_slices", [1, 2, 7])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_batched_gradient_matches_slice_loop(n, k_slices, interaction, sign):
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.1 * k_slices + 0.3, k_slices, amplitude=1.5,

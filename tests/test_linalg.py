@@ -149,6 +149,15 @@ class TestLoewnerKernel:
                                 / (lam[j] - lam[k]))
                     assert abs(phi[j, k] - quotient) <= 1e-14
 
+    @pytest.mark.parametrize("eigenvalues", [np.zeros((3, 4)), np.float64(0.5),
+                                             np.zeros((1, 4))],
+                             ids=["stack", "scalar", "one_row_stack"])
+    def test_takes_one_slice_of_eigenvalues(self, eigenvalues):
+        # unchecked, a (K, d) stack broadcasts to a (K, K, d) array and a
+        # scalar raises a raw IndexError
+        with pytest.raises(DimensionMismatch, match="expected one slice"):
+            loewner_kernel(eigenvalues, 0.3)
+
 
 class TestFrobeniusDistance:
     def test_self_distance(self):

@@ -63,22 +63,9 @@ def test_single_spin_x_field():
     assert np.allclose(h, np.pi * np.array([[0, 1], [1, 0]]))
 
 
-def test_field_shape_mismatch():
-    model = nearest_neighbor_chain(2)
-    for k_slices in (1, 4):
-        with pytest.raises(DimensionMismatch):
-            slice_hamiltonians(model, np.zeros((2, 3, k_slices)))
-
-
-def test_parity_blocks_check_the_field_width():
-    model = nearest_neighbor_chain(2)
-    with pytest.raises(DimensionMismatch):
-        ising_parity_blocks(model, np.zeros((2, 3, 4)))
-
-
 @pytest.mark.parametrize("builder", [slice_hamiltonians, ising_parity_blocks])
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 0), (3, 2, 4), (1, 2, 4),
-                                   (2, 3, 4), (2, 2, 4, 1), (2,)])
+                                   (2, 3, 4), (2, 2, 4, 1), (2,), (2, 3, 1)])
 def test_builders_take_only_fields_of_shape_2_n_k(builder, shape):
     model = nearest_neighbor_chain(2)
     with pytest.raises(DimensionMismatch, match=r"expected \(2, 2, K >= 1\)"):
