@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, MissingRealization, OutOfRange
+from .errors import Degenerate, MissingRealization, OutOfRange, ShapeError
 from .evolution import error_trace
 from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
-from .instructions import (QUMIS, QUVIS2, QUVIS3, circuit_error_estimate,
-                           compile_qft, instruction_set,
-                           load_bundled_realizations,
+from .instructions import (SET_TIMES, circuit_error_estimate, compile_qft,
+                           instruction_set, load_bundled_realizations,
                            qumis_decompose_controlled_phase, qumis_time_cost)
 from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
 from .optimizer import (OptimizerConfig, multi_seed_synthesize,
@@ -36,6 +35,10 @@ class FitResult:
 
 def _usable(points, n_min):
     pts = [(float(x), float(y)) for x, y in points]
+    bad = [i for i, p in enumerate(pts) if not np.isfinite(p).all()]
+    if bad:
+        raise ShapeError(f"fit points are not finite: {len(bad)} of them, "
+                         f"the first {pts[bad[0]]} at index {bad[0]}")
     if n_min is not None:
         pts = [(x, y) for x, y in pts if x >= n_min]
     if len(pts) < 2:
@@ -108,7 +111,7 @@ def _search_cell(target, model, cfg, error_budget, t_grid, restarts) -> dict:
 # ---------------------------------------------------------------------------
 # Fourier-transform compilation sweep
 
-def bench_qft(max_n: int, sets=(QUVIS3, QUVIS2, QUMIS), direct_max_n: int = 0,
+def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
               opt_cfg: OptimizerConfig | None = None,
               error_budget: float = 5e-2, jobs: int = 1) -> ExperimentResult:
     """Per-N compiled time and composed error for each instruction set.

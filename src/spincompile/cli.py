@@ -26,16 +26,14 @@ from .errors import (ConfigError, OutOfRange, ParseError, ShapeError,
 from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
-from .instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
-                           instruction_set, load_bundled_realizations,
-                           load_bundled_schedule, quvis3_set, quvis_gate,
-                           quvis_gate_physical)
-from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
+from .instructions import (QUVIS3, SET_TIMES, compile_qft, instruction_set,
+                           load_bundled_realizations, load_bundled_schedule,
+                           quvis3_set, quvis_gate, quvis_gate_physical)
+from .model import INTERACTIONS, check_width, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import (check_total_time, parse_float, read_pulse_table,
                        write_pulse_table)
 
-INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}
 # [-][N*]pi[/D | *N], the pi multiples parse_angle accepts.
 _PI_ANGLE = re.compile(r"(-?)(?:([^*/]+)\*)?pi(?:/(.+)|\*(.+))?")
 # Target kinds that take a register width, and those that take nothing.
@@ -155,7 +153,7 @@ def parse_angle(text: str) -> float:
                 raise ValueError(t)
             num = float(left or right or 1.0)
             angle = (-1.0 if sign else 1.0) * num * np.pi / float(den or 1.0)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
     if not np.isfinite(angle):
         raise ConfigError(f"angle {text!r} is not finite")
@@ -449,7 +447,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, help="overrides optimizer.seed")
     p = command("compile", cmd_compile, "lower Fourier circuits onto a set",
                 config=False)
-    p.add_argument("--set", default=QUVIS3, choices=[QUVIS3, QUVIS2, QUMIS])
+    p.add_argument("--set", default=QUVIS3, choices=list(SET_TIMES))
     p.add_argument("--max-n", type=int, default=6)
     command("evolve", cmd_evolve, "evolve a pulse table")
     p = command("verify-golden", cmd_verify_golden,

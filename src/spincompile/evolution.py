@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
-from .model import (ISING, MAX_QUBITS, SpinChainModel, flip_pairs,
-                    ising_parity_blocks, slice_hamiltonians)
+from .model import (FIELD_SCALE, ISING, MAX_QUBITS, SpinChainModel,
+                    flip_pairs, ising_parity_blocks, slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -267,9 +267,9 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     cv_y = _matmul(v, y, out=m, conj=True)
     suffix[...] = cv_y.transpose(0, 2, 1)
     g_t = _matmul(v, suffix, out=m)                         # G'^T
-    # d H / d h[x, n] is pi at (j, partner[n, j]) and d H / d h[y, n] is
-    # -i pi spin[n, j] there (``model.flip_pairs``), so each amplitude reads
-    # d entries of G_k, and d eps = d eps^2 / 2 eps.
+    # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and d H / d h[y, n]
+    # is -i FIELD_SCALE spin[n, j] there (``model.flip_pairs``), so each
+    # amplitude reads d entries of G_k, and d eps = d eps^2 / 2 eps.
     partner, spin = flip_pairs(model.n_qubits)
     pairs = g_t[:, partner, np.arange(dim)]                  # (K, N, d)
     if u is not None:
@@ -277,5 +277,5 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     grad = np.empty_like(schedule.values)
     grad[0] = pairs.real.sum(axis=-1).T
     grad[1] = (pairs.imag * spin).sum(axis=-1).T
-    grad *= -np.pi / eps
+    grad *= -FIELD_SCALE / eps
     return eps, grad

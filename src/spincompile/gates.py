@@ -24,19 +24,23 @@ class Gate:
     n_qubits: int
     matrix: np.ndarray
 
+    # nan, infinite or overflowing entries fail the check, without a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         d = 2 ** self.n_qubits
         if m.shape != (d, d):
             raise ValueError(f"{self.label}: matrix shape {m.shape} for "
                              f"{self.n_qubits} qubits")
-        if np.linalg.norm(m.conj().T @ m - np.eye(d)) > _UNITARITY_TOL:
+        if not np.linalg.norm(m.conj().T @ m - np.eye(d)) <= _UNITARITY_TOL:
             raise ValueError(f"{self.label}: matrix is not unitary")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
+# A non-finite angle makes nan entries, which Gate rejects, without a warning.
+@np.errstate(invalid="ignore")
 def rotation(axis: str, theta: float) -> Gate:
     """exp(-i theta S^axis), a single-qubit half-angle rotation."""
     c, s = np.cos(theta / 2), np.sin(theta / 2)
@@ -51,12 +55,14 @@ def rotation(axis: str, theta: float) -> Gate:
     return Gate(label=f"r{axis}({theta:g})", n_qubits=1, matrix=m)
 
 
+@np.errstate(invalid="ignore")
 def controlled_phase(theta: float) -> Gate:
     """diag(1, 1, 1, e^{i theta}); phase on the |11> state."""
     m = np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
     return Gate(label=f"cphase({theta:g})", n_qubits=2, matrix=m)
 
 
+@np.errstate(invalid="ignore")
 def phase_gate(alpha: float) -> Gate:
     """diag(1, e^{i alpha}) on one qubit."""
     return Gate(label=f"phase({alpha:g})", n_qubits=1,

@@ -24,8 +24,9 @@ of the steps; its physical target is that matrix bit-reversed and
 multiplied by e^{i phi}, phi = (swaps) pi/4 - (sum of the controlled-phase
 angles)/4 - (CNOTs) 3 pi/4, the CNOT term being the branch the
 baseline's bundled table realizes. ``instruction_set`` builds each set
-from its time table and these rows. ``circuit_frame`` maps a realized
-unitary back.
+from its time table (``SET_TIMES``, the one list of set names) and these
+rows, storing each gate's phase e^{i phi}; ``circuit_frame`` divides a
+realized unitary by it.
 
 ``qft_steps`` is the Fourier transform in the same steps; ``compile_qft``
 lowers it onto a set by matching the set's rows (``lower``) or expanding
@@ -77,9 +78,9 @@ QUVIS3_TIME = {"u0": 0.3, "u1": 2.1, "u2": 2.1, "u3": 1.45, "u4": 2.4,
 QUVIS2_TIME = {"w1": 1.3, "v2": 1.45, "v3": 1.45, "v4": 1.5,
                "v5": 1.5, "v6": 1.5, "v7": 1.5, "v8": 1.5, "u0": 0.3,
                SWAP_GATE_ID: SWAP_TIME}
-# set name -> {gate id: time cost}; the ids are the set's gates, in order
-_SET_TIMES = {QUVIS3: QUVIS3_TIME, QUVIS2: QUVIS2_TIME,
-              QUMIS: {"cnot": CNOT_TIME, SWAP_GATE_ID: SWAP_TIME}}
+# set name -> {gate id: time cost} for every set, its gates in order
+SET_TIMES = {QUVIS3: QUVIS3_TIME, QUVIS2: QUVIS2_TIME,
+             QUMIS: {"cnot": CNOT_TIME, SWAP_GATE_ID: SWAP_TIME}}
 
 
 # ---------------------------------------------------------------------------
@@ -133,43 +134,38 @@ def qft_steps(n_qubits: int) -> tuple:
     return steps + _U0 + GATE_STEPS[SWAP_GATE_ID][1]
 
 
-def _gate_forms(gate_id: str):
-    """(circuit-frame Gate, physical target) of a row of GATE_STEPS, the
-    target by the phase rule of the module docstring."""
+def _elementary(gate_id: str, time_cost: float) -> ElementaryGate:
+    """The gate of a row of GATE_STEPS: its circuit-frame Gate and its
+    frame phase e^{i phi}, phi by the phase rule of the module docstring."""
     width, steps = GATE_STEPS[gate_id]
     gate = Gate(gate_id, width, compose_qumis(steps, width))
     kinds = [kind for kind, _param, _pos in steps]
     phi = (kinds.count(SWAP_GATE_ID) * np.pi / 4
            - sum(param for kind, param, _pos in steps if kind == "cphase") / 4
            - kinds.count("cnot") * 3 * np.pi / 4)
-    return gate, np.exp(1j * phi) * bit_reverse(gate.matrix)
+    return ElementaryGate(gate_id, gate, time_cost, np.exp(1j * phi))
 
 
-def _quvis_forms(m: int):
+def circuit_frame(realized: np.ndarray, phase: complex) -> np.ndarray:
+    """Map a realized (physical-frame) unitary back to the circuit frame of
+    a gate whose frame phase is phase."""
+    return bit_reverse(realized) / phase
+
+
+def _quvis(m: int) -> ElementaryGate:
     if not 0 <= m <= 8:
         raise OutOfRange(f"gate index {m} outside 0..8")
-    return _gate_forms(f"u{m}")
+    return _elementary(f"u{m}", QUVIS3_TIME[f"u{m}"])
 
 
 def quvis_gate(m: int) -> Gate:
     """Circuit-frame matrix of the m-th variational gate, m in 0..8."""
-    return _quvis_forms(m)[0]
+    return _quvis(m).gate
 
 
 def quvis_gate_physical(m: int) -> np.ndarray:
     """Physical-frame target for the m-th gate (what a pulse realizes)."""
-    return _quvis_forms(m)[1]
-
-
-def frame_phase(gate: Gate, phys: np.ndarray) -> complex:
-    """Phase s with phys = s * bit_reverse(gate.matrix)."""
-    tr = np.trace(bit_reverse(gate.matrix).conj().T @ phys)
-    return tr / abs(tr)
-
-
-def circuit_frame(realized: np.ndarray, gate: Gate, phys: np.ndarray) -> np.ndarray:
-    """Map a realized (physical-frame) unitary back to the circuit frame."""
-    return bit_reverse(realized) / frame_phase(gate, phys)
+    return _quvis(m).physical_target
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +176,7 @@ class ElementaryGate:
     gate_id: str
     gate: Gate
     time_cost: float
-    physical_target: np.ndarray
+    phase: complex  # e^{i phi}, the frame phase of the physical target
     realized_schedule: PulseSchedule | None = None
     realized_error: float | None = None
     # circuit-frame gate of realized_schedule's evolution
@@ -189,6 +185,10 @@ class ElementaryGate:
     @property
     def width(self) -> int:
         return self.gate.n_qubits
+
+    @property
+    def physical_target(self) -> np.ndarray:
+        return self.phase * bit_reverse(self.gate.matrix)
 
 
 @dataclass
@@ -207,15 +207,12 @@ def instruction_set(name: str) -> InstructionSet:
     realize; its rotations and phase factors are taken exact.
     """
     try:
-        times = _SET_TIMES[name]
+        times = SET_TIMES[name]
     except KeyError:
         raise UnknownGate(f"unknown instruction set {name!r}; expected one "
-                          f"of {', '.join(_SET_TIMES)}") from None
-    iset = InstructionSet(name)
-    for gid, cost in times.items():
-        gate, phys = _gate_forms(gid)
-        iset.gates[gid] = ElementaryGate(gid, gate, cost, phys)
-    return iset
+                          f"of {', '.join(SET_TIMES)}") from None
+    return InstructionSet(name, {gid: _elementary(gid, cost)
+                                 for gid, cost in times.items()})
 
 
 def quvis3_set() -> InstructionSet:
@@ -321,7 +318,7 @@ def qumis_time_cost(placements) -> float:
     """Rotation |theta|/10, CNOT and swap at the set's time costs, phase
     factors free. Hadamard and controlled-phase placements are not
     accepted; lower them first."""
-    times = _SET_TIMES[QUMIS]
+    times = SET_TIMES[QUMIS]
     total = 0.0
     for kind, param, _pos in placements:
         if kind in ("rz", "rx", "ry"):
@@ -457,6 +454,5 @@ def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
             sched, u = evolved[source]
             eg.realized_schedule = sched
             eg.realized_error = frobenius_distance(eg.physical_target, u)
-            eg.realized = Gate(gate_id, eg.width,
-                               circuit_frame(u, eg.gate, eg.physical_target))
+            eg.realized = Gate(gate_id, eg.width, circuit_frame(u, eg.phase))
     return isets[0] if isets else None

@@ -43,6 +43,9 @@ from .schedule import AXES
 
 ISING = "ising_zz"
 HEISENBERG = "heisenberg_xyz"
+INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}   # by config name
+# A unit field amplitude h on site n is 2*pi h S_n: pi h on each flip entry.
+FIELD_SCALE = np.pi
 
 # Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
 # holds four per slice at its peak (three and a half on the Ising chain);
@@ -95,33 +98,29 @@ def check_width(n: int, smallest: int = 1,
 
 @dataclass(frozen=True)
 class SpinChainModel:
-    """A register of coupled spins with transverse-field control.
+    """A chain of spins with transverse-field control.
 
-    couplings[n, n'] is the two-body strength between sites n and n'
-    (angular frequency); it must be finite and symmetric with zero
-    diagonal.
+    couplings[n] is the strength of the bond between sites n and n + 1
+    (angular frequency), N - 1 finite floats; no other pair is coupled.
+    The model is hashable, so per-chain pieces are cached by it.
     """
 
     n_qubits: int
-    couplings: np.ndarray
+    couplings: tuple
     interaction: str = ISING
 
     def __post_init__(self):
         check_width(self.n_qubits)
         c = np.asarray(self.couplings, dtype=float)
-        if c.shape != (self.n_qubits, self.n_qubits):
-            raise DimensionMismatch(
-                f"couplings shape {c.shape} for {self.n_qubits} qubits")
+        if c.shape != (self.n_qubits - 1,):
+            raise DimensionMismatch(f"couplings shape {c.shape}: "
+                                    f"{self.n_qubits} qubits have "
+                                    f"{self.n_qubits - 1} bonds")
         if not np.isfinite(c).all():
             raise ValueError("couplings must be finite")
-        if not np.allclose(c, c.T):
-            raise ValueError("couplings must be symmetric")
-        if np.any(np.diag(c) != 0):
-            raise ValueError("self-couplings must be zero")
-        if self.interaction not in (ISING, HEISENBERG):
+        if self.interaction not in INTERACTIONS.values():
             raise ValueError(f"unknown interaction {self.interaction!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "couplings", c)
+        object.__setattr__(self, "couplings", tuple(c.tolist()))
 
     @property
     def dim(self) -> int:
@@ -130,31 +129,26 @@ class SpinChainModel:
 
 def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
                            interaction: str = ISING) -> SpinChainModel:
-    """The default chain: J_{n,n+1} = j, everything else zero."""
-    return SpinChainModel(n_qubits=n_qubits,
-                          couplings=j * (np.eye(n_qubits, k=1) + np.eye(n_qubits, k=-1)),
-                          interaction=interaction)
+    """The default chain: every bond at strength j."""
+    return SpinChainModel(n_qubits, (j,) * (n_qubits - 1), interaction)
 
 
 def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """The field-free part: sum over pairs n < n' of J_{nn'} two-body terms.
+    """The field-free part: the two-body terms J_n of bonds (n, n + 1).
 
-    S^z_n S^z_n' is J/4 s_n s_n' on the diagonal. On the Heisenberg chain
-    S^x_n S^x_n' + S^y_n S^y_n' moves j to j with both bits flipped, at
-    J/4 (1 - s_n s_n'): the flip-flop terms of antiparallel spins.
+    S^z_n S^z_n+1 is J/4 s_n s_n+1 on the diagonal. On the Heisenberg chain
+    S^x_n S^x_n+1 + S^y_n S^y_n+1 moves j to j with both bits flipped, at
+    J/4 (1 - s_n s_n+1): the flip-flop terms of antiparallel spins.
     """
     partner, spin = flip_pairs(model.n_qubits)
     rows = np.arange(model.dim)
     h = np.zeros((model.dim, model.dim), dtype=complex)
-    for a in range(model.n_qubits):
-        for b in range(a + 1, model.n_qubits):
-            quarter = model.couplings[a, b] / 4
-            if quarter == 0.0:
-                continue
-            zz = spin[a] * spin[b]
-            h[rows, rows] += quarter * zz
-            if model.interaction == HEISENBERG:
-                h[rows, partner[a, partner[b]]] += quarter * (1.0 - zz)
+    for a, bond in enumerate(model.couplings):
+        quarter = bond / 4
+        zz = spin[a] * spin[a + 1]
+        h[rows, rows] += quarter * zz
+        if model.interaction == HEISENBERG:
+            h[rows, partner[a, partner[a + 1]]] += quarter * (1.0 - zz)
     return h
 
 
@@ -186,31 +180,29 @@ def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
     """
     _check_fields(model, values)
     partner, spin = flip_pairs(model.n_qubits)
-    hx, hy = (np.pi * h.T[:, :, None] for h in values)     # (K, N, 1)
+    hx, hy = (FIELD_SCALE * h.T[:, :, None] for h in values)     # (K, N, 1)
     hk = np.repeat(coupling_hamiltonian(model)[None], values.shape[2], axis=0)
     hk[:, np.arange(model.dim), partner] += hx - 1j * (hy * spin)
     return hk
 
 
 @lru_cache(maxsize=16)
-def _parity_pieces(n_qubits: int, couplings: bytes):
+def _parity_pieces(chain: SpinChainModel):
     """Read-only pieces of an Ising chain's parity blocks: the bits b_n(j),
     shape (N, dim), and the block operators, shape (N + 1, (dim/2)^2).
 
-    Operator n < N is the field term of site n per unit r_n: pi times the
-    permutation j <-> partner[n, j] of a half (``flip_pairs``). Site n > 0
-    flips its own bit. Site 0's field joins the two halves, j <-> d-1-j,
-    so in the blocks it is +pi J and -pi J, J reversing a half. Operator N
-    is the coupling diagonal of the upper half.
+    Operator n < N is the field term of site n per unit r_n: FIELD_SCALE
+    times the permutation j <-> partner[n, j] of a half (``flip_pairs``).
+    Site n > 0 flips its own bit. Site 0's field joins the two halves,
+    j <-> d-1-j, so in the blocks it is +J and -J times FIELD_SCALE, J
+    reversing a half. Operator N is the coupling diagonal of the upper half.
     """
-    chain = SpinChainModel(n_qubits, np.frombuffer(couplings).reshape(
-        n_qubits, n_qubits))
-    half = chain.dim // 2
+    n_qubits, half = chain.n_qubits, chain.dim // 2
     partner, spin = flip_pairs(n_qubits)
     flips = np.array(partner[:, :half])
     flips[0] = np.arange(half - 1, -1, -1)
     ops = np.empty((n_qubits + 1, half, half))
-    ops[:n_qubits] = np.pi * np.eye(half)[flips]
+    ops[:n_qubits] = FIELD_SCALE * np.eye(half)[flips]
     ops[n_qubits] = np.diag(coupling_hamiltonian(chain).real.diagonal()[:half])
     pieces = (1.0 - spin) / 2, ops.reshape(n_qubits + 1, half * half)
     for a in pieces:
@@ -227,7 +219,7 @@ def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
     """
     _check_fields(model, values)
     n, k_slices = model.n_qubits, values.shape[2]
-    bits, ops = _parity_pieces(n, model.couplings.tobytes())
+    bits, ops = _parity_pieces(model)
     hx, hy = values
     theta = np.arctan2(hy, hx).T @ bits
     coef = np.empty((k_slices, 2, n + 1))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
-from .evolution import check_target, error_and_gradient
+from .evolution import GRADIENT_EPS_FLOOR, check_target, error_and_gradient
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
@@ -49,14 +49,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.max_iters_per_stage < 1 or self.convergence_window < 1:
-            raise ValueError("max_iters_per_stage and convergence_window must be >= 1")
-        if self.n_refinements < 0:
-            raise ValueError("n_refinements must be >= 0")
+        for name, least in (("max_iters_per_stage", 1),
+                            ("convergence_window", 1), ("n_refinements", 0),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}")
         if not 0 <= self.init_amplitude < np.inf:
             raise ValueError("init_amplitude must be >= 0 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -117,7 +117,8 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
     """Synthesize a schedule whose evolution matches the target unitary.
 
     Runs n_refinements + 1 stages, halving the slice width between stages,
-    and returns the best schedule encountered anywhere in the run.
+    and returns the best schedule encountered anywhere in the run. An
+    error below GRADIENT_EPS_FLOOR (zero gradient) ends the run.
     """
     t0 = time.perf_counter()
     target = check_target(target, model)
@@ -144,13 +145,13 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
             if err < best_err:
                 best_err = err
                 best_schedule = schedule
-            if err == 0.0 or _converged(stage_losses, cfg):
+            if err < GRADIENT_EPS_FLOOR or _converged(stage_losses, cfg):
                 break
             if it == cfg.max_iters_per_stage - 1:
                 break  # keep the recorded loss aligned with the schedule
             schedule, state = adam_step(schedule, grad, state, cfg)
         losses.extend(stage_losses)
-        if best_err == 0.0:
+        if best_err < GRADIENT_EPS_FLOOR:
             break
 
     return OptimizationReport(

@@ -4,7 +4,8 @@ import pytest
 from spincompile import bench, instructions
 from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
-from spincompile.errors import Degenerate, DimensionMismatch, OutOfRange
+from spincompile.errors import (Degenerate, DimensionMismatch, OutOfRange,
+                               ShapeError)
 from spincompile.evolution import evolve
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                                       instruction_set)
@@ -46,6 +47,18 @@ class TestFits:
             fit_linear([(1, 1)])
         with pytest.raises(Degenerate):
             fit_exponential([(1, -1.0), (2, 2.0)])
+
+
+    @pytest.mark.parametrize("fit", [fit_linear, fit_exponential])
+    def test_non_finite_points_are_named(self, fit):
+        # not Degenerate: bench reads that as too few points and skips
+        pts = [(1, np.nan), (2, 1), (3, 2), (np.inf, 3)]
+        with pytest.raises(ShapeError, match=r"2 of them, the first "
+                                             r"\(1\.0, nan\) at index 0"):
+            fit(pts)
+        # named even where n_min would drop the point
+        with pytest.raises(ShapeError, match=r"\(nan, 1\.0\) at index 0"):
+            fit([(np.nan, 1), (2, 1), (3, 2)], n_min=2)
 
 
 class TestCompiledTimeScaling:

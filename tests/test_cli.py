@@ -47,6 +47,10 @@ class TestConfigParsing:
         assert parse_angle("1.25") == 1.25
         with pytest.raises(ConfigError):
             parse_angle("two*pi")
+        with pytest.raises(ConfigError, match="cannot parse angle 'pi/0'"):
+            parse_angle("pi/0")
+        with pytest.raises(ConfigError, match="cannot parse angle 'pi/0'"):
+            parse_target("rz:pi/0")
 
     def test_targets(self):
         m, n = parse_target("cphase:pi/2")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ class TestControlledPhase:
         a, b = 0.9, -0.4
         lhs = controlled_phase(a).matrix @ controlled_phase(b).matrix
         assert np.linalg.norm(lhs - controlled_phase(a + b).matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("make, label", [
+    (lambda: Gate("g", 1, [[np.nan, 0], [0, 1]]), "g"),
+    (lambda: rotation("x", np.nan), "rx(nan)"),
+    (lambda: controlled_phase(np.inf), "cphase(inf)"),
+    (lambda: Gate("big", 1, [[1e200, 0], [0, 1]]), "big")])
+def test_non_finite_or_overflowing_matrix_is_not_unitary(make, label):
+    with pytest.raises(ValueError, match=rf"^{re.escape(label)}: matrix is "
+                                         "not unitary$"):
+        make()
 
 
 class TestStandardGates:

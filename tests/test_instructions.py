@@ -14,7 +14,7 @@ from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, GATE_STEPS,
                                       circuit_error_estimate, circuit_frame,
                                       compile_qft, compile_qft_qumis,
                                       compile_qft_quvis, compile_qft_quvis2,
-                                      compose, compose_qumis, frame_phase,
+                                      compose, compose_qumis,
                                       instruction_set, load_bundled_realizations,
                                       load_bundled_schedule, lower,
                                       qft_steps, qumis_lower,
@@ -351,8 +351,7 @@ class TestQumisSet:
     def test_cnot_target_branch(self):
         eg = instruction_set(QUMIS)["cnot"]
         assert abs(np.linalg.det(eg.physical_target) - 1) <= 1e-12
-        assert abs(frame_phase(eg.gate, eg.physical_target)
-                   - np.exp(-3j * np.pi / 4)) <= 1e-15
+        assert abs(eg.phase - np.exp(-3j * np.pi / 4)) <= 1e-15
 
     def test_composed_errors_match_snapped_frame_reference(self):
         iset = load_bundled_realizations(instruction_set(QUMIS))
@@ -442,7 +441,7 @@ class TestRealizations:
             for gid, eg in iset.gates.items():
                 sched = eg.realized_schedule
                 u = evolve(nearest_neighbor_chain(sched.n_qubits), sched)
-                expected = circuit_frame(u, eg.gate, eg.physical_target)
+                expected = circuit_frame(u, eg.phase)
                 assert np.array_equal(eg.realized.matrix, expected), gid
                 assert eg.realized.n_qubits == eg.width
                 assert not eg.realized.matrix.flags.writeable

@@ -30,9 +30,9 @@ def test_two_spin_zz_spectrum():
 
 
 def test_single_spin_no_pairs():
-    model = SpinChainModel(n_qubits=1, couplings=np.zeros((1, 1)))
+    model = SpinChainModel(n_qubits=1, couplings=())
     assert np.allclose(coupling_hamiltonian(model), 0.0)
-    model_h = SpinChainModel(n_qubits=1, couplings=np.zeros((1, 1)),
+    model_h = SpinChainModel(n_qubits=1, couplings=(),
                              interaction=HEISENBERG)
     assert np.allclose(coupling_hamiltonian(model_h), 0.0)
 
@@ -58,7 +58,7 @@ def test_zero_fields_reduce_to_coupling():
 
 
 def test_single_spin_x_field():
-    model = SpinChainModel(n_qubits=1, couplings=np.zeros((1, 1)))
+    model = SpinChainModel(n_qubits=1, couplings=())
     h = snapshot(model, hx=[1.0])
     assert np.allclose(h, np.pi * np.array([[0, 1], [1, 0]]))
 
@@ -82,16 +82,15 @@ def test_builders_reject_non_finite_fields(builder, bad):
 
 
 def dense_coupling(model):
-    """The coupling as Kronecker products of site operators, pair by pair."""
+    """The coupling as Kronecker products of site operators, bond by bond."""
     axes = "z" if model.interaction == ISING else "xyz"
     n = model.n_qubits
     h = np.zeros((model.dim, model.dim), dtype=complex)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if model.couplings[a, b] != 0.0:
-                for ax in axes:
-                    h += model.couplings[a, b] * (site_operator(ax, a, n)
-                                                  @ site_operator(ax, b, n))
+    for a, bond in enumerate(model.couplings):
+        if bond != 0.0:
+            for ax in axes:
+                h += bond * (site_operator(ax, a, n)
+                             @ site_operator(ax, a + 1, n))
     return h
 
 
@@ -109,11 +108,11 @@ def dense_slices(model, values):
 
 
 def random_couplings(n, seed):
-    """Symmetric, with negative and zero entries."""
+    """n - 1 bonds, with negative and zero ones."""
     rng = np.random.default_rng(seed)
-    c = np.triu(rng.normal(scale=5.0, size=(n, n)), 1)
-    c[rng.random((n, n)) < 0.3] = 0.0
-    return c + c.T
+    c = rng.normal(scale=5.0, size=n - 1)
+    c[rng.random(n - 1) < 0.3] = 0.0
+    return c
 
 
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
@@ -171,10 +170,18 @@ def test_spin_z_eigenvalues():
 
 def test_default_chain_couplings():
     model = nearest_neighbor_chain(4)
-    expect = np.zeros((4, 4))
-    for n in range(3):
-        expect[n, n + 1] = expect[n + 1, n] = PI2
-    assert np.array_equal(model.couplings, expect)
+    assert model.couplings == (PI2, PI2, PI2)
+    assert all(type(bond) is float for bond in model.couplings)
+    # hashable and equal by value, so per-chain pieces can be cached by it
+    assert model == SpinChainModel(4, np.full(3, PI2))
+    assert hash(model) == hash(SpinChainModel(4, [PI2] * 3))
+
+
+@pytest.mark.parametrize("couplings", [(), (1.0,) * 3, np.zeros((3, 3)),
+                                       np.zeros((2, 1))])
+def test_couplings_are_one_bond_per_neighbour_pair(couplings):
+    with pytest.raises(DimensionMismatch, match="3 qubits have 2 bonds"):
+        SpinChainModel(3, couplings)
 
 
 def test_width_limit_is_checked_before_any_operator():
@@ -183,7 +190,7 @@ def test_width_limit_is_checked_before_any_operator():
         with pytest.raises(OutOfRange, match=f"width {n} outside"):
             nearest_neighbor_chain(n)
     with pytest.raises(OutOfRange):
-        SpinChainModel(n_qubits=10, couplings=np.zeros((10, 10)))
+        SpinChainModel(n_qubits=10, couplings=(0.0,) * 9)
 
 
 def test_check_width_names_what_it_checks():
@@ -194,7 +201,6 @@ def test_check_width_names_what_it_checks():
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_non_finite_couplings_named_before_symmetry(value):
-    couplings = np.array([[0.0, value], [value, 0.0]])
+def test_non_finite_couplings_rejected(value):
     with pytest.raises(ValueError, match="couplings must be finite"):
-        SpinChainModel(n_qubits=2, couplings=couplings)
+        SpinChainModel(n_qubits=3, couplings=(1.0, value))

@@ -6,7 +6,7 @@ import pytest
 from spincompile import optimizer
 from spincompile.errors import (DimensionMismatch, NonUnitaryTarget,
                                OutOfRange, ShapeError)
-from spincompile.evolution import gate_error
+from spincompile.evolution import GRADIENT_EPS_FLOOR, evolve, gate_error
 from spincompile.gates import controlled_phase
 from spincompile.instructions import quvis_gate_physical
 from spincompile.model import nearest_neighbor_chain
@@ -54,7 +54,8 @@ class TestConfig:
         ("learning_rate", float("nan")), ("max_iters_per_stage", 0),
         ("convergence_window", 0), ("n_refinements", -1),
         ("init_amplitude", -0.5), ("init_amplitude", float("inf")),
-        ("seed", -1)])
+        ("seed", -1), ("max_iters_per_stage", 1.5),
+        ("convergence_window", 2.5), ("n_refinements", 0.5), ("seed", 1.5)])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
@@ -77,6 +78,19 @@ class TestSynthesize:
         report = fgto_synthesize(np.eye(2), model, 0.7, 2, cfg)
         assert report.final_error == 0.0
         assert len(report.loss_history) == 1
+
+    def test_exact_start_ends_the_run(self):
+        # the start schedule realizes the target to rounding (1.7e-16),
+        # below GRADIENT_EPS_FLOOR, so no stage runs past its first
+        # evaluation
+        model = nearest_neighbor_chain(2)
+        cfg = OptimizerConfig(seed=4, n_refinements=2)
+        start = random_init(2, 0.5, 3, cfg.init_amplitude, cfg.seed)
+        report = fgto_synthesize(evolve(model, start), model, 0.5, 3, cfg)
+        assert 0.0 < report.final_error < GRADIENT_EPS_FLOOR
+        assert len(report.loss_history) == 1
+        assert report.stage_boundaries == ()
+        assert np.array_equal(report.final_schedule.values, start.values)
 
     def test_non_unitary_target_rejected(self):
         model = nearest_neighbor_chain(1)
