@@ -24,6 +24,7 @@ from .optimizer import (OptimizerConfig, multi_seed_synthesize,
                         time_cost_search)
 
 DIRECT = "direct"
+DIRECT_BUDGET = 5e-2    # the qft and phase-trace sweeps' synthesis budget
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def _search_cell(target, model, cfg, error_budget, t_grid, restarts) -> dict:
 
 def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
               opt_cfg: OptimizerConfig | None = None,
-              error_budget: float = 5e-2, jobs: int = 1) -> ExperimentResult:
+              jobs: int = 1) -> ExperimentResult:
     """Per-N compiled time and composed error for each instruction set.
 
     Every set's gates use the bundled pulse realizations for the error
@@ -148,7 +149,7 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
         def direct(n):
             return {"n": n, "set": DIRECT, **_search_cell(
                 qft_matrix(n).matrix, nearest_neighbor_chain(n), cfg,
-                error_budget, [0.7 * n + 0.7 * i for i in range(4)], 2)}
+                DIRECT_BUDGET, [0.7 * n + 0.7 * i for i in range(4)], 2)}
 
         rows.extend(_parallel_map(direct, list(range(3, direct_max_n + 1)),
                                   jobs))
@@ -164,15 +165,15 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
         columns=("n", "set", "time", "error"),
         rows=rows, fits=fits,
         provenance={"sets": list(sets), "direct_max_n": direct_max_n,
-                    "error_budget": error_budget})
+                    "error_budget": DIRECT_BUDGET})
 
 
 # ---------------------------------------------------------------------------
 # controlled-phase traces
 
 def bench_phase_trace(thetas, total_time: float = 0.45,
-                      opt_cfg: OptimizerConfig | None = None, seeds=5,
-                      error_budget: float = 5e-2) -> ExperimentResult:
+                      opt_cfg: OptimizerConfig | None = None,
+                      seeds=5) -> ExperimentResult:
     """Error-versus-time traces for controlled phase gates.
 
     For each theta: a direct-control synthesis at ``total_time`` plus the
@@ -191,7 +192,7 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
         model = nearest_neighbor_chain(2)
         report, ok = multi_seed_synthesize(
             target, model, total_time, cfg,
-            [cfg.seed + i for i in range(seeds)], error_budget)
+            [cfg.seed + i for i in range(seeds)], DIRECT_BUDGET)
         phased = report.target_phase * target
         tr = error_trace(phased, model, report.final_schedule)
         traces[f"direct_theta={theta:g}"] = {
@@ -208,7 +209,7 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
         rows=rows,
         fits={},
         provenance={"total_time": total_time, "seeds": seeds,
-                    "error_budget": error_budget, "traces": traces})
+                    "error_budget": DIRECT_BUDGET, "traces": traces})
 
 
 # ---------------------------------------------------------------------------

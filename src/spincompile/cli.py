@@ -14,7 +14,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -377,9 +377,7 @@ def cmd_bench(args) -> int:
     bench = {"qft": bench_qft, "phase-trace": bench_phase_trace, "swap": bench_swap}
     result = bench[kind](**kw)
     summary = {"experiment": result.experiment_id, "rows": result.rows,
-               "fits": {k: {"gamma": f.gamma, "beta": f.beta,
-                            "residual": f.residual}
-                        for k, f in result.fits.items()},
+               "fits": {k: asdict(f) for k, f in result.fits.items()},
                "provenance": result.provenance}
     write_results(Path(args.out), result.experiment_id, summary, result.columns,
                   [tuple(r.get(c) for c in result.columns) for r in result.rows])
@@ -420,8 +418,7 @@ def cmd_fit(args) -> int:
                         parse_float(toks[yi], no, yi + 1)))
     fit = (fit_linear if kind == "linear" else fit_exponential)(pts, n_min=n_min)
     summary = {"experiment": "fit", "kind": kind, "input": cfg["input"],
-               "gamma": fit.gamma, "beta": fit.beta, "residual": fit.residual,
-               "n_points": len(pts)}
+               **asdict(fit), "n_points": len(pts)}
     write_results(Path(args.out), name, summary)
     print(f"{kind} fit: gamma={fit.gamma:.6g} beta={fit.beta:.6g} "
           f"rms={fit.residual:.3g}")

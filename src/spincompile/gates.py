@@ -28,11 +28,11 @@ class Gate:
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = 2 ** self.n_qubits
-        if m.shape != (d, d):
+        n = self.n_qubits
+        if not isinstance(n, (int, np.integer)) or m.shape != (2 ** n,) * 2:
             raise ValueError(f"{self.label}: matrix shape {m.shape} for "
-                             f"{self.n_qubits} qubits")
-        if not np.linalg.norm(m.conj().T @ m - np.eye(d)) <= _UNITARITY_TOL:
+                             f"{n} qubits")
+        if not np.linalg.norm(m.conj().T @ m - np.eye(len(m))) <= _UNITARITY_TOL:
             raise ValueError(f"{self.label}: matrix is not unitary")
         m = m.copy()
         m.setflags(write=False)

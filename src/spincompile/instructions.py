@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import resources
 
 import numpy as np
 
@@ -143,7 +144,7 @@ def _elementary(gate_id: str, time_cost: float) -> ElementaryGate:
     phi = (kinds.count(SWAP_GATE_ID) * np.pi / 4
            - sum(param for kind, param, _pos in steps if kind == "cphase") / 4
            - kinds.count("cnot") * 3 * np.pi / 4)
-    return ElementaryGate(gate_id, gate, time_cost, np.exp(1j * phi))
+    return ElementaryGate(gate, time_cost, np.exp(1j * phi))
 
 
 def circuit_frame(realized: np.ndarray, phase: complex) -> np.ndarray:
@@ -173,7 +174,6 @@ def quvis_gate_physical(m: int) -> np.ndarray:
 
 @dataclass
 class ElementaryGate:
-    gate_id: str
     gate: Gate
     time_cost: float
     phase: complex  # e^{i phi}, the frame phase of the physical target
@@ -403,26 +403,23 @@ def circuit_error_estimate(n_qubits: int, steps, iset: InstructionSet,
             if gate is None:
                 raise MissingRealization(f"{name} has no realization")
         realized.append((gate, pos))
-    u = compose(n_qubits, realized)
-    return float(np.linalg.norm(target - u))
+    return frobenius_distance(target, compose(n_qubits, realized))
 
 
 # ---------------------------------------------------------------------------
 # bundled reference pulses
 
-def bundled_pulse_ids():
-    from importlib import resources
+_PULSE_DIR = resources.files("spincompile").joinpath("data/pulses")
 
-    root = resources.files("spincompile").joinpath("data/pulses")
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".csv"))
+
+def bundled_pulse_ids():
+    return sorted(p.name[:-4] for p in _PULSE_DIR.iterdir()
+                  if p.name.endswith(".csv"))
 
 
 def load_bundled_schedule(gate_id: str) -> PulseSchedule:
-    from importlib import resources
-
-    path = resources.files("spincompile").joinpath(f"data/pulses/{gate_id}.csv")
     try:
-        text = path.read_text()
+        text = _PULSE_DIR.joinpath(f"{gate_id}.csv").read_text()
     except FileNotFoundError:
         raise UnknownGate(f"no bundled pulse table {gate_id!r}; expected one "
                           f"of {', '.join(bundled_pulse_ids())}") from None

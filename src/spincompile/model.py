@@ -89,8 +89,10 @@ def flip_pairs(n_qubits: int):
 
 def check_width(n: int, smallest: int = 1,
                 what: str = "register width {n}") -> int:
-    """n, if smallest <= n <= MAX_QUBITS; else OutOfRange reading
-    "<what> outside <smallest>..MAX_QUBITS", what formatted with n."""
+    """n, if it is an integer in smallest..MAX_QUBITS; else OutOfRange
+    naming <what>, formatted with n."""
+    if not isinstance(n, (int, np.integer)):
+        raise OutOfRange(f"{what.format(n=n)} is not an integer")
     if not smallest <= n <= MAX_QUBITS:
         raise OutOfRange(f"{what.format(n=n)} outside {smallest}..{MAX_QUBITS}")
     return n
@@ -130,7 +132,8 @@ class SpinChainModel:
 def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
                            interaction: str = ISING) -> SpinChainModel:
     """The default chain: every bond at strength j."""
-    return SpinChainModel(n_qubits, (j,) * (n_qubits - 1), interaction)
+    return SpinChainModel(n_qubits, (j,) * (check_width(n_qubits) - 1),
+                          interaction)
 
 
 def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:

@@ -37,9 +37,10 @@ def check_total_time(total_time: float) -> float:
 
 
 def check_counts(n_qubits: int, n_slices: int) -> None:
-    """ShapeError unless both counts are at least 1."""
-    if n_slices < 1 or n_qubits < 1:
-        raise ShapeError("n_qubits and n_slices must be positive")
+    """ShapeError unless both counts are integers of at least 1."""
+    if not all(isinstance(c, (int, np.integer)) and c >= 1
+               for c in (n_qubits, n_slices)):
+        raise ShapeError("n_qubits and n_slices must be positive integers")
 
 
 @dataclass(frozen=True)

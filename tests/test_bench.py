@@ -138,6 +138,14 @@ class TestBenchQftDirect:
                            match=f"direct_max_n {direct_max_n} outside 3..9"):
             bench_qft(3, direct_max_n=direct_max_n)
 
+    def test_float_max_n_rejected(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was evolved")
+
+        monkeypatch.setattr(instructions, "evolve", refuse)
+        with pytest.raises(OutOfRange, match="max_n 4.0 is not an integer"):
+            bench_qft(4.0)
+
     def test_capped_direct_rows(self):
         # two iterations per attempt meet no budget, so each row is the
         # best grid point, marked failed; jobs=2 maps N = 3, 4 on threads
@@ -218,7 +226,7 @@ class TestBenchPhaseTrace:
     def test_thetas_from_an_iterator(self):
         cfg = OptimizerConfig(max_iters_per_stage=5, n_refinements=0)
         res = bench_phase_trace(iter([np.pi / 2, np.pi / 4]), opt_cfg=cfg,
-                                seeds=1, error_budget=1.0)
+                                seeds=1)
         assert [row["theta"] for row in res.rows] == [np.pi / 2, np.pi / 4]
 
     def test_no_thetas(self):

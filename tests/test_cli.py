@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,10 @@ class TestConfigParsing:
     def test_records_each_keys_line(self):
         cfg = parse_config("# header\na = 1\n\nb = x\n")
         assert cfg.lines == {"a": 2, "b": 4}
+
+    def test_empty_key_names_its_line(self):
+        with pytest.raises(ConfigError, match="^line 2: empty key$"):
+            parse_config("a = 1\n = 2\n")
 
     def test_repeated_key_names_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: a repeats line 1"):
@@ -47,6 +55,9 @@ class TestConfigParsing:
         assert parse_angle("1.25") == 1.25
         with pytest.raises(ConfigError):
             parse_angle("two*pi")
+        # a factor on both sides of pi is not one of the accepted forms
+        with pytest.raises(ConfigError, match="cannot parse angle '2\\*pi/3'"):
+            parse_angle("2*pi/3")
         with pytest.raises(ConfigError, match="cannot parse angle 'pi/0'"):
             parse_angle("pi/0")
         with pytest.raises(ConfigError, match="cannot parse angle 'pi/0'"):
@@ -57,6 +68,8 @@ class TestConfigParsing:
         assert n == 2 and m[3, 3] == pytest.approx(1j)
         m, n = parse_target("qft:3")
         assert n == 3 and m.shape == (8, 8)
+        m, n = parse_target("quvis:4")
+        assert n == 3 and np.array_equal(m, instructions.quvis_gate(4).matrix)
         with pytest.raises(ConfigError):
             parse_target("frobnicate:2")
 
@@ -339,6 +352,26 @@ class TestBadConfigExits2:
         assert record["message"].startswith("line 2: ")
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command, body, message", [
+        ("synthesize", "time = 0.5\n", "config needs target = <spec>"),
+        ("fit", "x = n\n", "config needs input = <csv path>"),
+        ("fit", "input = {csv}\nx = m\n",
+         "columns 'm'/'y' not in ['n', 't']"),
+        ("fit", "input = {csv}\nx = n\ny = u\n",
+         "columns 'n'/'u' not in ['n', 't']"),
+    ])
+    def test_missing_key_or_column(self, tmp_path, capsys, command, body,
+                                   message):
+        csv = tmp_path / "data.csv"
+        csv.write_text("n,t\n1,2\n2,3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body.format(csv=csv))
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record == {"error": "ConfigError",
+                                      "message": message}
+        assert not list(tmp_path.glob("*.json"))
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["synthesize", "--config", str(tmp_path / "none.cfg")])
         record = json.loads(capsys.readouterr().err.strip())
@@ -417,6 +450,20 @@ class TestCompileAndFit:
         data = json.loads((tmp_path / "fit.json").read_text())
         assert data["gamma"] == pytest.approx(2.5, abs=1e-9)
         assert data["beta"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_fit_n_min_drops_the_points_below_it(self, tmp_path):
+        # the points at n = 3, 4 are off the line; n_min = 5 leaves them out
+        csv = tmp_path / "data.csv"
+        csv.write_text("n,t\n3,0\n4,100\n" + "".join(
+            f"{x},{2.5 * x + 0.5}\n" for x in range(5, 9)))
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {csv}\nx = n\ny = t\nn_min = 5\n")
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        data = json.loads((tmp_path / "fit.json").read_text())
+        assert data["gamma"] == pytest.approx(2.5, abs=1e-9)
+        assert data["beta"] == pytest.approx(0.5, abs=1e-9)
+        assert data["residual"] <= 1e-9
 
     @pytest.mark.parametrize("text, where", [
         ("n,t\n2,abc\n", "line 2, column 2: "),
@@ -503,3 +550,12 @@ class TestBenchCommand:
         assert rc == 2 and record["error"] == "OutOfRange"
         assert "seed" in record["message"]
         assert not list(tmp_path.glob("*.json"))
+
+
+def test_module_entry_point_prints_the_version(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-m", "spincompile.cli",
+                          "--version"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, f"{__version__}\n")

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from spincompile.errors import BadPlacement, OutOfRange
+from spincompile.errors import BadPlacement, DimensionMismatch, OutOfRange
 from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
                                hadamard, pauli_x, phase_gate, place,
                                qft_matrix, rotation, swap2,
@@ -33,6 +33,12 @@ class TestRotation:
     def test_x_pi(self):
         sx = pauli_x().matrix
         assert np.allclose(rotation("x", np.pi).matrix, -1j * sx, atol=1e-12)
+
+    def test_y_is_the_exponential_of_sigma_y(self):
+        th = 0.77
+        w, v = np.linalg.eigh(np.array([[0, -1j], [1j, 0]]))
+        expect = v @ np.diag(np.exp(-0.5j * th * w)) @ v.conj().T
+        assert np.linalg.norm(rotation("y", th).matrix - expect) <= 1e-15
 
     def test_bad_axis(self):
         with pytest.raises(OutOfRange):
@@ -68,6 +74,14 @@ def test_non_finite_or_overflowing_matrix_is_not_unitary(make, label):
     with pytest.raises(ValueError, match=rf"^{re.escape(label)}: matrix is "
                                          "not unitary$"):
         make()
+
+
+@pytest.mark.parametrize("n_qubits, shape", [(2, (2, 2)), (1, (4, 4)),
+                                             (1, (1, 2, 2)), (1.0, (2, 2))])
+def test_gate_matrix_must_be_2_n_square(n_qubits, shape):
+    message = re.escape(f"g: matrix shape {shape} for {n_qubits} qubits")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Gate("g", n_qubits, np.ones(shape))
 
 
 class TestStandardGates:
@@ -193,6 +207,11 @@ class TestApplyGate:
             place(g, positions, 4)
         with pytest.raises(BadPlacement):
             apply_gate(np.eye(16, dtype=complex), g, positions, 4)
+
+    def test_operand_rows_must_be_2_n(self):
+        with pytest.raises(DimensionMismatch, match="4 rows, register of 3 "
+                                                    "qubits needs 8"):
+            apply_gate(np.eye(4, dtype=complex), hadamard(), (1,), 3)
 
     def test_compose_qumis_global_phase(self):
         placements = [("rz", 0.3, (2,)), ("gphase", 0.7, (1,)),

@@ -183,6 +183,11 @@ class TestQftComposition:
                 with pytest.raises(OutOfRange, match=f"on {n} qubits"):
                     compile_qft(iset, n)
 
+    def test_width_must_be_an_integer(self):
+        with pytest.raises(OutOfRange, match="on 3.0 qubits is not an "
+                                             "integer"):
+            qft_steps(3.0)
+
     @pytest.mark.parametrize("n", range(3, 10))
     def test_lowering_matches_placement_rules(self, n):
         assert lower(quvis3_set(), qft_steps(n)) == quvis3_reference(n)
@@ -298,6 +303,9 @@ class TestQumisCost:
     def test_unknown_kind(self):
         with pytest.raises(UnknownGate):
             qumis_time_cost([("toffoli", None, (1, 2, 3))])
+        with pytest.raises(UnknownGate, match="unknown placement kind "
+                                              "'toffoli'"):
+            qumis_gate("toffoli", None)
 
     def test_gate_table_steps_are_not_costed(self):
         # h and cphase compose exactly but have no rotation+CNOT cost
@@ -484,6 +492,21 @@ class TestRealizations:
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
         assert err == pytest.approx(brute, abs=1e-12)
         assert 0 < err < 0.5
+
+    def test_gate_without_a_table_stays_unrealized(self, monkeypatch,
+                                                   tmp_path):
+        (tmp_path / "u0.csv").write_text(
+            instructions._PULSE_DIR.joinpath("u0.csv").read_text())
+        monkeypatch.setattr(instructions, "_PULSE_DIR", tmp_path)
+        iset = load_bundled_realizations(quvis3_set())
+        assert iset["u0"].realized is not None
+        for gid in set(iset.gates) - {"u0"}:
+            eg = iset[gid]
+            assert (eg.realized, eg.realized_schedule, eg.realized_error) \
+                == (None, None, None), gid
+        with pytest.raises(MissingRealization):
+            circuit_error_estimate(3, compile_qft(iset, 3)[1], iset,
+                                   qft_matrix(3).matrix)
 
     def test_missing_realization_in_estimate(self):
         iset = load_bundled_realizations(quvis3_set())

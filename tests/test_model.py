@@ -200,6 +200,22 @@ def test_check_width_names_what_it_checks():
             check_width(n, 3, "max_n {n}")
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: SpinChainModel(n, (1.0,)), nearest_neighbor_chain],
+    ids=["SpinChainModel", "nearest_neighbor_chain"])
+def test_width_must_be_an_integer(build):
+    with pytest.raises(OutOfRange, match=r"^register width 2\.0 is not an "
+                                         "integer$"):
+        build(2.0)
+    model = build(np.int64(2))
+    assert evolve(model, random_init(2, 0.3, 2, 1.0, seed=0)).shape == (4, 4)
+
+
+def test_unknown_interaction_rejected():
+    with pytest.raises(ValueError, match="unknown interaction 'xy'"):
+        SpinChainModel(2, (1.0,), "xy")
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_couplings_rejected(value):
     with pytest.raises(ValueError, match="couplings must be finite"):

@@ -47,6 +47,12 @@ class TestAdamStep:
         assert s2.values[0, 0, 0] == pytest.approx(expect, rel=1e-12)
         assert s2.values[1, 0, 0] == 0.0
 
+    def test_gradient_must_have_the_values_shape(self):
+        s = zeros(1, 1.0, 2)
+        with pytest.raises(DimensionMismatch, match=r"gradient shape "
+                                                    r"\(2, 1, 1\)"):
+            adam_step(s, np.zeros((2, 1, 1)), AdamState.like(s), CFG)
+
 
 class TestConfig:
     @pytest.mark.parametrize("field, value", [

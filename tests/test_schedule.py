@@ -49,6 +49,25 @@ def test_constructors_reject_counts_below_one(n_qubits, n_slices):
         zeros(n_qubits, 0.3, n_slices)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n, k: PulseSchedule(n, 1.0, k, np.zeros((2, 2, 3))),
+    lambda n, k: random_init(n, 1.0, k, 1.0, seed=0),
+    lambda n, k: zeros(n, 1.0, k)], ids=["PulseSchedule", "random_init",
+                                         "zeros"])
+def test_counts_must_be_integers(build):
+    for n_qubits, n_slices in ((2.0, 3), (2, 3.0)):
+        with pytest.raises(ShapeError, match="must be positive integers"):
+            build(n_qubits, n_slices)
+    s = build(np.int64(2), np.int64(3))
+    assert read_pulse_table(write_pulse_table(s)).values.shape == (2, 2, 3)
+
+
+def test_values_must_have_the_schedule_shape():
+    with pytest.raises(ShapeError, match=r"values shape \(2, 3, 2\), "
+                                         r"expected \(2, 2, 3\)"):
+        PulseSchedule(2, 1.0, 3, np.zeros((2, 3, 2)))
+
+
 def test_random_determinism():
     a = random_init(3, 1.0, 7, amplitude=2.0, seed=42)
     b = random_init(3, 1.0, 7, amplitude=2.0, seed=42)
@@ -132,6 +151,23 @@ def test_parse_error_carries_location():
 def test_bad_metadata():
     with pytest.raises(ParseError, match="line 1"):
         read_pulse_table("T=1.0,K=1\nx1,y1\n0.0,0.0\n")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("T=1.0,K=1,N=1\n\n", ShapeError, "needs a metadata line, a header"),
+    ("T=1.0,K1,N=1\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 1, column 2: expected key=value, got 'K1'"),
+    ("T=1.0,K=1.5,N=1\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 1: K and N must be integers"),
+    ("T=1.0,K=1,N=one\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 1: K and N must be integers"),
+    ("T=1.0,K=3,N=1\nx1,y1\n0.1,0.2\n0.3,0.4\n", ShapeError,
+     "2 data rows, metadata says K=3"),
+    ("T=1.0,K=1,N=1\nx1,y1\n0.1,0.2\n0.3,0.4\n", ShapeError,
+     "2 data rows, metadata says K=1")])
+def test_malformed_table_is_located(text, error, message):
+    with pytest.raises(error, match=message):
+        read_pulse_table(text)
 
 
 def test_stage_plan_defaults():
