@@ -34,7 +34,10 @@ class FitResult:
     residual: float
 
 
-def _usable(points, n_min):
+def usable_points(points, n_min=None) -> np.ndarray:
+    """The (x, y) points a fit uses: those with x >= n_min, if given, as a
+    (count, 2) array. ShapeError if any point is not finite, Degenerate
+    if fewer than two remain."""
     pts = [(float(x), float(y)) for x, y in points]
     bad = [i for i, p in enumerate(pts) if not np.isfinite(p).all()]
     if bad:
@@ -49,7 +52,7 @@ def _usable(points, n_min):
 
 def fit_linear(points, n_min=None) -> FitResult:
     """Least-squares y = gamma * x + beta; optional x >= n_min filter."""
-    pts = _usable(points, n_min)
+    pts = usable_points(points, n_min)
     gamma, beta = np.polyfit(pts[:, 0], pts[:, 1], 1)
     pred = gamma * pts[:, 0] + beta
     rms = float(np.sqrt(np.mean((pts[:, 1] - pred) ** 2)))
@@ -58,7 +61,7 @@ def fit_linear(points, n_min=None) -> FitResult:
 
 def fit_exponential(points, n_min=None) -> FitResult:
     """Least squares of y = beta * exp(gamma x) on log values."""
-    pts = _usable(points, n_min)
+    pts = usable_points(points, n_min)
     if np.any(pts[:, 1] <= 0):
         raise Degenerate("exponential fit needs positive values")
     lin = fit_linear(zip(pts[:, 0], np.log(pts[:, 1])))

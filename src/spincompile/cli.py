@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import bench_phase_trace, bench_qft, bench_swap, fit_exponential, fit_linear
+from .bench import (bench_phase_trace, bench_qft, bench_swap, fit_exponential,
+                    fit_linear, usable_points)
 from .errors import (ConfigError, OutOfRange, ParseError, ShapeError,
                      SpinCompileError, UnknownGate)
 from .evolution import error_trace
@@ -416,7 +417,8 @@ def cmd_fit(args) -> int:
         if toks[xi] and toks[yi]:
             pts.append((parse_float(toks[xi], no, xi + 1),
                         parse_float(toks[yi], no, yi + 1)))
-    fit = (fit_linear if kind == "linear" else fit_exponential)(pts, n_min=n_min)
+    pts = usable_points(pts, n_min)
+    fit = (fit_linear if kind == "linear" else fit_exponential)(pts)
     summary = {"experiment": "fit", "kind": kind, "input": cfg["input"],
                **asdict(fit), "n_points": len(pts)}
     write_results(Path(args.out), name, summary)

@@ -89,7 +89,7 @@ def swap2() -> Gate:
     return Gate(label="swap", n_qubits=2, matrix=m)
 
 
-def _check_placement(gate: Gate, positions, n_total: int) -> tuple:
+def check_placement(gate: Gate, positions, n_total: int) -> tuple:
     """Validated 1-based positions of a gate in an n_total-qubit register:
     adjacent and ascending, since the chain couples only neighbours."""
     positions = tuple(int(p) for p in positions)
@@ -111,7 +111,7 @@ def apply_gate(u: np.ndarray, gate: Gate, positions, n_total: int) -> np.ndarray
     whose first position is p, and the gate multiplies the middle axis:
     one batched matmul at O(2^n_total * cols * 2^k).
     """
-    positions = _check_placement(gate, positions, n_total)
+    positions = check_placement(gate, positions, n_total)
     u = np.asarray(u)
     if u.shape[0] != 2 ** n_total:
         raise DimensionMismatch(f"operand has {u.shape[0]} rows, register "

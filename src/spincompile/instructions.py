@@ -32,10 +32,12 @@ realized unitary by it.
 lowers it onto a set by matching the set's rows (``lower``) or expanding
 each step (``qumis_lower``, the baseline) into steps (name, Gate,
 positions), the first acting first. ``compose`` multiplies (Gate,
-positions) pairs out, and
-``circuit_error_estimate`` composes the steps with each gate the set
-holds replaced by its realized gate, which ``load_bundled_realizations``
-computes once per gate from the gate's pulse table.
+positions) pairs out: each run of consecutive steps within a window as
+wide as the widest row (three wires) is multiplied out on that window
+and applied to the register once, as a block. ``circuit_error_estimate``
+composes the steps with each gate the set holds replaced by its realized
+gate, which ``load_bundled_realizations`` computes once per gate from the
+gate's pulse table.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ import numpy as np
 from .errors import MissingRealization, OutOfRange, UnknownGate
 from .evolution import evolve
 from .linalg import frobenius_distance
-from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
-                    phase_gate, rotation, swap2)
+from .gates import (Gate, apply_gate, check_placement, cnot,
+                    controlled_phase, hadamard, phase_gate, rotation, swap2)
 from .model import check_width, nearest_neighbor_chain
 from .schedule import PulseSchedule, read_pulse_table
 
@@ -226,12 +228,44 @@ def quvis2_set() -> InstructionSet:
 # ---------------------------------------------------------------------------
 # compiled circuits
 
+# the widest elementary gate: compose multiplies runs of steps out on
+# windows of this many adjacent wires before they touch the register
+_WINDOW = max(width for width, _steps in GATE_STEPS.values())
+
+
+def _block(run) -> tuple:
+    """(Gate, positions) of a run of placed steps: the one step's own gate,
+    or the run multiplied out on the wires it spans."""
+    if len(run) == 1:
+        return run[0]
+    lo = min(pos[0] for _gate, pos in run)
+    width = max(pos[-1] for _gate, pos in run) - lo + 1
+    block = np.eye(2 ** width, dtype=complex)
+    for gate, pos in run:
+        block = apply_gate(block, gate, [p - lo + 1 for p in pos], width)
+    return Gate("block", width, block), tuple(range(lo, lo + width))
+
+
 def compose(n_qubits: int, steps) -> np.ndarray:
     """Product of (Gate, positions) steps on an n-qubit register, the
-    first acting first."""
-    u = np.eye(2 ** n_qubits, dtype=complex)
+    first acting first. Each run of consecutive steps that spans at most
+    three adjacent wires (the widest GATE_STEPS row) is multiplied out on
+    those wires first and applied to the register once; a wider step is
+    applied on its own.
+    OutOfRange unless n_qubits is in 1..MAX_QUBITS; BadPlacement names the
+    first step that does not fit the register."""
+    u = np.eye(2 ** check_width(n_qubits), dtype=complex)
+    run, lo, hi = [], 0, 0
     for gate, pos in steps:
-        u = apply_gate(u, gate, pos, n_qubits)
+        pos = check_placement(gate, pos, n_qubits)
+        if run and max(hi, pos[-1]) - min(lo, pos[0]) >= _WINDOW:
+            u = apply_gate(u, *_block(run), n_qubits)
+            run = []
+        lo, hi = ((min(lo, pos[0]), max(hi, pos[-1])) if run
+                  else (pos[0], pos[-1]))
+        run.append((gate, pos))
+    if run:
+        u = apply_gate(u, *_block(run), n_qubits)
     return u
 
 
@@ -351,12 +385,15 @@ def qumis_lower(steps) -> list:
 def compile_qft(iset: InstructionSet, n_qubits: int):
     """(total time, steps) of qft_steps(n_qubits) lowered onto iset, by
     lower or, for the baseline, qumis_lower; each step is (name, Gate,
-    positions), the first acting first."""
+    positions), the first acting first. The baseline's steps that name
+    the same (kind, param) share one Gate."""
     steps = qft_steps(n_qubits)
     if iset.kind == QUMIS:
         placements = qumis_lower(steps)
+        gates = {kp: qumis_gate(*kp)
+                 for kp in {(k, p) for k, p, _pos in placements}}
         return qumis_time_cost(placements), [
-            (k, qumis_gate(k, p), pos) for k, p, pos in placements]
+            (k, gates[k, p], pos) for k, p, pos in placements]
     placements = lower(iset, steps)
     return (sum(iset[g].time_cost for g, _pos in placements),
             [(g, iset[g].gate, pos) for g, pos in placements])

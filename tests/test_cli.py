@@ -464,6 +464,7 @@ class TestCompileAndFit:
         assert data["gamma"] == pytest.approx(2.5, abs=1e-9)
         assert data["beta"] == pytest.approx(0.5, abs=1e-9)
         assert data["residual"] <= 1e-9
+        assert data["n_points"] == 4
 
     @pytest.mark.parametrize("text, where", [
         ("n,t\n2,abc\n", "line 2, column 2: "),
