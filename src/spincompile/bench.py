@@ -37,7 +37,7 @@ class FitResult:
 def usable_points(points, n_min=None) -> np.ndarray:
     """The (x, y) points a fit uses: those with x >= n_min, if given, as a
     (count, 2) array. ShapeError if any point is not finite, Degenerate
-    if fewer than two remain."""
+    if fewer than two remain or they share one x, which fixes no line."""
     pts = [(float(x), float(y)) for x, y in points]
     bad = [i for i, p in enumerate(pts) if not np.isfinite(p).all()]
     if bad:
@@ -47,7 +47,20 @@ def usable_points(points, n_min=None) -> np.ndarray:
         pts = [(x, y) for x, y in pts if x >= n_min]
     if len(pts) < 2:
         raise Degenerate(f"need >= 2 usable points, have {len(pts)}")
+    if len({x for x, _ in pts}) < 2:
+        raise Degenerate(f"need >= 2 distinct x values, all {len(pts)} "
+                         f"points have x = {pts[0][0]:g}")
     return np.array(pts)
+
+
+def distinct(names) -> tuple:
+    """names as a tuple; OutOfRange naming the first one listed twice,
+    which would run its cells twice."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise OutOfRange(f"{name!r} is listed twice")
+    return names
 
 
 def fit_linear(points, n_min=None) -> FitResult:
@@ -126,8 +139,10 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
     realization leaves its error column empty. Direct control (a
     synthesis per N up to direct_max_n) is off by default because it is
     the only expensive column; direct_max_n is 0 or in 3..MAX_QUBITS. An
-    unknown set name raises UnknownGate before any work is done.
+    unknown set name raises UnknownGate, and a repeated one OutOfRange,
+    before any work is done.
     """
+    sets = distinct(sets)
     check_width(max_n, 3, "max_n {n}")
     if direct_max_n:
         check_width(direct_max_n, 3, "direct_max_n {n}")
@@ -223,7 +238,9 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
                error_budget: float = 1e-1, seeds: int = 2,
                t_grids: dict | None = None, jobs: int = 1) -> ExperimentResult:
     """Direct-control synthesis of the first-to-last swap circuit per N
-    and interaction type; linear time fits attached."""
+    and interaction type; linear time fits attached. A repeated
+    interaction raises OutOfRange before any work is done."""
+    interactions = distinct(interactions)
     check_width(max_n, 2, "max_n {n}")
     cfg = opt_cfg or OptimizerConfig()
 

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import (bench_phase_trace, bench_qft, bench_swap, fit_exponential,
-                    fit_linear, usable_points)
+from .bench import (bench_phase_trace, bench_qft, bench_swap, distinct,
+                    fit_exponential, fit_linear, usable_points)
 from .errors import (ConfigError, OutOfRange, ParseError, ShapeError,
                      SpinCompileError, UnknownGate)
 from .evolution import error_trace
@@ -62,8 +62,8 @@ class Config(dict):
             return default
         try:
             return cast(self[key])
-        except (ConfigError, UnknownGate, ValueError, TypeError, KeyError,
-                OSError, ArithmeticError) as exc:
+        except (ConfigError, UnknownGate, OutOfRange, ValueError, TypeError,
+                KeyError, OSError, ArithmeticError) as exc:
             raise self._error(key, exc) from None
 
     def given(self, **keys) -> dict:
@@ -100,14 +100,14 @@ def _one_of(choices):
     choices is a dict."""
     def parse(name: str):
         if name not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
+            raise ValueError(f"{name!r} is not one of {', '.join(choices)}")
         return choices[name] if isinstance(choices, dict) else name
     return parse
 
 
 def _listed(cast):
-    """Comma-separated values, each cast."""
-    return lambda text: tuple(cast(t.strip()) for t in text.split(","))
+    """Comma-separated values, each cast and none repeated."""
+    return lambda text: distinct(cast(t.strip()) for t in text.split(","))
 
 
 def _duration(text: str) -> float:
@@ -364,7 +364,8 @@ def cmd_bench(args) -> int:
     kw = {"opt_cfg": build_optimizer_config(cfg, seed_override=args.seed)}
     if kind == "qft":
         kw.update(max_n=cfg.get("max_n", 6, int), jobs=args.jobs, **cfg.given(
-            sets=("sets", _listed(str)), direct_max_n=("direct_max_n", int)))
+            sets=("sets", _listed(_one_of(tuple(SET_TIMES)))),
+            direct_max_n=("direct_max_n", int)))
     elif kind == "phase-trace":
         kw.update(thetas=cfg.get("thetas", (np.pi / 8, np.pi / 4, np.pi / 2),
                                  _listed(parse_angle)), **cfg.given(

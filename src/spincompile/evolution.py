@@ -10,13 +10,14 @@ complex slice Hamiltonians of ``model.slice_hamiltonians``. The gradient
 of the gate error with respect to every pulse amplitude comes from one
 forward pass (the batched eigendecomposition and the prefix products) and
 one backward pass through the divided-difference kernel, so it is exact
-to machine precision rather than a finite-difference estimate. The
-backward pass is batched over the slice axis: one matmul loop builds the
-suffix products over the propagators, each slice's adjoint is carried
-through its eigenbasis by batched matmuls into buffers the earlier steps
-freed, and every amplitude's derivative is read off the adjoint by a
-gather: a field term couples basis state j only to j with its site's bit
-flipped (``model.flip_pairs``). On the Ising chain the eigenbasis is a
+to machine precision rather than a finite-difference estimate. One matmul
+loop writes the prefix products over the propagators, the only
+time-ordered product. The backward pass is batched over the slice axis:
+each adjoint is two products of the prefixes, carried through its slice's
+eigenbasis by batched matmuls into buffers the earlier steps freed, and
+every amplitude's derivative is read off the adjoint by a gather: a field
+term couples basis state j only to j with its site's bit flipped
+(``model.flip_pairs``). On the Ising chain the eigenbasis is a
 diagonal phase frame times a real matrix, so the basis changes are real
 products against complex operands viewed as float pairs, at half the
 flops of complex ones, and the frame is two O(K d^2) scalings. The peak
@@ -68,8 +69,8 @@ def _slice_propagators(model, schedule):
     copy of V beside the scaled one: the plain form keeps a fourth K x d x d
     array alive and raised the peak memory of a replay by 16%.
 
-    The arrays are the caller's own: ``error_and_gradient`` consumes ek,
-    writing the suffix products over the propagators.
+    The arrays are the caller's own: ``_prefix_products`` consumes ek,
+    writing the prefix products over the propagators.
     """
     if model.interaction == ISING:
         return _parity_propagators(model, schedule)
@@ -145,13 +146,18 @@ def _parity_propagators(model, schedule):
     return wb.reshape(k_slices, -1), u, v, ek
 
 
+def _prefix_products(ek: np.ndarray) -> np.ndarray:
+    """The prefix products P_k = E_k ... E_1, slice 1 first, written over
+    the propagators in turn: ek[k - 1] becomes P_k; P_0 = 1 is implied."""
+    for prev, e in zip(ek, ek[1:]):
+        e[...] = e @ prev
+    return ek
+
+
 def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     """Time-ordered product of slice propagators (slice 1 first)."""
     *_, ek = _slice_propagators(model, schedule)
-    u = np.eye(model.dim, dtype=complex)
-    for k in range(schedule.n_slices):
-        u = ek[k] @ u
-    return u
+    return _prefix_products(ek)[-1].copy()
 
 
 def check_target(target, model: SpinChainModel) -> np.ndarray:
@@ -185,11 +191,8 @@ def error_trace(target, model: SpinChainModel,
     """Distance from the target to every prefix product, at times k*tau."""
     target = check_target(target, model)
     *_, ek = _slice_propagators(model, schedule)
-    u = np.eye(model.dim, dtype=complex)
-    errs = [frobenius_distance(target, u)]
-    for k in range(schedule.n_slices):
-        u = ek[k] @ u
-        errs.append(frobenius_distance(target, u))
+    errs = [frobenius_distance(target, u) for u in
+            (np.eye(model.dim, dtype=complex), *_prefix_products(ek))]
     times = schedule.tau * np.arange(schedule.n_slices + 1)
     return ErrorTrace(times=times, errors=np.array(errs))
 
@@ -219,35 +222,30 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     Adjoint evaluation: with prefix products P_k and suffix products S_k,
     d eps^2 / d theta_k = -2 Re tr(M_k dE_k), M_k = P_{k-1} target^dag S_k,
     and dE_k follows from the divided-difference kernel in the slice
-    eigenbasis. At eps below the floor the gradient is zero by convention.
+    eigenbasis. Every product is unitary, so S_k = P_K P_k^dag and M is
+    two batched products of the prefixes. At eps below the floor the
+    gradient is zero by convention.
 
-    The peak is reached while M is formed: the eigenvectors, the suffixes
-    (written over the propagators), the prefixes and M. That is three and
-    a half K x d x d complex stacks on the Ising chain, whose eigenvectors
-    are real, and four on the others. The prefixes are then dropped, and
-    the later steps run in the suffix and M buffers.
+    The peak is reached while M is formed from the eigenvectors, the
+    prefixes (over the propagators) and X: three and a half K x d x d
+    complex stacks on the Ising chain, whose eigenvectors are real, and
+    four on the others. Then X is dropped, and the later steps run in the
+    prefix and M stacks.
     """
     target = check_target(target, model)
-    k_slices, dim = schedule.n_slices, model.dim
     w, u, v, ek = _slice_propagators(model, schedule)
-
-    prefix = np.empty((k_slices + 1, dim, dim), dtype=complex)
-    prefix[0] = np.eye(dim)
-    for k in range(k_slices):
-        prefix[k + 1] = ek[k] @ prefix[k]
-    eps = frobenius_distance(target, prefix[k_slices])
+    prefix = _prefix_products(ek)
+    eps = frobenius_distance(target, prefix[-1])
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    # Suffixes target^dag S_k, S_k = E_{K-1} ... E_{k+1} and S_{K-1} = 1,
-    # each written over E_k once E_k has been read.
-    suffix, tail = ek, target.conj().T
-    for k in range(k_slices - 1, 0, -1):
-        suffix[k], tail = tail, tail @ ek[k]
-    suffix[0] = tail
-    del tail
-    m = prefix[:k_slices] @ suffix                          # M_k
-    del prefix
+    # M_k = P_{k-1} X_k with X_k = target^dag P_K P_k^dag and P_0 = 1
+    x = prefix @ (prefix[-1].conj().T @ target)
+    x = np.conjugate(x, out=x).transpose(0, 2, 1)           # X
+    m = np.empty_like(prefix)
+    m[0] = x[0]
+    np.matmul(prefix[:-1], x[1:], out=m[1:])
+    del x
     # With eigenvectors diag(u) V, the adjoint in the eigenbasis is
     # V^dag M' V with M' = diag(conj u) M diag(u).
     if u is not None:
@@ -255,23 +253,24 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
         m *= u[:, None, :]
     # W^T = V^T (V^dag M')^T and G'^T = V (conj(V) Y)^T: each side is two
     # products and one transposed copy, so every right operand is a plain
-    # stack, which a real V reads as float pairs.
+    # stack, which a real V reads as float pairs; the spent prefixes' stack
+    # is the second buffer.
     vt = v.transpose(0, 2, 1)
-    vdag_m = _matmul(vt, m, out=suffix, conj=True)
+    vdag_m = _matmul(vt, m, out=prefix, conj=True)
     m[...] = vdag_m.transpose(0, 2, 1)
-    y = _matmul(vt, m, out=suffix)                          # W^T
-    for k in range(k_slices):
+    y = _matmul(vt, m, out=prefix)                          # W^T
+    for k in range(schedule.n_slices):
         y[k] *= loewner_kernel(w[k], schedule.tau)
     # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l], G_k = conj(V) Y_k V^T,
     # and G_k[j, l] = conj(u_j) G'_k[j, l] u_l
     cv_y = _matmul(v, y, out=m, conj=True)
-    suffix[...] = cv_y.transpose(0, 2, 1)
-    g_t = _matmul(v, suffix, out=m)                         # G'^T
+    prefix[...] = cv_y.transpose(0, 2, 1)
+    g_t = _matmul(v, prefix, out=m)                         # G'^T
     # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and d H / d h[y, n]
     # is -i FIELD_SCALE spin[n, j] there (``model.flip_pairs``), so each
     # amplitude reads d entries of G_k, and d eps = d eps^2 / 2 eps.
     partner, spin = flip_pairs(model.n_qubits)
-    pairs = g_t[:, partner, np.arange(dim)]                  # (K, N, d)
+    pairs = g_t[:, partner, np.arange(model.dim)]            # (K, N, d)
     if u is not None:
         pairs *= u.conj()[:, None, :] * u[:, partner]
     grad = np.empty_like(schedule.values)

@@ -12,8 +12,10 @@ Table format (one file per schedule)::
     x1,...,xN,y1,...,yN
     <K data rows, comma separated>
 
-Values are written with 17 significant digits so a write/read round trip
-is bit exact.
+Each of T, K and N appears once, and the header is exactly the one
+shown; a reader rejects any other form at its line and column. Values are
+written with 17 significant digits so a write/read round trip is bit
+exact.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class PulseSchedule:
         expected = (len(AXES), self.n_qubits, self.n_slices)
         if v.shape != expected:
             raise ShapeError(f"values shape {v.shape}, expected {expected}")
-        check_total_time(self.total_time)
+        # a Python float, so a numpy scalar's repr never reaches a table
+        object.__setattr__(self, "total_time",
+                           float(check_total_time(self.total_time)))
         if not np.isfinite(v).all():
             raise ShapeError("values must be finite")
         v = v.copy()
@@ -100,10 +104,15 @@ def refine_double(s: PulseSchedule) -> PulseSchedule:
     return PulseSchedule(s.n_qubits, s.total_time, 2 * s.n_slices, vals)
 
 
+def _column_names(n_qubits: int) -> list:
+    """The table header's names, x1..xN then y1..yN."""
+    return [f"{axis}{q + 1}" for axis in AXES for q in range(n_qubits)]
+
+
 def write_pulse_table(s: PulseSchedule) -> str:
     n = s.n_qubits
-    header = ",".join([f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)])
-    lines = [f"T={s.total_time!r},K={s.n_slices},N={n}", header]
+    lines = [f"T={s.total_time!r},K={s.n_slices},N={n}",
+             ",".join(_column_names(n))]
     for k in range(s.n_slices):
         row = [repr(float(s.values[a, q, k]))
                for a in range(len(AXES)) for q in range(n)]
@@ -129,9 +138,14 @@ def read_pulse_table(text: str) -> PulseSchedule:
     for col, tok in enumerate(lines[0].split(","), start=1):
         if "=" not in tok:
             raise ParseError(f"line 1, column {col}: expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        meta[key.strip()] = val.strip()
-        meta_col[key.strip()] = col
+        key, val = (part.strip() for part in tok.split("=", 1))
+        if key not in ("T", "K", "N"):
+            raise ParseError(f"line 1, column {col}: unknown key {key!r}, "
+                             "expected T, K or N")
+        if key in meta:
+            raise ParseError(f"line 1, column {col}: {key} repeats column "
+                             f"{meta_col[key]}")
+        meta[key], meta_col[key] = val, col
     for key in ("T", "K", "N"):
         if key not in meta:
             raise ParseError(f"line 1: missing {key}= in metadata")
@@ -145,13 +159,22 @@ def read_pulse_table(text: str) -> PulseSchedule:
         raise ParseError("line 1: K and N must be integers") from None
     if n_slices < 1 or n_qubits < 1:
         raise ParseError("line 1: K and N must be positive")
+    header = [tok.strip() for tok in lines[1].split(",")]
+    width = 2 * n_qubits
+    if len(header) != width:
+        raise ParseError(f"line 2, column {min(len(header), width) + 1}: "
+                         f"{len(header)} header columns, expected {width}")
+    for col, (got, want) in enumerate(zip(header, _column_names(n_qubits)),
+                                      start=1):
+        if got != want:
+            raise ParseError(f"line 2, column {col}: header {got!r}, "
+                             f"expected {want!r}")
 
     body = lines[2:]
     if not body:
         raise ShapeError("empty table body")
     if len(body) != n_slices:
         raise ShapeError(f"{len(body)} data rows, metadata says K={n_slices}")
-    width = 2 * n_qubits
     vals = np.empty((2, n_qubits, n_slices))
     for k, ln in enumerate(body):
         toks = ln.split(",")

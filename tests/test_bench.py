@@ -10,7 +10,7 @@ from spincompile.evolution import evolve
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                                       instruction_set)
 from spincompile.gates import swap_to_end_circuit
-from spincompile.model import ISING, nearest_neighbor_chain
+from spincompile.model import HEISENBERG, ISING, nearest_neighbor_chain
 from spincompile.optimizer import OptimizerConfig, multi_seed_synthesize
 
 
@@ -47,6 +47,13 @@ class TestFits:
             fit_linear([(1, 1)])
         with pytest.raises(Degenerate):
             fit_exponential([(1, -1.0), (2, 2.0)])
+        # points at one x fix no line, also where n_min leaves only those
+        for fit in (fit_linear, fit_exponential):
+            with pytest.raises(Degenerate, match="2 distinct x values, all 3 "
+                                                 "points have x = 3"):
+                fit([(3, 1.0), (3, 2.0), (3, 3.0)])
+            with pytest.raises(Degenerate, match="x = 5"):
+                fit([(2, 1.0), (5, 2.0), (5, 3.0)], n_min=5)
 
 
     @pytest.mark.parametrize("fit", [fit_linear, fit_exponential])
@@ -145,6 +152,14 @@ class TestBenchQftDirect:
         monkeypatch.setattr(instructions, "evolve", refuse)
         with pytest.raises(OutOfRange, match="max_n 4.0 is not an integer"):
             bench_qft(4.0)
+
+    def test_repeated_set_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was evolved")
+
+        monkeypatch.setattr(instructions, "evolve", refuse)
+        with pytest.raises(OutOfRange, match="'quvis3' is listed twice"):
+            bench_qft(3, sets=(QUVIS3, QUMIS, QUVIS3))
 
     def test_capped_direct_rows(self):
         # two iterations per attempt meet no budget, so each row is the
@@ -260,6 +275,14 @@ class TestBenchSwap:
         assert min(errors) > 1e-9
         assert res.rows == [{"interaction": ISING, "n": 2, "time": grid[best],
                              "error": errors[best], "failed": True}]
+
+    def test_repeated_interaction_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cell was synthesized")
+
+        monkeypatch.setattr(bench, "time_cost_search", refuse)
+        with pytest.raises(OutOfRange, match="is listed twice"):
+            bench_swap(2, interactions=(ISING, HEISENBERG, ISING))
 
     def test_non_ascending_grid_rejected_like_time_cost_search(self):
         cfg = OptimizerConfig(max_iters_per_stage=1)

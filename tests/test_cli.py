@@ -336,6 +336,10 @@ class TestBadConfigExits2:
         ("bench", "max_n = 3\nkind = qft3\n"),
         ("bench", "kind = qft\nmodel.interaction = ising\n"),
         ("bench", "kind = swap\ninteractions = ising,xy\n"),
+        ("bench", "kind = qft\nsets = quvis3, nope\n"),
+        # a repeated name would run its cells twice
+        ("bench", "kind = qft\nsets = quvis3, quvis3\n"),
+        ("bench", "kind = swap\ninteractions = ising, heisenberg, ising\n"),
         ("bench", "kind = phase-trace\ntime = nan\n"),
         ("bench", "kind = phase-trace\ntime = inf\n"),
         ("bench", "kind = phase-trace\ntime = -1\n"),
@@ -466,6 +470,17 @@ class TestCompileAndFit:
         assert data["residual"] <= 1e-9
         assert data["n_points"] == 4
 
+    def test_fit_through_one_x_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        csv.write_text("n,t\n3,1\n3,2\n3,3\n")
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {csv}\nx = n\ny = t\n")
+        rc = main(["fit", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "Degenerate"
+        assert "distinct x values" in record["message"]
+        assert not list(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("text, where", [
         ("n,t\n2,abc\n", "line 2, column 2: "),
         ("n,t\n2,3\n\n3\n", "line 4, column 2: "),
@@ -510,7 +525,8 @@ class TestBenchCommand:
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
         record = json.loads(capsys.readouterr().err.strip())
         assert rc == 2
-        assert record["error"] == "UnknownGate"
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("line 2: ")
         assert "'quvus2'" in record["message"]
         assert not list(tmp_path.glob("qft_sweep*"))
 

@@ -117,6 +117,18 @@ def test_round_trip_bit_exact():
     assert (again.n_qubits, again.n_slices) == (s.n_qubits, s.n_slices)
 
 
+def test_round_trip_numpy_scalars():
+    # a numpy time (from a numpy time grid) is stored as a float, so the
+    # table reads T=0.3, not T=np.float64(0.3)
+    s = random_init(np.int64(2), np.float64(0.3), np.int64(3), amplitude=1.0,
+                    seed=1)
+    text = write_pulse_table(s)
+    assert text.startswith("T=0.3,K=3,N=2\n")
+    again = read_pulse_table(text)
+    assert type(s.total_time) is float and again.total_time == 0.3
+    assert np.array_equal(again.values, s.values)
+
+
 def test_round_trip_bundled_corpus():
     for gate_id in bundled_pulse_ids():
         s = load_bundled_schedule(gate_id)
@@ -164,7 +176,21 @@ def test_bad_metadata():
     ("T=1.0,K=3,N=1\nx1,y1\n0.1,0.2\n0.3,0.4\n", ShapeError,
      "2 data rows, metadata says K=3"),
     ("T=1.0,K=1,N=1\nx1,y1\n0.1,0.2\n0.3,0.4\n", ShapeError,
-     "2 data rows, metadata says K=1")])
+     "2 data rows, metadata says K=1"),
+    # the metadata names T, K and N once each, and nothing else
+    ("T=0.3,K=1,N=1,T=5\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 1, column 4: T repeats column 1"),
+    ("T=0.3,K=1,N=1,M=2\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 1, column 4: unknown key 'M'"),
+    # the header is x1..xN,y1..yN, as written
+    ("T=1.0,K=1,N=2\ny1,y2,x1,x2\n0.1,0.2,0.3,0.4\n", ParseError,
+     "line 2, column 1: header 'y1', expected 'x1'"),
+    ("T=1.0,K=1,N=2\n x1 , x2,y1,y3\n0.1,0.2,0.3,0.4\n", ParseError,
+     "line 2, column 4: header 'y3', expected 'y2'"),
+    ("T=1.0,K=1,N=2\nx1,x2,y1\n0.1,0.2,0.3,0.4\n", ParseError,
+     "line 2, column 4: 3 header columns, expected 4"),
+    ("T=1.0,K=1,N=1\nx1,y1,x2\n0.1,0.2\n", ParseError,
+     "line 2, column 3: 3 header columns, expected 2")])
 def test_malformed_table_is_located(text, error, message):
     with pytest.raises(error, match=message):
         read_pulse_table(text)
