@@ -18,7 +18,7 @@ for m in range(9):
     eg = iset[f"u{m}"]
     sched = eg.realized_schedule
     print(f"u{m:<5}{sched.total_time:>6}{sched.n_slices:>6}"
-          f"{eg.width:>7}{eg.realized_error:>10.4f}")
+          f"{eg.gate.n_qubits:>7}{eg.realized_error:>10.4f}")
 
 extra = [gid for gid in bundled_pulse_ids() if not gid.startswith("u")]
 print(f"\nalso bundled: {', '.join(extra)}")

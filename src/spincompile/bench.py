@@ -196,16 +196,22 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
 
     For each theta: a direct-control synthesis at ``total_time`` plus the
     control time of the microinstruction sequence. The synthesis matches
-    the unit-determinant representative of the target. An empty theta list
-    raises OutOfRange.
+    the unit-determinant representative of the target. An empty theta list,
+    or two thetas that share a trace key, raises OutOfRange.
     """
-    thetas = list(thetas)
-    if not thetas:
+    keys = {}
+    for theta in thetas:
+        key = f"direct_theta={theta:g}"
+        if key in keys:
+            raise OutOfRange(f"thetas {keys[key]!r} and {theta!r} share the "
+                             f"trace key {key!r}")
+        keys[key] = theta
+    if not keys:
         raise OutOfRange("need at least one theta")
     cfg = opt_cfg or OptimizerConfig()
     rows = []
     traces = {}
-    for theta in thetas:
+    for key, theta in keys.items():
         target = controlled_phase(theta).matrix
         model = nearest_neighbor_chain(2)
         report, ok = multi_seed_synthesize(
@@ -213,8 +219,7 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
             [cfg.seed + i for i in range(seeds)], DIRECT_BUDGET)
         phased = report.target_phase * target
         tr = error_trace(phased, model, report.final_schedule)
-        traces[f"direct_theta={theta:g}"] = {
-            "times": tr.times.tolist(), "errors": tr.errors.tolist()}
+        traces[key] = {"times": tr.times.tolist(), "errors": tr.errors.tolist()}
         _params, placements = qumis_decompose_controlled_phase(theta)
         rows.append({"theta": theta, "direct_time": total_time,
                      "direct_error": report.final_error,

@@ -66,8 +66,9 @@ def _slice_propagators(model, schedule):
     batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
     V_k^T, scaled and conjugated in place. Conjugation is exact, so this
     equals (V * phases) @ V^dag bit for bit, but it never holds a conjugated
-    copy of V beside the scaled one: the plain form keeps a fourth K x d x d
-    array alive and raised the peak memory of a replay by 16%.
+    copy of V beside the scaled one, a fourth K x d x d array: with it a
+    Heisenberg evolve peaks at 4.02 slice stacks, without it at 3.02, under
+    the 3.1 bound of test_evolve_peak_memory_is_three_slice_stacks.
 
     The arrays are the caller's own: ``_prefix_products`` consumes ek,
     writing the prefix products over the propagators.

@@ -8,7 +8,7 @@ with S = sigma/2 (half-angle matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,22 +21,23 @@ _UNITARITY_TOL = 1e-10
 @dataclass(frozen=True)
 class Gate:
     label: str
-    n_qubits: int
     matrix: np.ndarray
+    n_qubits: int = field(init=False)   # read from the 2^n x 2^n matrix
 
     # nan, infinite or overflowing entries fail the check, without a warning
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or m.shape != (2 ** n,) * 2:
-            raise ValueError(f"{self.label}: matrix shape {m.shape} for "
-                             f"{n} qubits")
+        n = (len(m) if m.ndim else 0).bit_length() - 1
+        if n < 1 or m.shape != (2 ** n,) * 2:
+            raise ValueError(f"{self.label}: matrix shape {m.shape}, not "
+                             "2^n x 2^n with n >= 1")
         if not np.linalg.norm(m.conj().T @ m - np.eye(len(m))) <= _UNITARITY_TOL:
             raise ValueError(f"{self.label}: matrix is not unitary")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "n_qubits", n)
 
 
 # A non-finite angle makes nan entries, which Gate rejects, without a warning.
@@ -52,41 +53,37 @@ def rotation(axis: str, theta: float) -> Gate:
         m = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
     else:
         raise OutOfRange(f"unknown axis {axis!r}")
-    return Gate(label=f"r{axis}({theta:g})", n_qubits=1, matrix=m)
+    return Gate(f"r{axis}({theta:g})", m)
 
 
 @np.errstate(invalid="ignore")
 def controlled_phase(theta: float) -> Gate:
     """diag(1, 1, 1, e^{i theta}); phase on the |11> state."""
     m = np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
-    return Gate(label=f"cphase({theta:g})", n_qubits=2, matrix=m)
+    return Gate(f"cphase({theta:g})", m)
 
 
 @np.errstate(invalid="ignore")
 def phase_gate(alpha: float) -> Gate:
     """diag(1, e^{i alpha}) on one qubit."""
-    return Gate(label=f"phase({alpha:g})", n_qubits=1,
-                matrix=np.diag([1, np.exp(1j * alpha)]).astype(complex))
+    return Gate(f"phase({alpha:g})",
+                np.diag([1, np.exp(1j * alpha)]).astype(complex))
 
 
 def hadamard() -> Gate:
-    m = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    return Gate(label="h", n_qubits=1, matrix=m)
+    return Gate("h", np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
 
 
 def pauli_x() -> Gate:
-    return Gate(label="x", n_qubits=1,
-                matrix=np.array([[0, 1], [1, 0]], dtype=complex))
+    return Gate("x", np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def cnot() -> Gate:
-    m = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-    return Gate(label="cnot", n_qubits=2, matrix=m)
+    return Gate("cnot", np.eye(4, dtype=complex)[[0, 1, 3, 2]])
 
 
 def swap2() -> Gate:
-    m = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    return Gate(label="swap", n_qubits=2, matrix=m)
+    return Gate("swap", np.eye(4, dtype=complex)[[0, 2, 1, 3]])
 
 
 def check_placement(gate: Gate, positions, n_total: int) -> tuple:
@@ -134,7 +131,7 @@ def qft_matrix(n_qubits: int) -> Gate:
     j = np.arange(d)
     # reduce j*k mod d in exact integers so phases never wrap imprecisely
     m = np.exp(2j * np.pi * (np.outer(j, j) % d) / d) / np.sqrt(d)
-    return Gate(label=f"qft{n_qubits}", n_qubits=n_qubits, matrix=m)
+    return Gate(f"qft{n_qubits}", m)
 
 
 def swap_to_end_circuit(n_qubits: int) -> Gate:
@@ -145,4 +142,4 @@ def swap_to_end_circuit(n_qubits: int) -> Gate:
     sw = swap2()
     for a in range(1, n_qubits):
         u = apply_gate(u, sw, (a, a + 1), n_qubits)
-    return Gate(label=f"swap_to_end{n_qubits}", n_qubits=n_qubits, matrix=u)
+    return Gate(f"swap_to_end{n_qubits}", u)

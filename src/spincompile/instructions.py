@@ -141,7 +141,7 @@ def _elementary(gate_id: str, time_cost: float) -> ElementaryGate:
     """The gate of a row of GATE_STEPS: its circuit-frame Gate and its
     frame phase e^{i phi}, phi by the phase rule of the module docstring."""
     width, steps = GATE_STEPS[gate_id]
-    gate = Gate(gate_id, width, compose_qumis(steps, width))
+    gate = Gate(gate_id, compose_qumis(steps, width))
     kinds = [kind for kind, _param, _pos in steps]
     phi = (kinds.count(SWAP_GATE_ID) * np.pi / 4
            - sum(param for kind, param, _pos in steps if kind == "cphase") / 4
@@ -183,10 +183,6 @@ class ElementaryGate:
     realized_error: float | None = None
     # circuit-frame gate of realized_schedule's evolution
     realized: Gate | None = None
-
-    @property
-    def width(self) -> int:
-        return self.gate.n_qubits
 
     @property
     def physical_target(self) -> np.ndarray:
@@ -243,7 +239,7 @@ def _block(run) -> tuple:
     block = np.eye(2 ** width, dtype=complex)
     for gate, pos in run:
         block = apply_gate(block, gate, [p - lo + 1 for p in pos], width)
-    return Gate("block", width, block), tuple(range(lo, lo + width))
+    return Gate("block", block), tuple(range(lo, lo + width))
 
 
 def compose(n_qubits: int, steps) -> np.ndarray:
@@ -322,7 +318,7 @@ _QUMIS_GATES = {
     "rx": lambda theta: rotation("x", theta),
     "ry": lambda theta: rotation("y", theta),
     "phase": phase_gate,
-    "gphase": lambda alpha: Gate(f"gphase({alpha:g})", 1,
+    "gphase": lambda alpha: Gate(f"gphase({alpha:g})",
                                  np.exp(1j * alpha) * np.eye(2)),
     "h": lambda _param: hadamard(),
     "cphase": controlled_phase,
@@ -488,5 +484,5 @@ def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
             sched, u = evolved[source]
             eg.realized_schedule = sched
             eg.realized_error = frobenius_distance(eg.physical_target, u)
-            eg.realized = Gate(gate_id, eg.width, circuit_frame(u, eg.phase))
+            eg.realized = Gate(gate_id, circuit_frame(u, eg.phase))
     return isets[0] if isets else None

@@ -33,7 +33,7 @@ d/2 x d/2 blocks, ``ising_parity_blocks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -107,17 +107,16 @@ class SpinChainModel:
     The model is hashable, so per-chain pieces are cached by it.
     """
 
-    n_qubits: int
     couplings: tuple
     interaction: str = ISING
+    n_qubits: int = field(init=False)   # len(couplings) + 1
 
     def __post_init__(self):
-        check_width(self.n_qubits)
         c = np.asarray(self.couplings, dtype=float)
-        if c.shape != (self.n_qubits - 1,):
-            raise DimensionMismatch(f"couplings shape {c.shape}: "
-                                    f"{self.n_qubits} qubits have "
-                                    f"{self.n_qubits - 1} bonds")
+        if c.ndim != 1:
+            raise DimensionMismatch(f"couplings shape {c.shape}: one bond "
+                                    "strength per neighbour pair")
+        object.__setattr__(self, "n_qubits", check_width(len(c) + 1))
         if not np.isfinite(c).all():
             raise ValueError("couplings must be finite")
         if self.interaction not in INTERACTIONS.values():
@@ -132,8 +131,7 @@ class SpinChainModel:
 def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
                            interaction: str = ISING) -> SpinChainModel:
     """The default chain: every bond at strength j."""
-    return SpinChainModel(n_qubits, (j,) * (check_width(n_qubits) - 1),
-                          interaction)
+    return SpinChainModel((j,) * (check_width(n_qubits) - 1), interaction)
 
 
 def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:

@@ -13,15 +13,15 @@ Table format (one file per schedule)::
     <K data rows, comma separated>
 
 Each of T, K and N appears once, and the header is exactly the one
-shown; a reader rejects any other form at its line and column. Values are
-written with 17 significant digits so a write/read round trip is bit
-exact.
+shown; a reader rejects any other form at its line and column. Blank
+lines are skipped but counted. Values are written with 17 significant
+digits so a write/read round trip is bit exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +38,13 @@ def check_total_time(total_time: float) -> float:
     return total_time
 
 
-def check_counts(n_qubits: int, n_slices: int) -> None:
-    """ShapeError unless both counts are integers of at least 1."""
+def values_shape(n_qubits: int, n_slices: int) -> tuple:
+    """(2, n_qubits, n_slices), the shape of a schedule's values; ShapeError
+    unless both counts are integers of at least 1."""
     if not all(isinstance(c, (int, np.integer)) and c >= 1
                for c in (n_qubits, n_slices)):
         raise ShapeError("n_qubits and n_slices must be positive integers")
+    return len(AXES), n_qubits, n_slices
 
 
 @dataclass(frozen=True)
@@ -50,17 +52,16 @@ class PulseSchedule:
     """Immutable control schedule; values has shape (2, n_qubits, n_slices)
     with axis index 0 = x, 1 = y."""
 
-    n_qubits: int
     total_time: float
-    n_slices: int
     values: np.ndarray
+    n_qubits: int = field(init=False)   # values.shape[1]
+    n_slices: int = field(init=False)   # values.shape[2]
 
     def __post_init__(self):
-        check_counts(self.n_qubits, self.n_slices)
         v = np.asarray(self.values, dtype=float)
-        expected = (len(AXES), self.n_qubits, self.n_slices)
-        if v.shape != expected:
-            raise ShapeError(f"values shape {v.shape}, expected {expected}")
+        if v.ndim != 3 or v.shape[0] != len(AXES) or 0 in v.shape:
+            raise ShapeError(f"values shape {v.shape}, expected "
+                             f"({len(AXES)}, n_qubits >= 1, n_slices >= 1)")
         # a Python float, so a numpy scalar's repr never reaches a table
         object.__setattr__(self, "total_time",
                            float(check_total_time(self.total_time)))
@@ -69,19 +70,19 @@ class PulseSchedule:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "n_qubits", v.shape[1])
+        object.__setattr__(self, "n_slices", v.shape[2])
 
     @property
     def tau(self) -> float:
         return self.total_time / self.n_slices
 
     def with_values(self, values) -> "PulseSchedule":
-        return PulseSchedule(self.n_qubits, self.total_time, self.n_slices, values)
+        return PulseSchedule(self.total_time, values)
 
 
 def zeros(n_qubits: int, total_time: float, n_slices: int) -> PulseSchedule:
-    check_counts(n_qubits, n_slices)
-    return PulseSchedule(n_qubits, total_time, n_slices,
-                         np.zeros((len(AXES), n_qubits, n_slices)))
+    return PulseSchedule(total_time, np.zeros(values_shape(n_qubits, n_slices)))
 
 
 def random_init(n_qubits: int, total_time: float, n_slices: int,
@@ -89,19 +90,16 @@ def random_init(n_qubits: int, total_time: float, n_slices: int,
     """Entries i.i.d. uniform in [-amplitude, amplitude]; seed-deterministic.
     ShapeError for a count below 1, ValueError unless 0 <= amplitude < inf,
     both before anything is drawn."""
-    check_counts(n_qubits, n_slices)
+    shape = values_shape(n_qubits, n_slices)
     if not 0 <= amplitude < math.inf:
         raise ValueError("amplitude must be >= 0 and finite")
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(-amplitude, amplitude,
-                       size=(len(AXES), n_qubits, n_slices))
-    return PulseSchedule(n_qubits, total_time, n_slices, vals)
+    values = np.random.default_rng(seed).uniform(-amplitude, amplitude, shape)
+    return PulseSchedule(total_time, values)
 
 
 def refine_double(s: PulseSchedule) -> PulseSchedule:
     """Halve tau: each slice value is duplicated into two adjacent slices."""
-    vals = np.repeat(s.values, 2, axis=2)
-    return PulseSchedule(s.n_qubits, s.total_time, 2 * s.n_slices, vals)
+    return PulseSchedule(s.total_time, np.repeat(s.values, 2, axis=2))
 
 
 def _column_names(n_qubits: int) -> list:
@@ -131,44 +129,47 @@ def parse_float(tok: str, line_no: int, col: int) -> float:
 
 
 def read_pulse_table(text: str) -> PulseSchedule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if len(lines) < 2:
         raise ShapeError("table needs a metadata line, a header, and data rows")
+    (meta_no, meta_line), (header_no, header_line) = lines[:2]
     meta, meta_col = {}, {}
-    for col, tok in enumerate(lines[0].split(","), start=1):
+    for col, tok in enumerate(meta_line.split(","), start=1):
         if "=" not in tok:
-            raise ParseError(f"line 1, column {col}: expected key=value, got {tok!r}")
+            raise ParseError(f"line {meta_no}, column {col}: expected "
+                             f"key=value, got {tok!r}")
         key, val = (part.strip() for part in tok.split("=", 1))
         if key not in ("T", "K", "N"):
-            raise ParseError(f"line 1, column {col}: unknown key {key!r}, "
-                             "expected T, K or N")
+            raise ParseError(f"line {meta_no}, column {col}: unknown key "
+                             f"{key!r}, expected T, K or N")
         if key in meta:
-            raise ParseError(f"line 1, column {col}: {key} repeats column "
-                             f"{meta_col[key]}")
+            raise ParseError(f"line {meta_no}, column {col}: {key} repeats "
+                             f"column {meta_col[key]}")
         meta[key], meta_col[key] = val, col
     for key in ("T", "K", "N"):
         if key not in meta:
-            raise ParseError(f"line 1: missing {key}= in metadata")
-    total_time = parse_float(meta["T"], 1, meta_col["T"])
+            raise ParseError(f"line {meta_no}: missing {key}= in metadata")
+    total_time = parse_float(meta["T"], meta_no, meta_col["T"])
     if total_time <= 0:
-        raise ParseError(f"line 1, column {meta_col['T']}: T must be positive, "
-                         f"got {meta['T']!r}")
+        raise ParseError(f"line {meta_no}, column {meta_col['T']}: T must be "
+                         f"positive, got {meta['T']!r}")
     try:
         n_slices, n_qubits = int(meta["K"]), int(meta["N"])
     except ValueError:
-        raise ParseError("line 1: K and N must be integers") from None
+        raise ParseError(f"line {meta_no}: K and N must be integers") from None
     if n_slices < 1 or n_qubits < 1:
-        raise ParseError("line 1: K and N must be positive")
-    header = [tok.strip() for tok in lines[1].split(",")]
+        raise ParseError(f"line {meta_no}: K and N must be positive")
+    header = [tok.strip() for tok in header_line.split(",")]
     width = 2 * n_qubits
     if len(header) != width:
-        raise ParseError(f"line 2, column {min(len(header), width) + 1}: "
-                         f"{len(header)} header columns, expected {width}")
+        raise ParseError(f"line {header_no}, column {min(len(header), width) + 1}"
+                         f": {len(header)} header columns, expected {width}")
     for col, (got, want) in enumerate(zip(header, _column_names(n_qubits)),
                                       start=1):
         if got != want:
-            raise ParseError(f"line 2, column {col}: header {got!r}, "
-                             f"expected {want!r}")
+            raise ParseError(f"line {header_no}, column {col}: header "
+                             f"{got!r}, expected {want!r}")
 
     body = lines[2:]
     if not body:
@@ -176,14 +177,14 @@ def read_pulse_table(text: str) -> PulseSchedule:
     if len(body) != n_slices:
         raise ShapeError(f"{len(body)} data rows, metadata says K={n_slices}")
     vals = np.empty((2, n_qubits, n_slices))
-    for k, ln in enumerate(body):
+    for k, (no, ln) in enumerate(body):
         toks = ln.split(",")
         if len(toks) != width:
-            raise ShapeError(f"line {k + 3}: {len(toks)} columns, expected {width}")
+            raise ShapeError(f"line {no}: {len(toks)} columns, expected {width}")
         for c, tok in enumerate(toks):
-            x = parse_float(tok.strip(), k + 3, c + 1)
+            x = parse_float(tok.strip(), no, c + 1)
             vals[c // n_qubits, c % n_qubits, k] = x
-    return PulseSchedule(n_qubits, total_time, n_slices, vals)
+    return PulseSchedule(total_time, vals)
 
 
 COARSE_TAU, TARGET_TAU = 0.08, 0.01     # first and finest slice widths

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,19 @@ class TestBenchPhaseTrace:
     def test_no_thetas(self):
         with pytest.raises(OutOfRange, match="at least one theta"):
             bench_phase_trace([])
+
+    def test_thetas_sharing_a_trace_key_rejected_before_any_work(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "multi_seed_synthesize",
+                            lambda *args: calls.append(args))
+        # both print as 0.785398, so one trace would overwrite the other
+        thetas = [np.pi / 2, np.pi / 4, np.pi / 4 + 1e-7]
+        message = (f"thetas {np.pi / 4!r} and {np.pi / 4 + 1e-7!r} share the "
+                   "trace key 'direct_theta=0.785398'")
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            bench_phase_trace(thetas)
+        assert calls == []
 
 
 class TestBenchSwap:

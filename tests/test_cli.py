@@ -558,6 +558,20 @@ class TestBenchCommand:
         assert "error_budget" in record["message"]
         assert not list(tmp_path.glob("*.json"))
 
+    def test_thetas_sharing_a_trace_key_exit_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        def refuse(*args):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(optimizer, "synthesize_auto", refuse)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("kind = phase-trace\nthetas = pi/4, 0.7853982\n")
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert "'direct_theta=0.785398'" in record["message"]
+        assert not list(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("kind", ["phase-trace", "swap"])
     def test_no_seeds_exits_2(self, tmp_path, capsys, kind):
         cfg = tmp_path / "bench.cfg"

@@ -258,7 +258,7 @@ def test_trace_prefix_products():
         if k == 0:
             u = np.eye(4)
         else:
-            u = evolve(model, type(sched)(2, sched.tau * k, k,
+            u = evolve(model, type(sched)(sched.tau * k,
                                           sched.values[:, :, :k]))
         assert tr.errors[k] == pytest.approx(np.linalg.norm(target - u))
 
@@ -312,8 +312,7 @@ def test_concatenation():
     model = nearest_neighbor_chain(2)
     a = random_init(2, 0.4, 4, amplitude=1.0, seed=10)
     b = random_init(2, 0.6, 6, amplitude=1.0, seed=11)
-    both = type(a)(2, 1.0, 10,
-                   np.concatenate([a.values, b.values], axis=2))
+    both = type(a)(1.0, np.concatenate([a.values, b.values], axis=2))
     assert np.linalg.norm(evolve(model, both)
                           - evolve(model, b) @ evolve(model, a)) <= 1e-10
 

@@ -66,22 +66,25 @@ class TestControlledPhase:
 
 
 @pytest.mark.parametrize("make, label", [
-    (lambda: Gate("g", 1, [[np.nan, 0], [0, 1]]), "g"),
+    (lambda: Gate("g", [[np.nan, 0], [0, 1]]), "g"),
     (lambda: rotation("x", np.nan), "rx(nan)"),
     (lambda: controlled_phase(np.inf), "cphase(inf)"),
-    (lambda: Gate("big", 1, [[1e200, 0], [0, 1]]), "big")])
+    (lambda: Gate("big", [[1e200, 0], [0, 1]]), "big")])
 def test_non_finite_or_overflowing_matrix_is_not_unitary(make, label):
     with pytest.raises(ValueError, match=rf"^{re.escape(label)}: matrix is "
                                          "not unitary$"):
         make()
 
 
-@pytest.mark.parametrize("n_qubits, shape", [(2, (2, 2)), (1, (4, 4)),
-                                             (1, (1, 2, 2)), (1.0, (2, 2))])
+@pytest.mark.parametrize("n_qubits, shape", [(2, (3, 3)), (1, (2, 4)),
+                                             (1, (1, 2, 2)), (1, (2,)),
+                                             (1, (1, 1))])
 def test_gate_matrix_must_be_2_n_square(n_qubits, shape):
-    message = re.escape(f"g: matrix shape {shape} for {n_qubits} qubits")
+    # a 2^n x 2^n matrix is read as n qubits; a shape beside it is no gate
+    assert Gate("g", np.eye(2 ** n_qubits)).n_qubits == n_qubits
+    message = re.escape(f"g: matrix shape {shape}, not 2^n x 2^n with n >= 1")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        Gate("g", n_qubits, np.ones(shape))
+        Gate("g", np.ones(shape))
 
 
 class TestStandardGates:
@@ -106,7 +109,7 @@ class TestStandardGates:
 
 class TestPlace:
     def test_identity_placement(self):
-        ident = type(hadamard())("i", 1, np.eye(2))
+        ident = type(hadamard())("i", np.eye(2))
         assert np.allclose(place(ident, (2,), 3), np.eye(8))
 
     def test_full_width_swap(self):
@@ -121,7 +124,7 @@ class TestPlace:
 
     def test_respects_composition(self):
         g1, g2 = cnot(), swap2()
-        prod = type(g1)("p", 2, g1.matrix @ g2.matrix)
+        prod = type(g1)("p", g1.matrix @ g2.matrix)
         lhs = place(prod, (2, 3), 4)
         rhs = place(g1, (2, 3), 4) @ place(g2, (2, 3), 4)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
@@ -168,7 +171,7 @@ class TestApplyGate:
     def test_matches_dense_embedding(self, positions, n_total):
         rng = np.random.default_rng(len(positions) * 10 + n_total)
         k = len(positions)
-        g = Gate("g", k, random_unitary(rng, 2 ** k))
+        g = Gate("g", random_unitary(rng, 2 ** k))
         dim = 2 ** n_total
         u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         expect = dense_embedding(g.matrix, positions, n_total) @ u
@@ -180,7 +183,7 @@ class TestApplyGate:
 
     def test_state_vector_operand(self):
         rng = np.random.default_rng(3)
-        g = Gate("g", 2, random_unitary(rng, 4))
+        g = Gate("g", random_unitary(rng, 4))
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         got = apply_gate(psi, g, (2, 3), 4)
         assert got.shape == (16,)
@@ -202,7 +205,7 @@ class TestApplyGate:
         # the chain couples only neighbours: a placement is adjacent and
         # ascending
         k = len(positions)
-        g = Gate("g", k, np.eye(2 ** k))
+        g = Gate("g", np.eye(2 ** k))
         with pytest.raises(BadPlacement):
             place(g, positions, 4)
         with pytest.raises(BadPlacement):

@@ -78,7 +78,7 @@ class TestQuvisGates:
             return swap @ cphase(np.pi / 2 ** p)
 
         def on(u, pos, n):
-            return place(Gate("g", len(pos), u), pos, n)
+            return place(Gate("g", u), pos, n)
 
         u0 = h(2, 2) @ cphase(np.pi / 2) @ h(1, 2)
         head = (on(phase_swap(2), (2, 3), 3) @ on(phase_swap(1), (1, 2), 3)
@@ -239,11 +239,11 @@ class TestQftComposition:
         for n in range(3, 10):
             iset3 = quvis3_set()
             for gate_id, pos in placed(iset3, n):
-                assert iset3[gate_id].width <= 3
-                assert len(pos) == iset3[gate_id].width
+                assert iset3[gate_id].gate.n_qubits <= 3
+                assert len(pos) == iset3[gate_id].gate.n_qubits
             iset2 = quvis2_set()
             for gate_id, pos in placed(iset2, n):
-                assert iset2[gate_id].width <= 2
+                assert iset2[gate_id].gate.n_qubits <= 2
 
     def test_cost_additivity(self):
         iset = quvis3_set()
@@ -263,7 +263,7 @@ def random_gate(rng, width):
     like a realized gate."""
     d = 2 ** width
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return Gate(f"r{width}", width, q * (np.diag(r) / abs(np.diag(r))))
+    return Gate(f"r{width}", q * (np.diag(r) / abs(np.diag(r))))
 
 
 class TestFusedCompose:
@@ -443,7 +443,7 @@ class TestQumisSet:
         parts = {}
         for gid in ("cnot", SWAP_GATE_ID):
             u = evolve(nearest_neighbor_chain(2), load_bundled_schedule(gid))
-            parts[gid] = Gate(gid, 2, snap_frame(u, iset[gid].gate))
+            parts[gid] = Gate(gid, snap_frame(u, iset[gid].gate))
         for n in range(3, 10):
             placements, total = compile_qft_qumis(n)
             ref = np.eye(2 ** n, dtype=complex)
@@ -528,7 +528,7 @@ class TestRealizations:
                 u = evolve(nearest_neighbor_chain(sched.n_qubits), sched)
                 expected = circuit_frame(u, eg.phase)
                 assert np.array_equal(eg.realized.matrix, expected), gid
-                assert eg.realized.n_qubits == eg.width
+                assert eg.realized.n_qubits == eg.gate.n_qubits
                 assert not eg.realized.matrix.flags.writeable
 
     def test_missing_realization_raises(self):
@@ -564,7 +564,7 @@ class TestRealizations:
         # brute-force recomposition
         u = np.eye(8, dtype=complex)
         for gid, _gate, pos in steps:
-            g = Gate(gid, iset[gid].width, iset[gid].realized.matrix)
+            g = Gate(gid, iset[gid].realized.matrix)
             u = place(g, pos, 3) @ u
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
         assert err == pytest.approx(brute, abs=1e-12)

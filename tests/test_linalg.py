@@ -23,7 +23,7 @@ def random_unitary(n, seed):
 def one_slice(model, fields, total_time):
     """A one-slice schedule holding fields (2, N): the x and y amplitudes."""
     values = np.asarray(fields, dtype=float)[:, :, None]
-    return PulseSchedule(model.n_qubits, total_time, 1, values)
+    return PulseSchedule(total_time, values)
 
 
 def random_fields(n, seed):

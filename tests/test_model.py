@@ -30,10 +30,9 @@ def test_two_spin_zz_spectrum():
 
 
 def test_single_spin_no_pairs():
-    model = SpinChainModel(n_qubits=1, couplings=())
+    model = SpinChainModel(couplings=())
     assert np.allclose(coupling_hamiltonian(model), 0.0)
-    model_h = SpinChainModel(n_qubits=1, couplings=(),
-                             interaction=HEISENBERG)
+    model_h = SpinChainModel(couplings=(), interaction=HEISENBERG)
     assert np.allclose(coupling_hamiltonian(model_h), 0.0)
 
 
@@ -58,7 +57,7 @@ def test_zero_fields_reduce_to_coupling():
 
 
 def test_single_spin_x_field():
-    model = SpinChainModel(n_qubits=1, couplings=())
+    model = SpinChainModel(couplings=())
     h = snapshot(model, hx=[1.0])
     assert np.allclose(h, np.pi * np.array([[0, 1], [1, 0]]))
 
@@ -119,7 +118,7 @@ def random_couplings(n, seed):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_builders_equal_the_dense_reference_exactly(n, interaction):
     chains = [nearest_neighbor_chain(n, interaction=interaction),
-              SpinChainModel(n, random_couplings(n, n), interaction)]
+              SpinChainModel(random_couplings(n, n), interaction)]
     values = random_init(n, 0.5, 3, amplitude=1.5, seed=n).values.copy()
     # -0.0 fields: the dense sum turns them into +0.0 entries, and so must
     # the builder; np.array_equal alone would not tell the two apart
@@ -173,15 +172,19 @@ def test_default_chain_couplings():
     assert model.couplings == (PI2, PI2, PI2)
     assert all(type(bond) is float for bond in model.couplings)
     # hashable and equal by value, so per-chain pieces can be cached by it
-    assert model == SpinChainModel(4, np.full(3, PI2))
-    assert hash(model) == hash(SpinChainModel(4, [PI2] * 3))
+    assert model == SpinChainModel(np.full(3, PI2))
+    assert hash(model) == hash(SpinChainModel([PI2] * 3))
 
 
-@pytest.mark.parametrize("couplings", [(), (1.0,) * 3, np.zeros((3, 3)),
-                                       np.zeros((2, 1))])
+@pytest.mark.parametrize("couplings", [np.zeros((3, 3)), np.zeros((2, 1)),
+                                       [[0.0, 1.0]], np.array(1.0)])
 def test_couplings_are_one_bond_per_neighbour_pair(couplings):
-    with pytest.raises(DimensionMismatch, match="3 qubits have 2 bonds"):
-        SpinChainModel(3, couplings)
+    for bonds in range(4):
+        assert SpinChainModel((1.0,) * bonds).n_qubits == bonds + 1
+    # a coupling matrix, even a symmetric N x N one, is not a chain's bonds
+    with pytest.raises(DimensionMismatch, match="one bond strength per "
+                                                "neighbour pair"):
+        SpinChainModel(couplings)
 
 
 def test_width_limit_is_checked_before_any_operator():
@@ -190,7 +193,7 @@ def test_width_limit_is_checked_before_any_operator():
         with pytest.raises(OutOfRange, match=f"width {n} outside"):
             nearest_neighbor_chain(n)
     with pytest.raises(OutOfRange):
-        SpinChainModel(n_qubits=10, couplings=(0.0,) * 9)
+        SpinChainModel(couplings=(0.0,) * 9)
 
 
 def test_check_width_names_what_it_checks():
@@ -200,9 +203,8 @@ def test_check_width_names_what_it_checks():
             check_width(n, 3, "max_n {n}")
 
 
-@pytest.mark.parametrize("build", [
-    lambda n: SpinChainModel(n, (1.0,)), nearest_neighbor_chain],
-    ids=["SpinChainModel", "nearest_neighbor_chain"])
+@pytest.mark.parametrize("build", [nearest_neighbor_chain],
+                         ids=["nearest_neighbor_chain"])
 def test_width_must_be_an_integer(build):
     with pytest.raises(OutOfRange, match=r"^register width 2\.0 is not an "
                                          "integer$"):
@@ -213,10 +215,10 @@ def test_width_must_be_an_integer(build):
 
 def test_unknown_interaction_rejected():
     with pytest.raises(ValueError, match="unknown interaction 'xy'"):
-        SpinChainModel(2, (1.0,), "xy")
+        SpinChainModel((1.0,), "xy")
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_non_finite_couplings_rejected(value):
     with pytest.raises(ValueError, match="couplings must be finite"):
-        SpinChainModel(n_qubits=3, couplings=(1.0, value))
+        SpinChainModel(couplings=(1.0, value))

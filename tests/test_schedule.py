@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,8 @@ def test_constructors_reject_counts_below_one(n_qubits, n_slices):
 
 
 @pytest.mark.parametrize("build", [
-    lambda n, k: PulseSchedule(n, 1.0, k, np.zeros((2, 2, 3))),
     lambda n, k: random_init(n, 1.0, k, 1.0, seed=0),
-    lambda n, k: zeros(n, 1.0, k)], ids=["PulseSchedule", "random_init",
-                                         "zeros"])
+    lambda n, k: zeros(n, 1.0, k)], ids=["random_init", "zeros"])
 def test_counts_must_be_integers(build):
     for n_qubits, n_slices in ((2.0, 3), (2, 3.0)):
         with pytest.raises(ShapeError, match="must be positive integers"):
@@ -63,9 +63,14 @@ def test_counts_must_be_integers(build):
 
 
 def test_values_must_have_the_schedule_shape():
-    with pytest.raises(ShapeError, match=r"values shape \(2, 3, 2\), "
-                                         r"expected \(2, 2, 3\)"):
-        PulseSchedule(2, 1.0, 3, np.zeros((2, 3, 2)))
+    s = PulseSchedule(1.0, np.zeros((2, 3, 5)))
+    assert (s.n_qubits, s.n_slices, s.tau) == (3, 5, 0.2)
+    for shape in ((2, 3), (2, 3, 5, 1), (3, 3, 5), (1, 3, 5), (2, 0, 5),
+                  (2, 3, 0), ()):
+        message = re.escape(f"values shape {shape}, expected (2, n_qubits "
+                            ">= 1, n_slices >= 1)")
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            PulseSchedule(1.0, np.zeros(shape))
 
 
 def test_random_determinism():
@@ -82,7 +87,7 @@ def test_random_sample_mean():
 
 
 def test_refine_duplicates_values():
-    s = PulseSchedule(1, 1.0, 1, np.full((2, 1, 1), 0.7))
+    s = PulseSchedule(1.0, np.full((2, 1, 1), 0.7))
     r = refine_double(s)
     assert r.n_slices == 2 and r.total_time == s.total_time
     assert np.array_equal(r.values, np.full((2, 1, 2), 0.7))
@@ -196,6 +201,21 @@ def test_malformed_table_is_located(text, error, message):
         read_pulse_table(text)
 
 
+# blank lines are allowed, and counted: a location is a line of the text
+@pytest.mark.parametrize("text, error, message", [
+    ("T=1.0,K=1,N=1\n\nx1,y1\n0.1,oops\n", ParseError,
+     "line 4, column 2: bad number 'oops'"),
+    ("\nT=1.0,K1,N=1\nx1,y1\n0.1,0.2\n", ParseError,
+     "line 2, column 2: expected key=value, got 'K1'"),
+    ("T=1.0,K=2,N=1\nx1,y1\n0.1,0.2\n\n0.1\n", ShapeError,
+     "line 5: 1 columns, expected 2")])
+def test_blank_lines_keep_the_text_line_numbers(text, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read_pulse_table(text)
+    s = read_pulse_table("\nT=1.0,K=2,N=1\n\nx1,y1\n0.1,0.2\n \n0.3,0.4\n\n")
+    assert np.array_equal(s.values, [[[0.1, 0.3]], [[0.2, 0.4]]])
+
+
 def test_stage_plan_defaults():
     k0, r = stage_plan(2.4)
     assert (k0, r) == (30, 3)
@@ -222,7 +242,7 @@ def test_stage_plan_rejects_bad_total_time(total_time):
 @pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
 def test_schedule_rejects_bad_total_time(total_time):
     with pytest.raises(ShapeError, match="total_time"):
-        PulseSchedule(1, total_time, 1, np.zeros((2, 1, 1)))
+        PulseSchedule(total_time, np.zeros((2, 1, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -230,7 +250,7 @@ def test_schedule_rejects_non_finite_values(bad):
     vals = np.zeros((2, 2, 3))
     vals[1, 0, 2] = bad
     with pytest.raises(ShapeError, match="finite"):
-        PulseSchedule(2, 1.0, 3, vals)
+        PulseSchedule(1.0, vals)
     with pytest.raises(ShapeError, match="finite"):
         zeros(2, 1.0, 3).with_values(vals)
 
