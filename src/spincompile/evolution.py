@@ -10,9 +10,11 @@ complex slice Hamiltonians of ``model.slice_hamiltonians``. The gradient
 of the gate error with respect to every pulse amplitude comes from one
 forward pass (the batched eigendecomposition and the prefix products) and
 one backward pass through the divided-difference kernel, so it is exact
-to machine precision rather than a finite-difference estimate. One matmul
-loop writes the prefix products over the propagators, the only
-time-ordered product. The backward pass is batched over the slice axis:
+to machine precision rather than a finite-difference estimate. There are
+two time-ordered products. ``evolve`` reads only the full product, which
+a pairwise tree forms in about log2 K batched matmuls; the error trace
+and the gradient read every prefix, which one matmul loop writes over the
+propagators. The backward pass is batched over the slice axis:
 each adjoint is two products of the prefixes, carried through its slice's
 eigenbasis by batched matmuls into buffers the earlier steps freed, and
 every amplitude's derivative is read off the adjoint by a gather: a field
@@ -71,7 +73,8 @@ def _slice_propagators(model, schedule):
     the 3.1 bound of test_evolve_peak_memory_is_three_slice_stacks.
 
     The arrays are the caller's own: ``_prefix_products`` consumes ek,
-    writing the prefix products over the propagators.
+    writing the prefix products over the propagators, and
+    ``_tree_product`` reads it.
     """
     if model.interaction == ISING:
         return _parity_propagators(model, schedule)
@@ -149,16 +152,39 @@ def _parity_propagators(model, schedule):
 
 def _prefix_products(ek: np.ndarray) -> np.ndarray:
     """The prefix products P_k = E_k ... E_1, slice 1 first, written over
-    the propagators in turn: ek[k - 1] becomes P_k; P_0 = 1 is implied."""
+    the propagators in turn: ek[k - 1] becomes P_k; P_0 = 1 is implied.
+    A loop of K - 1 matmuls, since each prefix is the one before it times
+    one slice; ``error_trace`` and ``error_and_gradient`` read them all,
+    ``evolve`` only the last (``_tree_product``)."""
     for prev, e in zip(ek, ek[1:]):
         e[...] = e @ prev
     return ek
 
 
+def _tree_product(ek: np.ndarray) -> np.ndarray:
+    """P_K = E_K ... E_1 by a pairwise product tree: each level multiplies
+    every pair E_{2i+1} E_{2i}, the later slice on the left, in one batched
+    matmul and carries an odd last slice up to the next level, so the same
+    K - 1 products take ceil(log2 K) calls instead of K."""
+    while len(ek) > 1:
+        half, odd = divmod(len(ek), 2)
+        level = np.empty((half + odd, *ek.shape[1:]), dtype=ek.dtype)
+        np.matmul(ek[1::2], ek[:2 * half:2], out=level[:half])
+        if odd:
+            level[half] = ek[-1]
+        ek = level
+    return ek[0]
+
+
 def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
-    """Time-ordered product of slice propagators (slice 1 first)."""
-    *_, ek = _slice_propagators(model, schedule)
-    return _prefix_products(ek)[-1].copy()
+    """Time-ordered product of slice propagators (slice 1 first).
+
+    Only P_K is read, so it is formed by ``_tree_product`` in about log2 K
+    batched matmuls; ``error_trace`` and ``error_and_gradient`` read every
+    prefix and keep the K-step ``_prefix_products`` scan. The two orders
+    of multiplication agree to rounding.
+    """
+    return _tree_product(_slice_propagators(model, schedule)[-1])
 
 
 def check_target(target, model: SpinChainModel) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadPlacement, DimensionMismatch, OutOfRange
-from .model import check_width
+from .model import MAX_QUBITS, check_width
 
 _UNITARITY_TOL = 1e-10
 
@@ -101,18 +101,22 @@ def check_placement(gate: Gate, positions, n_total: int) -> tuple:
     return positions
 
 
-def apply_gate(u: np.ndarray, gate: Gate, positions, n_total: int) -> np.ndarray:
-    """place(gate, positions, n_total) @ u without forming the embedding.
+def apply_gate(u: np.ndarray, gate: Gate, positions) -> np.ndarray:
+    """place(gate, positions, n) @ u without forming the embedding, where
+    the register width n is read from the 2^n rows of u (DimensionMismatch
+    unless n is in 1..MAX_QUBITS).
 
     The rows of u are viewed as (2^(p-1), 2^k, rest) for a k-qubit gate
     whose first position is p, and the gate multiplies the middle axis:
-    one batched matmul at O(2^n_total * cols * 2^k).
+    one batched matmul at O(2^n * cols * 2^k).
     """
-    positions = check_placement(gate, positions, n_total)
     u = np.asarray(u)
-    if u.shape[0] != 2 ** n_total:
-        raise DimensionMismatch(f"operand has {u.shape[0]} rows, register "
-                                f"of {n_total} qubits needs {2 ** n_total}")
+    rows = u.shape[0] if u.ndim else 0
+    n_total = rows.bit_length() - 1
+    if not 1 <= n_total <= MAX_QUBITS or rows != 2 ** n_total:
+        raise DimensionMismatch(f"operand has {rows} rows, not 2^n with n "
+                                f"in 1..{MAX_QUBITS}")
+    positions = check_placement(gate, positions, n_total)
     view = u.reshape(2 ** (positions[0] - 1), 2 ** gate.n_qubits, -1)
     return (gate.matrix @ view).reshape(u.shape)
 
@@ -120,8 +124,7 @@ def apply_gate(u: np.ndarray, gate: Gate, positions, n_total: int) -> np.ndarray
 def place(gate: Gate, positions, n_total: int) -> np.ndarray:
     """Embed a gate into an n_total-qubit register on the given adjacent,
     ascending 1-based qubit positions (identity elsewhere)."""
-    return apply_gate(np.eye(2 ** n_total, dtype=complex), gate, positions,
-                      n_total)
+    return apply_gate(np.eye(2 ** n_total, dtype=complex), gate, positions)
 
 
 def qft_matrix(n_qubits: int) -> Gate:
@@ -129,8 +132,9 @@ def qft_matrix(n_qubits: int) -> Gate:
     1..MAX_QUBITS."""
     d = 2 ** check_width(n_qubits)
     j = np.arange(d)
-    # reduce j*k mod d in exact integers so phases never wrap imprecisely
-    m = np.exp(2j * np.pi * (np.outer(j, j) % d) / d) / np.sqrt(d)
+    # each entry is one of the d roots of unity, indexed by j*k mod d in
+    # exact integers so phases never wrap imprecisely
+    m = np.exp(2j * np.pi * j / d)[np.outer(j, j) % d] / np.sqrt(d)
     return Gate(f"qft{n_qubits}", m)
 
 
@@ -141,5 +145,5 @@ def swap_to_end_circuit(n_qubits: int) -> Gate:
     u = np.eye(2 ** check_width(n_qubits, 2), dtype=complex)
     sw = swap2()
     for a in range(1, n_qubits):
-        u = apply_gate(u, sw, (a, a + 1), n_qubits)
+        u = apply_gate(u, sw, (a, a + 1))
     return Gate(f"swap_to_end{n_qubits}", u)

@@ -238,7 +238,7 @@ def _block(run) -> tuple:
     width = max(pos[-1] for _gate, pos in run) - lo + 1
     block = np.eye(2 ** width, dtype=complex)
     for gate, pos in run:
-        block = apply_gate(block, gate, [p - lo + 1 for p in pos], width)
+        block = apply_gate(block, gate, [p - lo + 1 for p in pos])
     return Gate("block", block), tuple(range(lo, lo + width))
 
 
@@ -255,13 +255,13 @@ def compose(n_qubits: int, steps) -> np.ndarray:
     for gate, pos in steps:
         pos = check_placement(gate, pos, n_qubits)
         if run and max(hi, pos[-1]) - min(lo, pos[0]) >= _WINDOW:
-            u = apply_gate(u, *_block(run), n_qubits)
+            u = apply_gate(u, *_block(run))
             run = []
         lo, hi = ((min(lo, pos[0]), max(hi, pos[-1])) if run
                   else (pos[0], pos[-1]))
         run.append((gate, pos))
     if run:
-        u = apply_gate(u, *_block(run), n_qubits)
+        u = apply_gate(u, *_block(run))
     return u
 
 

@@ -176,15 +176,22 @@ def read_pulse_table(text: str) -> PulseSchedule:
         raise ShapeError("empty table body")
     if len(body) != n_slices:
         raise ShapeError(f"{len(body)} data rows, metadata says K={n_slices}")
-    vals = np.empty((2, n_qubits, n_slices))
-    for k, (no, ln) in enumerate(body):
-        toks = ln.split(",")
+    rows = [ln.split(",") for _no, ln in body]
+    for (no, _ln), toks in zip(body, rows):
         if len(toks) != width:
             raise ShapeError(f"line {no}: {len(toks)} columns, expected {width}")
-        for c, tok in enumerate(toks):
-            x = parse_float(tok.strip(), no, c + 1)
-            vals[c // n_qubits, c % n_qubits, k] = x
-    return PulseSchedule(total_time, vals)
+    # one conversion for the whole body; only a table it rejects, or one
+    # with a non-finite entry, is read again token by token, which names
+    # the first bad entry or, if there is none, gives float()'s values
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:
+        table = None
+    if table is None or not np.isfinite(table).all():
+        table = np.array([[parse_float(tok.strip(), no, col)
+                           for col, tok in enumerate(toks, start=1)]
+                          for (no, _ln), toks in zip(body, rows)])
+    return PulseSchedule(total_time, table.T.reshape(2, n_qubits, n_slices))
 
 
 COARSE_TAU, TARGET_TAU = 0.08, 0.01     # first and finest slice widths

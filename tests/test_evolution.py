@@ -8,9 +8,9 @@ from test_linalg import expm_taylor
 import spincompile.evolution as evolution
 import spincompile.model as model_module
 from spincompile.errors import DimensionMismatch, NonUnitaryTarget
-from spincompile.evolution import (GRADIENT_EPS_FLOOR, _slice_propagators,
-                                   error_and_gradient, error_trace, evolve,
-                                   gate_error)
+from spincompile.evolution import (GRADIENT_EPS_FLOOR, _prefix_products,
+                                   _slice_propagators, error_and_gradient,
+                                   error_trace, evolve, gate_error)
 from spincompile.gates import pauli_x
 from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
@@ -306,6 +306,17 @@ def test_evolve_unitarity():
     sched = random_init(3, 1.0, 50, amplitude=3.0, seed=9)
     u = evolve(model, sched)
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-9
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("k_slices", [1, 2, 3, 5, 8, 240])
+def test_tree_product_matches_the_prefix_scan(k_slices, interaction):
+    # evolve multiplies pairs level by level, carrying an odd last slice;
+    # the prefix scan multiplies slice by slice; both end at P_K
+    model = nearest_neighbor_chain(3, interaction=interaction)
+    sched = random_init(3, 0.05 * k_slices, k_slices, amplitude=2.0, seed=12)
+    scan = _prefix_products(_slice_propagators(model, sched)[-1])[-1]
+    assert np.abs(evolve(model, sched) - scan).max() <= 1e-13
 
 
 def test_concatenation():

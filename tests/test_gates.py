@@ -175,7 +175,7 @@ class TestApplyGate:
         dim = 2 ** n_total
         u = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         expect = dense_embedding(g.matrix, positions, n_total) @ u
-        assert np.linalg.norm(apply_gate(u, g, positions, n_total)
+        assert np.linalg.norm(apply_gate(u, g, positions)
                               - expect) <= 1e-12
         assert np.linalg.norm(place(g, positions, n_total)
                               - dense_embedding(g.matrix, positions,
@@ -185,7 +185,7 @@ class TestApplyGate:
         rng = np.random.default_rng(3)
         g = Gate("g", random_unitary(rng, 4))
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-        got = apply_gate(psi, g, (2, 3), 4)
+        got = apply_gate(psi, g, (2, 3))
         assert got.shape == (16,)
         assert np.linalg.norm(got - place(g, (2, 3), 4) @ psi) <= 1e-12
 
@@ -196,7 +196,7 @@ class TestApplyGate:
         with pytest.raises(BadPlacement):
             place(cnot(), positions, 3)
         with pytest.raises(BadPlacement):
-            apply_gate(u, cnot(), positions, 3)
+            apply_gate(u, cnot(), positions)
 
     @pytest.mark.parametrize("positions", [(2, 1), (3, 1), (1, 3), (2, 4),
                                            (4, 2), (3, 2, 1), (4, 2, 1),
@@ -209,12 +209,20 @@ class TestApplyGate:
         with pytest.raises(BadPlacement):
             place(g, positions, 4)
         with pytest.raises(BadPlacement):
-            apply_gate(np.eye(16, dtype=complex), g, positions, 4)
+            apply_gate(np.eye(16, dtype=complex), g, positions)
 
     def test_operand_rows_must_be_2_n(self):
-        with pytest.raises(DimensionMismatch, match="4 rows, register of 3 "
-                                                    "qubits needs 8"):
-            apply_gate(np.eye(4, dtype=complex), hadamard(), (1,), 3)
+        # the register width is read from the operand's 2^n rows
+        for rows in (1, 3, 6, 12, 2 ** (MAX_QUBITS + 1)):
+            with pytest.raises(DimensionMismatch,
+                               match=f"^operand has {rows} rows, not 2\\^n "
+                                     f"with n in 1..{MAX_QUBITS}$"):
+                apply_gate(np.zeros(rows, dtype=complex), hadamard(), (1,))
+
+    def test_width_is_read_from_the_operand(self):
+        # a position past the operand's width is a bad placement
+        with pytest.raises(BadPlacement, match="outside 1..2"):
+            apply_gate(np.eye(4, dtype=complex), hadamard(), (3,))
 
     def test_compose_qumis_global_phase(self):
         placements = [("rz", 0.3, (2,)), ("gphase", 0.7, (1,)),
@@ -242,6 +250,14 @@ class TestQft:
         expect = np.array([[w ** (j * k) for k in range(4)]
                            for j in range(4)]) / 2
         assert np.allclose(qft_matrix(2).matrix, expect)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_the_elementwise_formula_bitwise(self, n):
+        # gathering the d roots of unity repeats each entry's arithmetic
+        d = 2 ** n
+        j = np.arange(d)
+        expect = np.exp(2j * np.pi * (np.outer(j, j) % d) / d) / np.sqrt(d)
+        assert qft_matrix(n).matrix.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_unitarity(self, n):

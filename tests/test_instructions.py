@@ -303,7 +303,7 @@ class TestFusedCompose:
         steps = list(zip(gates, [(1, 2, 3), (3, 4, 5), (1, 2, 3)]))
         u = np.eye(32, dtype=complex)
         for gate, pos in steps:
-            u = apply_gate(u, gate, pos, 5)
+            u = apply_gate(u, gate, pos)
         assert np.array_equal(compose(5, steps), u)
 
     @pytest.mark.parametrize("bad", [
@@ -315,7 +315,7 @@ class TestFusedCompose:
         # step is named by its positions on the register, not the window
         good = [(hadamard(), (2,)), (cnot(), (2, 3)), (swap2(), (3, 4))]
         with pytest.raises(BadPlacement) as expected:
-            apply_gate(np.eye(16), *bad, 4)
+            apply_gate(np.eye(16), *bad)
         with pytest.raises(BadPlacement,
                            match=f"^{re.escape(str(expected.value))}$"):
             compose(4, good + [bad])
@@ -452,7 +452,7 @@ class TestQumisSet:
                     ref = np.exp(1j * param) * ref
                 else:
                     gate = parts.get(kind) or qumis_gate(kind, param)
-                    ref = apply_gate(ref, gate, pos, n)
+                    ref = apply_gate(ref, gate, pos)
             target = qft_matrix(n).matrix
             expect = np.linalg.norm(target - ref)
             got_total, steps = compile_qft(iset, n)

@@ -1,4 +1,5 @@
 import re
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -139,6 +140,53 @@ def test_round_trip_bundled_corpus():
         s = load_bundled_schedule(gate_id)
         again = read_pulse_table(write_pulse_table(s))
         assert np.array_equal(again.values, s.values), gate_id
+
+
+def _per_token_values(text):
+    """The table body read one float() per token, as (2, N, K) values."""
+    meta, _header, *body = [ln for ln in text.splitlines() if ln.strip()]
+    n_qubits = int(dict(kv.split("=") for kv in meta.split(","))["N"])
+    values = np.empty((2, n_qubits, len(body)))
+    for k, ln in enumerate(body):
+        for c, tok in enumerate(ln.split(",")):
+            values[c // n_qubits, c % n_qubits, k] = float(tok)
+    return values
+
+
+@pytest.mark.parametrize("gate_id", bundled_pulse_ids())
+def test_bundled_tables_parse_as_per_token_floats(gate_id):
+    text = files("spincompile").joinpath(f"data/pulses/{gate_id}.csv")
+    text = text.read_text()
+    assert (read_pulse_table(text).values.tobytes()
+            == _per_token_values(text).tobytes())
+
+
+def test_round_trip_parses_as_per_token_floats():
+    text = write_pulse_table(random_init(5, 2.56, 256, amplitude=3.0,
+                                         seed=11))
+    assert (read_pulse_table(text).values.tobytes()
+            == _per_token_values(text).tobytes())
+
+
+@pytest.mark.parametrize("token, error", [("oops", "bad number 'oops'"),
+                                          ("nan", "non-finite number 'nan'"),
+                                          ("1e400",
+                                           "non-finite number '1e400'")])
+def test_bad_last_entry_is_located(token, error):
+    # the whole-body conversion fails or reads a non-finite entry, and the
+    # token-by-token pass names the entry
+    text = "T=1.0,K=3,N=2\nx1,x2,y1,y2\n" + "0.1,0.2,0.3,0.4\n" * 2
+    text += f"0.1,0.2,0.3,{token}\n"
+    with pytest.raises(ParseError, match=f"^line 5, column 4: {error}$"):
+        read_pulse_table(text)
+
+
+def test_numbers_follow_float_syntax():
+    # digit separators and padding are read as float() reads them
+    text = "T=1.0,K=2,N=1\nx1,y1\n1_0, 2.5 \n-0,.5\n"
+    values = read_pulse_table(text).values
+    assert values.tolist() == [[[10.0, -0.0]], [[2.5, 0.5]]]
+    assert np.signbit(values[0, 0, 1])
 
 
 def test_bundled_u0_first_row():
