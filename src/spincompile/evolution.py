@@ -14,7 +14,10 @@ to machine precision rather than a finite-difference estimate. There are
 two time-ordered products. ``evolve`` reads only the full product, which
 a pairwise tree forms in about log2 K batched matmuls; the error trace
 and the gradient read every prefix, which one matmul loop writes over the
-propagators. The backward pass is batched over the slice axis:
+propagators. The forward path (``evolve`` and the error trace) holds one
+chunk of consecutive slices at a time, at most CHUNK_BYTES of
+propagators, and carries the product across chunks, so its memory does
+not grow with K. The backward pass is batched over the slice axis:
 each adjoint is two products of the prefixes, carried through its slice's
 eigenbasis by batched matmuls into buffers the earlier steps freed, and
 every amplitude's derivative is read off the adjoint by a gather: a field
@@ -22,9 +25,9 @@ term couples basis state j only to j with its site's bit flipped
 (``model.flip_pairs``). On the Ising chain the eigenbasis is a
 diagonal phase frame times a real matrix, so the basis changes are real
 products against complex operands viewed as float pairs, at half the
-flops of complex ones, and the frame is two O(K d^2) scalings. The peak
-is about three and a half K x d x d complex stacks on the Ising chain
-and four on the others.
+flops of complex ones, and the frame is two O(K d^2) scalings. The
+gradient holds every slice at once: its peak is about three and a half
+K x d x d complex stacks on the Ising chain and four on the others.
 """
 
 from __future__ import annotations
@@ -37,12 +40,20 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
 from .model import (FIELD_SCALE, ISING, MAX_QUBITS, SpinChainModel,
-                    flip_pairs, ising_parity_blocks, slice_hamiltonians)
+                    check_fields, flip_pairs, ising_parity_blocks,
+                    slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
 # distance is ill-defined; the gradient is zero by convention.
 GRADIENT_EPS_FLOOR = 1e-12
+
+# Bytes of slice propagators the forward path holds at once. On perfbench's
+# replay workload (tables at N = 5..7 and the 16 bundled ones; 2 vCPUs, one
+# BLAS thread) 1 MiB cut peak_rss_mb from 83.1 to 46.1 MB; 256 KiB read
+# 44.5 MB and 4 MiB 53.3 MB, at the same wall time within the host's noise.
+# Every bundled table (d <= 8) fits one chunk.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,10 @@ class ErrorTrace:
     errors: np.ndarray
 
 
-def _slice_propagators(model, schedule):
-    """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k).
+def _slice_propagators(model, values, tau):
+    """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
+    of the field amplitudes values (2, N, K), a whole schedule's or a range
+    of its slices, each of duration tau.
 
     Returns (w, u, v, ek): eigenvalues (K, d), frame phases u (K, d),
     eigenvectors (K, d, d) and propagators (K, d, d); slice k's
@@ -68,18 +81,17 @@ def _slice_propagators(model, schedule):
     batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
     V_k^T, scaled and conjugated in place. Conjugation is exact, so this
     equals (V * phases) @ V^dag bit for bit, but it never holds a conjugated
-    copy of V beside the scaled one, a fourth K x d x d array: with it a
-    Heisenberg evolve peaks at 4.02 slice stacks, without it at 3.02, under
-    the 3.1 bound of test_evolve_peak_memory_is_three_slice_stacks.
+    copy of V beside the scaled one, a fourth K x d x d array: the peak is
+    the Hamiltonians, the eigenvectors and the propagators, three stacks.
 
     The arrays are the caller's own: ``_prefix_products`` consumes ek,
     writing the prefix products over the propagators, and
     ``_tree_product`` reads it.
     """
     if model.interaction == ISING:
-        return _parity_propagators(model, schedule)
-    w, v = np.linalg.eigh(slice_hamiltonians(model, schedule.values))
-    phases = np.exp(-1j * schedule.tau * w)
+        return _parity_propagators(model, values, tau)
+    w, v = np.linalg.eigh(slice_hamiltonians(model, values))
+    phases = np.exp(-1j * tau * w)
     ek = v.conj()
     ek *= phases.conj()[:, None, :]
     ek = ek @ v.transpose(0, 2, 1)
@@ -105,7 +117,7 @@ def _parity_layout(dim: int) -> np.ndarray:
     return at
 
 
-def _parity_propagators(model, schedule):
+def _parity_propagators(model, values, tau):
     """``_slice_propagators`` of an Ising chain from its real parity blocks.
 
     With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
@@ -123,15 +135,15 @@ def _parity_propagators(model, schedule):
     and is freed once E_k is gathered from it; v is a real stack, half
     its size.
     """
-    theta, blocks = ising_parity_blocks(model, schedule.values)
+    theta, blocks = ising_parity_blocks(model, values)
     wb, vb = np.linalg.eigh(blocks)
     del blocks
-    k_slices, dim, half = schedule.n_slices, model.dim, model.dim // 2
+    k_slices, dim, half = values.shape[2], model.dim, model.dim // 2
     u = np.exp(1j * theta)
     stack = np.empty((k_slices, dim, dim), dtype=complex)
     sd, eb = stack.reshape(2, k_slices, 2, half, half)
     # halved phases, so eb holds E+/2 and E-/2
-    np.multiply(0.5 * np.exp(-1j * schedule.tau * wb)[..., :, None],
+    np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
                 vb.swapaxes(-1, -2), out=sd)
     np.matmul(vb, sd.view(float), out=eb.view(float))
     np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
@@ -148,6 +160,28 @@ def _parity_propagators(model, schedule):
     np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
     v *= np.sqrt(0.5)
     return wb.reshape(k_slices, -1), u, v, ek
+
+
+def _propagator_chunks(model, schedule):
+    """The propagator stacks of consecutive ranges of the schedule's
+    slices, slice 1 first: max(2, CHUNK_BYTES // (16 d^2)) slices each,
+    and a lone last slice joins the range before it.
+
+    No range of a longer schedule is one slice, because numpy multiplies a
+    one-row operand as a matrix-vector product, which rounds the Ising
+    frame phases (``model.ising_parity_blocks``) apart from the batched
+    product; so every chunk's propagators are bitwise those of the whole
+    stack. The fields are checked whole first, so an error names the
+    schedule's slice and shape, not a chunk's. Each chunk keeps the
+    schedule's own tau; only its propagators are kept, and each stack is
+    the caller's.
+    """
+    check_fields(model, schedule.values)
+    step = max(2, CHUNK_BYTES // (16 * model.dim ** 2))
+    starts = list(range(0, max(1, schedule.n_slices - 1), step))
+    for lo, hi in zip(starts, starts[1:] + [schedule.n_slices]):
+        yield _slice_propagators(
+            model, schedule.values[:, :, lo:hi], schedule.tau)[-1]
 
 
 def _prefix_products(ek: np.ndarray) -> np.ndarray:
@@ -179,12 +213,19 @@ def _tree_product(ek: np.ndarray) -> np.ndarray:
 def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     """Time-ordered product of slice propagators (slice 1 first).
 
-    Only P_K is read, so it is formed by ``_tree_product`` in about log2 K
-    batched matmuls; ``error_trace`` and ``error_and_gradient`` read every
-    prefix and keep the K-step ``_prefix_products`` scan. The two orders
-    of multiplication agree to rounding.
+    Only P_K is read, so each chunk of slices (``_propagator_chunks``) is
+    multiplied out by ``_tree_product`` in about log2 of its length
+    batched matmuls and left-multiplies the product carried from the
+    chunks before it; ``error_trace`` and ``error_and_gradient`` read
+    every prefix and keep the K-step ``_prefix_products`` scan. The two
+    orders of multiplication agree to rounding.
     """
-    return _tree_product(_slice_propagators(model, schedule)[-1])
+    product = None
+    for ek in _propagator_chunks(model, schedule):
+        chunk = _tree_product(ek)
+        del ek                  # freed before the next chunk is built
+        product = chunk if product is None else chunk @ product
+    return product
 
 
 def check_target(target, model: SpinChainModel) -> np.ndarray:
@@ -215,11 +256,23 @@ def gate_error(target, model: SpinChainModel, schedule: PulseSchedule) -> float:
 
 def error_trace(target, model: SpinChainModel,
                 schedule: PulseSchedule) -> ErrorTrace:
-    """Distance from the target to every prefix product, at times k*tau."""
+    """Distance from the target to every prefix product, at times k*tau.
+
+    The ``_prefix_products`` scan runs chunk by chunk
+    (``_propagator_chunks``): each chunk's first slice multiplies the
+    prefix the chunk before it ended on, the same product the scan over
+    the whole stack takes, so the errors do not depend on the chunking.
+    """
     target = check_target(target, model)
-    *_, ek = _slice_propagators(model, schedule)
-    errs = [frobenius_distance(target, u) for u in
-            (np.eye(model.dim, dtype=complex), *_prefix_products(ek))]
+    errs = [frobenius_distance(target, np.eye(model.dim, dtype=complex))]
+    prefix = None
+    for ek in _propagator_chunks(model, schedule):
+        if prefix is not None:
+            ek[0] = ek[0] @ prefix
+        errs.extend(frobenius_distance(target, p)
+                    for p in _prefix_products(ek))
+        prefix = ek[-1].copy()
+        del ek
     times = schedule.tau * np.arange(schedule.n_slices + 1)
     return ErrorTrace(times=times, errors=np.array(errs))
 
@@ -260,7 +313,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     prefix and M stacks.
     """
     target = check_target(target, model)
-    w, u, v, ek = _slice_propagators(model, schedule)
+    w, u, v, ek = _slice_propagators(model, schedule.values, schedule.tau)
     prefix = _prefix_products(ek)
     eps = frobenius_distance(target, prefix[-1])
     if eps < GRADIENT_EPS_FLOOR:

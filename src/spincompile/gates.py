@@ -104,12 +104,8 @@ def check_placement(gate: Gate, positions, n_total: int) -> tuple:
 def apply_gate(u: np.ndarray, gate: Gate, positions) -> np.ndarray:
     """place(gate, positions, n) @ u without forming the embedding, where
     the register width n is read from the 2^n rows of u (DimensionMismatch
-    unless n is in 1..MAX_QUBITS).
-
-    The rows of u are viewed as (2^(p-1), 2^k, rest) for a k-qubit gate
-    whose first position is p, and the gate multiplies the middle axis:
-    one batched matmul at O(2^n * cols * 2^k).
-    """
+    unless n is in 1..MAX_QUBITS); ``_apply_matrix`` multiplies once the
+    placement is checked."""
     u = np.asarray(u)
     rows = u.shape[0] if u.ndim else 0
     n_total = rows.bit_length() - 1
@@ -117,8 +113,18 @@ def apply_gate(u: np.ndarray, gate: Gate, positions) -> np.ndarray:
         raise DimensionMismatch(f"operand has {rows} rows, not 2^n with n "
                                 f"in 1..{MAX_QUBITS}")
     positions = check_placement(gate, positions, n_total)
-    view = u.reshape(2 ** (positions[0] - 1), 2 ** gate.n_qubits, -1)
-    return (gate.matrix @ view).reshape(u.shape)
+    return _apply_matrix(u, gate.matrix, positions[0])
+
+
+def _apply_matrix(u: np.ndarray, matrix: np.ndarray, first: int) -> np.ndarray:
+    """matrix @ u on the adjacent wires from 1-based position first, for a
+    2^k x 2^k matrix that fits there; nothing is checked.
+
+    The rows of u are viewed as (2^(first-1), 2^k, rest) and the matrix
+    multiplies the middle axis: one batched matmul at O(2^n * cols * 2^k).
+    """
+    view = u.reshape(2 ** (first - 1), len(matrix), -1)
+    return (matrix @ view).reshape(u.shape)
 
 
 def place(gate: Gate, positions, n_total: int) -> np.ndarray:

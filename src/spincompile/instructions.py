@@ -51,7 +51,7 @@ import numpy as np
 from .errors import MissingRealization, OutOfRange, UnknownGate
 from .evolution import evolve
 from .linalg import frobenius_distance
-from .gates import (Gate, apply_gate, check_placement, cnot,
+from .gates import (Gate, _apply_matrix, check_placement, cnot,
                     controlled_phase, hadamard, phase_gate, rotation, swap2)
 from .model import check_width, nearest_neighbor_chain
 from .schedule import PulseSchedule, read_pulse_table
@@ -230,16 +230,18 @@ _WINDOW = max(width for width, _steps in GATE_STEPS.values())
 
 
 def _block(run) -> tuple:
-    """(Gate, positions) of a run of placed steps: the one step's own gate,
-    or the run multiplied out on the wires it spans."""
+    """(matrix, first position) of a run of placed steps: the one step's
+    own gate, or the run multiplied out on the wires it spans. The steps
+    are checked and unitary, so their product is used as it is."""
     if len(run) == 1:
-        return run[0]
+        gate, pos = run[0]
+        return gate.matrix, pos[0]
     lo = min(pos[0] for _gate, pos in run)
     width = max(pos[-1] for _gate, pos in run) - lo + 1
     block = np.eye(2 ** width, dtype=complex)
     for gate, pos in run:
-        block = apply_gate(block, gate, [p - lo + 1 for p in pos])
-    return Gate("block", block), tuple(range(lo, lo + width))
+        block = _apply_matrix(block, gate.matrix, pos[0] - lo + 1)
+    return block, lo
 
 
 def compose(n_qubits: int, steps) -> np.ndarray:
@@ -255,13 +257,13 @@ def compose(n_qubits: int, steps) -> np.ndarray:
     for gate, pos in steps:
         pos = check_placement(gate, pos, n_qubits)
         if run and max(hi, pos[-1]) - min(lo, pos[0]) >= _WINDOW:
-            u = apply_gate(u, *_block(run))
+            u = _apply_matrix(u, *_block(run))
             run = []
         lo, hi = ((min(lo, pos[0]), max(hi, pos[-1])) if run
                   else (pos[0], pos[-1]))
         run.append((gate, pos))
     if run:
-        u = apply_gate(u, *_block(run))
+        u = _apply_matrix(u, *_block(run))
     return u
 
 

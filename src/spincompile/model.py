@@ -153,7 +153,7 @@ def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
     return h
 
 
-def _check_fields(model: SpinChainModel, values: np.ndarray) -> None:
+def check_fields(model: SpinChainModel, values: np.ndarray) -> None:
     """DimensionMismatch unless values is (2, N, K >= 1); ShapeError on a
     non-finite amplitude."""
     shape = np.shape(values)
@@ -179,7 +179,7 @@ def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
     Adding, not writing over, turns a -0.0 field into +0.0, as the dense
     sum of operators does.
     """
-    _check_fields(model, values)
+    check_fields(model, values)
     partner, spin = flip_pairs(model.n_qubits)
     hx, hy = (FIELD_SCALE * h.T[:, :, None] for h in values)     # (K, N, 1)
     hk = np.repeat(coupling_hamiltonian(model)[None], values.shape[2], axis=0)
@@ -218,7 +218,7 @@ def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
     (K, 2, dim/2, dim/2) holds the real symmetric blocks of H'_k on the
     even and odd flip combinations.
     """
-    _check_fields(model, values)
+    check_fields(model, values)
     n, k_slices = model.n_qubits, values.shape[2]
     bits, ops = _parity_pieces(model)
     hx, hy = values

@@ -10,7 +10,7 @@ import pytest
 from spincompile import __version__, cli, evolution, instructions, optimizer
 from spincompile.cli import main, parse_angle, parse_config, parse_target
 from spincompile.errors import ConfigError
-from spincompile.schedule import write_pulse_table, zeros
+from spincompile.schedule import random_init, write_pulse_table, zeros
 
 
 class TestConfigParsing:
@@ -188,12 +188,21 @@ class TestEvolve:
             return propagators(*args)
 
         monkeypatch.setattr(evolution, "_slice_propagators", counted)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bundled = u0\ntarget = quvis_physical:0\n")
-        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        data = json.loads((tmp_path / "evolve.json").read_text())
-        last = (tmp_path / "evolve.csv").read_text().split()[-1].split(",")[1]
-        assert len(calls) == 1 and data["error"] == float(last)
+        table = tmp_path / "wide.csv"
+        table.write_text(
+            write_pulse_table(random_init(7, 0.65, 13, amplitude=1.0, seed=5)))
+        # the bundled u0 table fits one chunk of the forward path; the
+        # N = 7, K = 13 table spans three (4, 4 and 5 slices), each built once
+        for source, target, chunks in (("bundled = u0", "quvis_physical:0", 1),
+                                       (f"pulse_table = {table}", "qft:7", 3)):
+            calls.clear()
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{source}\ntarget = {target}\n")
+            assert main(["evolve", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+            data = json.loads((tmp_path / "evolve.json").read_text())
+            last = (tmp_path / "evolve.csv").read_text().split()[-1].split(",")[1]
+            assert len(calls) == chunks and data["error"] == float(last)
 
     def test_register_wider_than_limit_exits_2(self, tmp_path, capsys):
         table = tmp_path / "wide.csv"

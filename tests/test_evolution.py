@@ -41,7 +41,7 @@ def loop_error_and_gradient(target, model, schedule):
     """The per-slice backward loop that the batched pass replaced, kept as
     its reference: same prefix products, one slice at a time backwards."""
     k_slices = schedule.n_slices
-    w, u, v, ek = _slice_propagators(model, schedule)
+    w, u, v, ek = _slice_propagators(model, schedule.values, schedule.tau)
     if u is not None:
         v = u[:, :, None] * v
     prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
@@ -112,6 +112,15 @@ def test_dimension_mismatch():
         gate_error(np.eye(2), model, zeros(2, 0.3, 3))
 
 
+@pytest.mark.parametrize("entry", [gate_error, error_trace])
+def test_forward_path_names_the_whole_schedule(entry):
+    # the 7-qubit forward path walks 4-slice chunks; the width check reads
+    # the schedule's fields whole, so its message names their shape
+    model = nearest_neighbor_chain(7)
+    with pytest.raises(DimensionMismatch, match=r"fields of shape \(2, 6, 49\)"):
+        entry(np.eye(model.dim), model, zeros(6, 2.45, 49))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [error_and_gradient, gate_error, error_trace])
 def test_non_finite_target_rejected(entry, bad):
@@ -129,7 +138,7 @@ def test_non_finite_target_rejected(entry, bad):
 def test_slice_propagators_match_taylor_exponential(n, interaction):
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.3, 3, amplitude=1.5, seed=n)
-    *_, ek = _slice_propagators(model, sched)
+    *_, ek = _slice_propagators(model, sched.values, sched.tau)
     for k, h in enumerate(slice_hamiltonians(model, sched.values)):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
@@ -149,7 +158,7 @@ def _ising_schedule_with_zero_fields(n, k_slices, seed):
 def test_parity_propagators_match_complex_eigh(n):
     model = nearest_neighbor_chain(n)
     sched = _ising_schedule_with_zero_fields(n, 4, seed=20 + n)
-    w, u, p, ek = _slice_propagators(model, sched)
+    w, u, p, ek = _slice_propagators(model, sched.values, sched.tau)
     assert p.dtype == float
     v = u[:, :, None] * p
     hk = slice_hamiltonians(model, sched.values)
@@ -178,23 +187,27 @@ def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
 def test_heisenberg_keeps_the_complex_eigendecomposition():
     model = nearest_neighbor_chain(3, interaction=HEISENBERG)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=4)
-    w, u, v, ek = _slice_propagators(model, sched)
+    w, u, v, ek = _slice_propagators(model, sched.values, sched.tau)
     ref_w, ref_v = np.linalg.eigh(slice_hamiltonians(model, sched.values))
     assert u is None
     assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
 
 
-def _peak_slice_stacks(run, model, sched):
-    """tracemalloc peak of run() in complex K x d x d stacks, after a
-    warm-up call has filled the operator caches."""
+def _peak_bytes(run):
+    """tracemalloc peak of run(), after a warm-up call has filled the
+    operator caches."""
     run()
     tracemalloc.start()
     try:
         run()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (sched.n_slices * model.dim ** 2 * 16)
+
+
+def _peak_slice_stacks(run, model, sched):
+    """``_peak_bytes`` of run() in complex K x d x d stacks."""
+    return _peak_bytes(run) / (sched.n_slices * model.dim ** 2 * 16)
 
 
 # (N, K) = (6, 32) on both couplings, and the wide register (8, 4), where
@@ -209,14 +222,41 @@ PEAK_CASES = [
 
 @pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
 def test_evolve_peak_memory_is_three_slice_stacks(interaction, n, k_slices):
-    # Heisenberg: the Hamiltonians, the eigenvectors and the propagators;
-    # the plain (V * phases) @ V^dag form held a fourth stack (4.0 units).
-    # Ising: the real parity blocks are half as wide, and one complex
-    # stack holds their exponentials and then the eigenvectors.
+    # evolve holds one chunk of slices at a time, at most three of its
+    # stacks (Heisenberg: the Hamiltonians, the eigenvectors and the
+    # propagators; Ising: the real parity blocks are half as wide, and one
+    # complex stack holds their exponentials and then the eigenvectors).
+    # Here the chunk is half the schedule: 1.19 and 1.54 slice stacks
+    # (Ising, Heisenberg) at (6, 32), 1.50 and 1.75 at (8, 4).
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     assert _peak_slice_stacks(lambda: evolve(model, sched),
                               model, sched) <= 3.1
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("entry", [gate_error, error_trace])
+def test_forward_peak_memory_does_not_grow_with_k(entry, interaction):
+    # the forward path (gate_error through evolve, and the error trace)
+    # holds one chunk of CHUNK_BYTES of propagators at a time, so 16 times
+    # the slices leaves the peak within one chunk
+    model = nearest_neighbor_chain(6, interaction=interaction)
+    target = np.eye(model.dim)
+    short, long = (random_init(6, 0.05 * k, k, amplitude=1.0, seed=2)
+                   for k in (32, 512))
+    peaks = [_peak_bytes(lambda: entry(target, model, sched))
+             for sched in (short, long)]
+    assert abs(peaks[1] - peaks[0]) <= evolution.CHUNK_BYTES
+
+
+def test_wide_forward_peak_memory_is_bounded():
+    # N = 8, K = 64: the whole stack of propagators is 64 MiB; a chunk is
+    # two slices, 2 MiB, and the peak about 7 MiB on the Ising chain
+    model = nearest_neighbor_chain(8)
+    sched = random_init(8, 3.2, 64, amplitude=1.0, seed=2)
+    target = np.eye(model.dim)
+    assert _peak_bytes(lambda: evolve(model, sched)) < 8 * 2 ** 20
+    assert _peak_bytes(lambda: error_trace(target, model, sched)) < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
@@ -308,15 +348,42 @@ def test_evolve_unitarity():
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-9
 
 
+# (N, K) spanning three chunks of the forward path (16 slices at N = 6,
+# 4 at N = 7): an exact multiple of the chunk, and one slice more, which
+# joins the last chunk
+MULTI_CHUNK = [(6, 48), (6, 49), (7, 12), (7, 13)]
+
+
+def _whole_stack_scan(model, sched):
+    """The prefix products of the whole stack of propagators."""
+    return _prefix_products(
+        _slice_propagators(model, sched.values, sched.tau)[-1])
+
+
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
-@pytest.mark.parametrize("k_slices", [1, 2, 3, 5, 8, 240])
-def test_tree_product_matches_the_prefix_scan(k_slices, interaction):
-    # evolve multiplies pairs level by level, carrying an odd last slice;
-    # the prefix scan multiplies slice by slice; both end at P_K
-    model = nearest_neighbor_chain(3, interaction=interaction)
-    sched = random_init(3, 0.05 * k_slices, k_slices, amplitude=2.0, seed=12)
-    scan = _prefix_products(_slice_propagators(model, sched)[-1])[-1]
+@pytest.mark.parametrize(
+    "n, k_slices", [pytest.param(3, k, id=str(k)) for k in (1, 2, 3, 5, 8, 240)]
+    + [pytest.param(n, k, id=f"{n}-{k}") for n, k in MULTI_CHUNK])
+def test_tree_product_matches_the_prefix_scan(n, k_slices, interaction):
+    # evolve multiplies pairs level by level within each chunk, carrying
+    # an odd last slice, and the chunks' products onto each other; the
+    # prefix scan multiplies slice by slice; both end at P_K
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=12)
+    scan = _whole_stack_scan(model, sched)[-1]
     assert np.abs(evolve(model, sched) - scan).max() <= 1e-13
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("n, k_slices", MULTI_CHUNK)
+def test_chunked_error_trace_is_the_whole_stack_scan(n, k_slices, interaction):
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=13)
+    assert len(list(evolution._propagator_chunks(model, sched))) == 3
+    target = random_unitary(model.dim, seed=n)
+    ref = [frobenius_distance(target, u) for u in
+           (np.eye(model.dim, dtype=complex), *_whole_stack_scan(model, sched))]
+    assert np.array_equal(error_trace(target, model, sched).errors, ref)
 
 
 def test_concatenation():
