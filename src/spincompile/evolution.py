@@ -17,7 +17,10 @@ and the gradient read every prefix, which one matmul loop writes over the
 propagators. The forward path (``evolve`` and the error trace) holds one
 chunk of consecutive slices at a time, at most CHUNK_BYTES of
 propagators, and carries the product across chunks, so its memory does
-not grow with K. The backward pass is batched over the slice axis:
+not grow with K; every chunk is built into one workspace allocated per
+call (the propagator stack and, on the Ising chain, a half-size parity
+scratch), and the eigenvector stack, which only the gradient reads, is
+not assembled. The backward pass is batched over the slice axis:
 each adjoint is two products of the prefixes, carried through its slice's
 eigenbasis by batched matmuls into buffers the earlier steps freed, and
 every amplitude's derivative is read off the adjoint by a gather: a field
@@ -52,7 +55,10 @@ GRADIENT_EPS_FLOOR = 1e-12
 # replay workload (tables at N = 5..7 and the 16 bundled ones; 2 vCPUs, one
 # BLAS thread) 1 MiB cut peak_rss_mb from 83.1 to 46.1 MB; 256 KiB read
 # 44.5 MB and 4 MiB 53.3 MB, at the same wall time within the host's noise.
-# Every bundled table (d <= 8) fits one chunk.
+# Every bundled table (d <= 8) fits one chunk. Chunks are built into one
+# workspace per call (``_propagator_chunks``): with fresh stacks per chunk,
+# whose freeing handed the heap top back to the OS, a replay pass took
+# about 3.8k minor faults; with the workspace, under 30.
 CHUNK_BYTES = 1 << 20
 
 
@@ -65,7 +71,7 @@ class ErrorTrace:
     errors: np.ndarray
 
 
-def _slice_propagators(model, values, tau):
+def _slice_propagators(model, values, tau, out=None):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
     of the field amplitudes values (2, N, K), a whole schedule's or a range
     of its slices, each of duration tau.
@@ -76,6 +82,11 @@ def _slice_propagators(model, values, tau):
     parity blocks per slice (``_parity_propagators``) and v is real. Other
     couplings are solved by one batched complex eigendecomposition; there
     v is complex and u is None, no frame.
+
+    out is the forward path's workspace (``_workspace``), at least K
+    slices long: the propagators are built into its stack, ek is a view
+    of it, and the Ising chain does not assemble v (None), which only the
+    gradient reads. Without out the arrays are new.
 
     On the complex path E_k = V_k diag(phases_k) V_k^dag is formed as one
     batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
@@ -89,14 +100,27 @@ def _slice_propagators(model, values, tau):
     ``_tree_product`` reads it.
     """
     if model.interaction == ISING:
-        return _parity_propagators(model, values, tau)
+        return _parity_propagators(model, values, tau, out)
     w, v = np.linalg.eigh(slice_hamiltonians(model, values))
     phases = np.exp(-1j * tau * w)
-    ek = v.conj()
-    ek *= phases.conj()[:, None, :]
-    ek = ek @ v.transpose(0, 2, 1)
+    scaled = v.conj()
+    scaled *= phases.conj()[:, None, :]
+    ek = np.matmul(scaled, v.transpose(0, 2, 1),
+                   out=None if out is None else out[0][:len(w)])
     np.conjugate(ek, out=ek)
     return w, None, v, ek
+
+
+def _workspace(model, k_slices):
+    """The buffers ``_slice_propagators`` builds k_slices propagators into:
+    the complex (k_slices, d, d) stack and, on the Ising chain, the parity
+    scratch (k_slices, 2, d/2, d/2) of ``_parity_propagators``, half as
+    large (None on the other couplings)."""
+    dim = model.dim
+    stack = np.empty((k_slices, dim, dim), dtype=complex)
+    if model.interaction != ISING:
+        return stack, None
+    return stack, np.empty((k_slices, 2, dim // 2, dim // 2), dtype=complex)
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -117,7 +141,7 @@ def _parity_layout(dim: int) -> np.ndarray:
     return at
 
 
-def _parity_propagators(model, values, tau):
+def _parity_propagators(model, values, tau, out):
     """``_slice_propagators`` of an Ising chain from its real parity blocks.
 
     With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
@@ -130,28 +154,36 @@ def _parity_propagators(model, values, tau):
     and D = (E+ - E-)/2, scaled by u_j conj(u_l): gathers and scalings of
     O(K d^2) beside the O(K d^3 / 4) eigendecomposition.
 
-    One complex K x d x d stack serves as two (K, 2, d/2, d/2) halves,
-    the phased right operands (then S and D) and the block exponentials,
-    and is freed once E_k is gathered from it; v is a real stack, half
-    its size.
+    The workspace (out, or a new ``_workspace``) holds every step: the
+    scratch holds the phased right operands and then S and D, the first
+    half of the propagator stack the block exponentials, and E_k is
+    gathered from the scratch into the whole stack. The gather clips its
+    indices (all in range) rather than raising, because a checked
+    ``np.take`` into out writes to a temporary copy of out first, one more
+    stack. v is a real stack, half a complex one, and is assembled only
+    without out.
     """
     theta, blocks = ising_parity_blocks(model, values)
     wb, vb = np.linalg.eigh(blocks)
     del blocks
     k_slices, dim, half = values.shape[2], model.dim, model.dim // 2
     u = np.exp(1j * theta)
-    stack = np.empty((k_slices, dim, dim), dtype=complex)
-    sd, eb = stack.reshape(2, k_slices, 2, half, half)
+    stack, scratch = _workspace(model, k_slices) if out is None else out
+    ek, sd = stack[:k_slices], scratch[:k_slices]
+    eb = ek.reshape(2, k_slices, 2, half, half)[0]
     # halved phases, so eb holds E+/2 and E-/2
     np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
                 vb.swapaxes(-1, -2), out=sd)
     np.matmul(vb, sd.view(float), out=eb.view(float))
     np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
     np.subtract(eb[:, 0], eb[:, 1], out=sd[:, 1])
-    ek = np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1)
-    del stack, sd, eb
+    np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1,
+            out=ek, mode="clip")
     ek *= u[:, :, None]
     ek *= u.conj()[:, None, :]
+    w = wb.reshape(k_slices, -1)
+    if out is not None:
+        return w, u, None, ek
 
     v = np.empty((k_slices, dim, dim))
     v[:, :half, :half] = vb[:, 0]
@@ -159,7 +191,7 @@ def _parity_propagators(model, values, tau):
     v[:, half:, :half] = vb[:, 0, ::-1]
     np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
     v *= np.sqrt(0.5)
-    return wb.reshape(k_slices, -1), u, v, ek
+    return w, u, v, ek
 
 
 def _propagator_chunks(model, schedule):
@@ -173,15 +205,23 @@ def _propagator_chunks(model, schedule):
     product; so every chunk's propagators are bitwise those of the whole
     stack. The fields are checked whole first, so an error names the
     schedule's slice and shape, not a chunk's. Each chunk keeps the
-    schedule's own tau; only its propagators are kept, and each stack is
-    the caller's.
+    schedule's own tau.
+
+    One workspace (``_workspace``), sized for the longest range, is
+    allocated per call and every chunk is built into it, so each stack
+    yielded is a view that the next chunk overwrites: the caller may
+    write over it but must copy what it keeps. Freeing a chunk's
+    temporaries before the next is built returned the heap top to the OS
+    and faulted it in again for every chunk.
     """
     check_fields(model, schedule.values)
     step = max(2, CHUNK_BYTES // (16 * model.dim ** 2))
     starts = list(range(0, max(1, schedule.n_slices - 1), step))
-    for lo, hi in zip(starts, starts[1:] + [schedule.n_slices]):
+    ranges = list(zip(starts, starts[1:] + [schedule.n_slices]))
+    out = _workspace(model, max(hi - lo for lo, hi in ranges))
+    for lo, hi in ranges:
         yield _slice_propagators(
-            model, schedule.values[:, :, lo:hi], schedule.tau)[-1]
+            model, schedule.values[:, :, lo:hi], schedule.tau, out=out)[-1]
 
 
 def _prefix_products(ek: np.ndarray) -> np.ndarray:
@@ -199,7 +239,10 @@ def _tree_product(ek: np.ndarray) -> np.ndarray:
     """P_K = E_K ... E_1 by a pairwise product tree: each level multiplies
     every pair E_{2i+1} E_{2i}, the later slice on the left, in one batched
     matmul and carries an odd last slice up to the next level, so the same
-    K - 1 products take ceil(log2 K) calls instead of K."""
+    K - 1 products take ceil(log2 K) calls instead of K. The product is
+    a new array, never a view of ek, even for one slice."""
+    if len(ek) == 1:
+        return ek[0].copy()
     while len(ek) > 1:
         half, odd = divmod(len(ek), 2)
         level = np.empty((half + odd, *ek.shape[1:]), dtype=ek.dtype)
@@ -218,12 +261,12 @@ def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     batched matmuls and left-multiplies the product carried from the
     chunks before it; ``error_trace`` and ``error_and_gradient`` read
     every prefix and keep the K-step ``_prefix_products`` scan. The two
-    orders of multiplication agree to rounding.
+    orders of multiplication agree to rounding. The product is a new
+    array, never a view of the chunks' workspace.
     """
     product = None
     for ek in _propagator_chunks(model, schedule):
         chunk = _tree_product(ek)
-        del ek                  # freed before the next chunk is built
         product = chunk if product is None else chunk @ product
     return product
 
@@ -236,8 +279,8 @@ def check_target(target, model: SpinChainModel) -> np.ndarray:
     if target.shape != (model.dim, model.dim):
         raise DimensionMismatch(
             f"target shape {target.shape}, model dim {model.dim}")
-    bad = np.argwhere(~np.isfinite(target))
-    if len(bad):
+    if not np.isfinite(target).all():
+        bad = np.argwhere(~np.isfinite(target))
         row, col = bad[0]
         raise NonUnitaryTarget(
             f"target entries are not finite: {len(bad)} of them, the first "
@@ -271,8 +314,7 @@ def error_trace(target, model: SpinChainModel,
             ek[0] = ek[0] @ prefix
         errs.extend(frobenius_distance(target, p)
                     for p in _prefix_products(ek))
-        prefix = ek[-1].copy()
-        del ek
+        prefix = ek[-1].copy()          # the next chunk overwrites ek
     times = schedule.tau * np.arange(schedule.n_slices + 1)
     return ErrorTrace(times=times, errors=np.array(errs))
 

@@ -183,9 +183,9 @@ class TestEvolve:
         calls = []
         propagators = evolution._slice_propagators
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return propagators(*args)
+            return propagators(*args, **kwargs)
 
         monkeypatch.setattr(evolution, "_slice_propagators", counted)
         table = tmp_path / "wide.csv"

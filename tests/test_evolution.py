@@ -224,10 +224,10 @@ PEAK_CASES = [
 def test_evolve_peak_memory_is_three_slice_stacks(interaction, n, k_slices):
     # evolve holds one chunk of slices at a time, at most three of its
     # stacks (Heisenberg: the Hamiltonians, the eigenvectors and the
-    # propagators; Ising: the real parity blocks are half as wide, and one
-    # complex stack holds their exponentials and then the eigenvectors).
-    # Here the chunk is half the schedule: 1.19 and 1.54 slice stacks
-    # (Ising, Heisenberg) at (6, 32), 1.50 and 1.75 at (8, 4).
+    # propagators; Ising: the real parity blocks are half as wide, and the
+    # workspace is the propagators and a half-size scratch). Here the
+    # chunk is half the schedule: 1.16 and 1.61 slice stacks (Ising,
+    # Heisenberg) at (6, 32), 1.50 and 1.79 at (8, 4).
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     assert _peak_slice_stacks(lambda: evolve(model, sched),
@@ -251,7 +251,7 @@ def test_forward_peak_memory_does_not_grow_with_k(entry, interaction):
 
 def test_wide_forward_peak_memory_is_bounded():
     # N = 8, K = 64: the whole stack of propagators is 64 MiB; a chunk is
-    # two slices, 2 MiB, and the peak about 7 MiB on the Ising chain
+    # two slices, 2 MiB, and the peak about 6 MiB on the Ising chain
     model = nearest_neighbor_chain(8)
     sched = random_init(8, 3.2, 64, amplitude=1.0, seed=2)
     target = np.eye(model.dim)
@@ -385,6 +385,41 @@ def test_chunked_error_trace_is_the_whole_stack_scan(n, k_slices, interaction):
            (np.eye(model.dim, dtype=complex), *_whole_stack_scan(model, sched))]
     assert np.array_equal(error_trace(target, model, sched).errors, ref)
 
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("n, k_slices", MULTI_CHUNK)
+def test_chunks_are_built_into_one_workspace(n, k_slices, interaction):
+    # every chunk's propagators are written over the one before them, so
+    # the forward path allocates its stacks once per call, not per chunk
+    model = nearest_neighbor_chain(n, interaction=interaction)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=13)
+    chunks = list(evolution._propagator_chunks(model, sched))
+    assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_one_slice_evolution_is_not_a_view_of_the_workspace(interaction,
+                                                            monkeypatch):
+    # a one-slice schedule's product is its only propagator, which evolve
+    # copies out of the workspace: neither a later call nor a write over
+    # the workspace changes it
+    chunks = []
+    chunker = evolution._propagator_chunks
+
+    def kept(*args):
+        for ek in chunker(*args):
+            chunks.append(ek)
+            yield ek
+
+    monkeypatch.setattr(evolution, "_propagator_chunks", kept)
+    model = nearest_neighbor_chain(3, interaction=interaction)
+    u = evolve(model, random_init(3, 0.1, 1, amplitude=1.0, seed=14))
+    before = u.copy()
+    evolve(model, random_init(3, 0.1, 1, amplitude=1.0, seed=15))
+    assert not np.shares_memory(u, chunks[0])
+    chunks[0][...] = 0
+    assert np.array_equal(u, before)
 
 def test_concatenation():
     model = nearest_neighbor_chain(2)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spincompile.errors import BadPlacement, DimensionMismatch, OutOfRange
-from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
-                               hadamard, pauli_x, phase_gate, place,
-                               qft_matrix, rotation, swap2,
-                               swap_to_end_circuit)
+from spincompile.gates import (Gate, _FourierGate, apply_gate, cnot,
+                               controlled_phase, hadamard, pauli_x,
+                               phase_gate, place, qft_matrix, rotation,
+                               swap2, swap_to_end_circuit)
 from spincompile.instructions import compose_qumis
 from spincompile.model import MAX_QUBITS
 
@@ -263,6 +263,16 @@ class TestQft:
     def test_unitarity(self, n):
         f = qft_matrix(n).matrix
         assert np.linalg.norm(f.conj().T @ f - np.eye(2 ** n)) <= 1e-12
+
+    @pytest.mark.parametrize("damage", ["moved", "nan"])
+    def test_fft_check_rejects_a_damaged_dft(self, damage):
+        # qft_matrix checks its matrix by an orthonormal FFT, not m^H m;
+        # one entry moved by 1e-9, or made nan, fails both checks
+        f = qft_matrix(3).matrix.copy()
+        f[5, 2] = np.nan if damage == "nan" else f[5, 2] + 1e-9
+        for build in (_FourierGate, Gate):
+            with pytest.raises(ValueError, match="qft3: matrix is not unitary"):
+                build("qft3", f)
 
 
 @pytest.mark.parametrize("build, smallest", [(qft_matrix, 1),
