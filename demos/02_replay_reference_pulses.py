@@ -2,16 +2,16 @@
 
 Each table drives the default chain for its stated duration; the evolved
 operator is compared against the exact target of the corresponding
-elementary gate. All nine replay within 0.05. Seven are the external
-reference tables; u3 (at 1.45, just above its block's 1.4375 minimum
-time) and u8 were made with this package (see the README's
+elementary gate. A gate's realization is derived from its table, which is
+read and evolved once, on first use. All nine replay within 0.05. Seven
+are the external reference tables; u3 (at 1.45, just above its block's
+1.4375 minimum time) and u8 were made with this package (see the README's
 "Provenance of the bundled tables").
 """
 
-from spincompile.instructions import (bundled_pulse_ids,
-                                      load_bundled_realizations, quvis3_set)
+from spincompile.instructions import bundled_pulse_ids, quvis3_set
 
-iset = load_bundled_realizations(quvis3_set())
+iset = quvis3_set()
 
 print(f"{'gate':<6}{'T':>6}{'K':>6}{'width':>7}{'error':>10}")
 for m in range(9):

@@ -46,8 +46,7 @@ for label, pts in (("3q", rows3), ("2q", rows2), ("rot+CNOT", rowsm)):
 print("\nerror accumulation with imperfect blocks (N <= 6)")
 result = bench_qft(6)
 for row in result.rows:
-    err = "-" if row["error"] is None else f"{row['error']:.3f}"
     print(f"  N={row['n']} {row['set']:<8} time={row['time']:7.2f} "
-          f"error={err}")
+          f"error={row['error']:.3f}")
 fit = result.fits["error_quvis3"]
 print(f"error growth exponent (3q blocks, N>=5): {fit.gamma:.3f}")

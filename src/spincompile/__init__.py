@@ -9,8 +9,7 @@ chain, and desk-scale benchmark sweeps with least-squares fits.
 
 from .evolution import ErrorTrace, error_trace, evolve, gate_error
 from .gates import (Gate, apply_gate, cnot, controlled_phase, hadamard,
-                    pauli_x, place, qft_matrix, rotation, swap2,
-                    swap_to_end_circuit)
+                    pauli_x, qft_matrix, rotation, swap2, swap_to_end_circuit)
 from .model import SpinChainModel, coupling_hamiltonian, nearest_neighbor_chain
 from .optimizer import (OptimizationReport, OptimizerConfig, adam_step,
                         fgto_synthesize, synthesize_auto, time_cost_search)
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ErrorTrace", "error_trace", "evolve", "gate_error",
     "Gate", "apply_gate", "cnot", "controlled_phase", "hadamard", "pauli_x",
-    "place", "qft_matrix", "rotation", "swap2", "swap_to_end_circuit",
+    "qft_matrix", "rotation", "swap2", "swap_to_end_circuit",
     "SpinChainModel", "coupling_hamiltonian", "nearest_neighbor_chain",
     "OptimizationReport",
     "OptimizerConfig", "adam_step", "fgto_synthesize", "synthesize_auto",

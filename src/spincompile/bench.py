@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, MissingRealization, OutOfRange, ShapeError
+from .errors import Degenerate, OutOfRange, ShapeError
 from .evolution import error_trace
 from .gates import controlled_phase, qft_matrix, swap_to_end_circuit
 from .instructions import (SET_TIMES, circuit_error_estimate, compile_qft,
-                           instruction_set, load_bundled_realizations,
-                           qumis_decompose_controlled_phase, qumis_time_cost)
+                           instruction_set, qumis_decompose_controlled_phase,
+                           qumis_time_cost)
 from .model import HEISENBERG, ISING, check_width, nearest_neighbor_chain
 from .optimizer import (OptimizerConfig, multi_seed_synthesize,
                         time_cost_search)
@@ -133,33 +133,31 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
               jobs: int = 1) -> ExperimentResult:
     """Per-N compiled time and composed error for each instruction set.
 
-    Every set's gates use the bundled pulse realizations for the error
-    composition (the microinstruction set realizes CNOT and swap and keeps
-    its rotations exact); a set with a gate that has no bundled
-    realization leaves its error column empty. Direct control (a
-    synthesis per N up to direct_max_n) is off by default because it is
-    the only expensive column; direct_max_n is 0 or in 3..MAX_QUBITS. An
-    unknown set name raises UnknownGate, and a repeated one OutOfRange,
-    before any work is done.
+    Every set's gates are replaced by their bundled pulse realizations in
+    the error composition (the microinstruction set realizes CNOT and swap
+    and keeps its rotations exact); each table the sweep needs is read and
+    evolved once per process. Direct control (a synthesis per N up to
+    direct_max_n) is off by default because it is the only expensive
+    column; direct_max_n is 0 or in 3..MAX_QUBITS. Before any work is
+    done, an unknown set name raises UnknownGate, and a repeated one, or
+    no set without direct control, OutOfRange.
     """
     sets = distinct(sets)
     check_width(max_n, 3, "max_n {n}")
     if direct_max_n:
         check_width(direct_max_n, 3, "direct_max_n {n}")
+    elif not sets:
+        raise OutOfRange("need at least one set or a direct_max_n")
     isets = {name: instruction_set(name) for name in sets}
-    load_bundled_realizations(*isets.values())
     rows = []
     for n in range(3, max_n + 1):
         target = qft_matrix(n).matrix
         for set_name in sets:
             iset = isets[set_name]
             total, steps = compile_qft(iset, n)
-            try:
-                err = circuit_error_estimate(n, steps, iset, target)
-            except MissingRealization:
-                err = None
             rows.append({"n": n, "set": set_name, "time": total,
-                         "error": err})
+                         "error": circuit_error_estimate(n, steps, iset,
+                                                         target)})
     direct_max_n = min(direct_max_n, max_n)
     if direct_max_n:
         cfg = opt_cfg or OptimizerConfig()
@@ -244,8 +242,10 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
                t_grids: dict | None = None, jobs: int = 1) -> ExperimentResult:
     """Direct-control synthesis of the first-to-last swap circuit per N
     and interaction type; linear time fits attached. A repeated
-    interaction raises OutOfRange before any work is done."""
+    interaction, or none, raises OutOfRange before any work is done."""
     interactions = distinct(interactions)
+    if not interactions:
+        raise OutOfRange("need at least one interaction")
     check_width(max_n, 2, "max_n {n}")
     cfg = opt_cfg or OptimizerConfig()
 

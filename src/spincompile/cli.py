@@ -28,8 +28,8 @@ from .evolution import error_trace
 from .gates import (cnot, controlled_phase, hadamard, pauli_x, qft_matrix,
                     rotation, swap2, swap_to_end_circuit)
 from .instructions import (QUVIS3, SET_TIMES, compile_qft, instruction_set,
-                           load_bundled_realizations, load_bundled_schedule,
-                           quvis3_set, quvis_gate, quvis_gate_physical)
+                           load_bundled_schedule, quvis3_set, quvis_gate,
+                           quvis_gate_physical)
 from .model import INTERACTIONS, check_width, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
 from .schedule import (check_total_time, parse_float, read_pulse_table,
@@ -170,26 +170,25 @@ def parse_target(spec: str):
     """
     kind, _, arg = spec.strip().partition(":")
     kind = kind.strip().lower()
+    m = None
     try:
         if kind in _SIZED_TARGETS:
-            n = check_width(int(arg))
-            return _SIZED_TARGETS[kind](n), n
-        if kind in _FIXED_TARGETS:
-            g = _FIXED_TARGETS[kind]()
-            return g.matrix, g.n_qubits
-        if kind == "cphase":
-            return controlled_phase(parse_angle(arg)).matrix, 2
-        if kind == "quvis":
-            g = quvis_gate(int(arg))
-            return g.matrix, g.n_qubits
-        if kind == "quvis_physical":
+            m = _SIZED_TARGETS[kind](check_width(int(arg)))
+        elif kind in _FIXED_TARGETS:
+            m = _FIXED_TARGETS[kind]().matrix
+        elif kind == "cphase":
+            m = controlled_phase(parse_angle(arg)).matrix
+        elif kind == "quvis":
+            m = quvis_gate(int(arg)).matrix
+        elif kind == "quvis_physical":
             m = quvis_gate_physical(int(arg))
-            return m, int(np.log2(m.shape[0]))
-        if kind in ("rx", "ry", "rz"):
-            return rotation(kind[1], parse_angle(arg)).matrix, 1
+        elif kind in ("rx", "ry", "rz"):
+            m = rotation(kind[1], parse_angle(arg)).matrix
     except (ValueError, SpinCompileError) as exc:
         raise ConfigError(f"bad target spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown target kind {kind!r}")
+    if m is None:
+        raise ConfigError(f"unknown target kind {kind!r}")
+    return m, len(m).bit_length() - 1
 
 
 def build_model(cfg: Config, n_qubits: int):
@@ -219,9 +218,8 @@ def write_results(out_dir: Path, name: str, summary: dict,
     if csv_columns is not None:
         lines = [",".join(csv_columns)]
         for row in csv_rows:
-            lines.append(",".join("" if v is None else repr(v) if
-                                  isinstance(v, float) else str(v)
-                                  for v in row))
+            lines.append(",".join(repr(v) if isinstance(v, float)
+                                  else str(v) for v in row))
         (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
     meta = {**(meta or {}), "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__}
@@ -327,7 +325,7 @@ def cmd_verify_golden(args) -> int:
         raise OutOfRange(f"--threshold {args.threshold} must be finite and "
                          ">= 0")
     evo_ids = [f"u{m}" for m in range(9)]
-    iset = load_bundled_realizations(quvis3_set())
+    iset = quvis3_set()
     rows = []
     worst = 0.0
     for gid in evo_ids:

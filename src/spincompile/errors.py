@@ -29,10 +29,6 @@ class UnknownGate(SpinCompileError):
     """A placement kind or instruction-set name the compiler does not know."""
 
 
-class MissingRealization(SpinCompileError):
-    """Circuit error estimate requested but a gate has no realized schedule."""
-
-
 class NonUnitaryTarget(SpinCompileError):
     """Synthesis target fails the unitarity check."""
 

@@ -120,10 +120,11 @@ def check_placement(gate: Gate, positions, n_total: int) -> tuple:
 
 
 def apply_gate(u: np.ndarray, gate: Gate, positions) -> np.ndarray:
-    """place(gate, positions, n) @ u without forming the embedding, where
-    the register width n is read from the 2^n rows of u (DimensionMismatch
-    unless n is in 1..MAX_QUBITS); ``_apply_matrix`` multiplies once the
-    placement is checked."""
+    """The gate, on the given adjacent, ascending 1-based positions of an
+    n-qubit register (identity elsewhere), times u, without forming the
+    embedding; the register width n is read from the 2^n rows of u
+    (DimensionMismatch unless n is in 1..MAX_QUBITS). ``_apply_matrix``
+    multiplies once the placement is checked."""
     u = np.asarray(u)
     rows = u.shape[0] if u.ndim else 0
     n_total = rows.bit_length() - 1
@@ -143,12 +144,6 @@ def _apply_matrix(u: np.ndarray, matrix: np.ndarray, first: int) -> np.ndarray:
     """
     view = u.reshape(2 ** (first - 1), len(matrix), -1)
     return (matrix @ view).reshape(u.shape)
-
-
-def place(gate: Gate, positions, n_total: int) -> np.ndarray:
-    """Embed a gate into an n_total-qubit register on the given adjacent,
-    ascending 1-based qubit positions (identity elsewhere)."""
-    return apply_gate(np.eye(2 ** n_total, dtype=complex), gate, positions)
 
 
 def qft_matrix(n_qubits: int) -> Gate:

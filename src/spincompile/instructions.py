@@ -36,19 +36,22 @@ positions) pairs out: each run of consecutive steps within a window as
 wide as the widest row (three wires) is multiplied out on that window
 and applied to the register once, as a block. ``circuit_error_estimate``
 composes the steps with each gate the set holds replaced by its realized
-gate, which ``load_bundled_realizations`` computes once per gate from the
-gate's pulse table.
+gate. Every gate of the three sets has one bundled pulse table (its id,
+after ``BUNDLE_ALIASES``), so its realization is derived from the gate:
+each table is read and evolved at most once per process, on first use,
+and an ``ElementaryGate`` builds its circuit-frame ``realized`` Gate from
+that evolution once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from importlib import resources
 
 import numpy as np
 
-from .errors import MissingRealization, OutOfRange, UnknownGate
+from .errors import OutOfRange, UnknownGate
 from .evolution import evolve
 from .linalg import frobenius_distance
 from .gates import (Gate, _apply_matrix, check_placement, cnot,
@@ -174,19 +177,39 @@ def quvis_gate_physical(m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # instruction sets
 
-@dataclass
+@dataclass(frozen=True)
 class ElementaryGate:
+    """A gate of an instruction set. Its realization is the bundled table
+    named by its gate id (after BUNDLE_ALIASES), evolved on the default
+    chain; the table is evolved on first use, and realized is built once."""
+
     gate: Gate
     time_cost: float
     phase: complex  # e^{i phi}, the frame phase of the physical target
-    realized_schedule: PulseSchedule | None = None
-    realized_error: float | None = None
-    # circuit-frame gate of realized_schedule's evolution
-    realized: Gate | None = None
 
     @property
     def physical_target(self) -> np.ndarray:
         return self.phase * bit_reverse(self.gate.matrix)
+
+    @property
+    def _evolved(self) -> tuple:
+        gate_id = self.gate.label
+        return bundled_evolution(BUNDLE_ALIASES.get(gate_id, gate_id))
+
+    @property
+    def realized_schedule(self) -> PulseSchedule:
+        return self._evolved[0]
+
+    @property
+    def realized_error(self) -> float:
+        """Distance from the physical target to the realized evolution."""
+        return frobenius_distance(self.physical_target, self._evolved[1])
+
+    @cached_property
+    def realized(self) -> Gate:
+        """Circuit-frame gate of realized_schedule's evolution."""
+        return Gate(self.gate.label,
+                    circuit_frame(self._evolved[1], self.phase))
 
 
 @dataclass
@@ -429,15 +452,9 @@ def circuit_error_estimate(n_qubits: int, steps, iset: InstructionSet,
     """Frobenius distance from the target to the (name, Gate, positions)
     steps composed with every gate the set holds replaced by its realized
     (imperfect) gate; other steps, the baseline's rotations and phase
-    factors, stay exact. Raises MissingRealization when a gate of the set
-    has no realization."""
-    realized = []
-    for name, gate, pos in steps:
-        if name in iset.gates:
-            gate = iset[name].realized
-            if gate is None:
-                raise MissingRealization(f"{name} has no realization")
-        realized.append((gate, pos))
+    factors, stay exact."""
+    realized = ((iset[name].realized if name in iset.gates else gate, pos)
+                for name, gate, pos in steps)
     return frobenius_distance(target, compose(n_qubits, realized))
 
 
@@ -466,25 +483,12 @@ def load_bundled_schedule(gate_id: str) -> PulseSchedule:
 BUNDLE_ALIASES = {"v3": "u3", "v5": "u5", "v7": "u7"}
 
 
-def load_bundled_realizations(*isets: InstructionSet) -> InstructionSet:
-    """Attach every bundled schedule whose id (after BUNDLE_ALIASES) names
-    a gate of the given sets, with its error against that gate's physical
-    target and its circuit-frame realized gate. Each table is read and
-    evolved once per call, however many gates share it. Returns the first
-    set."""
-    available = set(bundled_pulse_ids())
-    evolved = {}
-    for iset in isets:
-        for gate_id, eg in iset.gates.items():
-            source = BUNDLE_ALIASES.get(gate_id, gate_id)
-            if source not in available:
-                continue
-            if source not in evolved:
-                sched = load_bundled_schedule(source)
-                evolved[source] = (sched, evolve(
-                    nearest_neighbor_chain(sched.n_qubits), sched))
-            sched, u = evolved[source]
-            eg.realized_schedule = sched
-            eg.realized_error = frobenius_distance(eg.physical_target, u)
-            eg.realized = Gate(gate_id, circuit_frame(u, eg.phase))
-    return isets[0] if isets else None
+@lru_cache(maxsize=None)
+def bundled_evolution(table_id: str) -> tuple:
+    """(schedule, evolution operator) of a bundled table on the default
+    chain of its width, read and evolved once per process; both arrays are
+    read-only."""
+    sched = load_bundled_schedule(table_id)
+    u = evolve(nearest_neighbor_chain(sched.n_qubits), sched)
+    u.setflags(write=False)
+    return sched, u

@@ -1,0 +1,21 @@
+import pytest
+
+from spincompile import instructions
+
+
+@pytest.fixture
+def evolved_tables(monkeypatch):
+    """The schedules of the bundled tables evolved during the test, in call
+    order. The per-process cache of evolved tables is cleared first, so a
+    test that expects none evolved cannot pass because an earlier test
+    already evolved them."""
+    instructions.bundled_evolution.cache_clear()
+    calls = []
+    evolve = instructions.evolve
+
+    def counting_evolve(model, schedule):
+        calls.append(schedule)
+        return evolve(model, schedule)
+
+    monkeypatch.setattr(instructions, "evolve", counting_evolve)
+    return calls

@@ -8,12 +8,12 @@ from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
 from spincompile.errors import (Degenerate, DimensionMismatch, OutOfRange,
                                ShapeError)
-from spincompile.evolution import evolve
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                                       instruction_set)
 from spincompile.gates import swap_to_end_circuit
 from spincompile.model import HEISENBERG, ISING, nearest_neighbor_chain
 from spincompile.optimizer import OptimizerConfig, multi_seed_synthesize
+from spincompile.schedule import write_pulse_table
 
 
 class TestFits:
@@ -120,48 +120,54 @@ class TestBenchQft:
         fit = result.fits["error_quvis3"]
         assert 0 < fit.gamma < 0.5
 
-    def test_each_bundled_table_evolved_once(self, monkeypatch):
-        # 16 tables; u0, swap and u3/u5/u7 (as v3/v5/v7) serve two or
-        # three of the sets
-        calls = []
-
-        def counting_evolve(model, schedule):
-            calls.append(schedule)
-            return evolve(model, schedule)
-
-        monkeypatch.setattr(instructions, "evolve", counting_evolve)
-        bench_qft(8, sets=(QUVIS3, QUVIS2, QUMIS))
-        assert len(calls) == len(instructions.bundled_pulse_ids()) == 16
-        assert len({id(s) for s in calls}) == 16
+    def test_each_bundled_table_evolved_once(self, evolved_tables):
+        # compiling evolves nothing; a sweep evolves each table its
+        # circuits use once (u0, swap and u3/u5/u7, as v3/v5/v7, serve two
+        # or three of the sets), and a repeated sweep evolves none
+        sets = (QUVIS3, QUVIS2, QUMIS)
+        for name in sets:
+            for n in range(2, 10):
+                compile_qft(instruction_set(name), n)
+        assert evolved_tables == []
+        first = bench_qft(8, sets=sets)
+        assert len(evolved_tables) == 14   # u8 and v8 are first used at N = 9
+        assert bench_qft(8, sets=sets).rows == first.rows
+        assert len(evolved_tables) == 14
+        bench_qft(9, sets=sets)
+        assert sorted(map(write_pulse_table, evolved_tables)) == sorted(
+            write_pulse_table(instructions.load_bundled_schedule(t))
+            for t in instructions.bundled_pulse_ids())
+        assert len(evolved_tables) == 16
 
 
 class TestBenchQftDirect:
     @pytest.mark.parametrize("direct_max_n", [-1, 1, 2, 10])
-    def test_direct_max_n_outside_range_rejected(self, monkeypatch,
+    def test_direct_max_n_outside_range_rejected(self, evolved_tables,
                                                  direct_max_n):
-        def refuse(*args):
-            raise AssertionError("a table was evolved")
-
-        monkeypatch.setattr(instructions, "evolve", refuse)
         with pytest.raises(OutOfRange,
                            match=f"direct_max_n {direct_max_n} outside 3..9"):
             bench_qft(3, direct_max_n=direct_max_n)
+        assert evolved_tables == []
 
-    def test_float_max_n_rejected(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a table was evolved")
-
-        monkeypatch.setattr(instructions, "evolve", refuse)
+    def test_float_max_n_rejected(self, evolved_tables):
         with pytest.raises(OutOfRange, match="max_n 4.0 is not an integer"):
             bench_qft(4.0)
+        assert evolved_tables == []
 
-    def test_repeated_set_rejected_before_any_work(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a table was evolved")
-
-        monkeypatch.setattr(instructions, "evolve", refuse)
+    def test_repeated_set_rejected_before_any_work(self, evolved_tables):
         with pytest.raises(OutOfRange, match="'quvis3' is listed twice"):
             bench_qft(3, sets=(QUVIS3, QUMIS, QUVIS3))
+        assert evolved_tables == []
+
+    def test_no_set_and_no_direct_rejected_before_any_work(self,
+                                                           evolved_tables):
+        with pytest.raises(OutOfRange, match="need at least one set"):
+            bench_qft(3, sets=())
+        assert evolved_tables == []
+        # direct control alone is a sweep
+        cfg = OptimizerConfig(max_iters_per_stage=2, n_refinements=0)
+        rows = bench_qft(3, sets=(), direct_max_n=3, opt_cfg=cfg).rows
+        assert [(r["n"], r["set"]) for r in rows] == [(3, bench.DIRECT)]
 
     def test_capped_direct_rows(self):
         # two iterations per attempt meet no budget, so each row is the
@@ -186,38 +192,6 @@ class TestBenchQftDirect:
 
 
 class TestBenchQftMissingRealization:
-    def test_unrealized_gate_leaves_its_cells_empty(self, monkeypatch):
-        load = bench.load_bundled_realizations
-
-        def without_u4(iset):
-            iset = load(iset)
-            if iset.kind == QUVIS3:
-                iset["u4"].realized = None
-            return iset
-
-        monkeypatch.setattr(bench, "load_bundled_realizations", without_u4)
-        rows = bench_qft(5, sets=(QUVIS3,)).rows
-        errors = {r["n"]: r["error"] for r in rows}
-        # u4 first appears in the N = 5 lowering
-        assert errors[3] is not None and errors[4] is not None
-        assert errors[5] is None
-
-    def test_unrealized_qumis_gate_leaves_its_cells_empty(self, monkeypatch):
-        load = bench.load_bundled_realizations
-
-        def without_cnot(*isets):
-            load(*isets)
-            for iset in isets:
-                if iset.kind == QUMIS:
-                    iset["cnot"].realized = None
-            return isets[0]
-
-        monkeypatch.setattr(bench, "load_bundled_realizations", without_cnot)
-        rows = bench_qft(4, sets=(QUVIS3, QUMIS)).rows
-        errors = {(r["n"], r["set"]): r["error"] for r in rows}
-        assert errors[(4, QUVIS3)] is not None
-        assert errors[(3, QUMIS)] is None and errors[(4, QUMIS)] is None
-
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise DimensionMismatch("broken estimate")
@@ -298,6 +272,14 @@ class TestBenchSwap:
         monkeypatch.setattr(bench, "time_cost_search", refuse)
         with pytest.raises(OutOfRange, match="is listed twice"):
             bench_swap(2, interactions=(ISING, HEISENBERG, ISING))
+
+    def test_no_interaction_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cell was synthesized")
+
+        monkeypatch.setattr(bench, "time_cost_search", refuse)
+        with pytest.raises(OutOfRange, match="need at least one interaction"):
+            bench_swap(3, interactions=())
 
     def test_non_ascending_grid_rejected_like_time_cost_search(self):
         cfg = OptimizerConfig(max_iters_per_stage=1)

@@ -117,11 +117,7 @@ class TestVerifyGolden:
 
     @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
     def test_bad_threshold_exits_2_before_any_table(self, tmp_path, capsys,
-                                                    monkeypatch, threshold):
-        def no_tables(*args):
-            raise AssertionError("a table was evolved")
-
-        monkeypatch.setattr(cli, "load_bundled_realizations", no_tables)
+                                                    evolved_tables, threshold):
         rc = main(["verify-golden", "--out", str(tmp_path),
                    "--threshold", threshold])
         captured = capsys.readouterr()
@@ -129,6 +125,15 @@ class TestVerifyGolden:
         assert rc == 2 and record["error"] == "OutOfRange"
         assert "threshold" in record["message"] and captured.out == ""
         assert not list(tmp_path.iterdir())
+        assert evolved_tables == []
+
+    def test_evolves_each_table_it_reads_once(self, tmp_path, capsys,
+                                              evolved_tables):
+        assert main(["verify-golden", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(map(write_pulse_table, evolved_tables)) == sorted(
+            write_pulse_table(instructions.load_bundled_schedule(f"u{m}"))
+            for m in range(9))
 
     def test_duration_mismatch_fails_that_gate(self, tmp_path, capsys,
                                                monkeypatch):
@@ -428,6 +433,17 @@ def test_jobs_below_one_exits_2_at_parsing(jobs, capsys):
 
 
 class TestCompileAndFit:
+    def test_compile_and_targets_evolve_no_table(self, tmp_path, capsys,
+                                                 evolved_tables):
+        for name in ("quvis3", "quvis2", "qumis"):
+            assert main(["compile", "--set", name, "--max-n", "9",
+                         "--out", str(tmp_path)]) == 0
+        for m in range(9):
+            parse_target(f"quvis:{m}")
+            parse_target(f"quvis_physical:{m}")
+        capsys.readouterr()
+        assert evolved_tables == []
+
     def test_compile_writes_rows(self, tmp_path, capsys):
         rc = main(["compile", "--set", "quvis3", "--max-n", "5",
                    "--out", str(tmp_path)])
@@ -524,11 +540,7 @@ class TestBenchCommand:
         assert {r["set"] for r in rows} == {"quvis3", "quvis2", "qumis"}
 
     def test_unknown_set_exits_2_before_any_work(self, tmp_path, capsys,
-                                                 monkeypatch):
-        def no_evolve(*args):
-            raise AssertionError("a table was evolved")
-
-        monkeypatch.setattr(instructions, "evolve", no_evolve)
+                                                 evolved_tables):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text("kind = qft\nsets = quvis3,quvus2\nmax_n = 3\n")
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
@@ -538,6 +550,7 @@ class TestBenchCommand:
         assert record["message"].startswith("line 2: ")
         assert "'quvus2'" in record["message"]
         assert not list(tmp_path.glob("qft_sweep*"))
+        assert evolved_tables == []
 
     @pytest.mark.parametrize("body", ["kind = qft\nmax_n = 12\n",
                                       "kind = qft\nmax_n = 2\n",

@@ -1,14 +1,14 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from spincompile import instructions
-from spincompile.errors import (BadPlacement, MissingRealization, OutOfRange,
-                               UnknownGate)
+from spincompile.errors import BadPlacement, OutOfRange, UnknownGate
 from spincompile.evolution import evolve, gate_error
 from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
-                               hadamard, place, qft_matrix, rotation, swap2)
+                               hadamard, qft_matrix, rotation, swap2)
 from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, GATE_STEPS,
                                       QUMIS, QUVIS2, QUVIS3, SWAP_GATE_ID,
                                       bit_reverse, bundled_pulse_ids,
@@ -16,14 +16,20 @@ from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, GATE_STEPS,
                                       compile_qft, compile_qft_qumis,
                                       compile_qft_quvis, compile_qft_quvis2,
                                       compose, compose_qumis,
-                                      instruction_set, load_bundled_realizations,
-                                      load_bundled_schedule, lower,
+                                      instruction_set, load_bundled_schedule,
+                                      lower,
                                       qft_steps, qumis_lower,
                                       qumis_decompose_controlled_phase,
                                       qumis_gate, qumis_time_cost,
                                       quvis2_set, quvis3_set, quvis_gate,
                                       quvis_gate_physical)
 from spincompile.model import MAX_QUBITS, nearest_neighbor_chain
+
+
+def embed(gate, positions, n):
+    """The gate on the given positions of an n-qubit register, identity
+    elsewhere, as a dense matrix."""
+    return apply_gate(np.eye(2 ** n, dtype=complex), gate, positions)
 
 
 class TestQuvisGates:
@@ -60,7 +66,7 @@ class TestQuvisGates:
                 assert abs(np.linalg.det(u) - 1) <= 1e-10, (name, gid)
 
     def test_u1_is_fourier_up_to_a_swap(self):
-        expect = place(swap2(), (1, 2), 3) @ qft_matrix(3).matrix
+        expect = embed(swap2(), (1, 2), 3) @ qft_matrix(3).matrix
         assert np.abs(quvis_gate(1).matrix - expect).max() <= 1e-15
 
     def test_physical_targets_match_primitive_products(self):
@@ -68,7 +74,7 @@ class TestQuvisGates:
         # e^{i pi/4} S and each controlled phase e^{-i theta/4} C(theta),
         # bit-reversed; every quvis2 and quvis3 target must agree with it
         def h(q, n):
-            return place(hadamard(), (q,), n)
+            return embed(hadamard(), (q,), n)
 
         def cphase(theta):
             return np.exp(-1j * theta / 4) * controlled_phase(theta).matrix
@@ -78,7 +84,7 @@ class TestQuvisGates:
             return swap @ cphase(np.pi / 2 ** p)
 
         def on(u, pos, n):
-            return place(Gate("g", u), pos, n)
+            return embed(Gate("g", u), pos, n)
 
         u0 = h(2, 2) @ cphase(np.pi / 2) @ h(1, 2)
         head = (on(phase_swap(2), (2, 3), 3) @ on(phase_swap(1), (1, 2), 3)
@@ -294,7 +300,7 @@ class TestFusedCompose:
                           tuple(range(n - min(n, 2) + 1, n + 1))))
             ref = np.eye(2 ** n, dtype=complex)
             for gate, pos in steps:
-                ref = place(gate, pos, n) @ ref
+                ref = embed(gate, pos, n) @ ref
             assert np.abs(compose(n, steps) - ref).max() <= 1e-14
 
     def test_steps_in_no_common_window_are_applied_as_given(self):
@@ -439,7 +445,7 @@ class TestQumisSet:
         assert abs(eg.phase - np.exp(-3j * np.pi / 4)) <= 1e-15
 
     def test_composed_errors_match_snapped_frame_reference(self):
-        iset = load_bundled_realizations(instruction_set(QUMIS))
+        iset = instruction_set(QUMIS)
         parts = {}
         for gid in ("cnot", SWAP_GATE_ID):
             u = evolve(nearest_neighbor_chain(2), load_bundled_schedule(gid))
@@ -479,16 +485,18 @@ class TestReferenceDurations:
                     (iset.kind, gid, eg.time_cost)
 
     def test_bundled_table_durations_match_time_costs(self):
-        available = set(bundled_pulse_ids())
-        checked = set()
-        for iset in (quvis3_set(), quvis2_set()):
-            for gid, eg in iset.gates.items():
-                source = BUNDLE_ALIASES.get(gid, gid)
-                if source in available:
-                    t = load_bundled_schedule(source).total_time
-                    assert t == eg.time_cost, (iset.kind, gid, t, eg.time_cost)
-                    checked.add(gid)
-        assert {"u0", "u3", "u8", "v3", "v5", "v7"} <= checked
+        # every gate of the three sets is realized by one bundled table
+        # (its id, after BUNDLE_ALIASES), which runs for its time cost
+        entries = [(name, gid, eg) for name in (QUVIS3, QUVIS2, QUMIS)
+                   for gid, eg in instruction_set(name).gates.items()]
+        assert len(entries) == 22
+        for name, gid, eg in entries:
+            source = BUNDLE_ALIASES.get(gid, gid)
+            t = load_bundled_schedule(source).total_time
+            assert t == eg.realized_schedule.total_time == eg.time_cost, \
+                (name, gid, t, eg.time_cost)
+        assert {BUNDLE_ALIASES.get(gid, gid) for _name, gid, _eg in entries} \
+            == set(bundled_pulse_ids())
 
 
 class TestRealizations:
@@ -500,14 +508,13 @@ class TestRealizations:
         assert message.endswith(", ".join(bundled_pulse_ids()))
 
     def test_bundled_golden_errors(self):
-        iset = load_bundled_realizations(quvis3_set())
+        iset = quvis3_set()
         for m in range(9):
             eg = iset[f"u{m}"]
-            assert eg.realized_error is not None
             assert eg.realized_error <= 0.1, (m, eg.realized_error)
 
     def test_realized_error_consistent_with_gate_error(self):
-        iset = load_bundled_realizations(quvis3_set())
+        iset = quvis3_set()
         eg = iset["u0"]
         model = nearest_neighbor_chain(2)
         recomputed = gate_error(eg.physical_target, model,
@@ -515,13 +522,12 @@ class TestRealizations:
         assert abs(recomputed - eg.realized_error) <= 1e-10
 
     def test_realized_close_to_circuit_gate(self):
-        iset = load_bundled_realizations(quvis3_set())
+        iset = quvis3_set()
         eg = iset["u0"]
         assert np.linalg.norm(eg.realized.matrix - eg.gate.matrix) <= 0.05
 
     def test_realized_is_the_circuit_frame_of_its_evolution(self):
         isets = [instruction_set(name) for name in (QUVIS3, QUVIS2, QUMIS)]
-        load_bundled_realizations(*isets)
         for iset in isets:
             for gid, eg in iset.gates.items():
                 sched = eg.realized_schedule
@@ -531,63 +537,42 @@ class TestRealizations:
                 assert eg.realized.n_qubits == eg.gate.n_qubits
                 assert not eg.realized.matrix.flags.writeable
 
-    def test_missing_realization_raises(self):
-        iset = load_bundled_realizations(quvis3_set())
-        steps = [("u0", iset["u0"].gate, (1, 2))]
-        iset["u0"].realized = None
-        with pytest.raises(MissingRealization, match="u0"):
-            circuit_error_estimate(2, steps, iset, iset["u0"].gate.matrix)
-        # a set that was never loaded has no realization either
-        with pytest.raises(MissingRealization):
-            circuit_error_estimate(2, steps, quvis3_set(),
-                                   iset["u0"].gate.matrix)
+    def test_realization_is_derived_once_and_read_only(self):
+        eg = quvis3_set()["u4"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eg.time_cost = 1.0
+        # the gate is built on first access and kept
+        assert eg.realized is eg.realized
+        # another set's gate shares the cached evolution, whose arrays are
+        # read-only
+        sched, u = instructions.bundled_evolution("u3")
+        assert quvis2_set()["v3"].realized_schedule is sched
+        assert not sched.values.flags.writeable and not u.flags.writeable
 
-    def test_perfect_realizations_compose_to_zero_error(self):
+    def test_perfect_realizations_compose_to_zero_error(self, monkeypatch):
+        monkeypatch.setattr(instructions.ElementaryGate, "realized",
+                            property(lambda eg: eg.gate))
         perfect = quvis3_set()
-        for eg in perfect.gates.values():
-            eg.realized = eg.gate
         err = circuit_error_estimate(3, compile_qft(perfect, 3)[1], perfect,
                                      qft_matrix(3).matrix)
         assert err <= 1e-12
 
     def test_circuit_error_estimate_single_gate(self):
-        iset = load_bundled_realizations(quvis3_set())
+        iset = quvis3_set()
         steps = [("u0", iset["u0"].gate, (1, 2))]
         err = circuit_error_estimate(2, steps, iset, iset["u0"].gate.matrix)
         # distance in the circuit frame equals the physical-frame error
         assert err == pytest.approx(iset["u0"].realized_error, abs=1e-9)
 
     def test_circuit_error_estimate_composition_oracle(self):
-        iset = load_bundled_realizations(quvis3_set())
+        iset = quvis3_set()
         steps = compile_qft(iset, 3)[1]
         err = circuit_error_estimate(3, steps, iset, qft_matrix(3).matrix)
         # brute-force recomposition
         u = np.eye(8, dtype=complex)
         for gid, _gate, pos in steps:
             g = Gate(gid, iset[gid].realized.matrix)
-            u = place(g, pos, 3) @ u
+            u = embed(g, pos, 3) @ u
         brute = np.linalg.norm(qft_matrix(3).matrix - u)
         assert err == pytest.approx(brute, abs=1e-12)
         assert 0 < err < 0.5
-
-    def test_gate_without_a_table_stays_unrealized(self, monkeypatch,
-                                                   tmp_path):
-        (tmp_path / "u0.csv").write_text(
-            instructions._PULSE_DIR.joinpath("u0.csv").read_text())
-        monkeypatch.setattr(instructions, "_PULSE_DIR", tmp_path)
-        iset = load_bundled_realizations(quvis3_set())
-        assert iset["u0"].realized is not None
-        for gid in set(iset.gates) - {"u0"}:
-            eg = iset[gid]
-            assert (eg.realized, eg.realized_schedule, eg.realized_error) \
-                == (None, None, None), gid
-        with pytest.raises(MissingRealization):
-            circuit_error_estimate(3, compile_qft(iset, 3)[1], iset,
-                                   qft_matrix(3).matrix)
-
-    def test_missing_realization_in_estimate(self):
-        iset = load_bundled_realizations(quvis3_set())
-        iset[SWAP_GATE_ID].realized = None
-        with pytest.raises(MissingRealization, match=SWAP_GATE_ID):
-            circuit_error_estimate(3, compile_qft(iset, 3)[1], iset,
-                                   qft_matrix(3).matrix)
