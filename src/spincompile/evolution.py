@@ -1,26 +1,30 @@
 """Schedule -> evolution operator, gate error, error trace, exact gradients.
 
 Within a slice the Hamiltonian is constant, so each slice contributes one
-exact exponential exp(-i tau H_k) computed in the eigenbasis; the full
-operator is the time-ordered product with slice 1 acting first. On the
-Ising chain every slice is solved as two real symmetric parity blocks of
-half the width (``model.ising_parity_blocks``), one batched real
-eigendecomposition for the schedule; other couplings are solved as the
-complex slice Hamiltonians of ``model.slice_hamiltonians``. The gradient
-of the gate error with respect to every pulse amplitude comes from one
-forward pass (the batched eigendecomposition and the prefix products) and
-one backward pass through the divided-difference kernel, so it is exact
-to machine precision rather than a finite-difference estimate. There are
-two time-ordered products. ``evolve`` reads only the full product, which
-a pairwise tree forms in about log2 K batched matmuls; the error trace
-and the gradient read every prefix, which one matmul loop writes over the
-propagators. The forward path (``evolve`` and the error trace) holds one
-chunk of consecutive slices at a time, at most CHUNK_BYTES of
-propagators, and carries the product across chunks, so its memory does
-not grow with K; every chunk is built into one workspace allocated per
-call (the propagator stack and, on the Ising chain, a half-size parity
-scratch), and the eigenvector stack, which only the gradient reads, is
-not assembled. The backward pass is batched over the slice axis:
+exponential exp(-i tau H_k); the full operator is the time-ordered product
+with slice 1 acting first. On the Ising chain every slice is two real
+symmetric parity blocks of half the width (``model.ising_parity_blocks``);
+other couplings are solved as the complex slice Hamiltonians of
+``model.slice_hamiltonians``. The forward path (``evolve``, ``gate_error``
+and the error trace) reads only the propagators: on the Ising chain it
+builds them without an eigendecomposition, from a scaled Taylor
+polynomial in batched real matmuls with one squaring count per schedule
+(``_taylor_propagators``); the other couplings take one batched complex
+eigendecomposition. The gradient of the gate error with respect to every
+pulse amplitude reads the eigenbasis, so it takes exact exponentials in
+the eigenbasis of one batched eigendecomposition (real on the Ising
+chain): one forward pass (the eigendecomposition and the prefix
+products) and one backward pass through the divided-difference kernel,
+exact to machine precision rather than a finite-difference estimate.
+There are two time-ordered products. ``evolve`` reads only the full
+product, which a pairwise tree forms in about log2 K batched matmuls;
+the error trace and the gradient read every prefix, which one matmul loop
+writes over the propagators. The forward path holds one chunk of
+consecutive slices at a time, at most CHUNK_BYTES of propagators, and
+carries the product across chunks, so its memory does not grow with K;
+every chunk is built into one workspace allocated per call (the
+propagator stack and, on the Ising chain, a half-size parity scratch).
+The backward pass is batched over the slice axis:
 each adjoint is two products of the prefixes, carried through its slice's
 eigenbasis by batched matmuls into buffers the earlier steps freed, and
 every amplitude's derivative is read off the adjoint by a gather: a field
@@ -35,6 +39,7 @@ K x d x d complex stacks on the Ising chain and four on the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,8 +48,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonUnitaryTarget
 from .linalg import frobenius_distance, loewner_kernel
 from .model import (FIELD_SCALE, ISING, MAX_QUBITS, SpinChainModel,
-                    check_fields, flip_pairs, ising_parity_blocks,
-                    slice_hamiltonians)
+                    check_fields, flip_pairs, ising_block_bound,
+                    ising_parity_blocks, slice_hamiltonians)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -58,7 +63,11 @@ GRADIENT_EPS_FLOOR = 1e-12
 # Every bundled table (d <= 8) fits one chunk. Chunks are built into one
 # workspace per call (``_propagator_chunks``): with fresh stacks per chunk,
 # whose freeing handed the heap top back to the OS, a replay pass took
-# about 3.8k minor faults; with the workspace, under 30.
+# about 3.8k minor faults; with the workspace, under 30 (both measured
+# when the Ising chunks came from an eigendecomposition). The Ising Taylor
+# polynomial runs in the same workspace: the propagator stack viewed as
+# float and the parity scratch hold its six real block stacks, so the
+# only other arrays per chunk are ``model.ising_parity_blocks``' own.
 CHUNK_BYTES = 1 << 20
 
 
@@ -71,36 +80,57 @@ class ErrorTrace:
     errors: np.ndarray
 
 
-def _slice_propagators(model, values, tau, out=None):
+def _slice_propagators(model, values, tau):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
-    of the field amplitudes values (2, N, K), a whole schedule's or a range
-    of its slices, each of duration tau.
+    of the field amplitudes values (2, N, K), each slice of duration tau:
+    the gradient's builder, which reads the eigenbasis.
 
-    Returns (w, u, v, ek): eigenvalues (K, d), frame phases u (K, d),
-    eigenvectors (K, d, d) and propagators (K, d, d); slice k's
+    Returns new arrays (w, u, v, ek): eigenvalues (K, d), frame phases u
+    (K, d), eigenvectors (K, d, d) and propagators (K, d, d); slice k's
     eigenvectors are diag(u_k) v_k. The Ising chain is solved as two real
     parity blocks per slice (``_parity_propagators``) and v is real. Other
-    couplings are solved by one batched complex eigendecomposition; there
-    v is complex and u is None, no frame.
-
-    out is the forward path's workspace (``_workspace``), at least K
-    slices long: the propagators are built into its stack, ek is a view
-    of it, and the Ising chain does not assemble v (None), which only the
-    gradient reads. Without out the arrays are new.
-
-    On the complex path E_k = V_k diag(phases_k) V_k^dag is formed as one
-    batched matmul on its conjugate, conj(E_k) = (conj(V_k) conj(phases_k))
-    V_k^T, scaled and conjugated in place. Conjugation is exact, so this
-    equals (V * phases) @ V^dag bit for bit, but it never holds a conjugated
-    copy of V beside the scaled one, a fourth K x d x d array: the peak is
-    the Hamiltonians, the eigenvectors and the propagators, three stacks.
+    couplings are solved by one batched complex eigendecomposition
+    (``_complex_propagators``); there v is complex and u is None, no frame.
 
     The arrays are the caller's own: ``_prefix_products`` consumes ek,
-    writing the prefix products over the propagators, and
-    ``_tree_product`` reads it.
+    writing the prefix products over the propagators.
     """
     if model.interaction == ISING:
-        return _parity_propagators(model, values, tau, out)
+        return _parity_propagators(model, values, tau)
+    return _complex_propagators(model, values, tau)
+
+
+def _forward_propagators(model, values, tau, squarings, out):
+    """The propagators E_k (K, d, d) of the field amplitudes values
+    (2, N, K), a range of a schedule's slices of duration tau, built into
+    the forward path's workspace out (``_workspace``, at least K slices
+    long): a view of its stack.
+
+    The forward path reads E_k alone, never the eigenbasis. The Ising
+    chain builds it from a Taylor polynomial scaled by 2^-squarings
+    (``_taylor_propagators``), with no eigendecomposition; other couplings
+    keep the complex one (``_complex_propagators``) and do not read
+    squarings.
+    """
+    if model.interaction == ISING:
+        return _taylor_propagators(model, values, tau, squarings, out)
+    return _complex_propagators(model, values, tau, out)[-1]
+
+
+def _complex_propagators(model, values, tau, out=None):
+    """``_slice_propagators`` of a coupling other than Ising, from one
+    batched complex eigendecomposition of ``model.slice_hamiltonians``.
+
+    E_k = V_k diag(phases_k) V_k^dag is formed as one batched matmul on
+    its conjugate, conj(E_k) = (conj(V_k) conj(phases_k)) V_k^T, scaled
+    and conjugated in place. Conjugation is exact, so this equals
+    (V * phases) @ V^dag bit for bit, but it never holds a conjugated copy
+    of V beside the scaled one, a fourth K x d x d array: the peak is the
+    Hamiltonians, the eigenvectors and the propagators, three stacks.
+
+    With out, the forward path's workspace, the propagators are built
+    into its stack and ek is a view of it.
+    """
     w, v = np.linalg.eigh(slice_hamiltonians(model, values))
     phases = np.exp(-1j * tau * w)
     scaled = v.conj()
@@ -112,10 +142,12 @@ def _slice_propagators(model, values, tau, out=None):
 
 
 def _workspace(model, k_slices):
-    """The buffers ``_slice_propagators`` builds k_slices propagators into:
-    the complex (k_slices, d, d) stack and, on the Ising chain, the parity
-    scratch (k_slices, 2, d/2, d/2) of ``_parity_propagators``, half as
-    large (None on the other couplings)."""
+    """The buffers k_slices propagators are built into: the complex
+    (k_slices, d, d) stack and, on the Ising chain, the parity scratch
+    (k_slices, 2, d/2, d/2), half as large (None on the other couplings).
+    Viewed as float, the stack holds four real (k_slices, 2, d/2, d/2)
+    block stacks and the scratch two, the six of ``_taylor_propagators``.
+    """
     dim = model.dim
     stack = np.empty((k_slices, dim, dim), dtype=complex)
     if model.interaction != ISING:
@@ -141,7 +173,24 @@ def _parity_layout(dim: int) -> np.ndarray:
     return at
 
 
-def _parity_propagators(model, values, tau, out):
+def _gather_parity(sd, left, right, ek):
+    """E_k = [[S, D J], [J D, J S J]] (J reverses the order) from the sum
+    and difference blocks sd (K, 2, d/2, d/2), gathered into ek (K, d, d)
+    and scaled by left_j right_l, the frame: O(K d^2).
+
+    The gather clips its indices (all in range) rather than raising,
+    because a checked ``np.take`` into ek writes to a temporary copy of
+    ek first, one more stack.
+    """
+    k_slices, dim = ek.shape[:2]
+    np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1,
+            out=ek, mode="clip")
+    ek *= left[:, :, None]
+    ek *= right[:, None, :]
+    return ek
+
+
+def _parity_propagators(model, values, tau):
     """``_slice_propagators`` of an Ising chain from its real parity blocks.
 
     With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
@@ -149,27 +198,22 @@ def _parity_propagators(model, values, tau, out):
     one real eigendecomposition A+- = V+- diag(w+-) V+-^T gives
     w = (w+, w-), the frame u, the real v = Q blockdiag(V+, V-), and each
     block's exponential V diag(phases) V^T as one real matmul against the
-    complex right operand viewed as float pairs. E_k is
-    [[S, D J], [J D, J S J]] (J reverses the order) with S = (E+ + E-)/2
-    and D = (E+ - E-)/2, scaled by u_j conj(u_l): gathers and scalings of
-    O(K d^2) beside the O(K d^3 / 4) eigendecomposition.
+    complex right operand viewed as float pairs. E_k gathers
+    S = (E+ + E-)/2 and D = (E+ - E-)/2 and is scaled by u_j conj(u_l)
+    (``_gather_parity``), O(K d^2) beside the O(K d^3 / 4)
+    eigendecomposition.
 
-    The workspace (out, or a new ``_workspace``) holds every step: the
-    scratch holds the phased right operands and then S and D, the first
-    half of the propagator stack the block exponentials, and E_k is
-    gathered from the scratch into the whole stack. The gather clips its
-    indices (all in range) rather than raising, because a checked
-    ``np.take`` into out writes to a temporary copy of out first, one more
-    stack. v is a real stack, half a complex one, and is assembled only
-    without out.
+    A new ``_workspace`` holds the complex steps: the scratch holds the
+    phased right operands and then S and D, the first half of the
+    propagator stack the block exponentials, and E_k is gathered from the
+    scratch into the whole stack. v is a real stack, half a complex one.
     """
     theta, blocks = ising_parity_blocks(model, values)
     wb, vb = np.linalg.eigh(blocks)
     del blocks
     k_slices, dim, half = values.shape[2], model.dim, model.dim // 2
     u = np.exp(1j * theta)
-    stack, scratch = _workspace(model, k_slices) if out is None else out
-    ek, sd = stack[:k_slices], scratch[:k_slices]
+    ek, sd = _workspace(model, k_slices)
     eb = ek.reshape(2, k_slices, 2, half, half)[0]
     # halved phases, so eb holds E+/2 and E-/2
     np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
@@ -177,21 +221,113 @@ def _parity_propagators(model, values, tau, out):
     np.matmul(vb, sd.view(float), out=eb.view(float))
     np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
     np.subtract(eb[:, 0], eb[:, 1], out=sd[:, 1])
-    np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1,
-            out=ek, mode="clip")
-    ek *= u[:, :, None]
-    ek *= u.conj()[:, None, :]
-    w = wb.reshape(k_slices, -1)
-    if out is not None:
-        return w, u, None, ek
-
+    _gather_parity(sd, u, u.conj(), ek)
     v = np.empty((k_slices, dim, dim))
     v[:, :half, :half] = vb[:, 0]
     v[:, :half, half:] = vb[:, 1]
     v[:, half:, :half] = vb[:, 0, ::-1]
     np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
     v *= np.sqrt(0.5)
-    return w, u, v, ek
+    return wb.reshape(k_slices, -1), u, v, ek
+
+
+# Taylor coefficients in Y = X^2 of cos X and of -sin(X)/X, to Y^8
+# (X^16 and X^17). At ||X||_1 <= 1 (``_squarings``) the first terms left
+# out are below 1/18! = 1.6e-16, under double rounding.
+_COS_TAYLOR = tuple((-1) ** m / math.factorial(2 * m) for m in range(9))
+_NEG_SIN_TAYLOR = tuple((-1) ** (m + 1) / math.factorial(2 * m + 1)
+                        for m in range(9))
+
+
+def _taylor_in_y(coef, y, y2, y3, out, spare):
+    """sum_m coef[m] Y^m (m = 0..8) into out, by Paterson-Stockmeyer:
+    (B_2 Y^3 + B_1) Y^3 + B_0 with
+    B_j = coef[3j] + coef[3j+1] Y + coef[3j+2] Y^2, two matmuls beside
+    the powers Y, Y^2 and Y^3 (contiguous stacks of square matrices).
+    spare is written over: each power is scaled into it and added, so no
+    temporary stack is allocated."""
+    n = y.shape[-1]
+    acc, prev = out, spare
+    for j in (6, 3, 0):
+        if j == 6:
+            np.multiply(y2, coef[8], out=acc)
+        else:
+            np.matmul(y3, prev, out=acc)
+            np.multiply(y2, coef[j + 2], out=prev)
+            acc += prev
+        np.multiply(y, coef[j + 1], out=prev)
+        acc += prev
+        diagonal = acc.reshape(-1, n * n)[:, ::n + 1]
+        diagonal += coef[j]
+        acc, prev = prev, acc
+
+
+def _taylor_propagators(model, values, tau, squarings, out):
+    """``_forward_propagators`` of an Ising chain, in real arithmetic: each
+    parity block's exponential exp(-i tau A) = cos(tau A) - i sin(tau A)
+    by scaling and squaring a truncated Taylor series (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)).
+
+    With X = tau A / 2^s (s = squarings), C = cos X and S = -sin X =
+    X q(Y) come from polynomials of degree 8 in Y = X^2, evaluated by
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) from Y, Y^2 and
+    Y^3 (``_taylor_in_y``): eight block matmuls. Each of the s squarings
+    (C, S) -> ((C - S)(C + S), 2 S C) takes two, since C and S commute.
+    Then E+- = C+- + i S+-, and E_k gathers (E+ + E-)/2 and
+    (E+ - E-)/2 with the frame as ``_parity_propagators`` does
+    (``_gather_parity``), the halving folded into the frame.
+
+    The six real block stacks (Y, Y^2, Y^3, the Horner spare, C and S)
+    are the workspace out: the propagator stack viewed as float holds
+    four, the parity scratch two. X is scaled over
+    ``ising_parity_blocks``' own array. C and S end in the propagator
+    stack, the sum and difference blocks are written into the scratch,
+    and E_k is gathered from there over the stack.
+    """
+    theta, x = ising_parity_blocks(model, values)
+    x *= tau / 2.0 ** squarings
+    k_slices, half = values.shape[2], model.dim // 2
+    stack, scratch = out
+    ek, sd = stack[:k_slices], scratch[:k_slices]
+    blocks = (k_slices, 2, half, half)
+    c, s, y, y2 = ek.view(float).reshape(4, *blocks)
+    y3, spare = sd.view(float).reshape(2, *blocks)
+    np.matmul(x, x, out=y)
+    np.matmul(y, y, out=y2)
+    np.matmul(y2, y, out=y3)
+    _taylor_in_y(_COS_TAYLOR, y, y2, y3, out=c, spare=spare)
+    _taylor_in_y(_NEG_SIN_TAYLOR, y, y2, y3, out=spare, spare=s)
+    np.matmul(x, spare, out=s)
+    del x
+    for _ in range(squarings):
+        np.subtract(c, s, out=y3)
+        np.add(c, s, out=spare)
+        np.matmul(s, c, out=y2)
+        y2 *= 2.0
+        np.matmul(y3, spare, out=y)
+        c, s, y, y2 = y, y2, c, s
+    np.add(c[:, 0], c[:, 1], out=sd.real[:, 0])
+    np.subtract(c[:, 0], c[:, 1], out=sd.real[:, 1])
+    np.add(s[:, 0], s[:, 1], out=sd.imag[:, 0])
+    np.subtract(s[:, 0], s[:, 1], out=sd.imag[:, 1])
+    u = np.exp(1j * theta)
+    return _gather_parity(sd, 0.5 * u, u.conj(), ek)
+
+
+def _squarings(model, schedule):
+    """The squaring count s of the Ising forward path
+    (``_taylor_propagators``), one for the whole schedule:
+    s = ceil(log2(tau b)) for the bound b >= ||A||_1 of every slice's
+    parity blocks (``model.ising_block_bound``), so that
+    ||tau A / 2^s||_1 <= 1; s = 0 where tau b <= 1, a zero bound
+    included. Since no chunk has its own s, no slice's propagator depends
+    on the chunk that holds it. None on other couplings, whose forward
+    path does not square.
+    """
+    if model.interaction != ISING:
+        return None
+    bound = schedule.tau * ising_block_bound(model, schedule.values)
+    return max(0, math.ceil(math.log2(bound))) if bound > 0 else 0
 
 
 def _propagator_chunks(model, schedule):
@@ -202,10 +338,11 @@ def _propagator_chunks(model, schedule):
     No range of a longer schedule is one slice, because numpy multiplies a
     one-row operand as a matrix-vector product, which rounds the Ising
     frame phases (``model.ising_parity_blocks``) apart from the batched
-    product; so every chunk's propagators are bitwise those of the whole
-    stack. The fields are checked whole first, so an error names the
-    schedule's slice and shape, not a chunk's. Each chunk keeps the
-    schedule's own tau.
+    product. Each chunk keeps the schedule's own tau and, on the Ising
+    chain, its one squaring count (``_squarings``), read from every
+    slice's amplitudes, not the chunk's; so every chunk's propagators are
+    bitwise those of the whole stack. The fields are checked whole first,
+    so an error names the schedule's slice and shape, not a chunk's.
 
     One workspace (``_workspace``), sized for the longest range, is
     allocated per call and every chunk is built into it, so each stack
@@ -219,9 +356,10 @@ def _propagator_chunks(model, schedule):
     starts = list(range(0, max(1, schedule.n_slices - 1), step))
     ranges = list(zip(starts, starts[1:] + [schedule.n_slices]))
     out = _workspace(model, max(hi - lo for lo, hi in ranges))
+    squarings = _squarings(model, schedule)
     for lo, hi in ranges:
-        yield _slice_propagators(
-            model, schedule.values[:, :, lo:hi], schedule.tau, out=out)[-1]
+        yield _forward_propagators(model, schedule.values[:, :, lo:hi],
+                                   schedule.tau, squarings, out)
 
 
 def _prefix_products(ek: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Dense complex-matrix helpers.
 
 Everything here operates on plain ``numpy`` complex arrays: the Frobenius
-distance and the divided-difference kernel of exp(-i t H). ``evolution``
-exponentiates every slice Hamiltonian through one batched
-eigendecomposition, which keeps the propagators unitary to rounding at
-these dimensions (<= 512); the kernel turns that same eigenbasis into the
-closed-form derivative of each slice propagator.
+distance and the divided-difference kernel of exp(-i t H). The gradient
+in ``evolution`` exponentiates every slice Hamiltonian through one
+batched eigendecomposition, which keeps the propagators unitary to
+rounding at these dimensions (<= 512), and the kernel turns that same
+eigenbasis into the closed-form derivative of each slice propagator. The
+forward path reads no eigenbasis, and on the Ising chain it builds the
+propagators from a scaled Taylor polynomial instead.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ H_k = diag(u_k) H'_k diag(u_k)^dag with u_k(j) = exp(i sum_n phi_nk b_n(j))
 H'_k = coupling + 2*pi sum_n r_nk S^x_n real symmetric. H'_k commutes with
 the global spin flip j <-> d-1-j, so in the basis
 (|j> + |d-1-j>)/sqrt2, (|j> - |d-1-j>)/sqrt2 (j < d/2) it is two real
-d/2 x d/2 blocks, ``ising_parity_blocks``.
+d/2 x d/2 blocks, ``ising_parity_blocks``; ``ising_block_bound`` bounds
+their 1-norm over a schedule's slices.
 """
 
 from __future__ import annotations
@@ -229,3 +230,15 @@ def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
     coef[:, :, n] = 1.0
     half = model.dim // 2
     return theta, (coef @ ops).reshape(k_slices, 2, half, half)
+
+
+def ising_block_bound(model: SpinChainModel, values: np.ndarray) -> float:
+    """A bound on the 1-norm (the largest column sum of magnitudes) of
+    every slice's parity blocks (``ising_parity_blocks``) for field
+    amplitudes values (2, N, K): the most, over the slices, of
+    pi sum_n r_n plus the largest magnitude on the coupling diagonal.
+    Each field term is r_n FIELD_SCALE times a permutation, one entry in
+    every column, and the coupling is diagonal."""
+    fields = FIELD_SCALE * np.hypot(*values).sum(axis=0).max()
+    coupling = np.abs(_parity_pieces(model)[1][-1]).max()
+    return float(fields + coupling)

@@ -186,13 +186,13 @@ class TestEvolve:
 
     def test_error_is_read_from_one_evolution(self, tmp_path, monkeypatch):
         calls = []
-        propagators = evolution._slice_propagators
+        propagators = evolution._forward_propagators
 
         def counted(*args, **kwargs):
             calls.append(1)
             return propagators(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "_slice_propagators", counted)
+        monkeypatch.setattr(evolution, "_forward_propagators", counted)
         table = tmp_path / "wide.csv"
         table.write_text(
             write_pulse_table(random_init(7, 0.65, 13, amplitude=1.0, seed=5)))

@@ -16,9 +16,10 @@ from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
                                 loewner_kernel)
 from spincompile.model import (HEISENBERG, ISING, coupling_hamiltonian,
-                               nearest_neighbor_chain, site_operator,
-                               slice_hamiltonians)
-from spincompile.schedule import AXES, random_init, refine_double, zeros
+                               ising_block_bound, nearest_neighbor_chain,
+                               site_operator, slice_hamiltonians)
+from spincompile.schedule import (AXES, PulseSchedule, random_init,
+                                  refine_double, zeros)
 
 
 def random_unitary(d, seed):
@@ -182,6 +183,65 @@ def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
     u = evolve(model, sched)
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-12
+
+
+def _forward_stack(model, sched):
+    """Every slice's propagator as the forward path builds it, chunk by
+    chunk, copied out of the workspace."""
+    return np.concatenate(
+        [ek.copy() for ek in evolution._propagator_chunks(model, sched)])
+
+
+@pytest.mark.parametrize("reach, squarings", [(0.75, 0), (40.0, 6)])
+@pytest.mark.parametrize("k_slices", [1, 2, 7])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_forward_propagators_match_the_spectral_ones(n, k_slices, reach,
+                                                     squarings):
+    # tau scaled so that tau times the schedule's bound on the parity
+    # blocks' 1-norm is reach: the Taylor polynomial alone, and six
+    # squarings of it
+    model = nearest_neighbor_chain(n)
+    values = random_init(n, 1.0, k_slices, amplitude=1.0, seed=n).values
+    tau = reach / ising_block_bound(model, values)
+    sched = PulseSchedule(tau * k_slices, values)
+    assert evolution._squarings(model, sched) == squarings
+    ek = _forward_stack(model, sched)
+    assert np.abs(ek - _slice_propagators(model, values, tau)[-1]).max() \
+        <= 1e-13
+    ekdag = ek.conj().transpose(0, 2, 1)
+    assert np.abs(ekdag @ ek - np.eye(model.dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, sched", [
+    *((n, _ising_schedule_with_zero_fields(n, 4, seed=30 + n))
+      for n in range(1, 8)),
+    pytest.param(1, zeros(1, 1.0, 3), id="all-zero")])
+def test_forward_propagators_of_zero_fields(n, sched):
+    # slices with every field zero, or site 0's fields negative zero; the
+    # all-zero one-qubit schedule has a zero bound, so no squaring
+    model = nearest_neighbor_chain(n)
+    ek = _forward_stack(model, sched)
+    ref = _slice_propagators(model, sched.values, sched.tau)[-1]
+    assert np.abs(ek - ref).max() <= 1e-13
+    if not sched.values.any():
+        assert evolution._squarings(model, sched) == 0
+        assert np.array_equal(ek, np.broadcast_to(np.eye(2), ek.shape))
+
+
+def test_ising_forward_path_takes_no_eigendecomposition(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eigendecomposition taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    model = nearest_neighbor_chain(3)
+    sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
+    target = random_unitary(model.dim, seed=3)
+    evolve(model, sched)
+    gate_error(target, model, sched)
+    error_trace(target, model, sched)
+    # the gradient reads the spectrum, so it still takes one
+    with pytest.raises(AssertionError, match="eigendecomposition"):
+        error_and_gradient(target, model, sched)
 
 
 def test_heisenberg_keeps_the_complex_eigendecomposition():
@@ -350,35 +410,56 @@ def test_evolve_unitarity():
 
 # (N, K) spanning three chunks of the forward path (16 slices at N = 6,
 # 4 at N = 7): an exact multiple of the chunk, and one slice more, which
-# joins the last chunk
-MULTI_CHUNK = [(6, 48), (6, 49), (7, 12), (7, 13)]
+# joins the last chunk; the third entry scales the first chunk's
+# amplitudes, and at 10 its squaring count (``evolution._squarings``)
+# would exceed the rest's if each chunk took its own
+MULTI_CHUNK = [pytest.param(n, k, 1.0, id=f"{n}-{k}")
+               for n, k in ((6, 48), (6, 49), (7, 12), (7, 13))] \
+    + [pytest.param(7, 13, 10.0, id="7-13-loud-first-chunk")]
+
+
+def _multi_chunk_schedule(model, k_slices, first_gain, seed):
+    """A random schedule at amplitude 2, its first chunk of the forward
+    path scaled by first_gain."""
+    sched = random_init(model.n_qubits, 0.05 * k_slices, k_slices,
+                        amplitude=2.0, seed=seed)
+    first = len(next(evolution._propagator_chunks(model, sched)))
+    values = sched.values.copy()
+    values[:, :, :first] *= first_gain
+    return sched.with_values(values)
 
 
 def _whole_stack_scan(model, sched):
-    """The prefix products of the whole stack of propagators."""
-    return _prefix_products(
-        _slice_propagators(model, sched.values, sched.tau)[-1])
+    """The prefix products of the whole stack of propagators, built as the
+    forward path builds each chunk, at the schedule's squaring count."""
+    ek = evolution._forward_propagators(
+        model, sched.values, sched.tau, evolution._squarings(model, sched),
+        evolution._workspace(model, sched.n_slices))
+    return _prefix_products(ek)
 
 
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
 @pytest.mark.parametrize(
-    "n, k_slices", [pytest.param(3, k, id=str(k)) for k in (1, 2, 3, 5, 8, 240)]
-    + [pytest.param(n, k, id=f"{n}-{k}") for n, k in MULTI_CHUNK])
-def test_tree_product_matches_the_prefix_scan(n, k_slices, interaction):
+    "n, k_slices, first_gain",
+    [pytest.param(3, k, 1.0, id=str(k)) for k in (1, 2, 3, 5, 8, 240)]
+    + MULTI_CHUNK)
+def test_tree_product_matches_the_prefix_scan(n, k_slices, first_gain,
+                                              interaction):
     # evolve multiplies pairs level by level within each chunk, carrying
     # an odd last slice, and the chunks' products onto each other; the
     # prefix scan multiplies slice by slice; both end at P_K
     model = nearest_neighbor_chain(n, interaction=interaction)
-    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=12)
+    sched = _multi_chunk_schedule(model, k_slices, first_gain, seed=12)
     scan = _whole_stack_scan(model, sched)[-1]
     assert np.abs(evolve(model, sched) - scan).max() <= 1e-13
 
 
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
-@pytest.mark.parametrize("n, k_slices", MULTI_CHUNK)
-def test_chunked_error_trace_is_the_whole_stack_scan(n, k_slices, interaction):
+@pytest.mark.parametrize("n, k_slices, first_gain", MULTI_CHUNK)
+def test_chunked_error_trace_is_the_whole_stack_scan(n, k_slices, first_gain,
+                                                     interaction):
     model = nearest_neighbor_chain(n, interaction=interaction)
-    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=13)
+    sched = _multi_chunk_schedule(model, k_slices, first_gain, seed=13)
     assert len(list(evolution._propagator_chunks(model, sched))) == 3
     target = random_unitary(model.dim, seed=n)
     ref = [frobenius_distance(target, u) for u in
@@ -386,14 +467,14 @@ def test_chunked_error_trace_is_the_whole_stack_scan(n, k_slices, interaction):
     assert np.array_equal(error_trace(target, model, sched).errors, ref)
 
 
-
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
-@pytest.mark.parametrize("n, k_slices", MULTI_CHUNK)
-def test_chunks_are_built_into_one_workspace(n, k_slices, interaction):
+@pytest.mark.parametrize("n, k_slices, first_gain", MULTI_CHUNK)
+def test_chunks_are_built_into_one_workspace(n, k_slices, first_gain,
+                                            interaction):
     # every chunk's propagators are written over the one before them, so
     # the forward path allocates its stacks once per call, not per chunk
     model = nearest_neighbor_chain(n, interaction=interaction)
-    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=2.0, seed=13)
+    sched = _multi_chunk_schedule(model, k_slices, first_gain, seed=13)
     chunks = list(evolution._propagator_chunks(model, sched))
     assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
 
