@@ -135,12 +135,12 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
 
     Every set's gates are replaced by their bundled pulse realizations in
     the error composition (the microinstruction set realizes CNOT and swap
-    and keeps its rotations exact); each table the sweep needs is read and
-    evolved once per process. Direct control (a synthesis per N up to
-    direct_max_n) is off by default because it is the only expensive
-    column; direct_max_n is 0 or in 3..MAX_QUBITS. Before any work is
-    done, an unknown set name raises UnknownGate, and a repeated one, or
-    no set without direct control, OutOfRange.
+    and keeps its rotations exact); each set, and each table the sweep
+    needs, is built, or read and evolved, once per process. Direct control
+    (a synthesis per N up to direct_max_n) is off by default because it is
+    the only expensive column; direct_max_n is 0 or in 3..MAX_QUBITS.
+    Before any work is done, an unknown set name raises UnknownGate, and a
+    repeated one, or no set without direct control, OutOfRange.
     """
     sets = distinct(sets)
     check_width(max_n, 3, "max_n {n}")
@@ -148,12 +148,13 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
         check_width(direct_max_n, 3, "direct_max_n {n}")
     elif not sets:
         raise OutOfRange("need at least one set or a direct_max_n")
-    isets = {name: instruction_set(name) for name in sets}
+    for name in sets:
+        instruction_set(name)       # UnknownGate before any work
     rows = []
     for n in range(3, max_n + 1):
         target = qft_matrix(n).matrix
         for set_name in sets:
-            iset = isets[set_name]
+            iset = instruction_set(set_name)
             total, steps = compile_qft(iset, n)
             rows.append({"n": n, "set": set_name, "time": total,
                          "error": circuit_error_estimate(n, steps, iset,

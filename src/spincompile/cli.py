@@ -166,15 +166,18 @@ def parse_target(spec: str):
 
     Supported: identity:N, cphase:THETA, qft:N, swap_to_end:N, quvis:M,
     hadamard, cnot, swap, x, rx:THETA, ry:THETA, rz:THETA. A width N
-    above model.MAX_QUBITS is rejected before any matrix is built.
+    above model.MAX_QUBITS is rejected before any matrix is built, and so
+    is any ":" after a kind that takes no argument.
     """
-    kind, _, arg = spec.strip().partition(":")
+    kind, colon, arg = spec.strip().partition(":")
     kind = kind.strip().lower()
     m = None
     try:
         if kind in _SIZED_TARGETS:
             m = _SIZED_TARGETS[kind](check_width(int(arg)))
         elif kind in _FIXED_TARGETS:
+            if colon:
+                raise ValueError(f"{kind} takes no argument")
             m = _FIXED_TARGETS[kind]().matrix
         elif kind == "cphase":
             m = controlled_phase(parse_angle(arg)).matrix

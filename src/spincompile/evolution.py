@@ -45,11 +45,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitaryTarget
+from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from .linalg import frobenius_distance, loewner_kernel
 from .model import (FIELD_SCALE, ISING, MAX_QUBITS, SpinChainModel,
-                    check_fields, flip_pairs, ising_block_bound,
-                    ising_parity_blocks, slice_hamiltonians)
+                    check_fields, flip_pairs, ising_parity_blocks,
+                    slice_hamiltonians, slice_norm_bounds)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -69,6 +69,11 @@ GRADIENT_EPS_FLOOR = 1e-12
 # float and the parity scratch hold its six real block stacks, so the
 # only other arrays per chunk are ``model.ising_parity_blocks``' own.
 CHUNK_BYTES = 1 << 20
+
+# The largest tau ||H_k|| a slice may have; it bounds the phases the slice
+# turns. Rounding moves them by about 2^-52 tau ||H_k||, so past 2^26
+# (1/sqrt of the float epsilon) less than half their digits are left.
+MAX_SLICE_PHASE = 2.0 ** 26
 
 
 @dataclass(frozen=True)
@@ -314,19 +319,35 @@ def _taylor_propagators(model, values, tau, squarings, out):
     return _gather_parity(sd, 0.5 * u, u.conj(), ek)
 
 
+def _phase_bound(model, schedule) -> float:
+    """The largest tau b_k over the slices, b_k from
+    ``model.slice_norm_bounds``. Every path runs this check before any
+    squaring or eigendecomposition: after ``model.check_fields``,
+    OutOfRange names the first slice whose tau b_k is not finite or is
+    above MAX_SLICE_PHASE."""
+    check_fields(model, schedule.values)
+    with np.errstate(over="ignore"):
+        bounds = schedule.tau * slice_norm_bounds(model, schedule.values)
+    if not (bound := bounds.max()) <= MAX_SLICE_PHASE:
+        k = np.argmax(bounds > MAX_SLICE_PHASE)
+        raise OutOfRange(f"slice {k}: tau times its Hamiltonian's norm bound "
+                         f"is {bounds[k]:.3g}, above {MAX_SLICE_PHASE:.3g}: "
+                         "field amplitudes too large to evolve")
+    return float(bound)
+
+
 def _squarings(model, schedule):
     """The squaring count s of the Ising forward path
     (``_taylor_propagators``), one for the whole schedule:
     s = ceil(log2(tau b)) for the bound b >= ||A||_1 of every slice's
-    parity blocks (``model.ising_block_bound``), so that
-    ||tau A / 2^s||_1 <= 1; s = 0 where tau b <= 1, a zero bound
-    included. Since no chunk has its own s, no slice's propagator depends
-    on the chunk that holds it. None on other couplings, whose forward
-    path does not square.
+    parity blocks (``_phase_bound``, checked on every coupling), so that
+    ||tau A / 2^s||_1 <= 1; s = 0 where tau b <= 1, a zero bound included.
+    Since no chunk has its own s, no slice's propagator depends on the
+    chunk that holds it. None on other couplings, which do not square.
     """
+    bound = _phase_bound(model, schedule)
     if model.interaction != ISING:
         return None
-    bound = schedule.tau * ising_block_bound(model, schedule.values)
     return max(0, math.ceil(math.log2(bound))) if bound > 0 else 0
 
 
@@ -341,8 +362,9 @@ def _propagator_chunks(model, schedule):
     product. Each chunk keeps the schedule's own tau and, on the Ising
     chain, its one squaring count (``_squarings``), read from every
     slice's amplitudes, not the chunk's; so every chunk's propagators are
-    bitwise those of the whole stack. The fields are checked whole first,
-    so an error names the schedule's slice and shape, not a chunk's.
+    bitwise those of the whole stack. The schedule is checked whole first
+    (``_phase_bound``), so an error names its slice and shape, not a
+    chunk's.
 
     One workspace (``_workspace``), sized for the longest range, is
     allocated per call and every chunk is built into it, so each stack
@@ -351,12 +373,11 @@ def _propagator_chunks(model, schedule):
     temporaries before the next is built returned the heap top to the OS
     and faulted it in again for every chunk.
     """
-    check_fields(model, schedule.values)
+    squarings = _squarings(model, schedule)
     step = max(2, CHUNK_BYTES // (16 * model.dim ** 2))
     starts = list(range(0, max(1, schedule.n_slices - 1), step))
     ranges = list(zip(starts, starts[1:] + [schedule.n_slices]))
     out = _workspace(model, max(hi - lo for lo, hi in ranges))
-    squarings = _squarings(model, schedule)
     for lo, hi in ranges:
         yield _forward_propagators(model, schedule.values[:, :, lo:hi],
                                    schedule.tau, squarings, out)
@@ -461,19 +482,12 @@ def _matmul(a, x, out, conj=False):
     """a @ x, or conj(a) @ x, into out; x and out are complex stacks.
 
     A real a multiplies x viewed as float pairs, a d x 2d right-hand side:
-    dgemm at half zgemm's flops, and conj(a) = a. A complex a is
-    conjugated through x and out in place, conj(a) x = conj(a conj(x)),
-    never copied; x is left conjugated.
+    dgemm at half zgemm's flops, and conj(a) = a.
     """
     if a.dtype == float:
         np.matmul(a, x.view(float), out=out.view(float))
         return out
-    if conj:
-        np.conjugate(x, out=x)
-    np.matmul(a, x, out=out)
-    if conj:
-        np.conjugate(out, out=out)
-    return out
+    return np.matmul(a.conj() if conj else a, x, out=out)
 
 
 def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
@@ -493,6 +507,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     prefix and M stacks.
     """
     target = check_target(target, model)
+    _phase_bound(model, schedule)
     w, u, v, ek = _slice_propagators(model, schedule.values, schedule.tau)
     prefix = _prefix_products(ek)
     eps = frobenius_distance(target, prefix[-1])

@@ -24,9 +24,9 @@ of the steps; its physical target is that matrix bit-reversed and
 multiplied by e^{i phi}, phi = (swaps) pi/4 - (sum of the controlled-phase
 angles)/4 - (CNOTs) 3 pi/4, the CNOT term being the branch the
 baseline's bundled table realizes. ``instruction_set`` builds each set
-from its time table (``SET_TIMES``, the one list of set names) and these
-rows, storing each gate's phase e^{i phi}; ``circuit_frame`` divides a
-realized unitary by it.
+once per process, read-only and shared, from its time table
+(``SET_TIMES``, the one list of set names) and these rows, storing each
+gate's phase e^{i phi}; ``circuit_frame`` divides a realized unitary by it.
 
 ``qft_steps`` is the Fourier transform in the same steps; ``compile_qft``
 lowers it onto a set by matching the set's rows (``lower``) or expanding
@@ -45,9 +45,10 @@ that evolution once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -112,19 +113,20 @@ _H1 = (("h", None, (1,)),)
 _HEAD = _H1 + _ps(1) + _ps(2, 2)        # the head of the Fourier cascade
 _U0 = _H1 + (("cphase", np.pi / 2, (1, 2)), ("h", None, (2,)))
 
-# gate id -> (width, steps): the one definition of every elementary gate,
-# in (kind, param, positions) steps, the first acting first. u0 is the
-# 2-qubit Fourier block without its trailing swap, u1 the 3-qubit Fourier
-# transform up to one trailing adjacent swap, u2 the cascade head; odd
-# u >= 3 and every v are one phase-swap block, even u >= 4 stack two.
+# gate id -> steps: the one definition of every elementary gate, in
+# (kind, param, positions) steps, the first acting first, from wire 1 to
+# the gate's width. u0 is the 2-qubit Fourier block without its trailing
+# swap, u1 the 3-qubit Fourier transform up to one trailing adjacent swap,
+# u2 the cascade head; odd u >= 3 and every v are one phase-swap block,
+# even u >= 4 stack two.
 GATE_STEPS = {
-    "u0": (2, _U0), "u1": (3, _HEAD + _U0), "u2": (3, _HEAD),
-    **{f"u{m}": (2, _ps(m)) for m in (3, 5, 7)},
-    **{f"u{m}": (3, _ps(m - 1) + _ps(m, 2)) for m in (4, 6, 8)},
-    **{f"v{p}": (2, _ps(p)) for p in range(2, 9)},
-    "w1": (2, _H1 + _ps(1)),
-    SWAP_GATE_ID: (2, ((SWAP_GATE_ID, None, (1, 2)),)),
-    "cnot": (2, (("cnot", None, (1, 2)),)),
+    "u0": _U0, "u1": _HEAD + _U0, "u2": _HEAD,
+    **{f"u{m}": _ps(m) for m in (3, 5, 7)},
+    **{f"u{m}": _ps(m - 1) + _ps(m, 2) for m in (4, 6, 8)},
+    **{f"v{p}": _ps(p) for p in range(2, 9)},
+    "w1": _H1 + _ps(1),
+    SWAP_GATE_ID: ((SWAP_GATE_ID, None, (1, 2)),),
+    "cnot": (("cnot", None, (1, 2)),),
 }
 
 
@@ -137,14 +139,14 @@ def qft_steps(n_qubits: int) -> tuple:
     steps = ()
     for j in range(n_qubits, 2, -1):
         steps += _H1 + sum((_ps(p, p) for p in range(1, j)), ())
-    return steps + _U0 + GATE_STEPS[SWAP_GATE_ID][1]
+    return steps + _U0 + GATE_STEPS[SWAP_GATE_ID]
 
 
 def _elementary(gate_id: str, time_cost: float) -> ElementaryGate:
     """The gate of a row of GATE_STEPS: its circuit-frame Gate and its
     frame phase e^{i phi}, phi by the phase rule of the module docstring."""
-    width, steps = GATE_STEPS[gate_id]
-    gate = Gate(gate_id, compose_qumis(steps, width))
+    steps = GATE_STEPS[gate_id]
+    gate = Gate(gate_id, compose_qumis(steps, max(p[-1] for *_, p in steps)))
     kinds = [kind for kind, _param, _pos in steps]
     phi = (kinds.count(SWAP_GATE_ID) * np.pi / 4
            - sum(param for kind, param, _pos in steps if kind == "cphase") / 4
@@ -161,7 +163,7 @@ def circuit_frame(realized: np.ndarray, phase: complex) -> np.ndarray:
 def _quvis(m: int) -> ElementaryGate:
     if not 0 <= m <= 8:
         raise OutOfRange(f"gate index {m} outside 0..8")
-    return _elementary(f"u{m}", QUVIS3_TIME[f"u{m}"])
+    return instruction_set(QUVIS3)[f"u{m}"]
 
 
 def quvis_gate(m: int) -> Gate:
@@ -212,17 +214,21 @@ class ElementaryGate:
                     circuit_frame(self._evolved[1], self.phase))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstructionSet:
+    """A set's gates by id, read-only: every caller shares the set."""
+
     kind: str
-    gates: dict = field(default_factory=dict)
+    gates: MappingProxyType   # gate id -> ElementaryGate
 
     def __getitem__(self, gate_id: str) -> ElementaryGate:
         return self.gates[gate_id]
 
 
+@lru_cache(maxsize=None)
 def instruction_set(name: str) -> InstructionSet:
-    """A new instruction set by name; UnknownGate for any other name.
+    """The instruction set of that name, built once per process and
+    shared by every caller; UnknownGate for any other name.
 
     The baseline ("qumis") holds the two entangling gates its pulses
     realize; its rotations and phase factors are taken exact.
@@ -232,16 +238,12 @@ def instruction_set(name: str) -> InstructionSet:
     except KeyError:
         raise UnknownGate(f"unknown instruction set {name!r}; expected one "
                           f"of {', '.join(SET_TIMES)}") from None
-    return InstructionSet(name, {gid: _elementary(gid, cost)
-                                 for gid, cost in times.items()})
+    return InstructionSet(name, MappingProxyType(
+        {gid: _elementary(gid, cost) for gid, cost in times.items()}))
 
 
-def quvis3_set() -> InstructionSet:
-    return instruction_set(QUVIS3)
-
-
-def quvis2_set() -> InstructionSet:
-    return instruction_set(QUVIS2)
+quvis3_set = partial(instruction_set, QUVIS3)
+quvis2_set = partial(instruction_set, QUVIS2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +251,7 @@ def quvis2_set() -> InstructionSet:
 
 # the widest elementary gate: compose multiplies runs of steps out on
 # windows of this many adjacent wires before they touch the register
-_WINDOW = max(width for width, _steps in GATE_STEPS.values())
+_WINDOW = max(p[-1] for row in GATE_STEPS.values() for *_, p in row)
 
 
 def _block(run) -> tuple:
@@ -296,11 +298,11 @@ def lower(iset: InstructionSet, steps) -> list:
     row among the set's gates (the first on a tie) that the next steps
     repeat on some wire offset. UnknownGate names a step none covers."""
     steps, placements, i = tuple(steps), [], 0
-    longest_first = sorted(iset.gates, key=lambda g: -len(GATE_STEPS[g][1]))
+    longest_first = sorted(iset.gates, key=lambda g: -len(GATE_STEPS[g]))
     while i < len(steps):
         kind, param, pos = steps[i]
         for gid in longest_first:
-            width, row = GATE_STEPS[gid]
+            row = GATE_STEPS[gid]
             shift = pos[0] - row[0][2][0]
             if row[0][:2] == (kind, param) and steps[i:i + len(row)] == tuple(
                     (k, p, tuple(q + shift for q in ps)) for k, p, ps in row):
@@ -308,6 +310,7 @@ def lower(iset: InstructionSet, steps) -> list:
         else:
             raise UnknownGate(f"no gate of {iset.kind} covers step {kind} "
                               f"on wires {pos}")
+        width = iset[gid].gate.n_qubits
         placements.append((gid, tuple(range(shift + 1, shift + width + 1))))
         i += len(row)
     return placements
@@ -352,9 +355,14 @@ _QUMIS_GATES = {
 }
 
 
+# Bounded, since any angle is a key: the Fourier transform on MAX_QUBITS,
+# lowered by qumis_lower, reads 30 (kind, param) pairs, the GATE_STEPS
+# rows 9 more.
+@lru_cache(maxsize=64)
 def qumis_gate(kind: str, param) -> Gate:
-    """Exact gate of a baseline placement; a global phase is e^{i param}
-    times the identity on its one qubit."""
+    """Exact gate of a baseline placement, built once per (kind, param)
+    and shared; a global phase is e^{i param} times the identity on its
+    one qubit."""
     try:
         make = _QUMIS_GATES[kind]
     except KeyError:
@@ -406,15 +414,12 @@ def qumis_lower(steps) -> list:
 def compile_qft(iset: InstructionSet, n_qubits: int):
     """(total time, steps) of qft_steps(n_qubits) lowered onto iset, by
     lower or, for the baseline, qumis_lower; each step is (name, Gate,
-    positions), the first acting first. The baseline's steps that name
-    the same (kind, param) share one Gate."""
+    positions), the first acting first."""
     steps = qft_steps(n_qubits)
     if iset.kind == QUMIS:
         placements = qumis_lower(steps)
-        gates = {kp: qumis_gate(*kp)
-                 for kp in {(k, p) for k, p, _pos in placements}}
         return qumis_time_cost(placements), [
-            (k, gates[k, p], pos) for k, p, pos in placements]
+            (k, qumis_gate(k, p), pos) for k, p, pos in placements]
     placements = lower(iset, steps)
     return (sum(iset[g].time_cost for g, _pos in placements),
             [(g, iset[g].gate, pos) for g, pos in placements])

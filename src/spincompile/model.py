@@ -28,8 +28,8 @@ H_k = diag(u_k) H'_k diag(u_k)^dag with u_k(j) = exp(i sum_n phi_nk b_n(j))
 H'_k = coupling + 2*pi sum_n r_nk S^x_n real symmetric. H'_k commutes with
 the global spin flip j <-> d-1-j, so in the basis
 (|j> + |d-1-j>)/sqrt2, (|j> - |d-1-j>)/sqrt2 (j < d/2) it is two real
-d/2 x d/2 blocks, ``ising_parity_blocks``; ``ising_block_bound`` bounds
-their 1-norm over a schedule's slices.
+d/2 x d/2 blocks, ``ising_parity_blocks``. ``slice_norm_bounds`` bounds
+each slice's 1-norm, on every coupling, and so that of its blocks.
 """
 
 from __future__ import annotations
@@ -232,13 +232,14 @@ def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
     return theta, (coef @ ops).reshape(k_slices, 2, half, half)
 
 
-def ising_block_bound(model: SpinChainModel, values: np.ndarray) -> float:
-    """A bound on the 1-norm (the largest column sum of magnitudes) of
-    every slice's parity blocks (``ising_parity_blocks``) for field
-    amplitudes values (2, N, K): the most, over the slices, of
-    pi sum_n r_n plus the largest magnitude on the coupling diagonal.
-    Each field term is r_n FIELD_SCALE times a permutation, one entry in
-    every column, and the coupling is diagonal."""
-    fields = FIELD_SCALE * np.hypot(*values).sum(axis=0).max()
-    coupling = np.abs(_parity_pieces(model)[1][-1]).max()
-    return float(fields + coupling)
+def slice_norm_bounds(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
+    """Bounds (K,) on the 1-norm (the largest column sum of magnitudes) of
+    each slice's Hamiltonian, and on the Ising chain of its parity blocks
+    (``ising_parity_blocks``), for field amplitudes values (2, N, K):
+    pi sum_n r_n, each field term being r_n FIELD_SCALE times a permutation
+    up to phases, plus sum_n |J_n| / 4, the coupling's largest diagonal
+    magnitude, and on the Heisenberg chain |J_n| / 2 per flip-flop term.
+    A bound beyond the largest float overflows to inf."""
+    scale = 0.25 if model.interaction == ISING else 0.75
+    return (FIELD_SCALE * np.hypot(*values).sum(axis=0)
+            + scale * sum(map(abs, model.couplings)))

@@ -10,7 +10,7 @@ from spincompile.errors import (Degenerate, DimensionMismatch, OutOfRange,
                                ShapeError)
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                                       instruction_set)
-from spincompile.gates import swap_to_end_circuit
+from spincompile.gates import Gate, swap_to_end_circuit
 from spincompile.model import HEISENBERG, ISING, nearest_neighbor_chain
 from spincompile.optimizer import OptimizerConfig, multi_seed_synthesize
 from spincompile.schedule import write_pulse_table
@@ -138,6 +138,30 @@ class TestBenchQft:
             write_pulse_table(instructions.load_bundled_schedule(t))
             for t in instructions.bundled_pulse_ids())
         assert len(evolved_tables) == 16
+
+    def test_warm_sweep_builds_no_set_or_baseline_gate(self, monkeypatch):
+        # every set and every exact baseline gate is built once per
+        # process, so a warm sweep constructs only its Fourier targets
+        sets = (QUVIS3, QUVIS2, QUMIS)
+        bench_qft(8, sets=sets)
+        built = []
+        for cls in (Gate, instructions.ElementaryGate):
+            def counting(self, *args, init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        bench_qft(8, sets=sets)
+        assert built == ["_FourierGate"] * 6
+
+    def test_cold_and_warm_sweeps_are_bitwise_equal(self, evolved_tables):
+        # the cold sweep builds the sets and evolves their tables, the warm
+        # one reuses both; repr writes every float exactly
+        instructions.qumis_gate.cache_clear()
+        cold = bench_qft(6)
+        evolved = len(evolved_tables)
+        assert evolved == 11 and repr(bench_qft(6).rows) == repr(cold.rows)
+        assert len(evolved_tables) == evolved
 
 
 class TestBenchQftDirect:

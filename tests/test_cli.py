@@ -10,7 +10,8 @@ import pytest
 from spincompile import __version__, cli, evolution, instructions, optimizer
 from spincompile.cli import main, parse_angle, parse_config, parse_target
 from spincompile.errors import ConfigError
-from spincompile.schedule import random_init, write_pulse_table, zeros
+from spincompile.schedule import (PulseSchedule, random_init,
+                                  write_pulse_table, zeros)
 
 
 class TestConfigParsing:
@@ -72,6 +73,16 @@ class TestConfigParsing:
         assert n == 3 and np.array_equal(m, instructions.quvis_gate(4).matrix)
         with pytest.raises(ConfigError):
             parse_target("frobnicate:2")
+
+    @pytest.mark.parametrize("spec", ["hadamard:3", "cnot:junk", "swap:",
+                                      "x:1.5"])
+    def test_fixed_target_kinds_take_no_argument(self, spec):
+        kind = spec.partition(":")[0]
+        with pytest.raises(ConfigError, match=f"^bad target spec '{spec}': "
+                                              f"{kind} takes no argument$"):
+            parse_target(spec)
+        assert parse_target(kind)[1] == (1 if kind in ("hadamard", "x")
+                                         else 2)
 
     @pytest.mark.parametrize("spec", ["identity:-1", "identity:0", "identity:10",
                                       "qft:12", "swap_to_end:10"])
@@ -138,9 +149,16 @@ class TestVerifyGolden:
     def test_duration_mismatch_fails_that_gate(self, tmp_path, capsys,
                                                monkeypatch):
         # a gate whose cost disagrees with its table's own duration fails,
-        # and the table's duration is what gets reported
+        # and the table's duration is what gets reported. The sets are
+        # built once per process, so the cache is cleared before the cost
+        # is patched and after it is restored.
+        instructions.instruction_set.cache_clear()
         monkeypatch.setitem(instructions.QUVIS3_TIME, "u4", 2.5)
-        rc = main(["verify-golden", "--out", str(tmp_path)])
+        try:
+            rc = main(["verify-golden", "--out", str(tmp_path)])
+        finally:
+            monkeypatch.undo()
+            instructions.instruction_set.cache_clear()
         out = capsys.readouterr().out
         assert rc == 1
         failed = [line for line in out.splitlines() if "FAIL" in line]
@@ -208,6 +226,20 @@ class TestEvolve:
             data = json.loads((tmp_path / "evolve.json").read_text())
             last = (tmp_path / "evolve.csv").read_text().split()[-1].split(",")[1]
             assert len(calls) == chunks and data["error"] == float(last)
+
+    def test_amplitudes_too_large_to_evolve_exit_2(self, tmp_path, capsys):
+        # without a check the error came out nan with exit 0 at 1e200
+        values = np.full((2, 2, 3), 1.0)
+        values[:, :, 1] = 1e200
+        table = tmp_path / "loud.csv"
+        table.write_text(write_pulse_table(PulseSchedule(1.0, values)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pulse_table = {table}\ntarget = cnot\n")
+        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert record["message"].startswith("slice 1: ")
+        assert not list(tmp_path.glob("evolve*"))
 
     def test_register_wider_than_limit_exits_2(self, tmp_path, capsys):
         table = tmp_path / "wide.csv"

@@ -7,7 +7,7 @@ from test_linalg import expm_taylor
 
 import spincompile.evolution as evolution
 import spincompile.model as model_module
-from spincompile.errors import DimensionMismatch, NonUnitaryTarget
+from spincompile.errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from spincompile.evolution import (GRADIENT_EPS_FLOOR, _prefix_products,
                                    _slice_propagators, error_and_gradient,
                                    error_trace, evolve, gate_error)
@@ -16,8 +16,8 @@ from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
                                 loewner_kernel)
 from spincompile.model import (HEISENBERG, ISING, coupling_hamiltonian,
-                               ising_block_bound, nearest_neighbor_chain,
-                               site_operator, slice_hamiltonians)
+                               nearest_neighbor_chain, site_operator,
+                               slice_hamiltonians, slice_norm_bounds)
 from spincompile.schedule import (AXES, PulseSchedule, random_init,
                                   refine_double, zeros)
 
@@ -134,6 +134,43 @@ def test_non_finite_target_rejected(entry, bad):
         entry(target, model, random_init(2, 0.4, 3, amplitude=1.0, seed=1))
 
 
+# every path from a schedule to its evolution, as (model, schedule) -> result
+EVOLUTION_PATHS = {
+    "evolve": evolve,
+    "error_trace": lambda model, sched: error_trace(np.eye(model.dim), model,
+                                                    sched),
+    "error_and_gradient": lambda model, sched: error_and_gradient(
+        np.eye(model.dim), model, sched),
+}
+
+
+@pytest.mark.parametrize("path", EVOLUTION_PATHS)
+@pytest.mark.parametrize("amplitude", [1e200, 1e308])
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_amplitudes_too_large_to_evolve_are_rejected(interaction, amplitude,
+                                                     path):
+    # unchecked, 1e200 gave non-finite or finite but meaningless outputs,
+    # and 1e308 overflowed the squaring count or failed in LAPACK
+    model = nearest_neighbor_chain(2, interaction=interaction)
+    sched = PulseSchedule(1.0, np.full((2, 2, 3), amplitude))
+    with pytest.raises(OutOfRange, match=r"^slice 0: .*too large to evolve"):
+        EVOLUTION_PATHS[path](model, sched)
+
+
+@pytest.mark.parametrize("path", EVOLUTION_PATHS)
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_slice_too_large_to_evolve_is_named(interaction, path):
+    # the check reads the whole schedule before any chunk: the 7-qubit
+    # forward path's second chunk holds slice 5
+    model = nearest_neighbor_chain(7, interaction=interaction)
+    sched = random_init(7, 0.7, 14, amplitude=1.0, seed=6)
+    values = sched.values.copy()
+    values[:, 3, 5] = 1e9
+    with pytest.raises(OutOfRange, match=r"^slice 5: .* is 2\.2\de\+08, "
+                                         r"above 6\.71e\+07"):
+        EVOLUTION_PATHS[path](model, sched.with_values(values))
+
+
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_slice_propagators_match_taylor_exponential(n, interaction):
@@ -202,7 +239,7 @@ def test_forward_propagators_match_the_spectral_ones(n, k_slices, reach,
     # squarings of it
     model = nearest_neighbor_chain(n)
     values = random_init(n, 1.0, k_slices, amplitude=1.0, seed=n).values
-    tau = reach / ising_block_bound(model, values)
+    tau = reach / slice_norm_bounds(model, values).max()
     sched = PulseSchedule(tau * k_slices, values)
     assert evolution._squarings(model, sched) == squarings
     ek = _forward_stack(model, sched)

@@ -220,7 +220,7 @@ class TestQftComposition:
         # baseline's expansion of every row composes to that row's gate
         for name in (QUVIS3, QUVIS2, QUMIS):
             for gid, eg in instruction_set(name).gates.items():
-                width, row = GATE_STEPS[gid]
+                row, width = GATE_STEPS[gid], eg.gate.n_qubits
                 assert lower(instruction_set(name), row) == [
                     (gid, tuple(range(1, width + 1)))], (name, gid)
                 exact = compose_qumis(qumis_lower(row), width)
@@ -548,6 +548,39 @@ class TestRealizations:
         sched, u = instructions.bundled_evolution("u3")
         assert quvis2_set()["v3"].realized_schedule is sched
         assert not sched.values.flags.writeable and not u.flags.writeable
+
+    def test_sets_are_built_once_and_read_only(self):
+        for name in (QUVIS3, QUVIS2, QUMIS):
+            iset = instruction_set(name)
+            assert instruction_set(name) is iset
+            gid = next(iter(iset.gates))
+            with pytest.raises(TypeError):
+                iset.gates[gid] = iset[gid]
+            with pytest.raises(TypeError):
+                del iset.gates[gid]
+            for field in ("kind", "gates"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(iset, field, None)
+        assert quvis3_set() is instruction_set(QUVIS3)
+        assert quvis2_set() is instruction_set(QUVIS2)
+
+    def test_baseline_gates_are_built_once_per_kind_and_param(self,
+                                                              monkeypatch):
+        iset = instruction_set(QUMIS)
+        instructions.qumis_gate.cache_clear()
+        built = []
+        init = Gate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Gate, "__init__", counting)
+        pairs = {(k, p) for k, p, _pos in qumis_lower(qft_steps(MAX_QUBITS))}
+        for _ in range(2):
+            compile_qft(iset, MAX_QUBITS)
+            assert len(built) == len(pairs) == 30
+        assert qumis_gate("rz", 0.25) is qumis_gate("rz", 0.25)
 
     def test_perfect_realizations_compose_to_zero_error(self, monkeypatch):
         monkeypatch.setattr(instructions.ElementaryGate, "realized",
