@@ -63,7 +63,8 @@ class Config(dict):
         try:
             return cast(self[key])
         except (ConfigError, UnknownGate, OutOfRange, ValueError, TypeError,
-                KeyError, OSError, ArithmeticError) as exc:
+                KeyError, OSError, ArithmeticError,
+                argparse.ArgumentTypeError) as exc:
             raise self._error(key, exc) from None
 
     def given(self, **keys) -> dict:
@@ -118,11 +119,12 @@ def _duration(text: str) -> float:
         raise ValueError(exc) from None
 
 
-def _at_least(smallest: int, what: str):
-    """An argparse type: an integer >= smallest, else exit 2 at parsing."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < smallest:
+def _at_least(smallest, what: str, cast=int):
+    """A type, for argparse and the config: cast(text) if it is >= smallest
+    (nan is not), else ArgumentTypeError naming what."""
+    def parse(text: str):
+        value = cast(text)
+        if not value >= smallest:
             raise argparse.ArgumentTypeError(
                 f"{what} {value} must be >= {smallest}")
         return value
@@ -370,12 +372,13 @@ def cmd_bench(args) -> int:
     elif kind == "phase-trace":
         kw.update(thetas=cfg.get("thetas", (np.pi / 8, np.pi / 4, np.pi / 2),
                                  _listed(parse_angle)), **cfg.given(
-            total_time=("time", _duration), seeds=("seeds", int)))
+            total_time=("time", _duration),
+            seeds=("seeds", _at_least(1, "seeds"))))
     else:
         kw.update(max_n=cfg.get("max_n", 3, int), jobs=args.jobs, **cfg.given(
             interactions=("interactions", _listed(_one_of(INTERACTIONS))),
-            error_budget=("error_budget", float),
-            seeds=("seeds", int)))
+            error_budget=("error_budget", _at_least(0, "error_budget", float)),
+            seeds=("seeds", _at_least(1, "seeds"))))
     cfg.check()
     bench = {"qft": bench_qft, "phase-trace": bench_phase_trace, "swap": bench_swap}
     result = bench[kind](**kw)

@@ -2,20 +2,22 @@
 
 Within a slice the Hamiltonian is constant, so each slice contributes one
 exponential exp(-i tau H_k); the full operator is the time-ordered product
-with slice 1 acting first. On the Ising chain every slice is two real
-symmetric parity blocks of half the width (``model.ising_parity_blocks``);
-other couplings are solved as the complex slice Hamiltonians of
-``model.slice_hamiltonians``. The forward path (``evolve``, ``gate_error``
-and the error trace) reads only the propagators: on the Ising chain it
-builds them without an eigendecomposition, from a scaled Taylor
-polynomial in batched real matmuls with one squaring count per schedule
-(``_taylor_propagators``); the other couplings take one batched complex
-eigendecomposition. The gradient of the gate error with respect to every
-pulse amplitude reads the eigenbasis, so it takes exact exponentials in
-the eigenbasis of one batched eigendecomposition (real on the Ising
-chain): one forward pass (the eigendecomposition and the prefix
-products) and one backward pass through the divided-difference kernel,
-exact to machine precision rather than a finite-difference estimate.
+with slice 1 acting first. Every slice is solved in real arithmetic, as a
+stack of real symmetric blocks (``_real_blocks``): on the Ising chain two
+parity blocks of half the width in a per-slice phase frame
+(``model.ising_parity_blocks``), on the Heisenberg chain one d x d block in
+a fixed basis W (``model.real_slices``). The coupling chooses only these
+blocks and the O(K d^2) way back to the computational basis
+(``_to_computational``); the rest is written once. The forward path
+(``evolve``, ``gate_error`` and the error trace) reads only the
+propagators, which it builds without an eigendecomposition, from a scaled
+Taylor polynomial in batched real matmuls with one squaring count per
+schedule (``_taylor_propagators``). The gradient of the gate error with
+respect to every pulse amplitude reads the eigenbasis, so it takes exact
+exponentials from one batched real eigendecomposition of the blocks: one
+forward pass (the eigendecomposition and the prefix products) and one
+backward pass through the divided-difference kernel, exact to machine
+precision rather than a finite-difference estimate.
 There are two time-ordered products. ``evolve`` reads only the full
 product, which a pairwise tree forms in about log2 K batched matmuls;
 the error trace and the gradient read every prefix, which one matmul loop
@@ -23,18 +25,17 @@ writes over the propagators. The forward path holds one chunk of
 consecutive slices at a time, at most CHUNK_BYTES of propagators, and
 carries the product across chunks, so its memory does not grow with K;
 every chunk is built into one workspace allocated per call (the
-propagator stack and, on the Ising chain, a half-size parity scratch).
-The backward pass is batched over the slice axis:
-each adjoint is two products of the prefixes, carried through its slice's
-eigenbasis by batched matmuls into buffers the earlier steps freed, and
-every amplitude's derivative is read off the adjoint by a gather: a field
-term couples basis state j only to j with its site's bit flipped
-(``model.flip_pairs``). On the Ising chain the eigenbasis is a
-diagonal phase frame times a real matrix, so the basis changes are real
-products against complex operands viewed as float pairs, at half the
-flops of complex ones, and the frame is two O(K d^2) scalings. The
-gradient holds every slice at once: its peak is about three and a half
-K x d x d complex stacks on the Ising chain and four on the others.
+propagator stack and a float scratch). The backward pass is batched over
+the slice axis: each adjoint is two products of the prefixes, carried
+through its slice's eigenbasis by batched matmuls into buffers the earlier
+steps freed, and every amplitude's derivative is read off the adjoint by a
+gather: a field term couples basis state j only to j with its site's bit
+flipped (``model.flip_pairs``). The eigenbasis is the frame or W times a
+real matrix, so the basis changes are real products against complex
+operands viewed as float pairs, at half the flops of complex ones, and
+the frame or W enters as O(K d^2) scalings or butterflies. The gradient
+holds every slice at once: its peak is about three and a half K x d x d
+complex stacks.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from .linalg import frobenius_distance, loewner_kernel
 from .model import (FIELD_SCALE, ISING, MAX_QUBITS, SpinChainModel,
                     check_fields, flip_pairs, ising_parity_blocks,
-                    slice_hamiltonians, slice_norm_bounds)
+                    real_slices, slice_norm_bounds)
 from .schedule import PulseSchedule
 
 # Below this error the direction of steepest descent of the (square-rooted)
@@ -64,10 +65,10 @@ GRADIENT_EPS_FLOOR = 1e-12
 # workspace per call (``_propagator_chunks``): with fresh stacks per chunk,
 # whose freeing handed the heap top back to the OS, a replay pass took
 # about 3.8k minor faults; with the workspace, under 30 (both measured
-# when the Ising chunks came from an eigendecomposition). The Ising Taylor
+# when the Ising chunks came from an eigendecomposition). The Taylor
 # polynomial runs in the same workspace: the propagator stack viewed as
-# float and the parity scratch hold its six real block stacks, so the
-# only other arrays per chunk are ``model.ising_parity_blocks``' own.
+# float and the scratch hold its six real block stacks, so the only other
+# arrays per chunk are ``_real_blocks``' own.
 CHUNK_BYTES = 1 << 20
 
 # The largest tau ||H_k|| a slice may have; it bounds the phases the slice
@@ -85,79 +86,148 @@ class ErrorTrace:
     errors: np.ndarray
 
 
+def _real_blocks(model, values):
+    """(u, blocks) of the field amplitudes values (2, N, K): each slice's
+    real symmetric block stack (K, B, m, m) and, on the Ising chain, its
+    frame phases u (K, d); the one place the coupling chooses the blocks.
+
+    The Ising chain's are its two parity blocks of half the width
+    (``model.ising_parity_blocks``), on the sum and difference vectors
+    (|j> +- |d-1-j>)/sqrt2 in the frame diag(u). The Heisenberg chain's is
+    one d x d block, ``model.real_slices``, in the fixed basis W = Q D: Q
+    holds the sum vector at column j and the difference at d-1-j
+    (``_pair_butterfly``), and D turns the differences by i. There u is
+    None. Either way the blocks are a new array the caller may write over.
+    """
+    if model.interaction == ISING:
+        theta, blocks = ising_parity_blocks(model, values)
+        return np.exp(1j * theta), blocks
+    return None, real_slices(model, values)[:, None]
+
+
 def _slice_propagators(model, values, tau):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
     of the field amplitudes values (2, N, K), each slice of duration tau:
     the gradient's builder, which reads the eigenbasis.
 
-    Returns new arrays (w, u, v, ek): eigenvalues (K, d), frame phases u
-    (K, d), eigenvectors (K, d, d) and propagators (K, d, d); slice k's
-    eigenvectors are diag(u_k) v_k. The Ising chain is solved as two real
-    parity blocks per slice (``_parity_propagators``) and v is real. Other
-    couplings are solved by one batched complex eigendecomposition
-    (``_complex_propagators``); there v is complex and u is None, no frame.
+    Returns new arrays (w, u, v, ek): eigenvalues (K, d), the Ising frame
+    phases u (K, d) or None, real eigenvectors v (K, d, d) and propagators
+    (K, d, d). Slice k's eigenvectors are diag(u_k) v_k on the Ising chain,
+    v = Q blockdiag(V+, V-) from its parity blocks, and W v_k on the
+    Heisenberg chain, v its real slice's own.
 
-    The arrays are the caller's own: ``_prefix_products`` consumes ek,
-    writing the prefix products over the propagators.
+    One real eigendecomposition of the blocks (``_real_blocks``) gives
+    each block's exponential V diag(phases) V^T as one real matmul against
+    the complex right operand viewed as float pairs, and
+    ``_to_computational`` takes it back to E_k in O(K d^2). A new
+    ``_workspace`` holds the complex steps: its scratch the phased right
+    operands, and the front of the propagator stack the block
+    exponentials. The arrays are the caller's own: ``_prefix_products``
+    consumes ek, writing the prefix products over the propagators.
     """
-    if model.interaction == ISING:
-        return _parity_propagators(model, values, tau)
-    return _complex_propagators(model, values, tau)
+    u, blocks = _real_blocks(model, values)
+    wb, vb = np.linalg.eigh(blocks)
+    del blocks
+    k_slices = len(vb)
+    ek, scratch = _workspace(model.dim, k_slices, vb[0].size)
+    eb = ek.reshape(-1)[:vb.size].reshape(vb.shape)
+    operand = scratch.view(complex)[:vb.size].reshape(vb.shape)
+    # halved phases, so eb holds half of each block exponential
+    np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
+                vb.swapaxes(-1, -2), out=operand)
+    np.matmul(vb, operand.view(float), out=eb.view(float))
+    _to_computational(u, 1.0, eb.real, eb.imag, scratch, ek)
+    return (wb.reshape(k_slices, -1), u,
+            vb[:, 0] if u is None else _parity_vectors(vb), ek)
 
 
-def _forward_propagators(model, values, tau, squarings, out):
-    """The propagators E_k (K, d, d) of the field amplitudes values
-    (2, N, K), a range of a schedule's slices of duration tau, built into
-    the forward path's workspace out (``_workspace``, at least K slices
-    long): a view of its stack.
-
-    The forward path reads E_k alone, never the eigenbasis. The Ising
-    chain builds it from a Taylor polynomial scaled by 2^-squarings
-    (``_taylor_propagators``), with no eigendecomposition; other couplings
-    keep the complex one (``_complex_propagators``) and do not read
-    squarings.
-    """
-    if model.interaction == ISING:
-        return _taylor_propagators(model, values, tau, squarings, out)
-    return _complex_propagators(model, values, tau, out)[-1]
+def _parity_vectors(vb):
+    """Q blockdiag(V+, V-) (K, d, d) from the Ising parity blocks'
+    eigenvectors vb (K, 2, d/2, d/2): real, half a complex stack."""
+    k_slices, _, half, _ = vb.shape
+    v = np.empty((k_slices, 2 * half, 2 * half))
+    v[:, :half, :half] = vb[:, 0]
+    v[:, :half, half:] = vb[:, 1]
+    v[:, half:, :half] = vb[:, 0, ::-1]
+    np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
+    v *= np.sqrt(0.5)
+    return v
 
 
-def _complex_propagators(model, values, tau, out=None):
-    """``_slice_propagators`` of a coupling other than Ising, from one
-    batched complex eigendecomposition of ``model.slice_hamiltonians``.
-
-    E_k = V_k diag(phases_k) V_k^dag is formed as one batched matmul on
-    its conjugate, conj(E_k) = (conj(V_k) conj(phases_k)) V_k^T, scaled
-    and conjugated in place. Conjugation is exact, so this equals
-    (V * phases) @ V^dag bit for bit, but it never holds a conjugated copy
-    of V beside the scaled one, a fourth K x d x d array: the peak is the
-    Hamiltonians, the eigenvectors and the propagators, three stacks.
-
-    With out, the forward path's workspace, the propagators are built
-    into its stack and ek is a view of it.
-    """
-    w, v = np.linalg.eigh(slice_hamiltonians(model, values))
-    phases = np.exp(-1j * tau * w)
-    scaled = v.conj()
-    scaled *= phases.conj()[:, None, :]
-    ek = np.matmul(scaled, v.transpose(0, 2, 1),
-                   out=None if out is None else out[0][:len(w)])
-    np.conjugate(ek, out=ek)
-    return w, None, v, ek
-
-
-def _workspace(model, k_slices):
-    """The buffers k_slices propagators are built into: the complex
-    (k_slices, d, d) stack and, on the Ising chain, the parity scratch
-    (k_slices, 2, d/2, d/2), half as large (None on the other couplings).
-    Viewed as float, the stack holds four real (k_slices, 2, d/2, d/2)
-    block stacks and the scratch two, the six of ``_taylor_propagators``.
-    """
-    dim = model.dim
+def _workspace(dim, k_slices, block_size):
+    """The buffers k_slices propagators are built into, for real blocks of
+    block_size entries per slice: the complex (k_slices, d, d) stack and a
+    float scratch, so that the two hold six real block stacks, the six of
+    ``_taylor_propagators``. On the Ising chain (block_size d^2 / 2) the
+    stack viewed as float holds four and the scratch two; on the
+    Heisenberg chain (d^2) the stack two and the scratch four."""
     stack = np.empty((k_slices, dim, dim), dtype=complex)
-    if model.interaction != ISING:
-        return stack, None
-    return stack, np.empty((k_slices, 2, dim // 2, dim // 2), dtype=complex)
+    return stack, np.empty(k_slices * (6 * block_size - 2 * dim * dim))
+
+
+def _to_computational(u, scale, c, s, scratch, ek):
+    """E_k (K, d, d) into ek from the exponentials of the real blocks
+    (``_real_blocks``) divided by 2 scale, given as their real and
+    imaginary parts c and s (K, B, m, m), which may be views: the
+    coupling's one way back to the computational basis, O(K d^2). The
+    front of the float scratch holds the complex intermediate, so it must
+    not hold c and s; ek may.
+
+    Heisenberg: X = scale (c + is), half the block exponential, is copied
+    into the scratch. D X D^dag turns its off-diagonal quadrants by -i and
+    i (``_pair_phases``), and the butterfly (``_pair_butterfly``), twice
+    Q (.) Q, whose row pass the rest of the scratch holds, gives
+    E_k = Q D (2 X) D^dag Q.
+
+    Ising: the sum and difference of the two blocks, times scale, are the
+    blocks S and D of E_k = [[S, D J], [J D, J S J]] (J reverses the
+    order), gathered into ek (``_parity_layout``) and scaled by the frame
+    u_j conj(u_l). The gather clips its indices (all in range) rather
+    than raising, because a checked ``np.take`` into ek writes to a
+    temporary copy of ek first, one more stack.
+    """
+    z = scratch[:2 * c.size].view(complex).reshape(c.shape)
+    if u is None:
+        z = z.reshape(ek.shape)
+        np.multiply(c[:, 0], scale, out=z.real)
+        np.multiply(s[:, 0], scale, out=z.imag)
+        rows = scratch[2 * c.size:4 * c.size].view(complex).reshape(ek.shape)
+        return _pair_butterfly(_pair_phases(z, -1j), rows, ek)
+    np.add(c[:, 0], c[:, 1], out=z.real[:, 0])
+    np.subtract(c[:, 0], c[:, 1], out=z.real[:, 1])
+    np.add(s[:, 0], s[:, 1], out=z.imag[:, 0])
+    np.subtract(s[:, 0], s[:, 1], out=z.imag[:, 1])
+    np.take(z.reshape(len(ek), -1), _parity_layout(ek.shape[-1]), axis=1,
+            out=ek, mode="clip")
+    ek *= (scale * u)[:, :, None]
+    ek *= u.conj()[:, None, :]
+    return ek
+
+
+def _pair_phases(x, phase):
+    """x (K, d, d) with its upper-right quadrant times phase and its
+    lower-left times conj(phase), in place: D x D^dag for phase -i and
+    D^dag x D for phase i, where D is 1 on rows j < d/2 and i below.
+    Turning by +-i is exact."""
+    half = x.shape[-1] // 2
+    x[:, :half, half:] *= phase
+    x[:, half:, :half] *= np.conj(phase)
+    return x
+
+
+def _pair_butterfly(x, rows, out):
+    """out = 2 Q x Q for Q the pairwise Hadamard of rows and columns
+    (j, d-1-j), j < d/2: each pair becomes its sum at j and its difference
+    at d-1-j, first over rows into rows, then over columns into out
+    (K, d, d), which may be x. Q = Q^T = Q^-1 and W = Q D, so
+    W x W^dag = Q D x D^dag Q and W^dag x W = D^dag Q x Q D."""
+    half = x.shape[-1] // 2
+    far = slice(None, half - 1, -1)          # rows d-1, ..., d/2
+    np.add(x[:, :half], x[:, far], out=rows[:, :half])
+    np.subtract(x[:, :half], x[:, far], out=rows[:, far])
+    np.add(rows[:, :, :half], rows[:, :, far], out=out[:, :, :half])
+    np.subtract(rows[:, :, :half], rows[:, :, far], out=out[:, :, far])
+    return out
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -178,67 +248,10 @@ def _parity_layout(dim: int) -> np.ndarray:
     return at
 
 
-def _gather_parity(sd, left, right, ek):
-    """E_k = [[S, D J], [J D, J S J]] (J reverses the order) from the sum
-    and difference blocks sd (K, 2, d/2, d/2), gathered into ek (K, d, d)
-    and scaled by left_j right_l, the frame: O(K d^2).
-
-    The gather clips its indices (all in range) rather than raising,
-    because a checked ``np.take`` into ek writes to a temporary copy of
-    ek first, one more stack.
-    """
-    k_slices, dim = ek.shape[:2]
-    np.take(sd.reshape(k_slices, -1), _parity_layout(dim), axis=1,
-            out=ek, mode="clip")
-    ek *= left[:, :, None]
-    ek *= right[:, None, :]
-    return ek
-
-
-def _parity_propagators(model, values, tau):
-    """``_slice_propagators`` of an Ising chain from its real parity blocks.
-
-    With H_k = diag(u) Q blockdiag(A+, A-) Q^T diag(u)^dag (see
-    ``model.ising_parity_blocks``; Q's columns are (|j> +- |d-1-j>)/sqrt2),
-    one real eigendecomposition A+- = V+- diag(w+-) V+-^T gives
-    w = (w+, w-), the frame u, the real v = Q blockdiag(V+, V-), and each
-    block's exponential V diag(phases) V^T as one real matmul against the
-    complex right operand viewed as float pairs. E_k gathers
-    S = (E+ + E-)/2 and D = (E+ - E-)/2 and is scaled by u_j conj(u_l)
-    (``_gather_parity``), O(K d^2) beside the O(K d^3 / 4)
-    eigendecomposition.
-
-    A new ``_workspace`` holds the complex steps: the scratch holds the
-    phased right operands and then S and D, the first half of the
-    propagator stack the block exponentials, and E_k is gathered from the
-    scratch into the whole stack. v is a real stack, half a complex one.
-    """
-    theta, blocks = ising_parity_blocks(model, values)
-    wb, vb = np.linalg.eigh(blocks)
-    del blocks
-    k_slices, dim, half = values.shape[2], model.dim, model.dim // 2
-    u = np.exp(1j * theta)
-    ek, sd = _workspace(model, k_slices)
-    eb = ek.reshape(2, k_slices, 2, half, half)[0]
-    # halved phases, so eb holds E+/2 and E-/2
-    np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
-                vb.swapaxes(-1, -2), out=sd)
-    np.matmul(vb, sd.view(float), out=eb.view(float))
-    np.add(eb[:, 0], eb[:, 1], out=sd[:, 0])
-    np.subtract(eb[:, 0], eb[:, 1], out=sd[:, 1])
-    _gather_parity(sd, u, u.conj(), ek)
-    v = np.empty((k_slices, dim, dim))
-    v[:, :half, :half] = vb[:, 0]
-    v[:, :half, half:] = vb[:, 1]
-    v[:, half:, :half] = vb[:, 0, ::-1]
-    np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
-    v *= np.sqrt(0.5)
-    return wb.reshape(k_slices, -1), u, v, ek
-
-
 # Taylor coefficients in Y = X^2 of cos X and of -sin(X)/X, to Y^8
-# (X^16 and X^17). At ||X||_1 <= 1 (``_squarings``) the first terms left
-# out are below 1/18! = 1.6e-16, under double rounding.
+# (X^16 and X^17). At ||X||_2 <= 1 (``_squarings``) the terms left out sum
+# to below 1.01/18! = 1.6e-16 in the 2-norm, which is submultiplicative,
+# so under double rounding.
 _COS_TAYLOR = tuple((-1) ** m / math.factorial(2 * m) for m in range(9))
 _NEG_SIN_TAYLOR = tuple((-1) ** (m + 1) / math.factorial(2 * m + 1)
                         for m in range(9))
@@ -267,10 +280,13 @@ def _taylor_in_y(coef, y, y2, y3, out, spare):
         acc, prev = prev, acc
 
 
-def _taylor_propagators(model, values, tau, squarings, out):
-    """``_forward_propagators`` of an Ising chain, in real arithmetic: each
-    parity block's exponential exp(-i tau A) = cos(tau A) - i sin(tau A)
-    by scaling and squaring a truncated Taylor series (Higham, SIAM J.
+def _taylor_propagators(u, x, tau, squarings, out):
+    """The propagators E_k (K, d, d) of the real blocks x and frame u of
+    ``_real_blocks``, slices of duration tau, built into the forward
+    path's workspace out (``_workspace``, at least K slices long) with no
+    eigendecomposition: a view of its stack. In real arithmetic, each
+    block's exponential exp(-i tau A) = cos(tau A) - i sin(tau A) comes
+    from scaling and squaring a truncated Taylor series (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)).
 
     With X = tau A / 2^s (s = squarings), C = cos X and S = -sin X =
@@ -278,32 +294,30 @@ def _taylor_propagators(model, values, tau, squarings, out):
     Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) from Y, Y^2 and
     Y^3 (``_taylor_in_y``): eight block matmuls. Each of the s squarings
     (C, S) -> ((C - S)(C + S), 2 S C) takes two, since C and S commute.
-    Then E+- = C+- + i S+-, and E_k gathers (E+ + E-)/2 and
-    (E+ - E-)/2 with the frame as ``_parity_propagators`` does
-    (``_gather_parity``), the halving folded into the frame.
+    Then ``_to_computational`` takes C + iS back to E_k, the halving its
+    sums and butterflies need passed as its scale.
 
     The six real block stacks (Y, Y^2, Y^3, the Horner spare, C and S)
-    are the workspace out: the propagator stack viewed as float holds
-    four, the parity scratch two. X is scaled over
-    ``ising_parity_blocks``' own array. C and S end in the propagator
-    stack, the sum and difference blocks are written into the scratch,
-    and E_k is gathered from there over the stack.
+    are the workspace out: the propagator stack viewed as float holds q of
+    them (four on the Ising chain, two on the Heisenberg chain) and the
+    scratch the rest. Y^3 and the spare take the front of the scratch,
+    where ``_to_computational`` writes, and C and S end in the others. X
+    is scaled over the blocks' own array.
     """
-    theta, x = ising_parity_blocks(model, values)
     x *= tau / 2.0 ** squarings
-    k_slices, half = values.shape[2], model.dim // 2
     stack, scratch = out
-    ek, sd = stack[:k_slices], scratch[:k_slices]
-    blocks = (k_slices, 2, half, half)
-    c, s, y, y2 = ek.view(float).reshape(4, *blocks)
-    y3, spare = sd.view(float).reshape(2, *blocks)
+    ek = stack[:len(x)]
+    blocks = [*ek.view(float).reshape(-1, *x.shape)]
+    q = len(blocks)
+    blocks += [*scratch[:(6 - q) * x.size].reshape(-1, *x.shape)]
+    y3, spare = blocks[q:q + 2]
+    c, s, y, y2 = blocks[:q] + blocks[q + 2:]
     np.matmul(x, x, out=y)
     np.matmul(y, y, out=y2)
     np.matmul(y2, y, out=y3)
     _taylor_in_y(_COS_TAYLOR, y, y2, y3, out=c, spare=spare)
     _taylor_in_y(_NEG_SIN_TAYLOR, y, y2, y3, out=spare, spare=s)
     np.matmul(x, spare, out=s)
-    del x
     for _ in range(squarings):
         np.subtract(c, s, out=y3)
         np.add(c, s, out=spare)
@@ -311,12 +325,7 @@ def _taylor_propagators(model, values, tau, squarings, out):
         y2 *= 2.0
         np.matmul(y3, spare, out=y)
         c, s, y, y2 = y, y2, c, s
-    np.add(c[:, 0], c[:, 1], out=sd.real[:, 0])
-    np.subtract(c[:, 0], c[:, 1], out=sd.real[:, 1])
-    np.add(s[:, 0], s[:, 1], out=sd.imag[:, 0])
-    np.subtract(s[:, 0], s[:, 1], out=sd.imag[:, 1])
-    u = np.exp(1j * theta)
-    return _gather_parity(sd, 0.5 * u, u.conj(), ek)
+    return _to_computational(u, 0.5, c, s, scratch, ek)
 
 
 def _phase_bound(model, schedule) -> float:
@@ -337,17 +346,14 @@ def _phase_bound(model, schedule) -> float:
 
 
 def _squarings(model, schedule):
-    """The squaring count s of the Ising forward path
-    (``_taylor_propagators``), one for the whole schedule:
-    s = ceil(log2(tau b)) for the bound b >= ||A||_1 of every slice's
-    parity blocks (``_phase_bound``, checked on every coupling), so that
-    ||tau A / 2^s||_1 <= 1; s = 0 where tau b <= 1, a zero bound included.
+    """The squaring count s of the forward path (``_taylor_propagators``),
+    one for the whole schedule: s = ceil(log2(tau b)) for the bound
+    b >= ||A||_2 of every slice's real blocks (``_phase_bound``), so that
+    ||tau A / 2^s||_2 <= 1; s = 0 where tau b <= 1, a zero bound included.
     Since no chunk has its own s, no slice's propagator depends on the
-    chunk that holds it. None on other couplings, which do not square.
+    chunk that holds it.
     """
     bound = _phase_bound(model, schedule)
-    if model.interaction != ISING:
-        return None
     return max(0, math.ceil(math.log2(bound))) if bound > 0 else 0
 
 
@@ -359,28 +365,33 @@ def _propagator_chunks(model, schedule):
     No range of a longer schedule is one slice, because numpy multiplies a
     one-row operand as a matrix-vector product, which rounds the Ising
     frame phases (``model.ising_parity_blocks``) apart from the batched
-    product. Each chunk keeps the schedule's own tau and, on the Ising
-    chain, its one squaring count (``_squarings``), read from every
-    slice's amplitudes, not the chunk's; so every chunk's propagators are
-    bitwise those of the whole stack. The schedule is checked whole first
-    (``_phase_bound``), so an error names its slice and shape, not a
-    chunk's.
+    product. Each chunk keeps the schedule's own tau and its one squaring
+    count (``_squarings``), read from every slice's amplitudes, not the
+    chunk's; so every chunk's propagators are bitwise those of the whole
+    stack. The schedule is checked whole first (``_phase_bound``), so an
+    error names its slice and shape, not a chunk's.
 
-    One workspace (``_workspace``), sized for the longest range, is
-    allocated per call and every chunk is built into it, so each stack
-    yielded is a view that the next chunk overwrites: the caller may
-    write over it but must copy what it keeps. Freeing a chunk's
-    temporaries before the next is built returned the heap top to the OS
-    and faulted it in again for every chunk.
+    One workspace (``_workspace``), sized for the longest range and the
+    first chunk's blocks, is allocated per call and every chunk is built
+    into it (``_taylor_propagators``), so each stack yielded is a view
+    that the next chunk overwrites: the caller may write over it but must
+    copy what it keeps. Freeing a chunk's temporaries before the next is
+    built returned the heap top to the OS and faulted it in again for
+    every chunk.
     """
     squarings = _squarings(model, schedule)
     step = max(2, CHUNK_BYTES // (16 * model.dim ** 2))
     starts = list(range(0, max(1, schedule.n_slices - 1), step))
     ranges = list(zip(starts, starts[1:] + [schedule.n_slices]))
-    out = _workspace(model, max(hi - lo for lo, hi in ranges))
+    out = None
     for lo, hi in ranges:
-        yield _forward_propagators(model, schedule.values[:, :, lo:hi],
-                                   schedule.tau, squarings, out)
+        u, x = _real_blocks(model, schedule.values[:, :, lo:hi])
+        if out is None:
+            out = _workspace(model.dim, max(hi - lo for lo, hi in ranges),
+                             x[0].size)
+        ek = _taylor_propagators(u, x, schedule.tau, squarings, out)
+        del u, x                        # before the caller reads the chunk
+        yield ek
 
 
 def _prefix_products(ek: np.ndarray) -> np.ndarray:
@@ -478,16 +489,12 @@ def error_trace(target, model: SpinChainModel,
     return ErrorTrace(times=times, errors=np.array(errs))
 
 
-def _matmul(a, x, out, conj=False):
-    """a @ x, or conj(a) @ x, into out; x and out are complex stacks.
-
-    A real a multiplies x viewed as float pairs, a d x 2d right-hand side:
-    dgemm at half zgemm's flops, and conj(a) = a.
-    """
-    if a.dtype == float:
-        np.matmul(a, x.view(float), out=out.view(float))
-        return out
-    return np.matmul(a.conj() if conj else a, x, out=out)
+def _matmul(a, x, out):
+    """a @ x into out for a real stack a and complex stacks x and out: x
+    viewed as float pairs, a d x 2d right-hand side, dgemm at half zgemm's
+    flops."""
+    np.matmul(a, x.view(float), out=out.view(float))
+    return out
 
 
 def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
@@ -500,11 +507,10 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     two batched products of the prefixes. At eps below the floor the
     gradient is zero by convention.
 
-    The peak is reached while M is formed from the eigenvectors, the
+    The peak is reached while M is formed from the real eigenvectors, the
     prefixes (over the propagators) and X: three and a half K x d x d
-    complex stacks on the Ising chain, whose eigenvectors are real, and
-    four on the others. Then X is dropped, and the later steps run in the
-    prefix and M stacks.
+    complex stacks on either coupling. Then X is dropped, and the later
+    steps run in the prefix and M stacks.
     """
     target = check_target(target, model)
     _phase_bound(model, schedule)
@@ -521,33 +527,40 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     m[0] = x[0]
     np.matmul(prefix[:-1], x[1:], out=m[1:])
     del x
-    # With eigenvectors diag(u) V, the adjoint in the eigenbasis is
-    # V^dag M' V with M' = diag(conj u) M diag(u).
-    if u is not None:
+    # The eigenvectors are B V with V real: B = diag(u) on the Ising chain
+    # and the fixed basis W = Q D on the Heisenberg chain (``_real_blocks``).
+    # The adjoint in the eigenbasis is V^T M' V with M' = B^dag M B: two
+    # O(K d^2) scalings, or D^dag Q M Q D through the spent prefixes' stack.
+    if u is None:
+        _pair_phases(_pair_butterfly(m, prefix, m), 1j)      # 2 M'
+    else:
         m *= u.conj()[:, :, None]
         m *= u[:, None, :]
-    # W^T = V^T (V^dag M')^T and G'^T = V (conj(V) Y)^T: each side is two
-    # products and one transposed copy, so every right operand is a plain
-    # stack, which a real V reads as float pairs; the spent prefixes' stack
-    # is the second buffer.
+    # A^T = V^T (V^T M')^T and G'^T = V (V Y)^T: each side is two products
+    # and one transposed copy, so every right operand is a plain stack,
+    # which the real V reads as float pairs; the spent prefixes' stack is
+    # the second buffer.
     vt = v.transpose(0, 2, 1)
-    vdag_m = _matmul(vt, m, out=prefix, conj=True)
-    m[...] = vdag_m.transpose(0, 2, 1)
-    y = _matmul(vt, m, out=prefix)                          # W^T
+    vt_m = _matmul(vt, m, out=prefix)
+    m[...] = vt_m.transpose(0, 2, 1)
+    y = _matmul(vt, m, out=prefix)                          # A^T
     for k in range(schedule.n_slices):
         y[k] *= loewner_kernel(w[k], schedule.tau)
-    # tr(Y_k V^dag D V) = sum_jl G_k[j, l] D[j, l], G_k = conj(V) Y_k V^T,
-    # and G_k[j, l] = conj(u_j) G'_k[j, l] u_l
-    cv_y = _matmul(v, y, out=m, conj=True)
-    prefix[...] = cv_y.transpose(0, 2, 1)
+    # tr(Y_k (B V)^dag dH (B V)) = sum_jl G_k[j, l] dH[j, l] with
+    # G_k = conj(B) G'_k B^T and G'_k = V Y_k V^T
+    v_y = _matmul(v, y, out=m)
+    prefix[...] = v_y.transpose(0, 2, 1)
     g_t = _matmul(v, prefix, out=m)                         # G'^T
     # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and d H / d h[y, n]
     # is -i FIELD_SCALE spin[n, j] there (``model.flip_pairs``), so each
-    # amplitude reads d entries of G_k, and d eps = d eps^2 / 2 eps.
+    # amplitude reads d entries of G_k^T = B G'_k^T B^dag, and
+    # d eps = d eps^2 / 2 eps. On the Ising chain the frame scales the d
+    # entries alone; the butterflies of W double M' and G^T, a quarter.
     partner, spin = flip_pairs(model.n_qubits)
+    if u is None:
+        _pair_butterfly(_pair_phases(g_t, -1j), prefix, g_t)
     pairs = g_t[:, partner, np.arange(model.dim)]            # (K, N, d)
-    if u is not None:
-        pairs *= u.conj()[:, None, :] * u[:, partner]
+    pairs *= 0.25 if u is None else u.conj()[:, None, :] * u[:, partner]
     grad = np.empty_like(schedule.values)
     grad[0] = pairs.real.sum(axis=-1).T
     grad[1] = (pairs.imag * spin).sum(axis=-1).T

@@ -3,11 +3,12 @@
 Everything here operates on plain ``numpy`` complex arrays: the Frobenius
 distance and the divided-difference kernel of exp(-i t H). The gradient
 in ``evolution`` exponentiates every slice Hamiltonian through one
-batched eigendecomposition, which keeps the propagators unitary to
-rounding at these dimensions (<= 512), and the kernel turns that same
-eigenbasis into the closed-form derivative of each slice propagator. The
-forward path reads no eigenbasis, and on the Ising chain it builds the
-propagators from a scaled Taylor polynomial instead.
+batched real eigendecomposition of its real symmetric blocks, which keeps
+the propagators unitary to rounding at these dimensions (<= 512), and the
+kernel turns that same eigenbasis into the closed-form derivative of each
+slice propagator. The forward path reads no eigenbasis, and on both
+couplings it builds the propagators from a scaled Taylor polynomial
+instead.
 """
 
 from __future__ import annotations

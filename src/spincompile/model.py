@@ -9,9 +9,10 @@ terms add to the coupling:
 
     H_k = coupling + 2*pi sum_n (h^x_nk S^x_n + h^y_nk S^y_n),
 
-the convention of the bundled pulse tables. ``slice_hamiltonians`` is the
-one builder of the complex Hamiltonians; a single snapshot is its
-one-slice case.
+the convention of the bundled pulse tables. ``slice_hamiltonians`` builds
+them as complex matrices, a single snapshot its one-slice case: the
+tests' dense reference, since the evolution solves every slice in real
+arithmetic.
 
 Every operator here moves a basis state j to at most one other state: a
 field on site n flips bit n, a flip-flop coupling flips two bits and the
@@ -20,8 +21,16 @@ each site's partner state and spin sign; the Hamiltonians are scattered
 from it, and the gradient gathers from it. ``site_operator`` builds the
 same operators as dense Kronecker products, for reference only.
 
-On the Ising chain a slice is real up to diagonal phases: with
-phi_n = atan2(h^y_n, h^x_n) and r_n = hypot(h^x_n, h^y_n),
+Every slice on either coupling is real in one fixed basis. The fields act
+on x and y only, so H_k commutes with Theta = X^{(x)N} K (K is complex
+conjugation), and so do the z-z and x-x + y-y + z-z couplings. The
+vectors (|j> + |d-1-j>)/sqrt2 and i(|j> - |d-1-j>)/sqrt2 (j < d/2) are
+fixed by Theta; with them as columns j and d-1-j of W, W^dag H_k W is
+real symmetric, the same W for every slice. ``real_slices`` scatters it
+from the bit layout; the evolution solves Heisenberg slices this way.
+
+On the Ising chain a slice is cheaper still, real up to diagonal phases:
+with phi_n = atan2(h^y_n, h^x_n) and r_n = hypot(h^x_n, h^y_n),
 h^x S^x + h^y S^y = r U S^x U^dag for U = diag(1, e^{i phi}), so
 H_k = diag(u_k) H'_k diag(u_k)^dag with u_k(j) = exp(i sum_n phi_nk b_n(j))
 (b_n(j) is site n's bit of basis index j, (1 - spin[n, j]) / 2) and
@@ -29,7 +38,7 @@ H'_k = coupling + 2*pi sum_n r_nk S^x_n real symmetric. H'_k commutes with
 the global spin flip j <-> d-1-j, so in the basis
 (|j> + |d-1-j>)/sqrt2, (|j> - |d-1-j>)/sqrt2 (j < d/2) it is two real
 d/2 x d/2 blocks, ``ising_parity_blocks``. ``slice_norm_bounds`` bounds
-each slice's 1-norm, on every coupling, and so that of its blocks.
+each slice's 2-norm, on every coupling, and so that of its real forms.
 """
 
 from __future__ import annotations
@@ -49,9 +58,9 @@ INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}   # by config name
 FIELD_SCALE = np.pi
 
 # Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
-# holds four per slice at its peak (three and a half on the Ising chain);
-# the Hamiltonians are scattered into their one stack, so no operator of
-# that size is built or cached per site.
+# holds three and a half per slice at its peak, its eigenvectors real on
+# both couplings; the real slices are scattered into their one stack, so
+# no operator of that size is built or cached per site.
 MAX_QUBITS = 9
 
 _PAULI = {
@@ -232,14 +241,73 @@ def ising_parity_blocks(model: SpinChainModel, values: np.ndarray):
     return theta, (coef @ ops).reshape(k_slices, 2, half, half)
 
 
+@lru_cache(maxsize=16)
+def _real_pieces(chain: SpinChainModel):
+    """Read-only pieces of a chain's real slices W^dag H_k W: the coupling's,
+    shape (dim, dim), and per site n the flat indices at[n] (2 dim,) its
+    field reaches and their coefficients coef[n] (2, 2 dim) per unit h^x
+    and h^y.
+
+    Row j of W has 1/sqrt2 in column lo(j) = min(j, d-1-j) and
+    sign(j) i/sqrt2 in column hi(j) = d-1-lo(j), sign(j) = +1 for j < d/2
+    and -1 below. Theta maps entry (j, l) of H to the conjugate of
+    (d-1-j, d-1-l), and the two add the same real amount to W^dag H W, so
+    the upper rows a < d/2 give it whole: entry re + i im at (a, l) adds
+    re at (a, lo l), sign(l) re at (d-1-a, hi l), -sign(l) im at
+    (a, hi l) and im at (d-1-a, lo l). The field of site n is
+    FIELD_SCALE (h^x - i spin[n, a] h^y) at (a, partner[n, a]); the
+    coupling is real, so it fills only the (lo, lo) and (hi, hi) entries.
+    """
+    dim, half = chain.dim, chain.dim // 2
+    partner, spin = flip_pairs(chain.n_qubits)
+    upper = coupling_hamiltonian(chain).real[:half]
+    near, far = upper[:, :half], upper[:, :half - 1:-1]   # columns b, d-1-b
+    coupling = np.zeros((dim, dim))
+    coupling[:half, :half] = near + far
+    coupling[:half - 1:-1, :half - 1:-1] = near - far
+    rows, cols = np.arange(half), partner[:, :half]
+    sign, flip = np.where(cols < half, 1.0, -1.0), spin[:, :half]
+    lo = np.minimum(cols, dim - 1 - cols)
+    hi, mirror = dim - 1 - lo, dim - 1 - rows
+    at = np.concatenate([rows * dim + lo, mirror * dim + hi,
+                         rows * dim + hi, mirror * dim + lo], axis=1)
+    zero = np.zeros_like(sign)
+    coef = FIELD_SCALE * np.stack(
+        [np.concatenate([np.ones_like(sign), sign, zero, zero], axis=1),
+         np.concatenate([zero, zero, sign * flip, -flip], axis=1)], axis=1)
+    pieces = coupling, at, coef
+    for a in pieces:
+        a.setflags(write=False)
+    return pieces
+
+
+def real_slices(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
+    """W^dag H_k W (K, dim, dim), real and exactly symmetric, for field
+    amplitudes values (2, N, K); W is the fixed basis of the module
+    docstring. Scattered from ``_real_pieces`` with no complex
+    Hamiltonian built, one site at a time, since two sites' fields can
+    reach the same entry (at N = 2)."""
+    check_fields(model, values)
+    coupling, at, coef = _real_pieces(model)
+    k_slices = values.shape[2]
+    slices = np.repeat(coupling[None], k_slices, axis=0)
+    flat = slices.reshape(k_slices, -1)
+    for n in range(model.n_qubits):
+        flat[:, at[n]] += values[:, n].T @ coef[n]
+    return slices
+
+
 def slice_norm_bounds(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
-    """Bounds (K,) on the 1-norm (the largest column sum of magnitudes) of
-    each slice's Hamiltonian, and on the Ising chain of its parity blocks
-    (``ising_parity_blocks``), for field amplitudes values (2, N, K):
-    pi sum_n r_n, each field term being r_n FIELD_SCALE times a permutation
-    up to phases, plus sum_n |J_n| / 4, the coupling's largest diagonal
-    magnitude, and on the Heisenberg chain |J_n| / 2 per flip-flop term.
-    A bound beyond the largest float overflows to inf."""
+    """Bounds (K,) on the 2-norm (the largest singular value) of each
+    slice's Hamiltonian, for field amplitudes values (2, N, K): pi sum_n r_n,
+    each field term being r_n FIELD_SCALE times a permutation up to phases,
+    plus |J_n| / 4 per bond on the Ising chain and 3 |J_n| / 4 on the
+    Heisenberg chain, the largest eigenvalue magnitude of its bond term. A
+    unitary change of basis keeps the 2-norm, so this also bounds the real
+    slices (``real_slices``) and the Ising parity blocks, which are
+    diagonal blocks of one (``ising_parity_blocks``). The 1-norm is not
+    kept: on the real Heisenberg slices it exceeds the bound. A bound
+    beyond the largest float overflows to inf."""
     scale = 0.25 if model.interaction == ISING else 0.75
     return (FIELD_SCALE * np.hypot(*values).sum(axis=0)
             + scale * sum(map(abs, model.couplings)))

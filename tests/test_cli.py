@@ -204,13 +204,13 @@ class TestEvolve:
 
     def test_error_is_read_from_one_evolution(self, tmp_path, monkeypatch):
         calls = []
-        propagators = evolution._forward_propagators
+        propagators = evolution._taylor_propagators
 
         def counted(*args, **kwargs):
             calls.append(1)
             return propagators(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, "_forward_propagators", counted)
+        monkeypatch.setattr(evolution, "_taylor_propagators", counted)
         table = tmp_path / "wide.csv"
         table.write_text(
             write_pulse_table(random_init(7, 0.65, 13, amplitude=1.0, seed=5)))
@@ -390,6 +390,9 @@ class TestBadConfigExits2:
         ("bench", "kind = phase-trace\ntime = inf\n"),
         ("bench", "kind = phase-trace\ntime = -1\n"),
         ("bench", "kind = swap\noptimizer.seed = -1\n"),
+        ("bench", "kind = phase-trace\nseeds = -1\n"),
+        ("bench", "kind = swap\nerror_budget = nan\n"),
+        ("bench", "kind = swap\nerror_budget = -1\n"),
     ])
     def test_other_commands(self, tmp_path, capsys, command, body):
         csv = tmp_path / "data.csv"
@@ -608,8 +611,8 @@ class TestBenchCommand:
         cfg.write_text(f"kind = swap\nerror_budget = {budget}\n")
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
         record = json.loads(capsys.readouterr().err.strip())
-        assert rc == 2 and record["error"] == "OutOfRange"
-        assert "error_budget" in record["message"]
+        assert rc == 2 and record["error"] == "ConfigError"
+        assert record["message"].startswith(f"line 2: error_budget = {budget}")
         assert not list(tmp_path.glob("*.json"))
 
     def test_thetas_sharing_a_trace_key_exit_2(self, tmp_path, capsys,
@@ -632,8 +635,8 @@ class TestBenchCommand:
         cfg.write_text(f"kind = {kind}\nseeds = 0\n")
         rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path)])
         record = json.loads(capsys.readouterr().err.strip())
-        assert rc == 2 and record["error"] == "OutOfRange"
-        assert "seed" in record["message"]
+        assert rc == 2 and record["error"] == "ConfigError"
+        assert record["message"].startswith("line 2: seeds = 0")
         assert not list(tmp_path.glob("*.json"))
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from test_linalg import expm_taylor
+from test_model import pair_basis
 
 import spincompile.evolution as evolution
 import spincompile.model as model_module
@@ -43,8 +44,7 @@ def loop_error_and_gradient(target, model, schedule):
     its reference: same prefix products, one slice at a time backwards."""
     k_slices = schedule.n_slices
     w, u, v, ek = _slice_propagators(model, schedule.values, schedule.tau)
-    if u is not None:
-        v = u[:, :, None] * v
+    v = pair_basis(model.dim) @ v if u is None else u[:, :, None] * v
     prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
     prefix[0] = np.eye(model.dim)
     for k in range(k_slices):
@@ -181,10 +181,10 @@ def test_slice_propagators_match_taylor_exponential(n, interaction):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
 
-def _ising_schedule_with_zero_fields(n, k_slices, seed):
-    """A random Ising schedule whose slice k = 1 has every field zero and
-    whose slice k = 2 has both fields of site 0 negative zero (the frame
-    phase atan2(-0., -0.) is -pi)."""
+def _schedule_with_zero_fields(n, k_slices, seed):
+    """A random schedule whose slice k = 1 has every field zero and
+    whose slice k = 2 has both fields of site 0 negative zero (the Ising
+    frame phase atan2(-0., -0.) is -pi)."""
     sched = random_init(n, 0.25 * k_slices, k_slices, amplitude=1.5, seed=seed)
     values = sched.values.copy()
     values[:, :, 1] = 0.0
@@ -195,7 +195,7 @@ def _ising_schedule_with_zero_fields(n, k_slices, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_parity_propagators_match_complex_eigh(n):
     model = nearest_neighbor_chain(n)
-    sched = _ising_schedule_with_zero_fields(n, 4, seed=20 + n)
+    sched = _schedule_with_zero_fields(n, 4, seed=20 + n)
     w, u, p, ek = _slice_propagators(model, sched.values, sched.tau)
     assert p.dtype == float
     v = u[:, :, None] * p
@@ -215,7 +215,9 @@ def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
     def refuse(*args):
         raise AssertionError("complex slice Hamiltonians built")
 
-    monkeypatch.setattr(evolution, "slice_hamiltonians", refuse)
+    # the dense builder is the tests' reference; evolution never imports it
+    assert not hasattr(evolution, "slice_hamiltonians")
+    monkeypatch.setattr(model_module, "slice_hamiltonians", refuse)
     model = nearest_neighbor_chain(3)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
     u = evolve(model, sched)
@@ -229,15 +231,24 @@ def _forward_stack(model, sched):
         [ek.copy() for ek in evolution._propagator_chunks(model, sched)])
 
 
+def _on_both_couplings(cases):
+    """(interaction, *case) params for each case on both couplings: the
+    Ising ones keep the case's id, the Heisenberg ones prefix it."""
+    return [pytest.param(interaction, *case.values, id=prefix + case.id)
+            for interaction, prefix in ((ISING, ""),
+                                        (HEISENBERG, "heisenberg_xyz-"))
+            for case in cases]
+
+
 @pytest.mark.parametrize("reach, squarings", [(0.75, 0), (40.0, 6)])
 @pytest.mark.parametrize("k_slices", [1, 2, 7])
-@pytest.mark.parametrize("n", range(1, 9))
-def test_forward_propagators_match_the_spectral_ones(n, k_slices, reach,
-                                                     squarings):
-    # tau scaled so that tau times the schedule's bound on the parity
-    # blocks' 1-norm is reach: the Taylor polynomial alone, and six
-    # squarings of it
-    model = nearest_neighbor_chain(n)
+@pytest.mark.parametrize("interaction, n", _on_both_couplings(
+    [pytest.param(n, id=str(n)) for n in range(1, 9)]))
+def test_forward_propagators_match_the_spectral_ones(interaction, n, k_slices,
+                                                     reach, squarings):
+    # tau scaled so that tau times the schedule's bound on the real blocks'
+    # 2-norm is reach: the Taylor polynomial alone, and six squarings of it
+    model = nearest_neighbor_chain(n, interaction=interaction)
     values = random_init(n, 1.0, k_slices, amplitude=1.0, seed=n).values
     tau = reach / slice_norm_bounds(model, values).max()
     sched = PulseSchedule(tau * k_slices, values)
@@ -249,14 +260,14 @@ def test_forward_propagators_match_the_spectral_ones(n, k_slices, reach,
     assert np.abs(ekdag @ ek - np.eye(model.dim)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n, sched", [
-    *((n, _ising_schedule_with_zero_fields(n, 4, seed=30 + n))
-      for n in range(1, 8)),
-    pytest.param(1, zeros(1, 1.0, 3), id="all-zero")])
-def test_forward_propagators_of_zero_fields(n, sched):
+@pytest.mark.parametrize("interaction, n, sched", _on_both_couplings([
+    *(pytest.param(n, _schedule_with_zero_fields(n, 4, seed=30 + n),
+                   id=f"{n}-sched{n - 1}") for n in range(1, 8)),
+    pytest.param(1, zeros(1, 1.0, 3), id="all-zero")]))
+def test_forward_propagators_of_zero_fields(interaction, n, sched):
     # slices with every field zero, or site 0's fields negative zero; the
     # all-zero one-qubit schedule has a zero bound, so no squaring
-    model = nearest_neighbor_chain(n)
+    model = nearest_neighbor_chain(n, interaction=interaction)
     ek = _forward_stack(model, sched)
     ref = _slice_propagators(model, sched.values, sched.tau)[-1]
     assert np.abs(ek - ref).max() <= 1e-13
@@ -265,12 +276,13 @@ def test_forward_propagators_of_zero_fields(n, sched):
         assert np.array_equal(ek, np.broadcast_to(np.eye(2), ek.shape))
 
 
-def test_ising_forward_path_takes_no_eigendecomposition(monkeypatch):
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_forward_path_takes_no_eigendecomposition(monkeypatch, interaction):
     def refuse(*args):
         raise AssertionError("eigendecomposition taken")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    model = nearest_neighbor_chain(3)
+    model = nearest_neighbor_chain(3, interaction=interaction)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
     target = random_unitary(model.dim, seed=3)
     evolve(model, sched)
@@ -281,13 +293,24 @@ def test_ising_forward_path_takes_no_eigendecomposition(monkeypatch):
         error_and_gradient(target, model, sched)
 
 
-def test_heisenberg_keeps_the_complex_eigendecomposition():
-    model = nearest_neighbor_chain(3, interaction=HEISENBERG)
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+def test_eigh_never_receives_a_complex_array(monkeypatch, interaction):
+    # both couplings are solved as real symmetric blocks on every path
+    eigh = np.linalg.eigh
+    seen = []
+
+    def real_only(a, *args, **kwargs):
+        assert np.isrealobj(a), f"complex {a.dtype} eigendecomposition"
+        seen.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", real_only)
+    model = nearest_neighbor_chain(3, interaction=interaction)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=4)
-    w, u, v, ek = _slice_propagators(model, sched.values, sched.tau)
-    ref_w, ref_v = np.linalg.eigh(slice_hamiltonians(model, sched.values))
-    assert u is None
-    assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+    for path in EVOLUTION_PATHS.values():
+        path(model, sched)
+    gate_error(np.eye(model.dim), model, sched)
+    assert len(seen) == 1                  # the gradient's
 
 
 def _peak_bytes(run):
@@ -320,11 +343,11 @@ PEAK_CASES = [
 @pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
 def test_evolve_peak_memory_is_three_slice_stacks(interaction, n, k_slices):
     # evolve holds one chunk of slices at a time, at most three of its
-    # stacks (Heisenberg: the Hamiltonians, the eigenvectors and the
-    # propagators; Ising: the real parity blocks are half as wide, and the
-    # workspace is the propagators and a half-size scratch). Here the
-    # chunk is half the schedule: 1.16 and 1.61 slice stacks (Ising,
-    # Heisenberg) at (6, 32), 1.50 and 1.79 at (8, 4).
+    # stacks: the workspace is the propagators and a float scratch, half a
+    # stack beside the Ising chain's half-width parity blocks and two
+    # beside the Heisenberg chain's d x d real slices. Here the chunk is
+    # half the schedule: 1.16 and 1.97 slice stacks (Ising, Heisenberg) at
+    # (6, 32), 1.50 and 2.25 at (8, 4).
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     assert _peak_slice_stacks(lambda: evolve(model, sched),
@@ -359,14 +382,15 @@ def test_wide_forward_peak_memory_is_bounded():
 @pytest.mark.parametrize("interaction, n, k_slices", PEAK_CASES)
 def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     # V, the prefixes over the propagators, X and M; the later steps
-    # run in the stacks the prefixes and M leave free. The Ising chain's V
-    # is real, half a stack (3.52 at (6, 32), 3.51 at (8, 4)).
+    # run in the stacks the prefixes and M leave free. V is real on both
+    # couplings, half a stack (Ising 3.52 at (6, 32) and 3.51 at (8, 4),
+    # Heisenberg 3.70 and 3.60)
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     target = random_unitary(model.dim, seed=3)
     peak = _peak_slice_stacks(
         lambda: error_and_gradient(target, model, sched), model, sched)
-    assert peak <= (4.0 if interaction == ISING else 4.5)
+    assert peak <= 4.0
 
 
 def test_trace_endpoints():
@@ -469,9 +493,10 @@ def _multi_chunk_schedule(model, k_slices, first_gain, seed):
 def _whole_stack_scan(model, sched):
     """The prefix products of the whole stack of propagators, built as the
     forward path builds each chunk, at the schedule's squaring count."""
-    ek = evolution._forward_propagators(
-        model, sched.values, sched.tau, evolution._squarings(model, sched),
-        evolution._workspace(model, sched.n_slices))
+    u, x = evolution._real_blocks(model, sched.values)
+    ek = evolution._taylor_propagators(
+        u, x, sched.tau, evolution._squarings(model, sched),
+        evolution._workspace(model.dim, sched.n_slices, x[0].size))
     return _prefix_products(ek)
 
 
@@ -640,7 +665,7 @@ def test_ising_gradient_matches_finite_differences_with_zero_field_slice():
     # the parity blocks' eigenbasis, checked against the error alone: the
     # slice-loop reference reads the same eigenbasis and cannot
     model = nearest_neighbor_chain(3)
-    sched = _ising_schedule_with_zero_fields(3, 4, seed=15)
+    sched = _schedule_with_zero_fields(3, 4, seed=15)
     target = random_unitary(8, seed=16)
     _, grad = error_and_gradient(target, model, sched)
     h = 1e-6

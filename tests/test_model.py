@@ -7,7 +7,8 @@ from spincompile.linalg import frobenius_distance
 from spincompile.model import (HEISENBERG, ISING, MAX_QUBITS, SpinChainModel,
                                check_width, coupling_hamiltonian,
                                ising_parity_blocks, nearest_neighbor_chain,
-                               site_operator, slice_hamiltonians)
+                               real_slices, site_operator, slice_hamiltonians,
+                               slice_norm_bounds)
 from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
@@ -62,7 +63,10 @@ def test_single_spin_x_field():
     assert np.allclose(h, np.pi * np.array([[0, 1], [1, 0]]))
 
 
-@pytest.mark.parametrize("builder", [slice_hamiltonians, ising_parity_blocks])
+BUILDERS = [slice_hamiltonians, ising_parity_blocks, real_slices]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 0), (3, 2, 4), (1, 2, 4),
                                    (2, 3, 4), (2, 2, 4, 1), (2,), (2, 3, 1)])
 def test_builders_take_only_fields_of_shape_2_n_k(builder, shape):
@@ -71,7 +75,7 @@ def test_builders_take_only_fields_of_shape_2_n_k(builder, shape):
         builder(model, np.zeros(shape))
 
 
-@pytest.mark.parametrize("builder", [slice_hamiltonians, ising_parity_blocks])
+@pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_builders_reject_non_finite_fields(builder, bad):
     values = np.zeros((2, 2, 3))
@@ -130,6 +134,45 @@ def test_builders_equal_the_dense_reference_exactly(n, interaction):
                            dense_slices(model, values))):
             assert np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
+
+
+def pair_basis(dim):
+    """The fixed basis W, dense: column j < d/2 is (|j> + |d-1-j>)/sqrt2
+    and column d-1-j is i(|j> - |d-1-j>)/sqrt2."""
+    w = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim // 2):
+        w[[j, dim - 1 - j], j] = np.sqrt(0.5)
+        w[[j, dim - 1 - j], dim - 1 - j] = np.sqrt(0.5) * np.array([1j, -1j])
+    return w
+
+
+@pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_real_slices_are_the_hamiltonians_in_the_pair_basis(n, interaction):
+    # W^dag H_k W, real and exactly symmetric on both couplings, with
+    # negative, zero and -0.0 bonds and fields; the dense product rounds
+    # each entry once per term
+    values = random_init(n, 0.5, 3, amplitude=3.0, seed=n).values.copy()
+    values[:, :, 0] = -0.0
+    for model in (nearest_neighbor_chain(n, interaction=interaction),
+                  SpinChainModel(random_couplings(n, n), interaction)):
+        w = pair_basis(model.dim)
+        ref = w.conj().T @ slice_hamiltonians(model, values) @ w
+        got = real_slices(model, values)
+        assert got.dtype == float
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_norm_bounds_hold_for_the_real_heisenberg_slices(n):
+    # the 2-norm, which the basis change keeps; the 1-norm can exceed the
+    # bound there (by 1.3x on these slices), so the squaring count reads
+    # the 2-norm
+    model = nearest_neighbor_chain(n, interaction=HEISENBERG)
+    values = random_init(n, 1.0, 64, amplitude=3.0, seed=n).values
+    norms = np.linalg.norm(real_slices(model, values), 2, axis=(1, 2))
+    assert (norms <= slice_norm_bounds(model, values) * (1 + 1e-14)).all()
 
 
 def test_evolution_steps_through_slice_hamiltonians():
