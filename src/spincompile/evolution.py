@@ -134,11 +134,10 @@ def _slice_propagators(model, values, tau):
     ek, scratch = _workspace(model.dim, k_slices, vb[0].size)
     eb = ek.reshape(-1)[:vb.size].reshape(vb.shape)
     operand = scratch.view(complex)[:vb.size].reshape(vb.shape)
-    # halved phases, so eb holds half of each block exponential
-    np.multiply(0.5 * np.exp(-1j * tau * wb)[..., :, None],
-                vb.swapaxes(-1, -2), out=operand)
+    np.multiply(np.exp(-1j * tau * wb)[..., :, None], vb.swapaxes(-1, -2),
+                out=operand)
     np.matmul(vb, operand.view(float), out=eb.view(float))
-    _to_computational(u, 1.0, eb.real, eb.imag, scratch, ek)
+    _to_computational(u, eb.real, eb.imag, scratch, ek)
     return (wb.reshape(k_slices, -1), u,
             vb[:, 0] if u is None else _parity_vectors(vb), ek)
 
@@ -167,21 +166,21 @@ def _workspace(dim, k_slices, block_size):
     return stack, np.empty(k_slices * (6 * block_size - 2 * dim * dim))
 
 
-def _to_computational(u, scale, c, s, scratch, ek):
+def _to_computational(u, c, s, scratch, ek):
     """E_k (K, d, d) into ek from the exponentials of the real blocks
-    (``_real_blocks``) divided by 2 scale, given as their real and
-    imaginary parts c and s (K, B, m, m), which may be views: the
-    coupling's one way back to the computational basis, O(K d^2). The
-    front of the float scratch holds the complex intermediate, so it must
-    not hold c and s; ek may.
+    (``_real_blocks``), given as their real and imaginary parts c and s
+    (K, B, m, m), which may be views: the coupling's one way back to the
+    computational basis, O(K d^2). Each way sums pairs, which doubles, so
+    it halves once, by an exact scaling. The front of the float scratch
+    holds the complex intermediate, so it must not hold c and s; ek may.
 
-    Heisenberg: X = scale (c + is), half the block exponential, is copied
+    Heisenberg: X = (c + is) / 2, half the block exponential, is copied
     into the scratch. D X D^dag turns its off-diagonal quadrants by -i and
     i (``_pair_phases``), and the butterfly (``_pair_butterfly``), twice
     Q (.) Q, whose row pass the rest of the scratch holds, gives
     E_k = Q D (2 X) D^dag Q.
 
-    Ising: the sum and difference of the two blocks, times scale, are the
+    Ising: the sum and difference of the two blocks, halved, are the
     blocks S and D of E_k = [[S, D J], [J D, J S J]] (J reverses the
     order), gathered into ek (``_parity_layout``) and scaled by the frame
     u_j conj(u_l). The gather clips its indices (all in range) rather
@@ -191,8 +190,8 @@ def _to_computational(u, scale, c, s, scratch, ek):
     z = scratch[:2 * c.size].view(complex).reshape(c.shape)
     if u is None:
         z = z.reshape(ek.shape)
-        np.multiply(c[:, 0], scale, out=z.real)
-        np.multiply(s[:, 0], scale, out=z.imag)
+        np.multiply(c[:, 0], 0.5, out=z.real)
+        np.multiply(s[:, 0], 0.5, out=z.imag)
         rows = scratch[2 * c.size:4 * c.size].view(complex).reshape(ek.shape)
         return _pair_butterfly(_pair_phases(z, -1j), rows, ek)
     np.add(c[:, 0], c[:, 1], out=z.real[:, 0])
@@ -201,7 +200,7 @@ def _to_computational(u, scale, c, s, scratch, ek):
     np.subtract(s[:, 0], s[:, 1], out=z.imag[:, 1])
     np.take(z.reshape(len(ek), -1), _parity_layout(ek.shape[-1]), axis=1,
             out=ek, mode="clip")
-    ek *= (scale * u)[:, :, None]
+    ek *= (0.5 * u)[:, :, None]
     ek *= u.conj()[:, None, :]
     return ek
 
@@ -296,8 +295,7 @@ def _taylor_propagators(u, x, tau, squarings, out):
     Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) from Y, Y^2 and
     Y^3 (``_taylor_in_y``): eight block matmuls. Each of the s squarings
     (C, S) -> ((C - S)(C + S), 2 S C) takes two, since C and S commute.
-    Then ``_to_computational`` takes C + iS back to E_k, the halving its
-    sums and butterflies need passed as its scale.
+    Then ``_to_computational`` takes C + iS back to E_k.
 
     The six real block stacks (Y, Y^2, Y^3, the Horner spare, C and S)
     are the workspace out: the propagator stack viewed as float holds q of
@@ -327,7 +325,7 @@ def _taylor_propagators(u, x, tau, squarings, out):
         y2 *= 2.0
         np.matmul(y3, spare, out=y)
         c, s, y, y2 = y, y2, c, s
-    return _to_computational(u, 0.5, c, s, scratch, ek)
+    return _to_computational(u, c, s, scratch, ek)
 
 
 def _phase_bound(model, schedule) -> float:

@@ -9,6 +9,7 @@ with S = sigma/2 (half-angle matrices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,30 +33,14 @@ class Gate:
         if n < 1 or m.shape != (2 ** n,) * 2:
             raise ValueError(f"{self.label}: matrix shape {m.shape}, not "
                              "2^n x 2^n with n >= 1")
-        if not self._unitary(m):
+        # m^H m within _UNITARITY_TOL of the identity, in O(d^3)
+        deviation = np.linalg.norm(m.conj().T @ m - np.eye(len(m)))
+        if not deviation <= _UNITARITY_TOL:
             raise ValueError(f"{self.label}: matrix is not unitary")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "n_qubits", n)
-
-    @staticmethod
-    def _unitary(m: np.ndarray) -> bool:
-        """m^H m within _UNITARITY_TOL of the identity: O(d^3)."""
-        return np.linalg.norm(m.conj().T @ m - np.eye(len(m))) <= _UNITARITY_TOL
-
-
-class _FourierGate(Gate):
-    """A Gate whose matrix must be the unitary DFT F of its width, checked
-    in O(d^2 log d): the orthonormal FFT of m's columns is F^H m, which
-    must be within _UNITARITY_TOL / 3 of the identity. Then m^H m = A^H A
-    with A = F^H m = 1 + E, within 2|E| + |E|^2 < _UNITARITY_TOL of the
-    identity, so every matrix accepted here passes Gate's dense check."""
-
-    @staticmethod
-    def _unitary(m: np.ndarray) -> bool:
-        return np.linalg.norm(np.fft.fft(m, axis=0, norm="ortho")
-                              - np.eye(len(m))) <= _UNITARITY_TOL / 3
 
 
 # A non-finite angle makes nan entries, which Gate rejects, without a warning.
@@ -147,14 +132,21 @@ def _apply_matrix(u: np.ndarray, matrix: np.ndarray, first: int) -> np.ndarray:
 
 
 def qft_matrix(n_qubits: int) -> Gate:
-    """F_jk = exp(2 pi i j k / 2^N) / sqrt(2^N); OutOfRange outside
-    1..MAX_QUBITS."""
-    d = 2 ** check_width(n_qubits)
+    """F_jk = exp(2 pi i j k / 2^N) / sqrt(2^N), built once per width: every
+    call for the same N returns the same read-only Gate. OutOfRange for a
+    width that is not an integer in 1..MAX_QUBITS, checked before the cache
+    is read, since the cache would take 3.0 for 3."""
+    return _fourier_gate(int(check_width(n_qubits)))
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _fourier_gate(n_qubits: int) -> Gate:
+    d = 2 ** n_qubits
     j = np.arange(d)
     # each entry is one of the d roots of unity, indexed by j*k mod d in
     # exact integers so phases never wrap imprecisely
     m = np.exp(2j * np.pi * j / d)[np.outer(j, j) % d] / np.sqrt(d)
-    return _FourierGate(f"qft{n_qubits}", m)
+    return Gate(f"qft{n_qubits}", m)
 
 
 def swap_to_end_circuit(n_qubits: int) -> Gate:

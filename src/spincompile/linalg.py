@@ -1,17 +1,17 @@
 """Dense complex-matrix helpers.
 
 Everything here operates on plain ``numpy`` complex arrays: the Frobenius
-distance and the divided-difference kernel of exp(-i t H). The distance
-also takes a stack of matrices against one matrix and reads all of their
-distances in one reduction (``frobenius_norms``): the dot products that
-``np.linalg.norm`` takes on each matrix alone, so each distance is the
-same bits. The gradient in ``evolution`` exponentiates every slice
-Hamiltonian through one batched real eigendecomposition of its real
-symmetric blocks, which keeps the propagators unitary to rounding at
-these dimensions (<= 512), and the kernel turns that same eigenbasis
-into the closed-form derivative of each slice propagator. The forward
-path reads no eigenbasis, and on both couplings it builds the
-propagators from a scaled Taylor polynomial instead.
+distance between two matrices, the Frobenius norms of a stack in one
+reduction (``frobenius_norms``: the dot products that ``np.linalg.norm``
+takes on each matrix alone, so each norm is the same bits), and the
+divided-difference kernel of exp(-i t H). The gradient in ``evolution``
+exponentiates every slice Hamiltonian through one batched real
+eigendecomposition of its real symmetric blocks, which keeps the
+propagators unitary to rounding at these dimensions (<= 512), and the
+kernel turns that same eigenbasis into the closed-form derivative of each
+slice propagator. The forward path reads no eigenbasis, and on both
+couplings it builds the propagators from a scaled Taylor polynomial
+instead.
 """
 
 from __future__ import annotations
@@ -35,18 +35,15 @@ def frobenius_norms(x: np.ndarray) -> np.ndarray:
                    + np.vecdot(flat.imag, flat.imag))
 
 
-def frobenius_distance(a, b):
-    """sqrt(sum |a_jk - b_jk|^2), unnormalized, as a float; for a stack b
-    (..., d, d) of (d, d) matrices a, the distance from a to each matrix
-    of b, an array of shape b.shape[:-2] whose every entry is the bits of
-    the distance to that matrix alone. DimensionMismatch unless a is
-    (d, d) and b ends in (d, d)."""
+def frobenius_distance(a, b) -> float:
+    """sqrt(sum |a_jk - b_jk|^2), unnormalized, as a float: the same bits
+    as ``np.linalg.norm(a - b)``. DimensionMismatch unless a and b are
+    matrices of one shape; ``frobenius_norms`` reads a stack."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.shape[-2:] != a.shape:
+    if a.ndim != 2 or b.shape != a.shape:
         raise DimensionMismatch(f"shape {a.shape} vs {b.shape}")
-    distances = frobenius_norms(b - a)
-    return float(distances) if b.ndim == 2 else distances
+    return float(frobenius_norms(b - a))
 
 
 def loewner_kernel(eigenvalues: np.ndarray, t: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import OutOfRange, ParseError, ShapeError
 
 AXES = ("x", "y")
 
@@ -81,20 +81,41 @@ class PulseSchedule:
         return PulseSchedule(self.total_time, values)
 
 
+def _allocated(shape, build) -> np.ndarray:
+    """build(shape), the values of a (2, N, K) schedule; OutOfRange naming
+    N and K when numpy refuses an array that large: a dimension past its
+    limit, or more memory than it can get."""
+    try:
+        return build(shape)
+    except (ValueError, MemoryError) as exc:
+        # Decimal rounds a count of any size, where a float overflows;
+        # imported here, so that only this error path pays for it
+        from decimal import Decimal
+        _, n_qubits, n_slices = shape
+        raise OutOfRange(f"a schedule of N = {n_qubits} qubits and K = "
+                         f"{Decimal(n_slices):.3g} slices is too large: "
+                         f"{exc}") from None
+
+
 def zeros(n_qubits: int, total_time: float, n_slices: int) -> PulseSchedule:
-    return PulseSchedule(total_time, np.zeros(values_shape(n_qubits, n_slices)))
+    """All-zero values; ShapeError for a count below 1, OutOfRange for
+    counts numpy cannot allocate."""
+    return PulseSchedule(total_time,
+                         _allocated(values_shape(n_qubits, n_slices), np.zeros))
 
 
 def random_init(n_qubits: int, total_time: float, n_slices: int,
                 amplitude: float, seed) -> PulseSchedule:
     """Entries i.i.d. uniform in [-amplitude, amplitude]; seed-deterministic.
     ShapeError for a count below 1, ValueError unless 0 <= amplitude < inf,
-    both before anything is drawn."""
+    both before anything is drawn, and OutOfRange for counts numpy cannot
+    allocate."""
     shape = values_shape(n_qubits, n_slices)
     if not 0 <= amplitude < math.inf:
         raise ValueError("amplitude must be >= 0 and finite")
-    values = np.random.default_rng(seed).uniform(-amplitude, amplitude, shape)
-    return PulseSchedule(total_time, values)
+    rng = np.random.default_rng(seed)
+    return PulseSchedule(total_time, _allocated(
+        shape, lambda size: rng.uniform(-amplitude, amplitude, size)))
 
 
 def refine_double(s: PulseSchedule) -> PulseSchedule:
@@ -201,8 +222,13 @@ def stage_plan(total_time: float, max_refinements: int = 3):
     """Pick (initial slice count, refinement count) for a synthesis run:
     K0 = round(T / COARSE_TAU), then at most ``max_refinements`` halvings
     that keep the slice width above TARGET_TAU / 2. ShapeError unless
-    total_time is finite and positive."""
-    k0 = max(1, round(check_total_time(total_time) / COARSE_TAU))
+    total_time is finite and positive, OutOfRange if it holds more slices
+    of COARSE_TAU than a float can count."""
+    coarse_slices = check_total_time(total_time) / COARSE_TAU
+    if coarse_slices == math.inf:
+        raise OutOfRange(f"total_time {total_time!r} holds too many slices "
+                         f"of {COARSE_TAU} to count")
+    k0 = max(1, round(coarse_slices))
     refinements = max_refinements
     while refinements > 0 and total_time / (k0 * 2 ** refinements) < TARGET_TAU / 2:
         refinements -= 1

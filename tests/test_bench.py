@@ -139,9 +139,9 @@ class TestBenchQft:
             for t in instructions.bundled_pulse_ids())
         assert len(evolved_tables) == 16
 
-    def test_warm_sweep_builds_no_set_or_baseline_gate(self, monkeypatch):
-        # every set and every exact baseline gate is built once per
-        # process, so a warm sweep constructs only its Fourier targets
+    def test_warm_sweep_builds_no_gate(self, monkeypatch):
+        # every set, every exact baseline gate and every Fourier target is
+        # built once per process, so a warm sweep constructs none
         sets = (QUVIS3, QUVIS2, QUMIS)
         bench_qft(8, sets=sets)
         built = []
@@ -152,7 +152,7 @@ class TestBenchQft:
 
             monkeypatch.setattr(cls, "__init__", counting)
         bench_qft(8, sets=sets)
-        assert built == ["_FourierGate"] * 6
+        assert built == []
 
     def test_cold_and_warm_sweeps_are_bitwise_equal(self, evolved_tables):
         # the cold sweep builds the sets and evolves their tables, the warm

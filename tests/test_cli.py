@@ -340,6 +340,18 @@ class TestSynthesize:
         data = json.loads((tmp_path / "plan.json").read_text())
         assert data["stage_boundaries"] == boundaries
 
+    def test_time_too_long_to_slice_exits_2(self, tmp_path, capsys):
+        # numpy refused the start values' (2, N, K) array, and the run
+        # ended in a raw ValueError traceback with exit 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = x\ntime = 1e300\n")
+        out = tmp_path / "out"
+        rc = main(["synthesize", "--config", str(cfg), "--out", str(out)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "OutOfRange"
+        assert "N = 1 qubits and K = 1.25e+301 slices" in record["message"]
+        assert not out.exists()
+
     def test_seed_flag_overrides_config_seed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("target = identity:1\ntime = 0.5\nname = s\n"

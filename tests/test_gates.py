@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spincompile.errors import BadPlacement, DimensionMismatch, OutOfRange
-from spincompile.gates import (Gate, _FourierGate, apply_gate, cnot,
+from spincompile.gates import (Gate, apply_gate, cnot,
                                controlled_phase, hadamard, pauli_x,
                                phase_gate, qft_matrix, rotation,
                                swap2, swap_to_end_circuit)
@@ -266,14 +266,23 @@ class TestQft:
         assert np.linalg.norm(f.conj().T @ f - np.eye(2 ** n)) <= 1e-12
 
     @pytest.mark.parametrize("damage", ["moved", "nan"])
-    def test_fft_check_rejects_a_damaged_dft(self, damage):
-        # qft_matrix checks its matrix by an orthonormal FFT, not m^H m;
-        # one entry moved by 1e-9, or made nan, fails both checks
+    def test_damaged_dft_is_not_unitary(self, damage):
+        # one entry moved by 1e-9, or made nan, fails Gate's m^H m check
         f = qft_matrix(3).matrix.copy()
         f[5, 2] = np.nan if damage == "nan" else f[5, 2] + 1e-9
-        for build in (_FourierGate, Gate):
-            with pytest.raises(ValueError, match="qft3: matrix is not unitary"):
-                build("qft3", f)
+        with pytest.raises(ValueError, match="qft3: matrix is not unitary"):
+            Gate("qft3", f)
+
+    def test_one_shared_read_only_gate_per_width(self):
+        f = qft_matrix(3)
+        assert qft_matrix(np.int64(3)) is f and f.label == "qft3"
+        assert not f.matrix.flags.writeable
+
+    def test_float_width_rejected_after_the_integer_is_cached(self):
+        # the cache would hand 3's gate to 3.0, so the width is checked first
+        qft_matrix(3)
+        with pytest.raises(OutOfRange, match="width 3.0 is not an integer"):
+            qft_matrix(3.0)
 
 
 @pytest.mark.parametrize("build, smallest", [(qft_matrix, 1),

@@ -3,7 +3,8 @@ import pytest
 
 from spincompile.errors import DimensionMismatch
 from spincompile.evolution import evolve
-from spincompile.linalg import frobenius_distance, loewner_kernel
+from spincompile.linalg import (frobenius_distance, frobenius_norms,
+                                loewner_kernel)
 from spincompile.model import (HEISENBERG, nearest_neighbor_chain,
                                slice_hamiltonians)
 from spincompile.schedule import PulseSchedule
@@ -187,7 +188,7 @@ class TestFrobeniusDistance:
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         b = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
-        got = frobenius_distance(a, b)
+        got = frobenius_norms(b - a)
         assert got.shape == (2, 3)
         expect = [[np.linalg.norm(a - m) for m in row] for row in b]
         assert np.array_equal(got, expect)
@@ -198,8 +199,11 @@ class TestFrobeniusDistance:
         assert type(frobenius_distance(np.eye(2), -np.eye(2))) is float
 
     @pytest.mark.parametrize("b_shape", [(3, 4, 4), (3, 2, 4), (3, 4, 2),
-                                         (2,), (3, 2)])
+                                         (2,), (3, 2), (3, 2, 2),
+                                         (1, 2, 2), (2, 3, 2, 2)])
     def test_stack_of_other_matrices_mismatches(self, b_shape):
+        # one pair only: a stack, even of matching matrices, is
+        # frobenius_norms' to read
         with pytest.raises(DimensionMismatch):
             frobenius_distance(np.eye(2), np.zeros(b_shape))
 

@@ -4,7 +4,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from spincompile.errors import ParseError, ShapeError
+from spincompile.errors import OutOfRange, ParseError, ShapeError
 from spincompile.evolution import evolve
 from spincompile.instructions import bundled_pulse_ids, load_bundled_schedule
 from spincompile.model import nearest_neighbor_chain
@@ -285,6 +285,25 @@ def test_stage_plan_caps_refinements(total_time, cap, plan):
 def test_stage_plan_rejects_bad_total_time(total_time):
     with pytest.raises(ShapeError, match="total_time"):
         stage_plan(total_time)
+
+
+def test_stage_plan_rejects_a_time_of_uncountably_many_slices():
+    # 1e308 / COARSE_TAU overflows; round() raised a raw OverflowError
+    with pytest.raises(OutOfRange, match=r"total_time 1e\+308 holds too many"):
+        stage_plan(1e308)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, k: random_init(n, 1e300, k, 1.0, seed=0),
+    lambda n, k: zeros(n, 1e300, k)], ids=["random_init", "zeros"])
+def test_counts_numpy_cannot_allocate_are_out_of_range(build):
+    # K past numpy's dimension limit fails before any allocation; it was a
+    # raw ValueError. 10^400 slices are more than a float holds.
+    for k_slices, shown in ((stage_plan(1e300)[0], r"1\.25e\+301"),
+                            (10 ** 400, r"1\.00e\+400")):
+        with pytest.raises(OutOfRange, match=r"^a schedule of N = 2 qubits "
+                           rf"and K = {shown} slices is too large: "):
+            build(2, k_slices)
 
 
 @pytest.mark.parametrize("total_time", [np.inf, np.nan, 0.0, -1.0])
