@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -222,6 +223,13 @@ def _target_on(n_qubits: int):
     return parse
 
 
+def _pulse_table(path: str):
+    """The pulse table read from path, on a register the model can hold."""
+    schedule = read_pulse_table(Path(path).read_text())
+    check_width(schedule.n_qubits)
+    return schedule
+
+
 def build_model(cfg: Config, n_qubits: int):
     """nearest_neighbor_chain with the model.* keys the config sets."""
     return nearest_neighbor_chain(n_qubits, **cfg.given(
@@ -239,23 +247,42 @@ def build_optimizer_config(cfg: Config, seed_override=None) -> OptimizerConfig:
     return ocfg if seed_override is None else replace(ocfg, seed=seed_override)
 
 
+def _check_out(out: str) -> None:
+    """ConfigError, before any work, unless --out is a directory or can be
+    made one: neither it nor its nearest existing ancestor is a file."""
+    path = Path(out)
+    while not os.path.exists(path) and path != path.parent:
+        path = path.parent
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is not a directory")
+
+
+def _write(path: Path, text: str) -> None:
+    """Write text to path, making its directory if missing; an OSError is
+    a ConfigError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def write_results(out_dir: Path, name: str, summary: dict,
                   csv_columns=None, csv_rows=None, meta=None) -> None:
     """Write <name>.json, the optional <name>.csv and the <name>.meta.json
     side file, which holds the timestamp, the version and the meta fields."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / f"{name}.json",
+           json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if csv_columns is not None:
         lines = [",".join(csv_columns)]
         for row in csv_rows:
             lines.append(",".join(repr(v) if isinstance(v, float)
                                   else str(v) for v in row))
-        (out_dir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        _write(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
     meta = {**(meta or {}), "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__}
-    (out_dir / f"{name}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(out_dir / f"{name}.meta.json",
+           json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path) -> Config:
@@ -297,8 +324,8 @@ def cmd_synthesize(args) -> int:
                   csv_rows=[(i, float(v)) for i, v in
                             enumerate(report.loss_history)],
                   meta={"wall_time_s": report.wall_time})
-    (out / f"{name}.pulses.csv").write_text(
-        write_pulse_table(report.final_schedule))
+    _write(out / f"{name}.pulses.csv",
+           write_pulse_table(report.final_schedule))
     print(f"{name}: final error {report.final_error:.3e} "
           f"({len(report.loss_history)} iterations)")
     return 0
@@ -326,7 +353,7 @@ def cmd_compile(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _load_config(args.config)
     tables = cfg.given(
-        table=("pulse_table", lambda path: read_pulse_table(Path(path).read_text())),
+        table=("pulse_table", _pulse_table),
         bundled=("bundled", load_bundled_schedule))
     if len(tables) != 1:
         raise ConfigError("config needs one of pulse_table = <path> or bundled = <id>")
@@ -498,6 +525,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.run(args)
     except SpinCompileError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -19,24 +19,30 @@ from .model import MAX_QUBITS, check_width
 _UNITARITY_TOL = 1e-10
 
 
+# nan, infinite or overflowing entries fail the check, without a warning
+@np.errstate(over="ignore", invalid="ignore")
+def check_unitary(label: str, m: np.ndarray) -> None:
+    """ValueError naming label unless the square matrix m is unitary: m^H m
+    within _UNITARITY_TOL of the identity, in O(d^3). Every Gate and every
+    synthesis target passes this one check."""
+    deviation = np.linalg.norm(m.conj().T @ m - np.eye(len(m)))
+    if not deviation <= _UNITARITY_TOL:
+        raise ValueError(f"{label}: matrix is not unitary")
+
+
 @dataclass(frozen=True)
 class Gate:
     label: str
     matrix: np.ndarray
     n_qubits: int = field(init=False)   # read from the 2^n x 2^n matrix
 
-    # nan, infinite or overflowing entries fail the check, without a warning
-    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         n = (len(m) if m.ndim else 0).bit_length() - 1
         if n < 1 or m.shape != (2 ** n,) * 2:
             raise ValueError(f"{self.label}: matrix shape {m.shape}, not "
                              "2^n x 2^n with n >= 1")
-        # m^H m within _UNITARITY_TOL of the identity, in O(d^3)
-        deviation = np.linalg.norm(m.conj().T @ m - np.eye(len(m)))
-        if not deviation <= _UNITARITY_TOL:
-            raise ValueError(f"{self.label}: matrix is not unitary")
+        check_unitary(self.label, m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

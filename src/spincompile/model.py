@@ -9,17 +9,16 @@ terms add to the coupling:
 
     H_k = coupling + 2*pi sum_n (h^x_nk S^x_n + h^y_nk S^y_n),
 
-the convention of the bundled pulse tables. ``slice_hamiltonians`` builds
-them as complex matrices, a single snapshot its one-slice case: the
-tests' dense reference, since the evolution solves every slice in real
-arithmetic.
+the convention of the bundled pulse tables. The module builds real
+operators only, since the evolution solves every slice in real arithmetic.
 
 Every operator here moves a basis state j to at most one other state: a
 field on site n flips bit n, a flip-flop coupling flips two bits and the
 z terms are diagonal. ``flip_pairs`` writes that bit layout down once, as
 each site's partner state and spin sign; the Hamiltonians are scattered
-from it, and the gradient gathers from it. ``site_operator`` builds the
-same operators as dense Kronecker products, for reference only.
+from it, and the gradient gathers from it. ``site_operator``, the one
+complex operator here, builds the same operators as dense Kronecker
+products: the tests' reference.
 
 Every slice on either coupling is real in one fixed basis. The fields act
 on x and y only, so H_k commutes with Theta = X^{(x)N} K (K is complex
@@ -145,7 +144,8 @@ def nearest_neighbor_chain(n_qubits: int, j: float = 2 * np.pi,
 
 
 def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
-    """The field-free part: the two-body terms J_n of bonds (n, n + 1).
+    """The field-free part, a real (dim, dim) matrix: the two-body terms
+    J_n of bonds (n, n + 1).
 
     S^z_n S^z_n+1 is J/4 s_n s_n+1 on the diagonal. On the Heisenberg chain
     S^x_n S^x_n+1 + S^y_n S^y_n+1 moves j to j with both bits flipped, at
@@ -153,7 +153,7 @@ def coupling_hamiltonian(model: SpinChainModel) -> np.ndarray:
     """
     partner, spin = flip_pairs(model.n_qubits)
     rows = np.arange(model.dim)
-    h = np.zeros((model.dim, model.dim), dtype=complex)
+    h = np.zeros((model.dim, model.dim))
     for a, bond in enumerate(model.couplings):
         quarter = bond / 4
         zz = spin[a] * spin[a + 1]
@@ -180,23 +180,6 @@ def check_fields(model: SpinChainModel, values: np.ndarray) -> None:
             f"h^{AXES[axis]} of site {site} in slice {k}")
 
 
-def slice_hamiltonians(model: SpinChainModel, values: np.ndarray) -> np.ndarray:
-    """Shape (K, dim, dim); H_k for field amplitudes values (2, N, K).
-
-    The field of site n is pi (h^x - i spin[n, j] h^y) at
-    (j, partner[n, j]) (``flip_pairs``), added to the coupling's zero
-    there: the coupling has entries only where no bit or two bits flip.
-    Adding, not writing over, turns a -0.0 field into +0.0, as the dense
-    sum of operators does.
-    """
-    check_fields(model, values)
-    partner, spin = flip_pairs(model.n_qubits)
-    hx, hy = (FIELD_SCALE * h.T[:, :, None] for h in values)     # (K, N, 1)
-    hk = np.repeat(coupling_hamiltonian(model)[None], values.shape[2], axis=0)
-    hk[:, np.arange(model.dim), partner] += hx - 1j * (hy * spin)
-    return hk
-
-
 @lru_cache(maxsize=16)
 def _parity_pieces(chain: SpinChainModel):
     """Read-only pieces of an Ising chain's parity blocks: the bits b_n(j),
@@ -214,7 +197,7 @@ def _parity_pieces(chain: SpinChainModel):
     flips[0] = np.arange(half - 1, -1, -1)
     ops = np.empty((n_qubits + 1, half, half))
     ops[:n_qubits] = FIELD_SCALE * np.eye(half)[flips]
-    ops[n_qubits] = np.diag(coupling_hamiltonian(chain).real.diagonal()[:half])
+    ops[n_qubits] = np.diag(coupling_hamiltonian(chain).diagonal()[:half])
     pieces = (1.0 - spin) / 2, ops.reshape(n_qubits + 1, half * half)
     for a in pieces:
         a.setflags(write=False)
@@ -260,7 +243,7 @@ def _real_pieces(chain: SpinChainModel):
     """
     dim, half = chain.dim, chain.dim // 2
     partner, spin = flip_pairs(chain.n_qubits)
-    upper = coupling_hamiltonian(chain).real[:half]
+    upper = coupling_hamiltonian(chain)[:half]
     near, far = upper[:, :half], upper[:, :half - 1:-1]   # columns b, d-1-b
     coupling = np.zeros((dim, dim))
     coupling[:half, :half] = near + far

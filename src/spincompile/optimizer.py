@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from .evolution import GRADIENT_EPS_FLOOR, check_target, error_and_gradient
+from .gates import check_unitary
 from .model import SpinChainModel
 from .schedule import PulseSchedule, random_init, refine_double, stage_plan
 
@@ -118,13 +119,15 @@ def fgto_synthesize(target, model: SpinChainModel, total_time: float,
 
     Runs n_refinements + 1 stages, halving the slice width between stages,
     and returns the best schedule encountered anywhere in the run. An
-    error below GRADIENT_EPS_FLOOR (zero gradient) ends the run.
+    error below GRADIENT_EPS_FLOOR (zero gradient) ends the run. A target
+    that fails ``gates.check_unitary`` raises NonUnitaryTarget.
     """
     t0 = time.perf_counter()
     target = check_target(target, model)
-    dev = np.linalg.norm(target.conj().T @ target - np.eye(model.dim))
-    if dev > 1e-8:
-        raise NonUnitaryTarget(f"target deviates from unitarity by {dev:.3e}")
+    try:
+        check_unitary("target", target)
+    except ValueError as exc:
+        raise NonUnitaryTarget(str(exc)) from None
     phase = det1_phase(target)
     work_target = phase * target
     schedule = random_init(model.n_qubits, total_time, initial_slices,

@@ -243,14 +243,19 @@ class TestEvolve:
         assert not list(tmp_path.glob("evolve*"))
 
     def test_register_wider_than_limit_exits_2(self, tmp_path, capsys):
+        # refused at the table's line, before the model is built
         table = tmp_path / "wide.csv"
         table.write_text(write_pulse_table(zeros(12, 1.0, 1)))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"pulse_table = {table}\n")
-        rc = main(["evolve", "--config", str(cfg), "--out", str(tmp_path)])
+        rc = main(["evolve", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
         record = json.loads(capsys.readouterr().err.strip())
-        assert rc == 2 and record["error"] == "OutOfRange"
-        assert "12" in record["message"]
+        assert rc == 2 and record == {
+            "error": "ConfigError",
+            "message": f"line 1: pulse_table = {table}: register width 12 "
+                       "outside 1..9"}
+        assert not (tmp_path / "out").exists()
 
     def test_table_and_bundled_together_rejected(self, tmp_path, capsys):
         table = tmp_path / "pulses.csv"
@@ -483,6 +488,59 @@ class TestBadConfigExits2:
         rc = main(["synthesize", "--config", str(tmp_path / "none.cfg")])
         record = json.loads(capsys.readouterr().err.strip())
         assert rc == 2 and record["error"] == "ConfigError"
+
+
+class TestOut:
+    """--out is refused before any work when it cannot be a directory, and
+    a failed write is a ConfigError, not a traceback."""
+
+    # each command's first step fails on these arguments, so a record
+    # about --out shows that the check ran before the command did
+    FIRST_STEP_FAILS = {
+        "synthesize": ["--config", "missing.cfg"],
+        "compile": ["--max-n", "2"],
+        "evolve": ["--config", "missing.cfg"],
+        "verify-golden": ["--threshold", "-1"],
+        "bench": ["--config", "missing.cfg"],
+        "fit": ["--config", "missing.cfg"],
+    }
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "file/x"])
+    @pytest.mark.parametrize("command", list(FIRST_STEP_FAILS))
+    def test_out_that_is_or_is_below_a_file_exits_2(
+            self, tmp_path, capsys, monkeypatch, command, below):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").touch()
+        out = tmp_path / "taken" / "x" if below else tmp_path / "taken"
+        rc = main([command, *self.FIRST_STEP_FAILS[command],
+                   "--out", str(out)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record == {
+            "error": "ConfigError",
+            "message": f"--out {out}: {tmp_path / 'taken'} is not a "
+                       "directory"}
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_bytes() == b""
+
+    def test_missing_out_below_a_directory_is_made(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        assert main(["compile", "--max-n", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "compile_quvis3.json").is_file()
+
+    def test_failed_write_names_the_file(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a read-only directory does not stop a process run as root, so
+        # the write itself is made to fail
+        def refuse(path, text):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        rc = main(["compile", "--max-n", "3", "--out", str(tmp_path)])
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record["error"] == "ConfigError"
+        assert record["message"].startswith(
+            f"cannot write {tmp_path / 'compile_quvis3.json'}: ")
 
 
 @pytest.mark.parametrize("argv", [

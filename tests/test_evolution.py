@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from dense_reference import dense_slices
 from test_linalg import expm_taylor
 from test_model import pair_basis
 
@@ -17,8 +18,8 @@ from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
                                 loewner_kernel)
 from spincompile.model import (HEISENBERG, ISING, coupling_hamiltonian,
-                               nearest_neighbor_chain, site_operator,
-                               slice_hamiltonians, slice_norm_bounds)
+                               ising_parity_blocks, nearest_neighbor_chain,
+                               site_operator, slice_norm_bounds)
 from spincompile.schedule import (AXES, PulseSchedule, random_init,
                                   refine_double, zeros)
 
@@ -177,7 +178,7 @@ def test_slice_propagators_match_taylor_exponential(n, interaction):
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.3, 3, amplitude=1.5, seed=n)
     *_, ek = _slice_propagators(model, sched.values, sched.tau)
-    for k, h in enumerate(slice_hamiltonians(model, sched.values)):
+    for k, h in enumerate(dense_slices(model, sched.values)):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
 
@@ -199,7 +200,7 @@ def test_parity_propagators_match_complex_eigh(n):
     w, u, p, ek = _slice_propagators(model, sched.values, sched.tau)
     assert p.dtype == float
     v = u[:, :, None] * p
-    hk = slice_hamiltonians(model, sched.values)
+    hk = dense_slices(model, sched.values)
     ref_w, ref_v = np.linalg.eigh(hk)
     ref_ek = (ref_v * np.exp(-1j * sched.tau * ref_w)[:, None, :]) \
         @ ref_v.conj().transpose(0, 2, 1)
@@ -211,15 +212,12 @@ def test_parity_propagators_match_complex_eigh(n):
     assert np.allclose(np.sort(w, axis=1), ref_w, rtol=0, atol=1e-12)
 
 
-def test_ising_slices_are_not_solved_as_complex_matrices(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("complex slice Hamiltonians built")
-
-    # the dense builder is the tests' reference; evolution never imports it
-    assert not hasattr(evolution, "slice_hamiltonians")
-    monkeypatch.setattr(model_module, "slice_hamiltonians", refuse)
+def test_ising_slices_are_not_solved_as_complex_matrices():
+    # the model builds real operators only; the complex slices are the
+    # tests' dense reference
     model = nearest_neighbor_chain(3)
     sched = random_init(3, 0.6, 4, amplitude=1.0, seed=3)
+    assert ising_parity_blocks(model, sched.values)[1].dtype == float
     u = evolve(model, sched)
     assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-12
 
@@ -606,7 +604,6 @@ def test_no_production_path_builds_site_operators(monkeypatch):
         "evolve": lambda m, s, t: (evolve(m, s),),
         "error_trace": lambda m, s, t: (error_trace(t, m, s).errors,),
         "error_and_gradient": lambda m, s, t: error_and_gradient(t, m, s),
-        "slice_hamiltonians": lambda m, s, t: (slice_hamiltonians(m, s.values),),
         "coupling_hamiltonian": lambda m, s, t: (coupling_hamiltonian(m),),
     }
     cases = []
@@ -616,8 +613,9 @@ def test_no_production_path_builds_site_operators(monkeypatch):
         target = random_unitary(model.dim, seed=7)
         ref = {name: run(model, sched, target) for name, run in runs.items()}
         cases.append((model, sched, target, ref))
-    # rebuild the cached Ising pieces under the patch too
+    # rebuild the cached Ising and Heisenberg pieces under the patch too
     model_module._parity_pieces.cache_clear()
+    model_module._real_pieces.cache_clear()
     monkeypatch.setattr(model_module, "site_operator", refuse)
     for model, sched, target, ref in cases:
         for name, run in runs.items():

@@ -10,7 +10,8 @@ from spincompile.evolution import evolve, gate_error
 from spincompile.gates import (Gate, apply_gate, cnot, controlled_phase,
                                hadamard, qft_matrix, rotation, swap2)
 from spincompile.instructions import (BUNDLE_ALIASES, CNOT_TIME, GATE_STEPS,
-                                      QUMIS, QUVIS2, QUVIS3, SWAP_GATE_ID,
+                                      QUMIS, QUVIS2, QUVIS3, SET_TIMES,
+                                      SWAP_GATE_ID,
                                       bit_reverse, bundled_pulse_ids,
                                       circuit_error_estimate, circuit_frame,
                                       compile_qft, compile_qft_qumis,
@@ -508,10 +509,11 @@ class TestRealizations:
         assert message.endswith(", ".join(bundled_pulse_ids()))
 
     def test_bundled_golden_errors(self):
-        iset = quvis3_set()
-        for m in range(9):
-            eg = iset[f"u{m}"]
-            assert eg.realized_error <= 0.1, (m, eg.realized_error)
+        # every gate of every set, the auxiliary tables (w1, v2..v8, swap,
+        # cnot) as well as quvis3's u0..u8
+        for name in SET_TIMES:
+            for gid, eg in instruction_set(name).gates.items():
+                assert eg.realized_error <= 0.1, (name, gid, eg.realized_error)
 
     def test_realized_error_consistent_with_gate_error(self):
         iset = quvis3_set()

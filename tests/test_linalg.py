@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from dense_reference import dense_slices
 
 from spincompile.errors import DimensionMismatch
 from spincompile.evolution import evolve
 from spincompile.linalg import (frobenius_distance, frobenius_norms,
                                 loewner_kernel)
-from spincompile.model import (HEISENBERG, nearest_neighbor_chain,
-                               slice_hamiltonians)
+from spincompile.model import HEISENBERG, nearest_neighbor_chain
 from spincompile.schedule import PulseSchedule
 
 
@@ -69,7 +69,7 @@ class TestExpmI:
         model = nearest_neighbor_chain(2, interaction=HEISENBERG)
         fields = random_fields(2, seed=1)
         t = 0.3
-        h = slice_hamiltonians(model, fields[:, :, None])[0]
+        h = dense_slices(model, fields[:, :, None])[0]
         total = expm_taylor(h, t)
         got = evolve(model, one_slice(model, fields, t))
         assert frobenius_distance(got, total) <= 1e-10

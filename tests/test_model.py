@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_reference import dense_coupling, dense_slices
 
 from spincompile.errors import DimensionMismatch, OutOfRange, ShapeError
 from spincompile.evolution import evolve
@@ -7,8 +8,7 @@ from spincompile.linalg import frobenius_distance
 from spincompile.model import (HEISENBERG, ISING, MAX_QUBITS, SpinChainModel,
                                check_width, coupling_hamiltonian,
                                ising_parity_blocks, nearest_neighbor_chain,
-                               real_slices, site_operator, slice_hamiltonians,
-                               slice_norm_bounds)
+                               real_slices, site_operator, slice_norm_bounds)
 from spincompile.schedule import random_init
 
 PI2 = 2 * np.pi
@@ -17,12 +17,18 @@ SPIN = {"x": np.array([[0, 1], [1, 0]]) / 2,
         "z": np.array([[1, 0], [0, -1]]) / 2}
 
 
-def snapshot(model, hx=None, hy=None):
-    """The Hamiltonian of one slice holding fields hx, hy (zero if None)."""
+def one_slice(model, hx=None, hy=None):
+    """Field amplitudes (2, N, 1) of one slice holding fields hx, hy (zero
+    if None)."""
     n = model.n_qubits
     values = np.array([np.zeros(n) if h is None else h for h in (hx, hy)],
                       dtype=float)
-    return slice_hamiltonians(model, values[:, :, None])[0]
+    return values[:, :, None]
+
+
+def snapshot(model, hx=None, hy=None):
+    """The dense Hamiltonian of one slice holding fields hx, hy."""
+    return dense_slices(model, one_slice(model, hx, hy))[0]
 
 
 def test_two_spin_zz_spectrum():
@@ -61,9 +67,12 @@ def test_single_spin_x_field():
     model = SpinChainModel(couplings=())
     h = snapshot(model, hx=[1.0])
     assert np.allclose(h, np.pi * np.array([[0, 1], [1, 0]]))
+    # in the pair basis, whose columns are the eigenvectors of S^x
+    got = real_slices(model, one_slice(model, hx=[1.0]))[0]
+    assert np.allclose(got, np.pi * np.diag([1.0, -1.0]), rtol=0, atol=1e-15)
 
 
-BUILDERS = [slice_hamiltonians, ising_parity_blocks, real_slices]
+BUILDERS = [ising_parity_blocks, real_slices]
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -84,32 +93,6 @@ def test_builders_reject_non_finite_fields(builder, bad):
         builder(nearest_neighbor_chain(2), values)
 
 
-def dense_coupling(model):
-    """The coupling as Kronecker products of site operators, bond by bond."""
-    axes = "z" if model.interaction == ISING else "xyz"
-    n = model.n_qubits
-    h = np.zeros((model.dim, model.dim), dtype=complex)
-    for a, bond in enumerate(model.couplings):
-        if bond != 0.0:
-            for ax in axes:
-                h += bond * (site_operator(ax, a, n)
-                             @ site_operator(ax, a + 1, n))
-    return h
-
-
-def dense_slices(model, values):
-    """coupling + 2 pi sum_n (h^x_n S^x_n + h^y_n S^y_n), slice by slice."""
-    n = model.n_qubits
-    ops = [[PI2 * site_operator(ax, q, n) for q in range(n)] for ax in "xy"]
-    hk = np.empty((values.shape[2], model.dim, model.dim), dtype=complex)
-    for k in range(values.shape[2]):
-        hk[k] = dense_coupling(model)
-        for a in range(2):
-            for q in range(n):
-                hk[k] += values[a, q, k] * ops[a][q]
-    return hk
-
-
 def random_couplings(n, seed):
     """n - 1 bonds, with negative and zero ones."""
     rng = np.random.default_rng(seed)
@@ -123,17 +106,14 @@ def random_couplings(n, seed):
 def test_builders_equal_the_dense_reference_exactly(n, interaction):
     chains = [nearest_neighbor_chain(n, interaction=interaction),
               SpinChainModel(random_couplings(n, n), interaction)]
-    values = random_init(n, 0.5, 3, amplitude=1.5, seed=n).values.copy()
-    # -0.0 fields: the dense sum turns them into +0.0 entries, and so must
-    # the builder; np.array_equal alone would not tell the two apart
-    values[:, :, 0] = -0.0
-    values[1, 0, 1] = -values[1, 0, 1]
     for model in chains:
-        for got, want in ((coupling_hamiltonian(model), dense_coupling(model)),
-                          (slice_hamiltonians(model, values),
-                           dense_slices(model, values))):
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()
+        # the real matrix is the dense one's real part, its imaginary part
+        # zero; bytes, since np.array_equal would not tell a -0.0 entry
+        # from the dense sum's +0.0
+        got, want = coupling_hamiltonian(model), dense_coupling(model)
+        assert got.dtype == np.float64
+        assert not want.imag.any()
+        assert got.tobytes() == want.real.tobytes()
 
 
 def pair_basis(dim):
@@ -157,7 +137,7 @@ def test_real_slices_are_the_hamiltonians_in_the_pair_basis(n, interaction):
     for model in (nearest_neighbor_chain(n, interaction=interaction),
                   SpinChainModel(random_couplings(n, n), interaction)):
         w = pair_basis(model.dim)
-        ref = w.conj().T @ slice_hamiltonians(model, values) @ w
+        ref = w.conj().T @ dense_slices(model, values) @ w
         got = real_slices(model, values)
         assert got.dtype == float
         assert np.array_equal(got, got.transpose(0, 2, 1))
@@ -191,17 +171,22 @@ def test_evolution_steps_through_slice_hamiltonians():
 def test_output_hermitian():
     rng = np.random.default_rng(0)
     model = nearest_neighbor_chain(3, interaction=HEISENBERG)
-    h = snapshot(model, hx=rng.normal(size=3), hy=rng.normal(size=3))
-    assert frobenius_distance(h, h.conj().T) <= 1e-12
+    h = real_slices(model, one_slice(model, hx=rng.normal(size=3),
+                                     hy=rng.normal(size=3)))[0]
+    assert np.array_equal(h, h.T)
 
 
 def test_linearity_in_fields():
     model = nearest_neighbor_chain(2)
     rng = np.random.default_rng(1)
     f1, f2 = rng.normal(size=(2, 2, 2))
-    h0 = snapshot(model)
-    lhs = snapshot(model, *(f1 + f2)) - h0
-    rhs = (snapshot(model, *f1) - h0) + (snapshot(model, *f2) - h0)
+
+    def field_part(*fields):
+        return (real_slices(model, one_slice(model, *fields))[0]
+                - real_slices(model, one_slice(model))[0])
+
+    lhs = field_part(*(f1 + f2))
+    rhs = field_part(*f1) + field_part(*f2)
     assert frobenius_distance(lhs, rhs) <= 1e-12
 
 

@@ -7,7 +7,7 @@ from spincompile import optimizer
 from spincompile.errors import (DimensionMismatch, NonUnitaryTarget,
                                OutOfRange, ShapeError)
 from spincompile.evolution import GRADIENT_EPS_FLOOR, evolve, gate_error
-from spincompile.gates import controlled_phase
+from spincompile.gates import Gate, controlled_phase
 from spincompile.instructions import quvis_gate_physical
 from spincompile.model import nearest_neighbor_chain
 from spincompile.optimizer import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
@@ -102,6 +102,15 @@ class TestSynthesize:
         model = nearest_neighbor_chain(1)
         with pytest.raises(NonUnitaryTarget):
             fgto_synthesize(np.array([[1, 0], [0, 2.0]]), model, 0.5, 2, CFG)
+
+    def test_target_refused_as_a_gate_is_refused(self):
+        # m^H m is 2e-9 from the identity: past Gate's bound, so neither a
+        # Gate nor a synthesis target
+        target = np.diag([1, 1 + 1e-9])
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate("t", target)
+        with pytest.raises(NonUnitaryTarget, match="not unitary"):
+            fgto_synthesize(target, nearest_neighbor_chain(1), 0.5, 2, CFG)
 
     @pytest.mark.parametrize("target", [np.eye(4), np.ones((2, 3)),
                                         np.ones(2)])
