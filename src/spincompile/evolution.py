@@ -28,16 +28,19 @@ consecutive slices at a time, at most CHUNK_BYTES of propagators, and
 carries the product across chunks, so its memory does not grow with K;
 every chunk is built into one workspace allocated per call (the
 propagator stack and a float scratch). The backward pass is batched over
-the slice axis: each adjoint is two products of the prefixes, carried
-through its slice's eigenbasis by batched matmuls into buffers the earlier
-steps freed, and every amplitude's derivative is read off the adjoint by a
-gather: a field term couples basis state j only to j with its site's bit
-flipped (``model.flip_pairs``). The eigenbasis is the frame or W times a
-real matrix, so the basis changes are real products against complex
-operands viewed as float pairs, at half the flops of complex ones, and
-the frame or W enters as O(K d^2) scalings or butterflies. The gradient
-holds every slice at once: its peak is about three and a half K x d x d
-complex stacks.
+the slices of a chunk: each adjoint is two products of the prefixes,
+carried through its slice's eigenbasis by batched matmuls into one
+chunk-sized buffer and the chunk's spent prefixes, and every amplitude's
+derivative is read off the adjoint by a gather: a field term couples
+basis state j only to j with its site's bit flipped
+(``model.flip_pairs``). The eigenbasis is the frame or W times a real
+matrix, so the basis changes are real products against complex operands
+viewed as float pairs, at half the flops of complex ones, and the frame
+or W enters as O(K d^2) scalings or butterflies. The gradient keeps one
+K x d x d complex stack whole, the propagators and then the prefixes over
+them, beside the real blocks' eigenvectors, and runs the rest chunk by
+chunk: at N = 6, K = 440 its peak is 1.37 such stacks on the Ising chain
+and 1.59 on the Heisenberg chain.
 """
 
 from __future__ import annotations
@@ -112,39 +115,57 @@ def _slice_propagators(model, values, tau):
     of the field amplitudes values (2, N, K), each slice of duration tau:
     the gradient's builder, which reads the eigenbasis.
 
-    Returns new arrays (w, u, v, ek): eigenvalues (K, d), the Ising frame
-    phases u (K, d) or None, real eigenvectors v (K, d, d) and propagators
-    (K, d, d). Slice k's eigenvectors are diag(u_k) v_k on the Ising chain,
-    v = Q blockdiag(V+, V-) from its parity blocks, and W v_k on the
-    Heisenberg chain, v its real slice's own.
+    Returns new arrays (w, u, vb, ek): eigenvalues (K, d), the Ising frame
+    phases u (K, d) or None, the real blocks' eigenvectors vb
+    (K, B, m, m) and propagators (K, d, d). Slice k's eigenvectors are
+    B_k v_k with v_k real (``_eigenvectors``): diag(u_k) Q blockdiag(V+,
+    V-) from its parity blocks on the Ising chain, and W times its real
+    slice's own on the Heisenberg chain.
 
     One real eigendecomposition of the blocks (``_real_blocks``) gives
     each block's exponential V diag(phases) V^T as one real matmul against
     the complex right operand viewed as float pairs, and
-    ``_to_computational`` takes it back to E_k in O(K d^2). A new
-    ``_workspace`` holds the complex steps: its scratch the phased right
-    operands, and the front of the propagator stack the block
-    exponentials. The arrays are the caller's own: ``_prefix_products``
-    consumes ek, writing the prefix products over the propagators.
+    ``_to_computational`` takes it back to E_k in O(K d^2). Those two
+    steps run chunk by chunk (``_chunk_ranges``), each chunk written into
+    its slices of the one propagator stack, beside one float scratch for
+    the longest chunk, as large as ``_workspace``'s. The phased operand
+    and the block exponential take the chunk's slices of the stack and
+    the scratch's front. On the Ising chain the exponential is in the
+    stack, since ``_to_computational`` writes the sum and difference of
+    its blocks to the scratch's front, which is all of the scratch. On the
+    Heisenberg chain it is that front, halved there in place, and the
+    butterfly's row pass takes the rest. The arrays are the caller's own:
+    ``_prefix_products`` consumes ek, writing the prefix products over the
+    propagators.
     """
     u, blocks = _real_blocks(model, values)
     wb, vb = np.linalg.eigh(blocks)
     del blocks
-    k_slices = len(vb)
-    ek, scratch = _workspace(model.dim, k_slices, vb[0].size)
-    eb = ek.reshape(-1)[:vb.size].reshape(vb.shape)
-    operand = scratch.view(complex)[:vb.size].reshape(vb.shape)
-    np.multiply(np.exp(-1j * tau * wb)[..., :, None], vb.swapaxes(-1, -2),
-                out=operand)
-    np.matmul(vb, operand.view(float), out=eb.view(float))
-    _to_computational(u, eb.real, eb.imag, scratch, ek)
-    return (wb.reshape(k_slices, -1), u,
-            vb[:, 0] if u is None else _parity_vectors(vb), ek)
+    k_slices, dim = len(vb), model.dim
+    ranges = _chunk_ranges(dim, k_slices)
+    ek = np.empty((k_slices, dim, dim), dtype=complex)
+    scratch = np.empty(max(hi - lo for lo, hi in ranges)
+                       * (6 * vb[0].size - 2 * dim * dim))
+    for lo, hi in ranges:
+        vc = vb[lo:hi]
+        front = scratch[:2 * vc.size].view(complex).reshape(vc.shape)
+        stack = ek[lo:hi].reshape(-1)[:vc.size].reshape(vc.shape)
+        operand, eb = (stack, front) if u is None else (front, stack)
+        np.multiply(np.exp(-1j * tau * wb[lo:hi])[..., :, None],
+                    vc.swapaxes(-1, -2), out=operand)
+        np.matmul(vc, operand.view(float), out=eb.view(float))
+        _to_computational(None if u is None else u[lo:hi], eb.real, eb.imag,
+                          scratch, ek[lo:hi])
+    return wb.reshape(k_slices, -1), u, vb, ek
 
 
-def _parity_vectors(vb):
-    """Q blockdiag(V+, V-) (K, d, d) from the Ising parity blocks'
-    eigenvectors vb (K, 2, d/2, d/2): real, half a complex stack."""
+def _eigenvectors(vb):
+    """The real factor v (K, d, d) of the eigenvectors B v from the real
+    blocks' eigenvectors vb (K, B, m, m) of ``_slice_propagators``: on the
+    Heisenberg chain (B = 1) a view of vb, on the Ising chain a new array,
+    Q blockdiag(V+, V-) from its parity blocks, half a complex stack."""
+    if vb.shape[1] == 1:
+        return vb[:, 0]
     k_slices, _, half, _ = vb.shape
     v = np.empty((k_slices, 2 * half, 2 * half))
     v[:, :half, :half] = vb[:, 0]
@@ -172,13 +193,15 @@ def _to_computational(u, c, s, scratch, ek):
     (K, B, m, m), which may be views: the coupling's one way back to the
     computational basis, O(K d^2). Each way sums pairs, which doubles, so
     it halves once, by an exact scaling. The front of the float scratch
-    holds the complex intermediate, so it must not hold c and s; ek may.
+    holds the complex intermediate X, so it must not hold c and s, except
+    as X's own parts on the Heisenberg chain; ek may hold them.
 
-    Heisenberg: X = (c + is) / 2, half the block exponential, is copied
-    into the scratch. D X D^dag turns its off-diagonal quadrants by -i and
-    i (``_pair_phases``), and the butterfly (``_pair_butterfly``), twice
-    Q (.) Q, whose row pass the rest of the scratch holds, gives
-    E_k = Q D (2 X) D^dag Q.
+    Heisenberg: X = (c + is) / 2, half the block exponential, is written
+    to the scratch's front, or halved in place if it is there already
+    (``_slice_propagators``). D X D^dag turns its off-diagonal quadrants
+    by -i and i (``_pair_phases``), and the butterfly
+    (``_pair_butterfly``), twice Q (.) Q, whose row pass the rest of the
+    scratch holds, gives E_k = Q D (2 X) D^dag Q.
 
     Ising: the sum and difference of the two blocks, halved, are the
     blocks S and D of E_k = [[S, D J], [J D, J S J]] (J reverses the
@@ -357,19 +380,31 @@ def _squarings(model, schedule):
     return max(0, math.ceil(math.log2(bound))) if bound > 0 else 0
 
 
-def _propagator_chunks(model, schedule):
-    """The propagator stacks of consecutive ranges of the schedule's
-    slices, slice 1 first: max(2, CHUNK_BYTES // (16 d^2)) slices each,
-    and a lone last slice joins the range before it.
+def _chunk_ranges(dim, k_slices):
+    """(lo, hi) of consecutive ranges of k_slices slices, slice 1 first:
+    max(2, CHUNK_BYTES // (16 d^2)) slices each, and a lone last slice
+    joins the range before it; the one rule of every path that walks a
+    schedule in chunks.
 
     No range of a longer schedule is one slice, because numpy multiplies a
     one-row operand as a matrix-vector product, which rounds the Ising
     frame phases (``model.ising_parity_blocks``) apart from the batched
-    product. Each chunk keeps the schedule's own tau and its one squaring
-    count (``_squarings``), read from every slice's amplitudes, not the
-    chunk's; so every chunk's propagators are bitwise those of the whole
-    stack. The schedule is checked whole first (``_phase_bound``), so an
-    error names its slice and shape, not a chunk's.
+    product.
+    """
+    step = max(2, CHUNK_BYTES // (16 * dim ** 2))
+    starts = list(range(0, max(1, k_slices - 1), step))
+    return list(zip(starts, starts[1:] + [k_slices]))
+
+
+def _propagator_chunks(model, schedule):
+    """The propagator stacks of the schedule's chunks (``_chunk_ranges``),
+    slice 1 first.
+
+    Each chunk keeps the schedule's own tau and its one squaring count
+    (``_squarings``), read from every slice's amplitudes, not the chunk's;
+    so every chunk's propagators are bitwise those of the whole stack. The
+    schedule is checked whole first (``_phase_bound``), so an error names
+    its slice and shape, not a chunk's.
 
     One workspace (``_workspace``), sized for the longest range and the
     first chunk's blocks, is allocated per call and every chunk is built
@@ -380,9 +415,7 @@ def _propagator_chunks(model, schedule):
     every chunk.
     """
     squarings = _squarings(model, schedule)
-    step = max(2, CHUNK_BYTES // (16 * model.dim ** 2))
-    starts = list(range(0, max(1, schedule.n_slices - 1), step))
-    ranges = list(zip(starts, starts[1:] + [schedule.n_slices]))
+    ranges = _chunk_ranges(model.dim, schedule.n_slices)
     out = None
     for lo, hi in ranges:
         u, x = _real_blocks(model, schedule.values[:, :, lo:hi])
@@ -506,66 +539,89 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     Adjoint evaluation: with prefix products P_k and suffix products S_k,
     d eps^2 / d theta_k = -2 Re tr(M_k dE_k), M_k = P_{k-1} target^dag S_k,
     and dE_k follows from the divided-difference kernel in the slice
-    eigenbasis. Every product is unitary, so S_k = P_K P_k^dag and M is
-    two batched products of the prefixes. At eps below the floor the
-    gradient is zero by convention.
+    eigenbasis. Every product is unitary, so S_k = P_K P_k^dag and
+    M_k = P_{k-1} (P_k C)^dag with C = P_K^dag target: two products of the
+    prefixes. At eps below the floor the gradient is zero by convention.
 
-    The peak is reached while M is formed from the real eigenvectors, the
-    prefixes (over the propagators) and X: three and a half K x d x d
-    complex stacks on either coupling. Then X is dropped, and the later
-    steps run in the prefix and M stacks.
+    The propagators, then the prefixes over them, are the one K x d x d
+    complex stack kept whole, beside the eigenvalues and the real blocks'
+    eigenvectors (a quarter of a stack on the Ising chain, half on the
+    Heisenberg chain). The rest runs chunk by chunk (``_chunk_ranges``):
+    the propagators' build (``_slice_propagators``), then the backward
+    pass from the last chunk, with X and M chunk-sized and the chunk's
+    spent prefixes as the second buffer. At N = 6, K = 440 the peak is
+    1.37 stacks on the Ising chain and 1.59 on the Heisenberg chain. A
+    schedule of one chunk holds the whole stack of X and of M beside the
+    prefixes, as a pass over the whole stack would, and peaks at three
+    and a half to four of its stacks, which are small: one chunk holds at
+    most CHUNK_BYTES of propagators and one slice more, or three slices
+    at N >= 8.
     """
     target = check_target(target, model)
     _phase_bound(model, schedule)
-    w, u, v, ek = _slice_propagators(model, schedule.values, schedule.tau)
+    w, u, vb, ek = _slice_propagators(model, schedule.values, schedule.tau)
     prefix = _prefix_products(ek)
     eps = frobenius_distance(target, prefix[-1])
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    # M_k = P_{k-1} X_k with X_k = target^dag P_K P_k^dag and P_0 = 1
-    x = prefix @ (prefix[-1].conj().T @ target)
-    x = np.conjugate(x, out=x).transpose(0, 2, 1)           # X
-    m = np.empty_like(prefix)
-    m[0] = x[0]
-    np.matmul(prefix[:-1], x[1:], out=m[1:])
-    del x
-    # The eigenvectors are B V with V real: B = diag(u) on the Ising chain
-    # and the fixed basis W = Q D on the Heisenberg chain (``_real_blocks``).
-    # The adjoint in the eigenbasis is V^T M' V with M' = B^dag M B: two
-    # O(K d^2) scalings, or D^dag Q M Q D through the spent prefixes' stack.
-    if u is None:
-        _pair_phases(_pair_butterfly(m, prefix, m), 1j)      # 2 M'
-    else:
-        m *= u.conj()[:, :, None]
-        m *= u[:, None, :]
-    # A^T = V^T (V^T M')^T and G'^T = V (V Y)^T: each side is two products
-    # and one transposed copy, so every right operand is a plain stack,
-    # which the real V reads as float pairs; the spent prefixes' stack is
-    # the second buffer.
-    vt = v.transpose(0, 2, 1)
-    vt_m = _matmul(vt, m, out=prefix)
-    m[...] = vt_m.transpose(0, 2, 1)
-    y = _matmul(vt, m, out=prefix)                          # A^T
-    for k in range(schedule.n_slices):
-        y[k] *= loewner_kernel(w[k], schedule.tau)
-    # tr(Y_k (B V)^dag dH (B V)) = sum_jl G_k[j, l] dH[j, l] with
-    # G_k = conj(B) G'_k B^T and G'_k = V Y_k V^T
-    v_y = _matmul(v, y, out=m)
-    prefix[...] = v_y.transpose(0, 2, 1)
-    g_t = _matmul(v, prefix, out=m)                         # G'^T
-    # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and d H / d h[y, n]
-    # is -i FIELD_SCALE spin[n, j] there (``model.flip_pairs``), so each
-    # amplitude reads d entries of G_k^T = B G'_k^T B^dag, and
-    # d eps = d eps^2 / 2 eps. On the Ising chain the frame scales the d
-    # entries alone; the butterflies of W double M' and G^T, a quarter.
+    # The chunks (``_chunk_ranges``) run from the last, with the prefixes
+    # read-only until M is formed into its chunk-sized buffer. X is then
+    # dropped, and the chunk's prefixes, which no earlier chunk reads, are
+    # spent: they are the second buffer of the later steps.
+    ranges = _chunk_ranges(model.dim, schedule.n_slices)
+    ms = np.empty((max(hi - lo for lo, hi in ranges), model.dim, model.dim),
+                  dtype=complex)
+    c = prefix[-1].conj().T @ target
     partner, spin = flip_pairs(model.n_qubits)
-    if u is None:
-        _pair_butterfly(_pair_phases(g_t, -1j), prefix, g_t)
-    pairs = g_t[:, partner, np.arange(model.dim)]            # (K, N, d)
-    pairs *= 0.25 if u is None else u.conj()[:, None, :] * u[:, partner]
     grad = np.empty_like(schedule.values)
-    grad[0] = pairs.real.sum(axis=-1).T
-    grad[1] = (pairs.imag * spin).sum(axis=-1).T
+    for lo, hi in reversed(ranges):
+        # M_k = P_{k-1} X_k with X_k = (P_k C)^dag and P_0 = 1
+        first = int(lo == 0)
+        x = prefix[lo:hi] @ c
+        x = np.conjugate(x, out=x).transpose(0, 2, 1)
+        m, s = ms[:hi - lo], prefix[lo:hi]
+        m[:first] = x[:first]
+        np.matmul(prefix[lo + first - 1:hi - 1], x[first:], out=m[first:])
+        del x
+        # The eigenvectors are B v with v real (``_eigenvectors``): B =
+        # diag(u) on the Ising chain and the fixed basis W = Q D on the
+        # Heisenberg chain (``_real_blocks``). The adjoint in the
+        # eigenbasis is v^T M' v with M' = B^dag M B: two O(K d^2)
+        # scalings, or D^dag Q M Q D through the second buffer.
+        if u is None:
+            _pair_phases(_pair_butterfly(m, s, m), 1j)      # 2 M'
+        else:
+            uc = u[lo:hi]
+            m *= uc.conj()[:, :, None]
+            m *= uc[:, None, :]
+        # A^T = v^T (v^T M')^T and G'^T = v (v Y)^T: each side is two
+        # products and one transposed copy, so every right operand is a
+        # plain stack, which the real v reads as float pairs
+        v = _eigenvectors(vb[lo:hi])
+        vt = v.transpose(0, 2, 1)
+        vt_m = _matmul(vt, m, out=s)
+        m[...] = vt_m.transpose(0, 2, 1)
+        y = _matmul(vt, m, out=s)                           # A^T
+        for y_k, w_k in zip(y, w[lo:hi]):
+            y_k *= loewner_kernel(w_k, schedule.tau)
+        # tr(Y_k (B v)^dag dH (B v)) = sum_jl G_k[j, l] dH[j, l] with
+        # G_k = conj(B) G'_k B^T and G'_k = v Y_k v^T
+        v_y = _matmul(v, y, out=m)
+        s[...] = v_y.transpose(0, 2, 1)
+        g_t = _matmul(v, s, out=m)                          # G'^T
+        # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and
+        # d H / d h[y, n] is -i FIELD_SCALE spin[n, j] there
+        # (``model.flip_pairs``), so each amplitude reads d entries of
+        # G_k^T = B G'_k^T B^dag, and d eps = d eps^2 / 2 eps. On the Ising
+        # chain the frame scales the d entries alone; the butterflies of W
+        # double M' and G^T, a quarter.
+        if u is None:
+            _pair_butterfly(_pair_phases(g_t, -1j), s, g_t)
+        pairs = g_t[:, partner, np.arange(model.dim)]        # (n, N, d)
+        pairs *= (0.25 if u is None
+                  else uc.conj()[:, None, :] * uc[:, partner])
+        grad[0, :, lo:hi] = pairs.real.sum(axis=-1).T
+        grad[1, :, lo:hi] = (pairs.imag * spin).sum(axis=-1).T
     grad *= -FIELD_SCALE / eps
     return eps, grad

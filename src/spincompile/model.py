@@ -57,9 +57,9 @@ INTERACTIONS = {"ising": ISING, "heisenberg": HEISENBERG}   # by config name
 FIELD_SCALE = np.pi
 
 # Widest register: at N = 9 one d x d complex matrix is 4 MB. The gradient
-# holds three and a half per slice at its peak, its eigenvectors real on
-# both couplings; the real slices are scattered into their one stack, so
-# no operator of that size is built or cached per site.
+# holds one per slice whole, and a chunk of slices' worth beside it; the
+# real slices are scattered into their one stack, so no operator of that
+# size is built or cached per site.
 MAX_QUBITS = 9
 
 _PAULI = {
