@@ -110,10 +110,11 @@ def _real_blocks(model, values):
     return None, real_slices(model, values)[:, None]
 
 
-def _slice_propagators(model, values, tau):
+def _slice_propagators(model, values, tau, ranges):
     """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
-    of the field amplitudes values (2, N, K), each slice of duration tau:
-    the gradient's builder, which reads the eigenbasis.
+    of the field amplitudes values (2, N, K), each slice of duration tau,
+    built chunk by chunk over ranges (``_chunk_ranges``): the gradient's
+    builder, which reads the eigenbasis.
 
     Returns new arrays (w, u, vb, ek): eigenvalues (K, d), the Ising frame
     phases u (K, d) or None, the real blocks' eigenvectors vb
@@ -126,8 +127,8 @@ def _slice_propagators(model, values, tau):
     each block's exponential V diag(phases) V^T as one real matmul against
     the complex right operand viewed as float pairs, and
     ``_to_computational`` takes it back to E_k in O(K d^2). Those two
-    steps run chunk by chunk (``_chunk_ranges``), each chunk written into
-    its slices of the one propagator stack, beside one float scratch for
+    steps run chunk by chunk, each chunk written into its slices of the
+    one propagator stack, beside one float scratch for
     the longest chunk, as large as ``_workspace``'s. The phased operand
     and the block exponential take the chunk's slices of the stack and
     the scratch's front. On the Ising chain the exponential is in the
@@ -142,20 +143,19 @@ def _slice_propagators(model, values, tau):
     wb, vb = np.linalg.eigh(blocks)
     del blocks
     k_slices, dim = len(vb), model.dim
-    ranges = _chunk_ranges(dim, k_slices)
     ek = np.empty((k_slices, dim, dim), dtype=complex)
     scratch = np.empty(max(hi - lo for lo, hi in ranges)
                        * (6 * vb[0].size - 2 * dim * dim))
     for lo, hi in ranges:
-        vc = vb[lo:hi]
+        vc, e = vb[lo:hi], ek[lo:hi]
         front = scratch[:2 * vc.size].view(complex).reshape(vc.shape)
-        stack = ek[lo:hi].reshape(-1)[:vc.size].reshape(vc.shape)
+        stack = e.reshape(-1)[:vc.size].reshape(vc.shape)
         operand, eb = (stack, front) if u is None else (front, stack)
         np.multiply(np.exp(-1j * tau * wb[lo:hi])[..., :, None],
                     vc.swapaxes(-1, -2), out=operand)
         np.matmul(vc, operand.view(float), out=eb.view(float))
         _to_computational(None if u is None else u[lo:hi], eb.real, eb.imag,
-                          scratch, ek[lo:hi])
+                          scratch, e)
     return wb.reshape(k_slices, -1), u, vb, ek
 
 
@@ -163,17 +163,34 @@ def _eigenvectors(vb):
     """The real factor v (K, d, d) of the eigenvectors B v from the real
     blocks' eigenvectors vb (K, B, m, m) of ``_slice_propagators``: on the
     Heisenberg chain (B = 1) a view of vb, on the Ising chain a new array,
-    Q blockdiag(V+, V-) from its parity blocks, half a complex stack."""
+    Q blockdiag(V+, V-) from its parity blocks, half a complex stack,
+    gathered and scaled by ``_parity_vector_layout``."""
     if vb.shape[1] == 1:
         return vb[:, 0]
-    k_slices, _, half, _ = vb.shape
-    v = np.empty((k_slices, 2 * half, 2 * half))
-    v[:, :half, :half] = vb[:, 0]
-    v[:, :half, half:] = vb[:, 1]
-    v[:, half:, :half] = vb[:, 0, ::-1]
-    np.negative(vb[:, 1, ::-1], out=v[:, half:, half:])
-    v *= np.sqrt(0.5)
+    at, scale = _parity_vector_layout(2 * vb.shape[-1])
+    v = np.take(vb.reshape(len(vb), -1), at, axis=1)
+    v *= scale
     return v
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _parity_vector_layout(dim: int):
+    """Where each entry of Q blockdiag(V+, V-) sits in the (2, d/2, d/2)
+    stack of the parity blocks' eigenvectors, as flat indices (d, d), and
+    its factor (d, d). Column l < d/2 reads V+ and l >= d/2 column l - d/2
+    of V-; row j < d/2 reads block row j and row j >= d/2 its mirror
+    d-1-j. Every factor is 1/sqrt2, negated where both j and l are at
+    least d/2: scaling by -1/sqrt2 is negating and scaling by 1/sqrt2."""
+    half = dim // 2
+    idx = np.arange(dim)
+    lower = idx >= half
+    fold = np.where(lower, dim - 1 - idx, idx)
+    at = (lower * half + fold[:, None]) * half + np.where(lower, idx - half,
+                                                          idx)
+    scale = np.where(lower[:, None] & lower, -np.sqrt(0.5), np.sqrt(0.5))
+    for a in (at, scale):
+        a.setflags(write=False)
+    return at, scale
 
 
 def _workspace(dim, k_slices, block_size):
@@ -391,9 +408,9 @@ def _chunk_ranges(dim, k_slices):
     frame phases (``model.ising_parity_blocks``) apart from the batched
     product.
     """
-    step = max(2, CHUNK_BYTES // (16 * dim ** 2))
-    starts = list(range(0, max(1, k_slices - 1), step))
-    return list(zip(starts, starts[1:] + [k_slices]))
+    step = max(2, CHUNK_BYTES // (16 * dim * dim))
+    bounds = [*range(0, max(1, k_slices - 1), step), k_slices]
+    return [*zip(bounds, bounds[1:])]
 
 
 def _propagator_chunks(model, schedule):
@@ -553,23 +570,24 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     1.37 stacks on the Ising chain and 1.59 on the Heisenberg chain. A
     schedule of one chunk holds the whole stack of X and of M beside the
     prefixes, as a pass over the whole stack would, and peaks at three
-    and a half to four of its stacks, which are small: one chunk holds at
-    most CHUNK_BYTES of propagators and one slice more, or three slices
-    at N >= 8.
+    and a half to four of its stacks at N >= 5, which are small: one
+    chunk holds at most CHUNK_BYTES of propagators and one slice more,
+    or three slices at N >= 8.
     """
     target = check_target(target, model)
     _phase_bound(model, schedule)
-    w, u, vb, ek = _slice_propagators(model, schedule.values, schedule.tau)
+    ranges = _chunk_ranges(model.dim, schedule.n_slices)
+    w, u, vb, ek = _slice_propagators(model, schedule.values, schedule.tau,
+                                      ranges)
     prefix = _prefix_products(ek)
     eps = frobenius_distance(target, prefix[-1])
     if eps < GRADIENT_EPS_FLOOR:
         return eps, np.zeros_like(schedule.values)
 
-    # The chunks (``_chunk_ranges``) run from the last, with the prefixes
-    # read-only until M is formed into its chunk-sized buffer. X is then
-    # dropped, and the chunk's prefixes, which no earlier chunk reads, are
-    # spent: they are the second buffer of the later steps.
-    ranges = _chunk_ranges(model.dim, schedule.n_slices)
+    # The chunks run from the last, with the prefixes read-only until M is
+    # formed into its chunk-sized buffer. X is then dropped, and the
+    # chunk's prefixes, which no earlier chunk reads, are spent: they are
+    # the second buffer of the later steps.
     ms = np.empty((max(hi - lo for lo, hi in ranges), model.dim, model.dim),
                   dtype=complex)
     c = prefix[-1].conj().T @ target
@@ -577,10 +595,9 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     grad = np.empty_like(schedule.values)
     for lo, hi in reversed(ranges):
         # M_k = P_{k-1} X_k with X_k = (P_k C)^dag and P_0 = 1
-        first = int(lo == 0)
-        x = prefix[lo:hi] @ c
+        p, m, first = prefix[lo:hi], ms[:hi - lo], int(lo == 0)
+        x = p @ c
         x = np.conjugate(x, out=x).transpose(0, 2, 1)
-        m, s = ms[:hi - lo], prefix[lo:hi]
         m[:first] = x[:first]
         np.matmul(prefix[lo + first - 1:hi - 1], x[first:], out=m[first:])
         del x
@@ -588,9 +605,9 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
         # diag(u) on the Ising chain and the fixed basis W = Q D on the
         # Heisenberg chain (``_real_blocks``). The adjoint in the
         # eigenbasis is v^T M' v with M' = B^dag M B: two O(K d^2)
-        # scalings, or D^dag Q M Q D through the second buffer.
+        # scalings, or D^dag Q M Q D through the spent prefixes p.
         if u is None:
-            _pair_phases(_pair_butterfly(m, s, m), 1j)      # 2 M'
+            _pair_phases(_pair_butterfly(m, p, m), 1j)      # 2 M'
         else:
             uc = u[lo:hi]
             m *= uc.conj()[:, :, None]
@@ -600,16 +617,16 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
         # plain stack, which the real v reads as float pairs
         v = _eigenvectors(vb[lo:hi])
         vt = v.transpose(0, 2, 1)
-        vt_m = _matmul(vt, m, out=s)
+        vt_m = _matmul(vt, m, out=p)
         m[...] = vt_m.transpose(0, 2, 1)
-        y = _matmul(vt, m, out=s)                           # A^T
+        y = _matmul(vt, m, out=p)                           # A^T
         for y_k, w_k in zip(y, w[lo:hi]):
             y_k *= loewner_kernel(w_k, schedule.tau)
         # tr(Y_k (B v)^dag dH (B v)) = sum_jl G_k[j, l] dH[j, l] with
         # G_k = conj(B) G'_k B^T and G'_k = v Y_k v^T
         v_y = _matmul(v, y, out=m)
-        s[...] = v_y.transpose(0, 2, 1)
-        g_t = _matmul(v, s, out=m)                          # G'^T
+        p[...] = v_y.transpose(0, 2, 1)
+        g_t = _matmul(v, p, out=m)                          # G'^T
         # d H / d h[x, n] is FIELD_SCALE at (j, partner[n, j]) and
         # d H / d h[y, n] is -i FIELD_SCALE spin[n, j] there
         # (``model.flip_pairs``), so each amplitude reads d entries of
@@ -617,11 +634,12 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
         # chain the frame scales the d entries alone; the butterflies of W
         # double M' and G^T, a quarter.
         if u is None:
-            _pair_butterfly(_pair_phases(g_t, -1j), s, g_t)
+            _pair_butterfly(_pair_phases(g_t, -1j), p, g_t)
         pairs = g_t[:, partner, np.arange(model.dim)]        # (n, N, d)
         pairs *= (0.25 if u is None
                   else uc.conj()[:, None, :] * uc[:, partner])
-        grad[0, :, lo:hi] = pairs.real.sum(axis=-1).T
-        grad[1, :, lo:hi] = (pairs.imag * spin).sum(axis=-1).T
+        g = grad[:, :, lo:hi]
+        g[0] = pairs.real.sum(axis=-1).T
+        g[1] = (pairs.imag * spin).sum(axis=-1).T
     grad *= -FIELD_SCALE / eps
     return eps, grad

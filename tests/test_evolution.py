@@ -41,11 +41,18 @@ def control_operators(model):
     return ops
 
 
+def _spectral_propagators(model, sched):
+    """The gradient's (w, u, vb, ek), built over its chunks."""
+    return _slice_propagators(
+        model, sched.values, sched.tau,
+        evolution._chunk_ranges(model.dim, sched.n_slices))
+
+
 def loop_error_and_gradient(target, model, schedule):
     """The per-slice backward loop that the batched pass replaced, kept as
     its reference: same prefix products, one slice at a time backwards."""
     k_slices = schedule.n_slices
-    w, u, vb, ek = _slice_propagators(model, schedule.values, schedule.tau)
+    w, u, vb, ek = _spectral_propagators(model, schedule)
     v = _eigenvectors(vb)
     v = pair_basis(model.dim) @ v if u is None else u[:, :, None] * v
     prefix = np.empty((k_slices + 1, model.dim, model.dim), dtype=complex)
@@ -179,7 +186,7 @@ def test_slice_too_large_to_evolve_is_named(interaction, path):
 def test_slice_propagators_match_taylor_exponential(n, interaction):
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.3, 3, amplitude=1.5, seed=n)
-    *_, ek = _slice_propagators(model, sched.values, sched.tau)
+    *_, ek = _spectral_propagators(model, sched)
     for k, h in enumerate(dense_slices(model, sched.values)):
         assert np.max(np.abs(ek[k] - expm_taylor(h, sched.tau))) <= 1e-12
 
@@ -199,7 +206,7 @@ def _schedule_with_zero_fields(n, k_slices, seed):
 def test_parity_propagators_match_complex_eigh(n):
     model = nearest_neighbor_chain(n)
     sched = _schedule_with_zero_fields(n, 4, seed=20 + n)
-    w, u, vb, ek = _slice_propagators(model, sched.values, sched.tau)
+    w, u, vb, ek = _spectral_propagators(model, sched)
     p = _eigenvectors(vb)
     assert p.dtype == float
     v = u[:, :, None] * p
@@ -255,8 +262,7 @@ def test_forward_propagators_match_the_spectral_ones(interaction, n, k_slices,
     sched = PulseSchedule(tau * k_slices, values)
     assert evolution._squarings(model, sched) == squarings
     ek = _forward_stack(model, sched)
-    assert np.abs(ek - _slice_propagators(model, values, tau)[-1]).max() \
-        <= 1e-13
+    assert np.abs(ek - _spectral_propagators(model, sched)[-1]).max() <= 1e-13
     ekdag = ek.conj().transpose(0, 2, 1)
     assert np.abs(ekdag @ ek - np.eye(model.dim)).max() <= 1e-12
 
@@ -270,7 +276,7 @@ def test_forward_propagators_of_zero_fields(interaction, n, sched):
     # all-zero one-qubit schedule has a zero bound, so no squaring
     model = nearest_neighbor_chain(n, interaction=interaction)
     ek = _forward_stack(model, sched)
-    ref = _slice_propagators(model, sched.values, sched.tau)[-1]
+    ref = _spectral_propagators(model, sched)[-1]
     assert np.abs(ek - ref).max() <= 1e-13
     if not sched.values.any():
         assert evolution._squarings(model, sched) == 0
@@ -387,7 +393,7 @@ def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     # chain) are whole; each of the two chunks is half the schedule, and
     # holds X and M, then M, the spent prefixes and, on the Ising chain,
     # the dense real eigenvectors. Ising 2.61 at (6, 32) and 3.20 at
-    # (8, 4), Heisenberg 2.71 and 3.19, where the kernel's temporaries are
+    # (8, 4), Heisenberg 2.70 and 3.19, where the kernel's temporaries are
     # most of a stack (a pass over the whole stack read 3.52, 3.51, 3.70
     # and 3.60)
     model = nearest_neighbor_chain(n, interaction=interaction)
