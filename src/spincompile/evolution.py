@@ -128,8 +128,8 @@ def _slice_propagators(model, values, tau, ranges):
     the complex right operand viewed as float pairs, and
     ``_to_computational`` takes it back to E_k in O(K d^2). Those two
     steps run chunk by chunk, each chunk written into its slices of the
-    one propagator stack, beside one float scratch for
-    the longest chunk, as large as ``_workspace``'s. The phased operand
+    one propagator stack, beside one float scratch for the longest chunk,
+    as large as ``_workspace``'s. The phased operand
     and the block exponential take the chunk's slices of the stack and
     the scratch's front. On the Ising chain the exponential is in the
     stack, since ``_to_computational`` writes the sum and difference of
@@ -180,13 +180,13 @@ def _parity_vector_layout(dim: int):
     its factor (d, d). Column l < d/2 reads V+ and l >= d/2 column l - d/2
     of V-; row j < d/2 reads block row j and row j >= d/2 its mirror
     d-1-j. Every factor is 1/sqrt2, negated where both j and l are at
-    least d/2: scaling by -1/sqrt2 is negating and scaling by 1/sqrt2."""
+    least d/2, which rounds as negating and then scaling by 1/sqrt2."""
     half = dim // 2
     idx = np.arange(dim)
     lower = idx >= half
     fold = np.where(lower, dim - 1 - idx, idx)
-    at = (lower * half + fold[:, None]) * half + np.where(lower, idx - half,
-                                                          idx)
+    col = np.where(lower, idx - half, idx)
+    at = (lower * half + fold[:, None]) * half + col
     scale = np.where(lower[:, None] & lower, -np.sqrt(0.5), np.sqrt(0.5))
     for a in (at, scale):
         a.setflags(write=False)
