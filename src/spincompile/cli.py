@@ -36,8 +36,8 @@ from .instructions import (QUVIS3, SET_TIMES, compile_qft, instruction_set,
                            quvis_gate_physical)
 from .model import INTERACTIONS, check_width, nearest_neighbor_chain
 from .optimizer import OptimizerConfig, synthesize_auto
-from .schedule import (check_total_time, parse_float, read_pulse_table,
-                       write_pulse_table)
+from .schedule import (check_total_time, csv_text, parse_float,
+                       read_pulse_table, write_pulse_table)
 
 # [-][N*]pi[/D | *N], the pi multiples parse_angle accepts.
 _PI_ANGLE = re.compile(r"(-?)(?:([^*/]+)\*)?pi(?:/(.+)|\*(.+))?")
@@ -181,9 +181,10 @@ def parse_target(spec: str):
     """Target gates as kind[:args] strings.
 
     Supported: identity:N, cphase:THETA, qft:N, swap_to_end:N, quvis:M,
-    hadamard, cnot, swap, x, rx:THETA, ry:THETA, rz:THETA. A width N
-    above model.MAX_QUBITS is rejected before any matrix is built, and so
-    is any ":" after a kind that takes no argument.
+    quvis_physical:M, hadamard, cnot, swap, x, rx:THETA, ry:THETA,
+    rz:THETA. A width N above model.MAX_QUBITS is rejected before any
+    matrix is built, and so is any ":" after a kind that takes no
+    argument.
     """
     kind, colon, arg = spec.strip().partition(":")
     kind = kind.strip().lower()
@@ -269,16 +270,13 @@ def _write(path: Path, text: str) -> None:
 
 def write_results(out_dir: Path, name: str, summary: dict,
                   csv_columns=None, csv_rows=None, meta=None) -> None:
-    """Write <name>.json, the optional <name>.csv and the <name>.meta.json
-    side file, which holds the timestamp, the version and the meta fields."""
+    """Write <name>.json, the optional <name>.csv (``schedule.csv_text``)
+    and the <name>.meta.json side file, which holds the timestamp, the
+    version and the meta fields."""
     _write(out_dir / f"{name}.json",
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if csv_columns is not None:
-        lines = [",".join(csv_columns)]
-        for row in csv_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float)
-                                  else str(v) for v in row))
-        _write(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
+        _write(out_dir / f"{name}.csv", csv_text(csv_columns, csv_rows))
     meta = {**(meta or {}), "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "version": __version__}
     _write(out_dir / f"{name}.meta.json",
@@ -321,8 +319,7 @@ def cmd_synthesize(args) -> int:
     out = Path(args.out)
     write_results(out, name, summary,
                   csv_columns=("iteration", "loss"),
-                  csv_rows=[(i, float(v)) for i, v in
-                            enumerate(report.loss_history)],
+                  csv_rows=enumerate(report.loss_history.tolist()),
                   meta={"wall_time_s": report.wall_time})
     _write(out / f"{name}.pulses.csv",
            write_pulse_table(report.final_schedule))
@@ -342,7 +339,7 @@ def cmd_compile(args) -> int:
     summary = {"experiment": "compile", "set": args.set, "rows": rows}
     write_results(Path(args.out), f"compile_{args.set}", summary,
                   csv_columns=("n", "total_time", "n_gates"),
-                  csv_rows=[(r["n"], float(r["total_time"]), r["n_gates"])
+                  csv_rows=[(r["n"], r["total_time"], r["n_gates"])
                             for r in rows])
     for r in rows:
         print(f"qft{r['n']} via {args.set}: {r['n_gates']} gates, "
@@ -372,7 +369,7 @@ def cmd_evolve(args) -> int:
         summary["target"] = cfg["target"]
         summary["error"] = err
         csv_cols = ("time", "error")
-        csv_rows = list(zip(tr.times.tolist(), tr.errors.tolist()))
+        csv_rows = zip(tr.times.tolist(), tr.errors.tolist())
         print(f"error vs {cfg['target']}: {err:.6f}")
     write_results(Path(args.out), name, summary, csv_cols, csv_rows)
     return 0
@@ -409,8 +406,8 @@ def cmd_verify_golden(args) -> int:
                "rows": rows, "all_pass": all_ok, "worst_error": worst}
     write_results(Path(args.out), "verify_golden", summary,
                   csv_columns=("gate", "time", "slices", "error", "pass"),
-                  csv_rows=[(r["gate"], float(r["time"]), r["slices"],
-                             float(r["error"]), int(r["pass"])) for r in rows])
+                  csv_rows=[(r["gate"], r["time"], r["slices"], r["error"],
+                             int(r["pass"])) for r in rows])
     return 0 if all_ok else 1
 
 

@@ -164,33 +164,13 @@ def _eigenvectors(vb):
     blocks' eigenvectors vb (K, B, m, m) of ``_slice_propagators``: on the
     Heisenberg chain (B = 1) a view of vb, on the Ising chain a new array,
     Q blockdiag(V+, V-) from its parity blocks, half a complex stack,
-    gathered and scaled by ``_parity_vector_layout``."""
+    gathered and scaled by ``_parity_layouts``."""
     if vb.shape[1] == 1:
         return vb[:, 0]
-    at, scale = _parity_vector_layout(2 * vb.shape[-1])
+    _, at, scale = _parity_layouts(2 * vb.shape[-1])
     v = np.take(vb.reshape(len(vb), -1), at, axis=1)
     v *= scale
     return v
-
-
-@lru_cache(maxsize=MAX_QUBITS)
-def _parity_vector_layout(dim: int):
-    """Where each entry of Q blockdiag(V+, V-) sits in the (2, d/2, d/2)
-    stack of the parity blocks' eigenvectors, as flat indices (d, d), and
-    its factor (d, d). Column l < d/2 reads V+ and l >= d/2 column l - d/2
-    of V-; row j < d/2 reads block row j and row j >= d/2 its mirror
-    d-1-j. Every factor is 1/sqrt2, negated where both j and l are at
-    least d/2, which rounds as negating and then scaling by 1/sqrt2."""
-    half = dim // 2
-    idx = np.arange(dim)
-    lower = idx >= half
-    fold = np.where(lower, dim - 1 - idx, idx)
-    col = np.where(lower, idx - half, idx)
-    at = (lower * half + fold[:, None]) * half + col
-    scale = np.where(lower[:, None] & lower, -np.sqrt(0.5), np.sqrt(0.5))
-    for a in (at, scale):
-        a.setflags(write=False)
-    return at, scale
 
 
 def _workspace(dim, k_slices, block_size):
@@ -222,7 +202,7 @@ def _to_computational(u, c, s, scratch, ek):
 
     Ising: the sum and difference of the two blocks, halved, are the
     blocks S and D of E_k = [[S, D J], [J D, J S J]] (J reverses the
-    order), gathered into ek (``_parity_layout``) and scaled by the frame
+    order), gathered into ek (``_parity_layouts``) and scaled by the frame
     u_j conj(u_l). The gather clips its indices (all in range) rather
     than raising, because a checked ``np.take`` into ek writes to a
     temporary copy of ek first, one more stack.
@@ -238,7 +218,7 @@ def _to_computational(u, c, s, scratch, ek):
     np.subtract(c[:, 0], c[:, 1], out=z.real[:, 1])
     np.add(s[:, 0], s[:, 1], out=z.imag[:, 0])
     np.subtract(s[:, 0], s[:, 1], out=z.imag[:, 1])
-    np.take(z.reshape(len(ek), -1), _parity_layout(ek.shape[-1]), axis=1,
+    np.take(z.reshape(len(ek), -1), _parity_layouts(ek.shape[-1])[0], axis=1,
             out=ek, mode="clip")
     ek *= (0.5 * u)[:, :, None]
     ek *= u.conj()[:, None, :]
@@ -272,21 +252,30 @@ def _pair_butterfly(x, rows, out):
 
 
 @lru_cache(maxsize=MAX_QUBITS)
-def _parity_layout(dim: int) -> np.ndarray:
-    """Where each entry of E_k sits in the (2, d/2, d/2) stack of its sum
-    and difference blocks (S, D), as flat indices (d, d).
+def _parity_layouts(dim: int):
+    """The Ising chain's two gathers from a (2, d/2, d/2) stack of parity
+    blocks, as flat indices (d, d), and the eigenvectors' factor (d, d).
+    In both, row j < d/2 reads block row j and row j >= d/2 its mirror
+    d-1-j (J).
 
-    Row j < d/2 reads block row j and row j >= d/2 its mirror d-1-j (J);
-    so do the columns. An entry reads S where row and column lie in the
-    same half, else D.
+    E_k from its sum and difference blocks (S, D): the columns fold as the
+    rows do, and an entry reads S where row and column lie in the same
+    half, else D. Q blockdiag(V+, V-) from the parity blocks'
+    eigenvectors: column l < d/2 reads V+ and l >= d/2 column l - d/2 of
+    V-. Every factor is 1/sqrt2, negated where both j and l are at least
+    d/2, which rounds as negating and then scaling by 1/sqrt2.
     """
     half = dim // 2
     idx = np.arange(dim)
     lower = idx >= half
     fold = np.where(lower, dim - 1 - idx, idx)
-    at = ((lower[:, None] ^ lower) * half + fold[:, None]) * half + fold
-    at.setflags(write=False)
-    return at
+    propagator = ((lower[:, None] ^ lower) * half + fold[:, None]) * half + fold
+    vectors = ((lower * half + fold[:, None]) * half
+               + np.where(lower, idx - half, idx))
+    scale = np.where(lower[:, None] & lower, -np.sqrt(0.5), np.sqrt(0.5))
+    for a in (propagator, vectors, scale):
+        a.setflags(write=False)
+    return propagator, vectors, scale
 
 
 # Taylor coefficients in Y = X^2 of cos X and of -sin(X)/X, to Y^8

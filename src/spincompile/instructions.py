@@ -255,18 +255,16 @@ quvis2_set = partial(instruction_set, QUVIS2)
 _WINDOW = max(p[-1] for row in GATE_STEPS.values() for *_, p in row)
 
 
-def _block(run) -> tuple:
-    """(matrix, first position) of a run of placed steps: the one step's
-    own gate, or the run multiplied out on the wires it spans. The steps
+def _block(run, lo: int, hi: int) -> tuple:
+    """(matrix, first position) of a run of (matrix, first position)
+    pairs of placed steps, which together span wires lo..hi: the one
+    step's own pair, or the run multiplied out on those wires. The steps
     are checked and unitary, so their product is used as it is."""
     if len(run) == 1:
-        gate, pos = run[0]
-        return gate.matrix, pos[0]
-    lo = min(pos[0] for _gate, pos in run)
-    width = max(pos[-1] for _gate, pos in run) - lo + 1
-    block = np.eye(2 ** width, dtype=complex)
-    for gate, pos in run:
-        block = _apply_matrix(block, gate.matrix, pos[0] - lo + 1)
+        return run[0]
+    block = np.eye(2 ** (hi - lo + 1), dtype=complex)
+    for matrix, first in run:
+        block = _apply_matrix(block, matrix, first - lo + 1)
     return block, lo
 
 
@@ -275,7 +273,8 @@ def compose(n_qubits: int, steps) -> np.ndarray:
     first acting first. Each run of consecutive steps that spans at most
     three adjacent wires (the widest GATE_STEPS row) is multiplied out on
     those wires first and applied to the register once; a wider step is
-    applied on its own.
+    applied on its own. The run's wires lo..hi are tracked as steps join
+    it, and ``_block`` is handed that window.
     OutOfRange unless n_qubits is in 1..MAX_QUBITS; BadPlacement names the
     first step that does not fit the register."""
     u = np.eye(2 ** check_width(n_qubits), dtype=complex)
@@ -283,13 +282,13 @@ def compose(n_qubits: int, steps) -> np.ndarray:
     for gate, pos in steps:
         pos = check_placement(gate, pos, n_qubits)
         if run and max(hi, pos[-1]) - min(lo, pos[0]) >= _WINDOW:
-            u = _apply_matrix(u, *_block(run))
+            u = _apply_matrix(u, *_block(run, lo, hi))
             run = []
         lo, hi = ((min(lo, pos[0]), max(hi, pos[-1])) if run
                   else (pos[0], pos[-1]))
-        run.append((gate, pos))
+        run.append((gate.matrix, pos[0]))
     if run:
-        u = _apply_matrix(u, *_block(run))
+        u = _apply_matrix(u, *_block(run, lo, hi))
     return u
 
 

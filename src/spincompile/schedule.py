@@ -14,8 +14,9 @@ Table format (one file per schedule)::
 
 Each of T, K and N appears once, and the header is exactly the one
 shown; a reader rejects any other form at its line and column. Blank
-lines are skipped but counted. Values are written with 17 significant
-digits so a write/read round trip is bit exact.
+lines are skipped but counted. Values are written as the shortest
+decimal that reads back to the same float (``csv_text``), so a
+write/read round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -128,15 +129,17 @@ def _column_names(n_qubits: int) -> list:
     return [f"{axis}{q + 1}" for axis in AXES for q in range(n_qubits)]
 
 
+def csv_text(header, rows) -> str:
+    """The header's and then each row's cells, comma separated, one line
+    each; a cell is written as str writes it, which for a Python or numpy
+    float is its shortest repr that reads back to the same float."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def write_pulse_table(s: PulseSchedule) -> str:
     n = s.n_qubits
-    lines = [f"T={s.total_time!r},K={s.n_slices},N={n}",
-             ",".join(_column_names(n))]
-    for k in range(s.n_slices):
-        row = [repr(float(s.values[a, q, k]))
-               for a in range(len(AXES)) for q in range(n)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return f"T={s.total_time!r},K={s.n_slices},N={n}\n" + csv_text(
+        _column_names(n), s.values.reshape(-1, s.n_slices).T.tolist())
 
 
 def parse_float(tok: str, line_no: int, col: int) -> float:

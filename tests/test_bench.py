@@ -7,7 +7,7 @@ from spincompile import bench, instructions
 from spincompile.bench import (bench_phase_trace, bench_qft, bench_swap,
                                fit_exponential, fit_linear)
 from spincompile.errors import (Degenerate, DimensionMismatch, OutOfRange,
-                               ShapeError)
+                               ShapeError, UnknownGate)
 from spincompile.instructions import (QUMIS, QUVIS2, QUVIS3, compile_qft,
                                       instruction_set)
 from spincompile.gates import Gate, swap_to_end_circuit
@@ -181,6 +181,13 @@ class TestBenchQftDirect:
     def test_repeated_set_rejected_before_any_work(self, evolved_tables):
         with pytest.raises(OutOfRange, match="'quvis3' is listed twice"):
             bench_qft(3, sets=(QUVIS3, QUMIS, QUVIS3))
+        assert evolved_tables == []
+
+    def test_unknown_set_rejected_before_any_work(self, evolved_tables):
+        with pytest.raises(UnknownGate, match=re.escape(
+                "unknown instruction set 'nope'; expected one of quvis3, "
+                "quvis2, qumis")):
+            bench_qft(3, sets=(QUVIS3, "nope"))
         assert evolved_tables == []
 
     def test_no_set_and_no_direct_rejected_before_any_work(self,

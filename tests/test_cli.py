@@ -543,6 +543,13 @@ class TestOut:
             f"cannot write {tmp_path / 'compile_quvis3.json'}: ")
 
 
+def test_results_csv_writes_numpy_scalars_as_python_values(tmp_path):
+    cli.write_results(tmp_path, "row", {}, ("x", "n", "ok", "none"),
+                      [(np.float64(0.1), np.int64(3), True, None)])
+    assert ((tmp_path / "row.csv").read_text()
+            == "x,n,ok,none\n0.1,3,True,None\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["synthesize", "--jobs", "2"],
     ["compile", "--seed", "1"],

@@ -501,6 +501,12 @@ class TestReferenceDurations:
 
 
 class TestRealizations:
+    def test_unknown_set_lists_the_sets(self):
+        with pytest.raises(UnknownGate, match=re.escape(
+                "unknown instruction set 'nope'; expected one of quvis3, "
+                "quvis2, qumis")):
+            instruction_set("nope")
+
     def test_unknown_bundled_id_lists_the_tables(self):
         with pytest.raises(UnknownGate) as info:
             load_bundled_schedule("nope")
