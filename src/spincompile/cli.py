@@ -138,16 +138,6 @@ def _at_least(smallest, what: str, cast=int):
 _seed = _at_least(0, "seed")
 
 
-def _output_name(text: str) -> str:
-    """A config name: the stem of the files a run writes into --out, so
-    one file name there: not empty, "." or "..", and with no path
-    separator ("/" or "\\") or NUL in it."""
-    if text in ("", ".", "..") or any(c in text for c in "/\\\0"):
-        raise ValueError(f"{text!r} is not a file name in the output "
-                         "directory")
-    return text
-
-
 def _finite(text: str) -> float:
     """A float that is neither nan nor infinite."""
     value = float(text)
@@ -258,6 +248,30 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out}: {path} is not a directory")
 
 
+def _run_name(args, cfg: Config, default: str, suffixes) -> str:
+    """The run's name, checked before any work: the stem of the files it
+    writes into --out, one for each of suffixes, so one file name there
+    (not empty, "." or "..", and with no path separator "/" or "\\" or
+    NUL in it), and none of those files may be one the run reads: the
+    config, or the file its pulse_table or input line names. Each refusal
+    is a ConfigError naming the name line, or the default name where
+    there is none; unknown keys (``Config.check``) are refused between
+    the two checks."""
+    name = cfg.get("name", default)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise cfg._error("name", f"{name!r} is not a file name in the output "
+                         "directory")
+    cfg.check()
+    paths = [Path(args.out) / f"{name}{suffix}" for suffix in suffixes]
+    for read in [args.config, *(cfg[key] for key in ("pulse_table", "input")
+                                if key in cfg)]:
+        if any(p.exists() and os.path.samefile(p, read) for p in paths):
+            reason = f"would write over {read}, which this run reads"
+            raise (cfg._error("name", reason) if "name" in cfg else
+                   ConfigError(f"name {name} (the default): {reason}"))
+    return name
+
+
 def _write(path: Path, text: str) -> None:
     """Write text to path, making its directory if missing; an OSError is
     a ConfigError naming the path."""
@@ -301,8 +315,8 @@ def cmd_synthesize(args) -> int:
     model = build_model(cfg, n_qubits)
     ocfg = build_optimizer_config(cfg, seed_override=args.seed)
     total_time = cfg.get("time", 1.0, _duration)
-    name = cfg.get("name", "synthesize", _output_name)
-    cfg.check()
+    name = _run_name(args, cfg, "synthesize",
+                     (".json", ".csv", ".meta.json", ".pulses.csv"))
     report = synthesize_auto(target, model, total_time, ocfg)
     summary = {
         "experiment": name,
@@ -357,8 +371,8 @@ def cmd_evolve(args) -> int:
     (schedule,) = tables.values()
     model = build_model(cfg, schedule.n_qubits)
     target = cfg.get("target", None, _target_on(schedule.n_qubits))
-    name = cfg.get("name", "evolve", _output_name)
-    cfg.check()
+    name = _run_name(args, cfg, "evolve", (".json", ".meta.json")
+                     + ((".csv",) if target is not None else ()))
     summary = {"experiment": "evolve", "n_qubits": schedule.n_qubits,
                "total_time": schedule.total_time,
                "n_slices": schedule.n_slices}
@@ -452,8 +466,7 @@ def cmd_fit(args) -> int:
     xcol, ycol = cfg.get("x", "x"), cfg.get("y", "y")
     n_min = cfg.get("n_min", None, _finite)
     kind = cfg.get("kind", "linear", _one_of(("linear", "exponential")))
-    name = cfg.get("name", "fit", _output_name)
-    cfg.check()
+    name = _run_name(args, cfg, "fit", (".json", ".meta.json"))
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip()]
     if not lines:

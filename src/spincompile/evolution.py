@@ -15,19 +15,25 @@ Taylor polynomial in batched real matmuls with one squaring count per
 schedule (``_taylor_propagators``); the error trace reads the distances
 of each chunk's prefixes to the target in one reduction. The gradient of
 the gate error with respect to every pulse amplitude reads the
-eigenbasis, so it takes exact exponentials from one batched real
-eigendecomposition of the blocks: one forward pass (the
-eigendecomposition and the prefix products) and one backward pass
-through the divided-difference kernel, exact to machine precision rather
-than a finite-difference estimate.
+eigenbasis, so it takes exact exponentials from a batched real
+eigendecomposition of the blocks (``_spectral_propagators``): one
+forward pass (the eigendecomposition and the prefix products) and one
+backward pass through the divided-difference kernel, exact to machine
+precision rather than a finite-difference estimate.
 There are two time-ordered products. ``evolve`` reads only the full
 product, which a pairwise tree forms in about log2 K batched matmuls;
 the error trace and the gradient read every prefix, which one matmul loop
-writes over the propagators. The forward path holds one chunk of
-consecutive slices at a time, at most CHUNK_BYTES of propagators, and
-carries the product across chunks, so its memory does not grow with K;
-every chunk is built into one workspace allocated per call (the
-propagator stack and a float scratch). The backward pass is batched over
+writes over the propagators. Every path walks the schedule in one way, in
+chunks of consecutive slices (``_chunk_ranges``), at most CHUNK_BYTES of
+propagators each, and builds each chunk into the buffers of one walk
+(``_chunk_buffers``): a float scratch allocated once per call and either
+one chunk-sized propagator stack that every chunk reuses, for the forward
+path, or the chunk's slices of the gradient's whole prefix stack. The
+forward path holds one chunk at a time and carries the product across
+chunks, so its memory does not grow with K. The gradient
+eigendecomposes its chunks first and keeps one record per chunk (the
+frame, the eigenvalues and the real blocks' eigenvectors) until the
+backward pass reaches that chunk. The backward pass is batched over
 the slices of a chunk: each adjoint is two products of the prefixes,
 carried through its slice's eigenbasis by batched matmuls into one
 chunk-sized buffer and the chunk's spent prefixes, and every amplitude's
@@ -38,9 +44,9 @@ matrix, so the basis changes are real products against complex operands
 viewed as float pairs, at half the flops of complex ones, and the frame
 or W enters as O(K d^2) scalings or butterflies. The gradient keeps one
 K x d x d complex stack whole, the propagators and then the prefixes over
-them, beside the real blocks' eigenvectors, and runs the rest chunk by
-chunk: at N = 6, K = 440 its peak is 1.37 such stacks on the Ising chain
-and 1.59 on the Heisenberg chain.
+them, beside the chunks' records, and runs the rest chunk by chunk: at
+N = 6, K = 440 its peak is 1.36 such stacks on the Ising chain and 1.59
+on the Heisenberg chain, and at N = 7, K = 4, one chunk, 3.79 and 3.88.
 """
 
 from __future__ import annotations
@@ -67,11 +73,11 @@ GRADIENT_EPS_FLOOR = 1e-12
 # BLAS thread) 1 MiB cut peak_rss_mb from 83.1 to 46.1 MB; 256 KiB read
 # 44.5 MB and 4 MiB 53.3 MB, at the same wall time within the host's noise.
 # Every bundled table (d <= 8) fits one chunk. Chunks are built into one
-# workspace per call (``_propagator_chunks``): with fresh stacks per chunk,
-# whose freeing handed the heap top back to the OS, a replay pass took
-# about 3.8k minor faults; with the workspace, under 30 (both measured
+# stack and scratch per call (``_chunk_buffers``): with fresh stacks per
+# chunk, whose freeing handed the heap top back to the OS, a replay pass
+# took about 3.8k minor faults; with the one pair, under 30 (both measured
 # when the Ising chunks came from an eigendecomposition). The Taylor
-# polynomial runs in the same workspace: the propagator stack viewed as
+# polynomial runs in the same buffers: the propagator stack viewed as
 # float and the scratch hold its six real block stacks, so the only other
 # arrays per chunk are ``_real_blocks``' own.
 CHUNK_BYTES = 1 << 20
@@ -110,58 +116,37 @@ def _real_blocks(model, values):
     return None, real_slices(model, values)[:, None]
 
 
-def _slice_propagators(model, values, tau, ranges):
-    """Eigendecompositions and per-slice propagators E_k = exp(-i tau H_k)
-    of the field amplitudes values (2, N, K), each slice of duration tau,
-    built chunk by chunk over ranges (``_chunk_ranges``): the gradient's
-    builder, which reads the eigenbasis.
+def _spectral_propagators(u, w, vb, tau, ek, scratch):
+    """The propagators E_k = exp(-i tau H_k) of one chunk, built into its
+    buffers (ek, scratch) of ``_chunk_buffers`` from its real blocks'
+    eigendecomposition: eigenvalues w (K, B, m), eigenvectors vb
+    (K, B, m, m) and the Ising frame phases u (K, d) or None
+    (``_real_blocks``); the gradient's builder, which reads the
+    eigenbasis. Slice k's eigenvectors are B_k v_k with v_k real
+    (``_eigenvectors``): diag(u_k) Q blockdiag(V+, V-) from its parity
+    blocks on the Ising chain, and W times its real slice's own on the
+    Heisenberg chain.
 
-    Returns new arrays (w, u, vb, ek): eigenvalues (K, d), the Ising frame
-    phases u (K, d) or None, the real blocks' eigenvectors vb
-    (K, B, m, m) and propagators (K, d, d). Slice k's eigenvectors are
-    B_k v_k with v_k real (``_eigenvectors``): diag(u_k) Q blockdiag(V+,
-    V-) from its parity blocks on the Ising chain, and W times its real
-    slice's own on the Heisenberg chain.
-
-    One real eigendecomposition of the blocks (``_real_blocks``) gives
-    each block's exponential V diag(phases) V^T as one real matmul against
-    the complex right operand viewed as float pairs, and
-    ``_to_computational`` takes it back to E_k in O(K d^2). Those two
-    steps run chunk by chunk, each chunk written into its slices of the
-    one propagator stack, beside one float scratch for the longest chunk,
-    as large as ``_workspace``'s. The phased operand
-    and the block exponential take the chunk's slices of the stack and
-    the scratch's front. On the Ising chain the exponential is in the
-    stack, since ``_to_computational`` writes the sum and difference of
-    its blocks to the scratch's front, which is all of the scratch. On the
-    Heisenberg chain it is that front, halved there in place, and the
-    butterfly's row pass takes the rest. The arrays are the caller's own:
-    ``_prefix_products`` consumes ek, writing the prefix products over the
-    propagators.
+    Each block's exponential V diag(phases) V^T is one real matmul
+    against the phased operand diag(phases) V^T viewed as float pairs, and
+    ``_to_computational`` takes it back to E_k in O(K d^2). On both
+    couplings the operand takes the scratch's front, which
+    ``_to_computational`` writes over once it is spent, and the block
+    exponential the front of ek, which it reads before it writes E_k
+    there. ek is the caller's own, a view: ``_prefix_products`` consumes
+    it, writing the prefix products over the propagators.
     """
-    u, blocks = _real_blocks(model, values)
-    wb, vb = np.linalg.eigh(blocks)
-    del blocks
-    k_slices, dim = len(vb), model.dim
-    ek = np.empty((k_slices, dim, dim), dtype=complex)
-    scratch = np.empty(max(hi - lo for lo, hi in ranges)
-                       * (6 * vb[0].size - 2 * dim * dim))
-    for lo, hi in ranges:
-        vc, e = vb[lo:hi], ek[lo:hi]
-        front = scratch[:2 * vc.size].view(complex).reshape(vc.shape)
-        stack = e.reshape(-1)[:vc.size].reshape(vc.shape)
-        operand, eb = (stack, front) if u is None else (front, stack)
-        np.multiply(np.exp(-1j * tau * wb[lo:hi])[..., :, None],
-                    vc.swapaxes(-1, -2), out=operand)
-        np.matmul(vc, operand.view(float), out=eb.view(float))
-        _to_computational(None if u is None else u[lo:hi], eb.real, eb.imag,
-                          scratch, e)
-    return wb.reshape(k_slices, -1), u, vb, ek
+    operand = scratch[:2 * vb.size].view(complex).reshape(vb.shape)
+    np.multiply(np.exp(-1j * tau * w)[..., :, None], vb.swapaxes(-1, -2),
+                out=operand)
+    eb = ek.reshape(-1)[:vb.size].reshape(vb.shape)
+    np.matmul(vb, operand.view(float), out=eb.view(float))
+    return _to_computational(u, eb.real, eb.imag, scratch, ek)
 
 
 def _eigenvectors(vb):
     """The real factor v (K, d, d) of the eigenvectors B v from the real
-    blocks' eigenvectors vb (K, B, m, m) of ``_slice_propagators``: on the
+    blocks' eigenvectors vb (K, B, m, m) of ``_real_blocks``: on the
     Heisenberg chain (B = 1) a view of vb, on the Ising chain a new array,
     Q blockdiag(V+, V-) from its parity blocks, half a complex stack,
     gathered and scaled by ``_parity_layouts``."""
@@ -173,29 +158,17 @@ def _eigenvectors(vb):
     return v
 
 
-def _workspace(dim, k_slices, block_size):
-    """The buffers k_slices propagators are built into, for real blocks of
-    block_size entries per slice: the complex (k_slices, d, d) stack and a
-    float scratch, so that the two hold six real block stacks, the six of
-    ``_taylor_propagators``. On the Ising chain (block_size d^2 / 2) the
-    stack viewed as float holds four and the scratch two; on the
-    Heisenberg chain (d^2) the stack two and the scratch four."""
-    stack = np.empty((k_slices, dim, dim), dtype=complex)
-    return stack, np.empty(k_slices * (6 * block_size - 2 * dim * dim))
-
-
 def _to_computational(u, c, s, scratch, ek):
     """E_k (K, d, d) into ek from the exponentials of the real blocks
     (``_real_blocks``), given as their real and imaginary parts c and s
     (K, B, m, m), which may be views: the coupling's one way back to the
     computational basis, O(K d^2). Each way sums pairs, which doubles, so
     it halves once, by an exact scaling. The front of the float scratch
-    holds the complex intermediate X, so it must not hold c and s, except
-    as X's own parts on the Heisenberg chain; ek may hold them.
+    holds the complex intermediate X, so it must not hold c and s; ek may
+    hold them.
 
     Heisenberg: X = (c + is) / 2, half the block exponential, is written
-    to the scratch's front, or halved in place if it is there already
-    (``_slice_propagators``). D X D^dag turns its off-diagonal quadrants
+    to the scratch's front. D X D^dag turns its off-diagonal quadrants
     by -i and i (``_pair_phases``), and the butterfly
     (``_pair_butterfly``), twice Q (.) Q, whose row pass the rest of the
     scratch holds, gives E_k = Q D (2 X) D^dag Q.
@@ -310,11 +283,11 @@ def _taylor_in_y(coef, y, y2, y3, out, spare):
         acc, prev = prev, acc
 
 
-def _taylor_propagators(u, x, tau, squarings, out):
+def _taylor_propagators(u, x, tau, squarings, ek, scratch):
     """The propagators E_k (K, d, d) of the real blocks x and frame u of
-    ``_real_blocks``, slices of duration tau, built into the forward
-    path's workspace out (``_workspace``, at least K slices long) with no
-    eigendecomposition: a view of its stack. In real arithmetic, each
+    ``_real_blocks``, slices of duration tau, built into one chunk's
+    buffers (ek, scratch) of ``_chunk_buffers`` with no
+    eigendecomposition: the forward path's builder. In real arithmetic, each
     block's exponential exp(-i tau A) = cos(tau A) - i sin(tau A) comes
     from scaling and squaring a truncated Taylor series (Higham, SIAM J.
     Matrix Anal. Appl. 26, 1179 (2005)).
@@ -327,15 +300,13 @@ def _taylor_propagators(u, x, tau, squarings, out):
     Then ``_to_computational`` takes C + iS back to E_k.
 
     The six real block stacks (Y, Y^2, Y^3, the Horner spare, C and S)
-    are the workspace out: the propagator stack viewed as float holds q of
-    them (four on the Ising chain, two on the Heisenberg chain) and the
-    scratch the rest. Y^3 and the spare take the front of the scratch,
+    are the chunk's buffers: ek viewed as float holds q of them (four on
+    the Ising chain, two on the Heisenberg chain) and the scratch the
+    rest. Y^3 and the spare take the front of the scratch,
     where ``_to_computational`` writes, and C and S end in the others. X
     is scaled over the blocks' own array.
     """
     x *= tau / 2.0 ** squarings
-    stack, scratch = out
-    ek = stack[:len(x)]
     blocks = [*ek.view(float).reshape(-1, *x.shape)]
     q = len(blocks)
     blocks += [*scratch[:(6 - q) * x.size].reshape(-1, *x.shape)]
@@ -402,6 +373,34 @@ def _chunk_ranges(dim, k_slices):
     return [*zip(bounds, bounds[1:])]
 
 
+def _chunk_buffers(model, ranges, stack=None):
+    """(lo, hi, ek, scratch) for each range (lo, hi) of ``_chunk_ranges``,
+    in order: the one walk over a schedule's chunks, and the buffers each
+    chunk's propagators are built into (``_taylor_propagators``,
+    ``_spectral_propagators``). ek (hi - lo, d, d) is the chunk's slices
+    of stack, the gradient's whole prefix stack; with no stack, it is the
+    front of one stack as long as the longest range, which every chunk
+    reuses. The float scratch, one per walk, is allocated after the stack
+    at the first chunk.
+
+    The two hold six real block stacks of the longest range
+    (``_real_blocks``), the six of ``_taylor_propagators``: the Ising
+    chain's blocks have d^2 / 2 entries per slice, so ek viewed as float
+    holds four and the scratch two; the Heisenberg chain's have d^2, so ek
+    holds two and the scratch four. Each builder writes the block
+    exponential into ek and its other operands into the scratch, whose
+    front ``_to_computational`` writes over last.
+    """
+    dim, longest = model.dim, max(hi - lo for lo, hi in ranges)
+    reuse = stack is None
+    if reuse:
+        stack = np.empty((longest, dim, dim), dtype=complex)
+    block = dim * dim // 2 if model.interaction == ISING else dim * dim
+    scratch = np.empty(longest * (6 * block - 2 * dim * dim))
+    for lo, hi in ranges:
+        yield lo, hi, stack[:hi - lo] if reuse else stack[lo:hi], scratch
+
+
 def _propagator_chunks(model, schedule):
     """The propagator stacks of the schedule's chunks (``_chunk_ranges``),
     slice 1 first.
@@ -412,23 +411,18 @@ def _propagator_chunks(model, schedule):
     schedule is checked whole first (``_phase_bound``), so an error names
     its slice and shape, not a chunk's.
 
-    One workspace (``_workspace``), sized for the longest range and the
-    first chunk's blocks, is allocated per call and every chunk is built
-    into it (``_taylor_propagators``), so each stack yielded is a view
-    that the next chunk overwrites: the caller may write over it but must
-    copy what it keeps. Freeing a chunk's temporaries before the next is
-    built returned the heap top to the OS and faulted it in again for
-    every chunk.
+    Every chunk is built (``_taylor_propagators``) into the one
+    chunk-sized stack and scratch of ``_chunk_buffers``, so each stack
+    yielded is a view that the next chunk overwrites: the caller may write
+    over it but must copy what it keeps. Freeing a chunk's temporaries
+    before the next is built returned the heap top to the OS and faulted
+    it in again for every chunk.
     """
     squarings = _squarings(model, schedule)
-    ranges = _chunk_ranges(model.dim, schedule.n_slices)
-    out = None
-    for lo, hi in ranges:
+    for lo, hi, ek, scratch in _chunk_buffers(
+            model, _chunk_ranges(model.dim, schedule.n_slices)):
         u, x = _real_blocks(model, schedule.values[:, :, lo:hi])
-        if out is None:
-            out = _workspace(model.dim, max(hi - lo for lo, hi in ranges),
-                             x[0].size)
-        ek = _taylor_propagators(u, x, schedule.tau, squarings, out)
+        ek = _taylor_propagators(u, x, schedule.tau, squarings, ek, scratch)
         del u, x                        # before the caller reads the chunk
         yield ek
 
@@ -471,7 +465,7 @@ def evolve(model: SpinChainModel, schedule: PulseSchedule) -> np.ndarray:
     chunks before it; ``error_trace`` and ``error_and_gradient`` read
     every prefix and keep the K-step ``_prefix_products`` scan. The two
     orders of multiplication agree to rounding. The product is a new
-    array, never a view of the chunks' workspace.
+    array, never a view of the chunks' stack.
     """
     product = None
     for ek in _propagator_chunks(model, schedule):
@@ -550,24 +544,39 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     prefixes. At eps below the floor the gradient is zero by convention.
 
     The propagators, then the prefixes over them, are the one K x d x d
-    complex stack kept whole, beside the eigenvalues and the real blocks'
-    eigenvectors (a quarter of a stack on the Ising chain, half on the
-    Heisenberg chain). The rest runs chunk by chunk (``_chunk_ranges``):
-    the propagators' build (``_slice_propagators``), then the backward
-    pass from the last chunk, with X and M chunk-sized and the chunk's
-    spent prefixes as the second buffer. At N = 6, K = 440 the peak is
-    1.37 stacks on the Ising chain and 1.59 on the Heisenberg chain. A
+    complex stack kept whole. The rest runs chunk by chunk
+    (``_chunk_ranges``). Each chunk's real blocks are eigendecomposed
+    first, into one record (lo, hi, u, w, vb) per chunk: its frame, its
+    eigenvalues and its real blocks' eigenvectors (a quarter of a stack
+    on the Ising chain, half on the Heisenberg chain). Only then are the
+    prefix stack and the walk's scratch allocated (``_chunk_buffers``),
+    and each chunk's propagators are built from its record
+    (``_spectral_propagators``) into its slices of the stack. The
+    backward pass runs from the last chunk, with X and M chunk-sized and
+    the chunk's spent prefixes as the second buffer, and pops each record
+    as it reaches its chunk: the Ising chain's eigenvectors are freed once
+    gathered into the dense real factor. At N = 6, K = 440 the peak is
+    1.36 stacks on the Ising chain and 1.59 on the Heisenberg chain. A
     schedule of one chunk holds the whole stack of X and of M beside the
     prefixes, as a pass over the whole stack would, and peaks at three
-    and a half to four of its stacks at N >= 5, which are small: one
-    chunk holds at most CHUNK_BYTES of propagators and one slice more,
-    or three slices at N >= 8.
+    and a half to four of its stacks at N >= 5 (Ising 3.79 and
+    Heisenberg 3.88 at N = 7, K = 4), which are small: one chunk holds at
+    most CHUNK_BYTES of propagators and one slice more, or three slices
+    at N >= 8.
     """
     target = check_target(target, model)
     _phase_bound(model, schedule)
     ranges = _chunk_ranges(model.dim, schedule.n_slices)
-    w, u, vb, ek = _slice_propagators(model, schedule.values, schedule.tau,
-                                      ranges)
+    records = []            # every chunk's, before the stack and scratch
+    for lo, hi in ranges:
+        u, blocks = _real_blocks(model, schedule.values[:, :, lo:hi])
+        records.append((lo, hi, u, *np.linalg.eigh(blocks)))
+    del u, blocks
+    ek = np.empty((schedule.n_slices, model.dim, model.dim), dtype=complex)
+    for (_, _, u, w, vb), (_, _, e, scratch) in zip(
+            records, _chunk_buffers(model, ranges, ek)):
+        _spectral_propagators(u, w, vb, schedule.tau, e, scratch)
+    del scratch
     prefix = _prefix_products(ek)
     eps = frobenius_distance(target, prefix[-1])
     if eps < GRADIENT_EPS_FLOOR:
@@ -582,7 +591,8 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
     c = prefix[-1].conj().T @ target
     partner, spin = flip_pairs(model.n_qubits)
     grad = np.empty_like(schedule.values)
-    for lo, hi in reversed(ranges):
+    while records:
+        lo, hi, u, w, vb = records.pop()
         # M_k = P_{k-1} X_k with X_k = (P_k C)^dag and P_0 = 1
         p, m, first = prefix[lo:hi], ms[:hi - lo], int(lo == 0)
         x = p @ c
@@ -598,18 +608,18 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
         if u is None:
             _pair_phases(_pair_butterfly(m, p, m), 1j)      # 2 M'
         else:
-            uc = u[lo:hi]
-            m *= uc.conj()[:, :, None]
-            m *= uc[:, None, :]
+            m *= u.conj()[:, :, None]
+            m *= u[:, None, :]
         # A^T = v^T (v^T M')^T and G'^T = v (v Y)^T: each side is two
         # products and one transposed copy, so every right operand is a
         # plain stack, which the real v reads as float pairs
-        v = _eigenvectors(vb[lo:hi])
+        v = _eigenvectors(vb)
+        del vb                   # the Ising chain's, gathered into v
         vt = v.transpose(0, 2, 1)
         vt_m = _matmul(vt, m, out=p)
         m[...] = vt_m.transpose(0, 2, 1)
         y = _matmul(vt, m, out=p)                           # A^T
-        for y_k, w_k in zip(y, w[lo:hi]):
+        for y_k, w_k in zip(y, w.reshape(hi - lo, -1)):
             y_k *= loewner_kernel(w_k, schedule.tau)
         # tr(Y_k (B v)^dag dH (B v)) = sum_jl G_k[j, l] dH[j, l] with
         # G_k = conj(B) G'_k B^T and G'_k = v Y_k v^T
@@ -626,7 +636,7 @@ def error_and_gradient(target, model: SpinChainModel, schedule: PulseSchedule):
             _pair_butterfly(_pair_phases(g_t, -1j), p, g_t)
         pairs = g_t[:, partner, np.arange(model.dim)]        # (n, N, d)
         pairs *= (0.25 if u is None
-                  else uc.conj()[:, None, :] * uc[:, partner])
+                  else u.conj()[:, None, :] * u[:, partner])
         g = grad[:, :, lo:hi]
         g[0] = pairs.real.sum(axis=-1).T
         g[1] = (pairs.imag * spin).sum(axis=-1).T

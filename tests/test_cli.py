@@ -543,6 +543,73 @@ class TestOut:
             f"cannot write {tmp_path / 'compile_quvis3.json'}: ")
 
 
+class TestNoRunWritesOverAnInput:
+    """A run whose name would write one of its files over a file it reads,
+    the config or the file its pulse_table or input line names, is refused
+    before any work: exit 2, a ConfigError naming the name line and the
+    file, and the file's bytes unchanged. Each wrote over its input."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        for work in ("synthesize_auto", "error_trace", "fit_linear"):
+            monkeypatch.setattr(cli, work, refuse)
+        monkeypatch.chdir(tmp_path)
+        for out in ("ev", "res"):
+            Path(out).mkdir()
+
+    @staticmethod
+    def refused(capsys, argv, read, message):
+        before = Path(read).read_bytes()
+        rc = main(argv)
+        record = json.loads(capsys.readouterr().err.strip())
+        assert rc == 2 and record == {
+            "error": "ConfigError",
+            "message": f"{message}: would write over {read}, which this run "
+                       "reads"}
+        assert Path(read).read_bytes() == before
+
+    def test_evolve_over_its_pulse_table(self, capsys):
+        Path("ev/t5.csv").write_text(write_pulse_table(
+            random_init(5, 2.0, 8, amplitude=1.0, seed=0)))
+        Path("t5.cfg").write_text(
+            "pulse_table = ev/t5.csv\ntarget = qft:5\nname = t5\n")
+        self.refused(capsys, ["evolve", "--config", "t5.cfg", "--out", "ev"],
+                     "ev/t5.csv", "line 3: name = t5")
+        assert os.listdir("ev") == ["t5.csv"]
+
+    @pytest.mark.parametrize("name_line, message", [
+        ("name = fit\n", "line 4: name = fit"),
+        ("", "name fit (the default)")])
+    def test_fit_over_its_input(self, capsys, name_line, message):
+        Path("res/fit.json").write_text("n,t\n1,2\n2,3\n")
+        Path("fit.cfg").write_text(f"input = res/fit.json\nx = n\ny = t\n"
+                                   f"{name_line}")
+        self.refused(capsys, ["fit", "--config", "fit.cfg", "--out", "res"],
+                     "res/fit.json", message)
+
+    def test_synthesize_over_its_config(self, capsys):
+        Path("res/syn.json").write_text(
+            "target = identity:1\ntime = 0.5\nname = syn\n")
+        self.refused(capsys, ["synthesize", "--config", "res/syn.json",
+                              "--out", "res"],
+                     "res/syn.json", "line 3: name = syn")
+        assert os.listdir("res") == ["syn.json"]
+
+    def test_evolve_with_no_target_writes_no_trace(self):
+        # with no target there is no <name>.csv (and no error trace), so
+        # the table is not written over and the run goes ahead
+        text = write_pulse_table(random_init(2, 0.4, 3, amplitude=1.0, seed=1))
+        Path("ev/t2.csv").write_text(text)
+        Path("t2.cfg").write_text("pulse_table = ev/t2.csv\nname = t2\n")
+        assert main(["evolve", "--config", "t2.cfg", "--out", "ev"]) == 0
+        assert Path("ev/t2.csv").read_text() == text
+        assert sorted(os.listdir("ev")) == ["t2.csv", "t2.json",
+                                            "t2.meta.json"]
+
+
 def test_results_csv_writes_numpy_scalars_as_python_values(tmp_path):
     cli.write_results(tmp_path, "row", {}, ("x", "n", "ok", "none"),
                       [(np.float64(0.1), np.int64(3), True, None)])

@@ -11,9 +11,8 @@ import spincompile.evolution as evolution
 import spincompile.model as model_module
 from spincompile.errors import DimensionMismatch, NonUnitaryTarget, OutOfRange
 from spincompile.evolution import (GRADIENT_EPS_FLOOR, _eigenvectors,
-                                   _prefix_products, _slice_propagators,
-                                   error_and_gradient, error_trace, evolve,
-                                   gate_error)
+                                   _prefix_products, error_and_gradient,
+                                   error_trace, evolve, gate_error)
 from spincompile.gates import pauli_x
 from spincompile.instructions import load_bundled_schedule, quvis_gate_physical
 from spincompile.linalg import (DEGENERATE_GAP, frobenius_distance,
@@ -42,10 +41,21 @@ def control_operators(model):
 
 
 def _spectral_propagators(model, sched):
-    """The gradient's (w, u, vb, ek), built over its chunks."""
-    return _slice_propagators(
-        model, sched.values, sched.tau,
-        evolution._chunk_ranges(model.dim, sched.n_slices))
+    """The gradient's (w, u, vb, ek) as error_and_gradient builds them,
+    chunk by chunk, joined over the chunks: eigenvalues (K, d), the Ising
+    frame phases (K, d) or None, the real blocks' eigenvectors and the
+    propagators."""
+    ek = np.empty((sched.n_slices, model.dim, model.dim), dtype=complex)
+    records = []
+    for lo, hi, e, scratch in evolution._chunk_buffers(
+            model, evolution._chunk_ranges(model.dim, sched.n_slices), ek):
+        u, blocks = evolution._real_blocks(model, sched.values[:, :, lo:hi])
+        w, vb = np.linalg.eigh(blocks)
+        evolution._spectral_propagators(u, w, vb, sched.tau, e, scratch)
+        records.append((w.reshape(hi - lo, -1), u, vb))
+    w, u, vb = zip(*records)
+    return (np.concatenate(w), None if u[0] is None else np.concatenate(u),
+            np.concatenate(vb), ek)
 
 
 def loop_error_and_gradient(target, model, schedule):
@@ -262,8 +272,7 @@ def test_forward_propagators_match_the_spectral_ones(interaction, n, k_slices,
     sched = PulseSchedule(tau * k_slices, values)
     assert evolution._squarings(model, sched) == squarings
     ek = _forward_stack(model, sched)
-    spectral = _slice_propagators(model, values, tau,
-                                  evolution._chunk_ranges(model.dim, k_slices))
+    spectral = _spectral_propagators(model, sched)
     assert np.abs(ek - spectral[-1]).max() <= 1e-13
     ekdag = ek.conj().transpose(0, 2, 1)
     assert np.abs(ekdag @ ek - np.eye(model.dim)).max() <= 1e-12
@@ -392,12 +401,12 @@ def test_wide_forward_peak_memory_is_bounded():
 def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     # the prefixes over the propagators and the real blocks' eigenvectors
     # (a quarter of a stack on the Ising chain, half on the Heisenberg
-    # chain) are whole; each of the two chunks is half the schedule, and
-    # holds X and M, then M, the spent prefixes and, on the Ising chain,
-    # the dense real eigenvectors. Ising 2.61 at (6, 32) and 3.20 at
-    # (8, 4), Heisenberg 2.70 and 3.19, where the kernel's temporaries are
-    # most of a stack (a pass over the whole stack read 3.52, 3.51, 3.70
-    # and 3.60)
+    # chain) are whole until the backward pass; each of the two chunks is
+    # half the schedule, and holds X and M, then M, the spent prefixes
+    # and, on the Ising chain, the dense real eigenvectors, once the
+    # chunk's own are freed. Ising 2.47 at (6, 32) and 3.06 at (8, 4),
+    # Heisenberg 2.70 and 3.18, where the kernel's temporaries are most of
+    # a stack (a pass over the whole stack read 3.52, 3.51, 3.70 and 3.60)
     model = nearest_neighbor_chain(n, interaction=interaction)
     sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
     target = random_unitary(model.dim, seed=3)
@@ -406,10 +415,26 @@ def test_gradient_peak_memory_is_four_slice_stacks(interaction, n, k_slices):
     assert peak <= 3.25
 
 
+@pytest.mark.parametrize("n, k_slices, bound", [(7, 4, 3.9), (3, 240, 4.9)])
+def test_one_chunk_ising_gradient_frees_its_eigenvectors(n, k_slices, bound):
+    # a schedule of one chunk keeps the whole stacks of X and of M; the
+    # real blocks' eigenvectors are freed once the backward pass has
+    # gathered them into the dense real factor, before the kernel's
+    # temporaries: 3.79 slice stacks at (7, 4) and 4.75 at (3, 240) (4.04
+    # and 5.01 when they lived to the end of the call)
+    model = nearest_neighbor_chain(n)
+    sched = random_init(n, 0.05 * k_slices, k_slices, amplitude=1.0, seed=2)
+    assert len(evolution._chunk_ranges(model.dim, k_slices)) == 1
+    target = random_unitary(model.dim, seed=3)
+    peak = _peak_slice_stacks(
+        lambda: error_and_gradient(target, model, sched), model, sched)
+    assert peak <= bound
+
+
 @pytest.mark.parametrize("interaction", [ISING, HEISENBERG])
 def test_long_gradient_peak_memory_is_two_slice_stacks(interaction):
     # N = 6, K = 440, a time grid of the swap sweep: 28 chunks of 16
-    # slices beside the whole prefixes and eigenvectors, 1.37 slice stacks
+    # slices beside the whole prefixes and eigenvectors, 1.36 slice stacks
     # on the Ising chain and 1.59 on the Heisenberg chain (3.52 and 3.54
     # when the gradient held every slice's X and M)
     model = nearest_neighbor_chain(6, interaction=interaction)
@@ -519,11 +544,13 @@ def _multi_chunk_schedule(model, k_slices, first_gain, seed):
 
 def _whole_stack_scan(model, sched):
     """The prefix products of the whole stack of propagators, built as the
-    forward path builds each chunk, at the schedule's squaring count."""
+    forward path builds each chunk, at the schedule's squaring count: one
+    chunk of every slice."""
+    (_, _, ek, scratch), = evolution._chunk_buffers(
+        model, [(0, sched.n_slices)])
     u, x = evolution._real_blocks(model, sched.values)
     ek = evolution._taylor_propagators(
-        u, x, sched.tau, evolution._squarings(model, sched),
-        evolution._workspace(model.dim, sched.n_slices, x[0].size))
+        u, x, sched.tau, evolution._squarings(model, sched), ek, scratch)
     return _prefix_products(ek)
 
 
