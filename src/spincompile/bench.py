@@ -27,6 +27,13 @@ DIRECT = "direct"
 DIRECT_BUDGET = 5e-2    # the qft and phase-trace sweeps' synthesis budget
 
 
+def experiment_id(kind: str, max_n: int | None = None) -> str:
+    """The id of a sweep of that kind ("qft", "phase-trace" or "swap"), the
+    stem of the files ``spincompile bench`` writes for it."""
+    return ("phase_trace" if kind == "phase-trace"
+            else f"{kind}_sweep_max{max_n}")
+
+
 @dataclass(frozen=True)
 class FitResult:
     gamma: float
@@ -178,7 +185,7 @@ def bench_qft(max_n: int, sets=tuple(SET_TIMES), direct_max_n: int = 0,
     fits = {**_fits(rows, "set", groups, "time", fit_linear, n_min),
             **_fits(rows, "set", groups, "error", fit_exponential, n_min)}
     return ExperimentResult(
-        experiment_id=f"qft_sweep_max{max_n}",
+        experiment_id=experiment_id("qft", max_n),
         columns=("n", "set", "time", "error"),
         rows=rows, fits=fits,
         provenance={"sets": list(sets), "direct_max_n": direct_max_n,
@@ -225,7 +232,7 @@ def bench_phase_trace(thetas, total_time: float = 0.45,
                      "direct_met_budget": ok,
                      "qumis_time": qumis_time_cost(placements)})
     return ExperimentResult(
-        experiment_id="phase_trace",
+        experiment_id=experiment_id("phase-trace"),
         columns=("theta", "direct_time", "direct_error",
                  "direct_met_budget", "qumis_time"),
         rows=rows,
@@ -262,7 +269,7 @@ def bench_swap(max_n: int, interactions=(ISING, HEISENBERG),
     keys = [(i, n) for i in interactions for n in range(2, max_n + 1)]
     rows = _parallel_map(cell, keys, jobs)
     return ExperimentResult(
-        experiment_id=f"swap_sweep_max{max_n}",
+        experiment_id=experiment_id("swap", max_n),
         columns=("interaction", "n", "time", "error"),
         rows=rows,
         fits=_fits(rows, "interaction", interactions, "time", fit_linear),

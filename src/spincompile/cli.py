@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bench import (bench_phase_trace, bench_qft, bench_swap, distinct,
-                    fit_exponential, fit_linear, usable_points)
+                    experiment_id, fit_exponential, fit_linear, usable_points)
 from .errors import (ConfigError, OutOfRange, ParseError, ShapeError,
                      SpinCompileError, UnknownGate)
 from .evolution import error_trace
@@ -248,27 +248,36 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out}: {path} is not a directory")
 
 
+def _writes_over_an_input(args, cfg: Config, name: str, suffixes):
+    """Why a run that writes <name><suffix> into --out, for each of
+    suffixes, must be refused: one of those files is one the run reads,
+    the config or the file its pulse_table or input line names. None when
+    none is."""
+    paths = [Path(args.out) / f"{name}{suffix}" for suffix in suffixes]
+    for read in [args.config, *(cfg[key] for key in ("pulse_table", "input")
+                                if key in cfg)]:
+        if read and any(p.exists() and os.path.samefile(p, read)
+                        for p in paths):
+            return f"would write over {read}, which this run reads"
+    return None
+
+
 def _run_name(args, cfg: Config, default: str, suffixes) -> str:
     """The run's name, checked before any work: the stem of the files it
     writes into --out, one for each of suffixes, so one file name there
     (not empty, "." or "..", and with no path separator "/" or "\\" or
-    NUL in it), and none of those files may be one the run reads: the
-    config, or the file its pulse_table or input line names. Each refusal
-    is a ConfigError naming the name line, or the default name where
-    there is none; unknown keys (``Config.check``) are refused between
-    the two checks."""
+    NUL in it), and none of those files may be one the run reads
+    (``_writes_over_an_input``). Each refusal is a ConfigError naming the
+    name line, or the default name where there is none; unknown keys
+    (``Config.check``) are refused between the two checks."""
     name = cfg.get("name", default)
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise cfg._error("name", f"{name!r} is not a file name in the output "
                          "directory")
     cfg.check()
-    paths = [Path(args.out) / f"{name}{suffix}" for suffix in suffixes]
-    for read in [args.config, *(cfg[key] for key in ("pulse_table", "input")
-                                if key in cfg)]:
-        if any(p.exists() and os.path.samefile(p, read) for p in paths):
-            reason = f"would write over {read}, which this run reads"
-            raise (cfg._error("name", reason) if "name" in cfg else
-                   ConfigError(f"name {name} (the default): {reason}"))
+    if reason := _writes_over_an_input(args, cfg, name, suffixes):
+        raise (cfg._error("name", reason) if "name" in cfg else
+               ConfigError(f"name {name} (the default): {reason}"))
     return name
 
 
@@ -444,17 +453,21 @@ def cmd_bench(args) -> int:
             error_budget=("error_budget", _at_least(0, "error_budget", float)),
             seeds=("seeds", _at_least(1, "seeds"))))
     cfg.check()
+    name = experiment_id(kind, kw.get("max_n"))
+    if reason := _writes_over_an_input(args, cfg, name,
+                                       (".json", ".csv", ".meta.json")):
+        raise ConfigError(f"name {name} (the sweep's): {reason}")
     bench = {"qft": bench_qft, "phase-trace": bench_phase_trace, "swap": bench_swap}
     result = bench[kind](**kw)
     summary = {"experiment": result.experiment_id, "rows": result.rows,
                "fits": {k: asdict(f) for k, f in result.fits.items()},
                "provenance": result.provenance}
-    write_results(Path(args.out), result.experiment_id, summary, result.columns,
+    write_results(Path(args.out), name, summary, result.columns,
                   [tuple(r.get(c) for c in result.columns) for r in result.rows])
     for key, f in result.fits.items():
         print(f"fit {key}: gamma={f.gamma:.4f} beta={f.beta:.4f} "
               f"rms={f.residual:.2e}")
-    print(f"{result.experiment_id}: {len(result.rows)} rows written")
+    print(f"{name}: {len(result.rows)} rows written")
     return 0
 
 

@@ -457,7 +457,15 @@ def circuit_error_estimate(n_qubits: int, steps, iset: InstructionSet,
     """Frobenius distance from the target to the (name, Gate, positions)
     steps composed with every gate the set holds replaced by its realized
     (imperfect) gate; other steps, the baseline's rotations and phase
-    factors, stay exact."""
+    factors, stay exact.
+
+    Each realization is its table evolved on a chain of the gate's own
+    width, applied with the identity on every other wire. So the estimate
+    assumes that, while a gate runs, every bond outside it is off and the
+    other sites are idle. A replay of the lowered circuits on the full
+    chain with every bond on at 2 pi found that no set's compiled Fourier
+    transform keeps any trace of the target: at N = 6 each set's error is
+    11.3, sqrt(2 d), the distance of a unitary uncorrelated with it."""
     realized = ((iset[name].realized if name in iset.gates else gate, pos)
                 for name, gate, pos in steps)
     return frobenius_distance(target, compose(n_qubits, realized))

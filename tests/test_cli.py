@@ -546,15 +546,17 @@ class TestOut:
 class TestNoRunWritesOverAnInput:
     """A run whose name would write one of its files over a file it reads,
     the config or the file its pulse_table or input line names, is refused
-    before any work: exit 2, a ConfigError naming the name line and the
-    file, and the file's bytes unchanged. Each wrote over its input."""
+    before any work: exit 2, a ConfigError naming the name line (or the
+    name the run takes without one) and the file, and the file's bytes
+    unchanged. Each wrote over its input."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch, tmp_path):
         def refuse(*args):
             raise AssertionError("work started")
 
-        for work in ("synthesize_auto", "error_trace", "fit_linear"):
+        for work in ("synthesize_auto", "error_trace", "fit_linear",
+                     "bench_qft", "bench_phase_trace", "bench_swap"):
             monkeypatch.setattr(cli, work, refuse)
         monkeypatch.chdir(tmp_path)
         for out in ("ev", "res"):
@@ -597,6 +599,19 @@ class TestNoRunWritesOverAnInput:
                               "--out", "res"],
                      "res/syn.json", "line 3: name = syn")
         assert os.listdir("res") == ["syn.json"]
+
+    @pytest.mark.parametrize("body, name", [
+        ("kind = qft\nmax_n = 3\nsets = quvis3\n", "qft_sweep_max3"),
+        ("kind = phase-trace\n", "phase_trace"),
+        ("kind = swap\n", "swap_sweep_max3")],
+        ids=["qft", "phase-trace", "swap"])
+    def test_bench_over_its_config(self, capsys, body, name):
+        # bench has no name line: its files' stem is the sweep's id
+        Path(f"res/{name}.json").write_text(body)
+        self.refused(capsys, ["bench", "--config", f"res/{name}.json",
+                              "--out", "res"],
+                     f"res/{name}.json", f"name {name} (the sweep's)")
+        assert os.listdir("res") == [f"{name}.json"]
 
     def test_evolve_with_no_target_writes_no_trace(self):
         # with no target there is no <name>.csv (and no error trace), so
@@ -793,18 +808,37 @@ class TestCompileAndFit:
 
 class TestBenchCommand:
     def test_qft_bench_deterministic(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("kind = qft\nmax_n = 4\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["bench", "--config", str(cfg), "--out", str(out1)]) == 0
-        assert main(["bench", "--config", str(cfg), "--out", str(out2)]) == 0
-        name = "qft_sweep_max4"
-        assert ((out1 / f"{name}.json").read_bytes()
-                == (out2 / f"{name}.json").read_bytes())
-        assert ((out1 / f"{name}.csv").read_bytes()
-                == (out2 / f"{name}.csv").read_bytes())
-        rows = json.loads((out1 / f"{name}.json").read_text())["rows"]
-        assert {r["set"] for r in rows} == {"quvis3", "quvis2", "qumis"}
+        # at max_n = 9 the sweep reads and evolves all 16 bundled tables
+        # (u8 and v8 are first used at N = 9)
+        for max_n in (4, 9):
+            cfg = tmp_path / f"bench{max_n}.cfg"
+            cfg.write_text(f"kind = qft\nmax_n = {max_n}\n")
+            out1, out2 = tmp_path / f"a{max_n}", tmp_path / f"b{max_n}"
+            for out in (out1, out2):
+                assert main(["bench", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+            name = f"qft_sweep_max{max_n}"
+            assert ((out1 / f"{name}.json").read_bytes()
+                    == (out2 / f"{name}.json").read_bytes())
+            assert ((out1 / f"{name}.csv").read_bytes()
+                    == (out2 / f"{name}.csv").read_bytes())
+            rows = json.loads((out1 / f"{name}.json").read_text())["rows"]
+            assert {r["set"] for r in rows} == {"quvis3", "quvis2", "qumis"}
+            assert len(rows) == 3 * (max_n - 2)
+            assert all(r["error"] is not None for r in rows)
+
+    def test_reruns_over_its_own_output(self, tmp_path, monkeypatch,
+                                        capsys):
+        # the files a sweep wrote before are no input of the next run,
+        # with a config or without one
+        monkeypatch.chdir(tmp_path)
+        Path("qft.cfg").write_text("kind = qft\nmax_n = 3\n")
+        for argv in (["--config", "qft.cfg"], []):
+            for _ in range(2):
+                assert main(["bench", *argv, "--out", "res"]) == 0
+        assert sorted(os.listdir("res")) == [
+            f"qft_sweep_max{n}{suffix}" for n in (3, 6)
+            for suffix in (".csv", ".json", ".meta.json")]
 
     def test_unknown_set_exits_2_before_any_work(self, tmp_path, capsys,
                                                  evolved_tables):
